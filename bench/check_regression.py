@@ -8,21 +8,21 @@ Two classes of metric, two rules:
     single-worker cache churn counters, warm-restart miss counts, the
     worker-pool microbench counters, the root-front lease-attempt count):
     stall counts must not exceed the baseline — a single new stall under
-    the lookahead or reservation policy is a hard failure; simulated
-    speedups are simulator time, reproducible bit for bit, and get a 2%
-    tolerance only to absorb future benign tie-break changes; the churn
+    the lookahead policy is a hard failure; simulated speedups are
+    simulator time, reproducible bit for bit, and get a 2% tolerance only
+    to absorb future benign tie-break changes; the churn
     scenario's hit/miss/eviction counters come from a seeded trace on one
     worker and must match the baseline exactly, with resident entries
     never above the cap; a warm restart must report exactly zero symbolic
     misses; the worker-pool counters are self-checking against the
     report's own pool_size/rounds — a 4-worker pool serving 64 lease
     rounds must report exactly 4 threads_spawned (the zero-births-on-the-
-    hot-path contract), 64 granted, 0 denied, and the fork/join reference
-    loop exactly rounds*width births; lease attempts per root-front run
-    are structural (panel and tile counts), so they match the baseline
-    exactly, and elastic crewing must grant at least one of them;
+    hot-path contract), 64 granted, 0 denied and 192 workers leased;
+    lease attempts per root-front run are structural (panel and tile
+    counts), so they match the baseline exactly, and elastic crewing must
+    grant at least one of them;
 
-  * noisy (wall-clock service throughput, the scaling-sweep timings): the
+  * noisy (wall-clock service throughput, the root-front timings): the
     cached/cold solves-per-sec ratio wobbles with load on shared CI
     runners, so the baseline-relative check is a warning only; the hard
     gate is the absolute floor of 1.0 — if the symbolic cache makes solves
@@ -30,13 +30,12 @@ Two classes of metric, two rules:
     machine. The repeat-values scenario skips the entire numeric
     factorization on a hit, so its cached/refactorize ratio carries a
     higher absolute floor of 1.5; the warm-restart throughput ratio only
-    warns (its hard contract is the miss count). The scaling sweep's
-    forkjoin/leased ratios warn below 1.0 (leasing should never lose to
-    per-panel thread spawning, but single-core runners oversubscribe both
-    configs into noise) and hard-fail only below 0.75 — a real loss; the
-    root-front elastic/held ratio likewise only warns (its hard contract
-    is the grant count). The tracing-overhead ratio is wall-clock too, but
-    min-of-5 interleaved measurement makes it stable enough to carry the
+    warns (its hard contract is the miss count); the root-front
+    elastic/held ratio likewise only warns (its hard contract is the grant
+    count). The scaling sweep's timings are reported for the record and
+    not compared; only a missing sweep instance fails. The
+    tracing-overhead ratio is wall-clock too, but min-of-5 interleaved
+    measurement makes it stable enough to carry the
     observability contract as a hard ceiling: a traced factorize costing
     more than 5% over an untraced one fails on any machine, and a traced
     run that retained zero events fails outright (tracing silently off is
@@ -52,8 +51,7 @@ SPEEDUP_TOLERANCE = 0.98   # deterministic, slack for tie-break changes only
 NOISY_TOLERANCE = 0.80     # wall-clock metrics: >20% drop warns (no fail)
 SERVICE_RATIO_FLOOR = 1.0  # cached slower than cold fails on any machine
 REPEAT_RATIO_FLOOR = 1.5   # factor-cache hits skip factorize entirely
-SCALING_RATIO_FLOOR = 0.75  # leased runtime truly losing to fork/join fails
-SCALING_RATIO_WARN = 1.0    # below parity: warn (single-core runners)
+ROOT_RATIO_WARN = 1.0       # elastic slower than held: warn (single core)
 TRACING_OVERHEAD_CEILING = 1.05  # traced/untraced factorize, min-of-5
 
 def fail(messages, text):
@@ -104,10 +102,11 @@ def main():
 
     totals = report.get("totals", {})
     base_totals = baseline.get("totals", {})
-    for key in ("lookahead_stalls", "reservation_stalls"):
-        if totals.get(key, 0) > base_totals.get(key, 0):
-            fail(failures, "totals.%s = %d (baseline %d)"
-                 % (key, totals.get(key, 0), base_totals.get(key, 0)))
+    if totals.get("lookahead_stalls", 0) > base_totals.get(
+            "lookahead_stalls", 0):
+        fail(failures, "totals.lookahead_stalls = %d (baseline %d)"
+             % (totals.get("lookahead_stalls", 0),
+                base_totals.get("lookahead_stalls", 0)))
 
     ratio = report.get("service", {}).get("cached_over_cold", 0.0)
     base_ratio = baseline.get("service", {}).get("cached_over_cold", 0.0)
@@ -186,47 +185,19 @@ def main():
         "leases_granted": rounds,
         "leases_denied": 0,
         "workers_leased": rounds * max(pool_size - 1, 0),
-        "forkjoin_births": rounds * pool_size,
     }
     for key, want in expected.items():
         if pool.get(key) != want:
             fail(failures, "worker_pool: %s = %s (expected exactly %d for a "
                  "%d-worker pool over %d rounds)"
                  % (key, pool.get(key), want, pool_size, rounds))
-    leased_us = pool.get("leased_round_us", 0.0)
-    forkjoin_us = pool.get("forkjoin_round_us", 0.0)
-    if forkjoin_us > 0 and leased_us >= forkjoin_us:
-        print("warning: leased dispatch round %.2fus not faster than the "
-              "fork/join round %.2fus — wall-clock noise, or the pool's "
-              "wake path got slow; not failing" % (leased_us, forkjoin_us))
 
-    # Scaling sweep: wall-clock, so parity is a warning and only a real
-    # loss (leasing slower than spawning threads per panel) fails.
+    # Scaling sweep: millisecond-scale wall clock, reported for the record;
+    # only a missing instance fails.
     scaling = report.get("scaling", {})
     base_scaling = baseline.get("scaling", {})
-    base_scaled = {i["name"]: i for i in base_scaling.get("instances", [])}
-    scaled_seen = set()
-    for instance in scaling.get("instances", []):
-        name = instance["name"]
-        scaled_seen.add(name)
-        for width, cell in sorted(instance.get("workers", {}).items()):
-            cell_ratio = cell.get("ratio", 0.0)
-            if cell_ratio < SCALING_RATIO_FLOOR:
-                fail(failures, "scaling %s %s: forkjoin/leased ratio %.4f "
-                     "below %.2f — the leased runtime lost outright to "
-                     "per-panel thread spawning"
-                     % (name, width, cell_ratio, SCALING_RATIO_FLOOR))
-            elif cell_ratio < SCALING_RATIO_WARN:
-                print("warning: scaling %s %s: forkjoin/leased ratio %.4f "
-                      "below parity — noise or an oversubscribed runner; "
-                      "not failing" % (name, width, cell_ratio))
-            base_cell = base_scaled.get(name, {}).get("workers", {}).get(width)
-            if base_cell and cell_ratio < NOISY_TOLERANCE * base_cell["ratio"]:
-                print("warning: scaling %s %s: ratio %.4f below %.4f (80%% "
-                      "of baseline %.4f); not failing"
-                      % (name, width, cell_ratio,
-                         NOISY_TOLERANCE * base_cell["ratio"],
-                         base_cell["ratio"]))
+    base_scaled = {i["name"] for i in base_scaling.get("instances", [])}
+    scaled_seen = {i["name"] for i in scaling.get("instances", [])}
     scaled_missing = set(base_scaled) - scaled_seen
     if scaled_missing:
         fail(failures, "scaling instances missing from report: %s"
@@ -247,7 +218,7 @@ def main():
         fail(failures, "root_front: zero leases granted under elastic "
              "crewing — returned workers never reached the root front")
     root_ratio = root.get("ratio", 0.0)
-    if root and root_ratio < SCALING_RATIO_WARN:
+    if root and root_ratio < ROOT_RATIO_WARN:
         print("warning: root_front held/elastic ratio %.4f below parity — "
               "elastic crewing not paying on this runner (expected on a "
               "single core); not failing" % root_ratio)
@@ -276,14 +247,13 @@ def main():
     if failures:
         sys.exit(1)
     print("bench regression check clean: %d instances, "
-          "lookahead/reservation stalls %d/%d, cached/cold %.2f "
+          "lookahead stalls %d, cached/cold %.2f "
           "(baseline %.2f), warm misses %s, repeat-values ratio %.2f, "
-          "pool births %s vs forkjoin %s, root-front grants %s/%s, "
+          "pool births %s, root-front grants %s/%s, "
           "tracing overhead %.3fx (%s events)"
-          % (len(seen), totals.get("lookahead_stalls", 0),
-             totals.get("reservation_stalls", 0), ratio, base_ratio,
+          % (len(seen), totals.get("lookahead_stalls", 0), ratio, base_ratio,
              warm.get("warm_misses"), repeat_ratio,
-             pool.get("threads_spawned"), pool.get("forkjoin_births"),
+             pool.get("threads_spawned"),
              root.get("leases_granted"), root.get("lease_attempts"),
              overhead, tracing.get("events_retained")))
 

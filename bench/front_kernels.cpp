@@ -1,26 +1,24 @@
-// Extension bench: the dense front-kernel microbenchmark — kernel × front
-// size × block size, GFLOP/s per cell, into front_kernels.csv.
+// Extension bench: the dense front-kernel microbenchmark — block size ×
+// front size × dispatch, GFLOP/s per cell, into front_kernels.csv.
 //
 // Synthesizes deterministic dense SPD fronts (the multifrontal engine's
 // inner payload, isolated from the tree) and times partial_factor for the
-// scalar reference, the cache-blocked kernel and the parallel-tiled kernel
-// across block sizes, at both a full Cholesky (η = m) and the
-// representative partial front (η = m/2). Per cell it also cross-checks
-// the result against the scalar reference — blocked must match bit for
-// bit, parallel within the residual contract — so a kernel regression
-// cannot hide behind a fast wrong answer.
+// scalar reference (KernelConfig{.block_size = 1, .workers = 1}) and the
+// front kernel across block sizes, once with every trailing update inline
+// on one thread and once with every panel's trailing update on leased
+// column tiles, at both a full Cholesky (η = m) and the representative
+// partial front (η = m/2). Every cell is checked bit-identical to the
+// reference, so a kernel regression cannot hide behind a fast wrong
+// answer.
 //
 // TREEMEM_SCALE ≥ 2 adds larger fronts (the regime where cache blocking
-// and intra-front parallelism pay); the parallel kernel's worker count
-// honors TREEMEM_THREADS via default_thread_count. Parallel-tiled cells
-// are measured twice — leasing from the persistent worker pool (the
-// production dispatch) and on the legacy per-panel fork/join path — so the
-// "leased/fork" column isolates what retiring per-panel thread births buys
-// at each front size.
-#include <cmath>
+// and intra-front parallelism pay); the leased cells' worker count honors
+// TREEMEM_THREADS via default_thread_count.
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -42,10 +40,8 @@ std::string fmt(double v, int precision = 2) {
 }
 
 struct Cell {
+  const char* dispatch;  ///< "reference" | "inline" | "leased"
   KernelConfig config;
-  double seconds = 0.0;
-  long long flops = 0;
-  bool bit_identical = false;
 };
 
 int run() {
@@ -60,17 +56,29 @@ int run() {
   const std::size_t block_sizes[] = {16, 48, 96};
 
   bench::print_header(
-      "Extension — dense front kernels: scalar vs cache-blocked vs "
-      "parallel-tiled, GFLOP/s");
+      "Extension — dense front kernel: scalar reference vs cache-blocked "
+      "panels, inline and on leased tiles, GFLOP/s");
 
   CsvWriter csv(bench::output_dir() + "/front_kernels.csv",
-                {"kernel", "block_size", "workers", "dispatch", "m", "eta",
-                 "seconds", "gflops", "bit_identical_to_scalar"});
-  TextTable table({"m", "eta", "scalar GF/s", "best blocked GF/s (nb)",
-                   "best parallel GF/s (nb)", "blocked speedup",
-                   "leased/fork"});
+                {"dispatch", "block_size", "workers", "m", "eta", "seconds",
+                 "gflops"});
+  TextTable table({"m", "eta", "scalar GF/s", "best inline GF/s (nb)",
+                   "best leased GF/s (nb)", "inline speedup",
+                   "leased/inline"});
 
   const unsigned workers = default_thread_count();
+  std::vector<Cell> cells = {{"reference", {.block_size = 1, .workers = 1}}};
+  for (const std::size_t nb : block_sizes) {
+    cells.push_back({"inline", {.block_size = nb, .workers = 1}});
+    // The gate is forced open: these cells must measure intra-front
+    // parallelism (including its overhead on fronts below the production
+    // gate), not silently re-measure the inline path.
+    cells.push_back({"leased",
+                     {.block_size = nb,
+                      .workers = workers,
+                      .min_parallel_volume = 0}});
+  }
+
   for (const std::size_t m : sizes) {
     for (const std::size_t eta : {m, m / 2}) {
       if (eta == 0) {
@@ -78,109 +86,71 @@ int run() {
       }
       const std::vector<double> original = make_dense_spd_front(m, m + eta);
       std::vector<double> reference = original;
-      make_front_kernel({})->partial_factor(reference.data(), m, eta,
-                                            nullptr);
-
-      std::vector<Cell> cells;
-      cells.push_back({KernelConfig{}, 0.0, 0, true});
-      for (const KernelKind kind :
-           {KernelKind::kBlocked, KernelKind::kParallelTiled}) {
-        for (const std::size_t nb : block_sizes) {
-          KernelConfig config;
-          config.kind = kind;
-          config.block_size = nb;
-          if (kind == KernelKind::kParallelTiled) {
-            // Force the parallel path on every panel: these cells must
-            // measure intra-front parallelism (including its overhead on
-            // fronts below the production gate), not silently re-measure
-            // the blocked kernel, or the CSV's workers column would lie.
-            config.min_parallel_volume = 0;
-            // Same tiles, both dispatchers: leased from the persistent
-            // pool, then the legacy per-panel fork/join.
-            cells.push_back({config, 0.0, 0, false});
-            config.fork_join = true;
-          }
-          cells.push_back({config, 0.0, 0, false});
-        }
-      }
+      make_front_kernel(cells.front().config)
+          ->partial_factor(reference.data(), m, eta, nullptr);
 
       const int reps = m >= 512 ? 1 : 3;
       double scalar_gflops = 1e-12;
-      double best_blocked = 0.0, best_parallel = 0.0, best_forkjoin = 0.0;
-      std::size_t best_blocked_nb = 0, best_parallel_nb = 0;
-      for (Cell& cell : cells) {
+      double best_inline = 0.0, best_leased = 0.0;
+      std::size_t best_inline_nb = 0, best_leased_nb = 0;
+      for (const Cell& cell : cells) {
         const auto kernel = make_front_kernel(cell.config);
         std::vector<double> work;
-        cell.seconds = bench::median_time_s(
+        long long flops = 0;
+        const double seconds = bench::median_time_s(
             [&] {
               work = original;
-              cell.flops = kernel->partial_factor(work.data(), m, eta,
-                                                  nullptr);
+              flops = kernel->partial_factor(work.data(), m, eta, nullptr);
             },
             reps);
-        cell.bit_identical = work == reference;
-        if (cell.config.kind == KernelKind::kBlocked) {
-          // The blocked kernel preserves the reference's per-entry update
-          // order exactly; anything else is a kernel bug.
-          TM_CHECK(cell.bit_identical,
-                   "blocked kernel diverged from the scalar reference at m="
-                       << m << " nb=" << cell.config.block_size);
-        } else {
-          TM_CHECK(relative_frobenius_distance(reference, work) <= 1e-12,
-                   "kernel " << to_string(cell.config.kind)
-                             << " violated the residual contract at m=" << m);
-        }
-        const double gflops = static_cast<double>(cell.flops) /
-                              std::max(cell.seconds, 1e-12) / 1e9;
-        if (cell.config.kind == KernelKind::kScalar) {
+        // Every setting preserves the reference's per-entry update order
+        // exactly; anything else is a kernel bug.
+        TM_CHECK(work == reference,
+                 "front kernel diverged from the scalar reference at m="
+                     << m << " nb=" << cell.config.block_size
+                     << " dispatch=" << cell.dispatch);
+        const double gflops =
+            static_cast<double>(flops) / std::max(seconds, 1e-12) / 1e9;
+        const std::string dispatch = cell.dispatch;
+        if (dispatch == "reference") {
           scalar_gflops = gflops;
-        } else if (cell.config.kind == KernelKind::kBlocked) {
-          if (gflops > best_blocked) {
-            best_blocked = gflops;
-            best_blocked_nb = cell.config.block_size;
-          }
-        } else if (cell.config.fork_join) {
-          best_forkjoin = std::max(best_forkjoin, gflops);
-        } else if (gflops > best_parallel) {
-          best_parallel = gflops;
-          best_parallel_nb = cell.config.block_size;
+        } else if (dispatch == "inline" && gflops > best_inline) {
+          best_inline = gflops;
+          best_inline_nb = cell.config.block_size;
+        } else if (dispatch == "leased" && gflops > best_leased) {
+          best_leased = gflops;
+          best_leased_nb = cell.config.block_size;
         }
-        const bool tiled = cell.config.kind == KernelKind::kParallelTiled;
         csv.write_row(
-            {to_string(cell.config.kind),
+            {dispatch,
              CsvWriter::cell(static_cast<long long>(cell.config.block_size)),
-             CsvWriter::cell(static_cast<long long>(tiled ? workers : 1)),
-             !tiled ? "serial" : cell.config.fork_join ? "forkjoin" : "leased",
+             CsvWriter::cell(static_cast<long long>(
+                 dispatch == "leased" ? workers : 1)),
              CsvWriter::cell(static_cast<long long>(m)),
              CsvWriter::cell(static_cast<long long>(eta)),
-             CsvWriter::cell(cell.seconds), CsvWriter::cell(gflops),
-             cell.bit_identical ? "1" : "0"});
+             CsvWriter::cell(seconds), CsvWriter::cell(gflops)});
       }
       table.add_row({std::to_string(m), std::to_string(eta),
                      fmt(scalar_gflops),
-                     fmt(best_blocked) + " (" +
-                         std::to_string(best_blocked_nb) + ")",
-                     fmt(best_parallel) + " (" +
-                         std::to_string(best_parallel_nb) + ")",
-                     fmt(best_blocked / scalar_gflops) + "x",
-                     fmt(best_parallel / std::max(best_forkjoin, 1e-12)) +
-                         "x"});
+                     fmt(best_inline) + " (" +
+                         std::to_string(best_inline_nb) + ")",
+                     fmt(best_leased) + " (" +
+                         std::to_string(best_leased_nb) + ")",
+                     fmt(best_inline / scalar_gflops) + "x",
+                     fmt(best_leased / std::max(best_inline, 1e-12)) + "x"});
     }
   }
 
   std::cout << table.to_string();
-  std::cout << "\nreading: the cache-blocked kernel streams the trailing\n"
-               "matrix once per panel instead of once per pivot, so its\n"
+  std::cout << "\nreading: cache-blocked panels stream the trailing matrix\n"
+               "once per panel instead of once per pivot, so their\n"
                "advantage over the scalar reference grows with the front\n"
-               "(the multifrontal root-front regime); the parallel-tiled\n"
-               "kernel adds intra-front threads on top for the largest\n"
-               "fronts (workers = " +
+               "(the multifrontal root-front regime); leased tiles add\n"
+               "intra-front threads on top for the largest fronts\n"
+               "(workers = " +
                    std::to_string(workers) +
-                   " here). The leased/fork column is the\n"
-                   "leased-dispatch GF/s over the per-panel fork/join GF/s\n"
-                   "for the best parallel cell — the persistent pool's win\n"
-                   "per panel. Blocked results are checked bit-identical\n"
-                   "to the scalar reference on every cell.\n";
+                   " here). Every cell is checked bit-identical to the\n"
+                   "scalar reference.\n";
   std::cout << "raw data: " << csv.path() << "\n";
   return 0;
 }

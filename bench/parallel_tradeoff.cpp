@@ -65,7 +65,7 @@ int run() {
 
   TextTable table({"instance", "w", "sim speedup", "measured speedup",
                    "meas/sim peak", "capped greedy", "capped la",
-                   "capped rs", "la measured"});
+                   "la measured"});
   auto fmt = [](double v) {
     std::ostringstream oss;
     oss << std::fixed << std::setprecision(2) << v;
@@ -112,17 +112,15 @@ int run() {
 
       // Cap at 1.5x the serial optimum, once per admission policy. A tight
       // cap deadlocks the greedy scheduler outright (eagerly started
-      // subtrees strand resident files); the lookahead and reservation
-      // policies never stall once the budget covers the witness peak, so
-      // their columns chart what the throttle *costs* instead of where it
-      // breaks. The CSV also sweeps 1.0x/2.0x budgets for greedy and
-      // lookahead to chart where the greedy throttle becomes a deadlock.
+      // subtrees strand resident files); the lookahead policy never stalls
+      // once the budget covers the witness peak, so its column charts what
+      // the throttle *costs* instead of where it breaks. The CSV also
+      // sweeps 1.0x/2.0x budgets to chart where the greedy throttle
+      // becomes a deadlock.
       constexpr AdmissionPolicy kPolicies[] = {AdmissionPolicy::kGreedy,
-                                               AdmissionPolicy::kLookahead,
-                                               AdmissionPolicy::kReservation};
+                                               AdmissionPolicy::kLookahead};
       for (const int pct : {100, 200}) {
-        for (const AdmissionPolicy policy :
-             {AdmissionPolicy::kGreedy, AdmissionPolicy::kLookahead}) {
+        for (const AdmissionPolicy policy : kPolicies) {
           ParallelOptions sweep = free_opts;
           sweep.memory_budget =
               std::max(serial_opt * pct / 100, tree.max_mem_req());
@@ -216,7 +214,7 @@ int run() {
                fmt(static_cast<double>(exec_by_mode[0].peak_memory) /
                    static_cast<double>(free_run.peak_memory)),
                modes[1].sim.feasible ? fmt(modes[1].sim.speedup) : "deadlock",
-               fmt(modes[2].sim.speedup), fmt(modes[3].sim.speedup),
+               fmt(modes[2].sim.speedup),
                exec_by_mode[2].feasible ? fmt(measured_speedup[2])
                                         : "stall"});
         }
@@ -230,9 +228,9 @@ int run() {
                "core count; the simulator assumes w ideal cores). At the\n"
                "1.5x cap the greedy scheduler deadlocks on the dense\n"
                "families (started subtrees strand resident files); the\n"
-               "lookahead and reservation admission policies never stall\n"
-               "there — their columns show what the throttle costs in\n"
-               "speedup instead of where it breaks.\n";
+               "lookahead admission policy never stalls there — its\n"
+               "columns show what the throttle costs in speedup instead\n"
+               "of where it breaks.\n";
   std::cout << "raw data: " << csv.path() << " and " << exec_csv.path() << "\n";
   return 0;
 }

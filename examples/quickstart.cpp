@@ -46,7 +46,7 @@ void solver_facade_act() {
             << ", modeled peak " << stats.planned_peak_entries
             << " entries (in-core optimum " << stats.in_core_optimum
             << ", best postorder " << stats.best_postorder_peak << ")\n";
-  std::cout << "factorize: " << stats.engine << "/" << stats.kernel
+  std::cout << "factorize: " << stats.engine
             << ", measured peak " << stats.measured_peak_entries
             << " <= modeled " << stats.modeled_peak_entries << ", "
             << stats.flops << " flops\n";

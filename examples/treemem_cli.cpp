@@ -11,8 +11,7 @@
 //   treemem_cli solve <matrix.mtx> [--order mindeg|nd|rcm|natural]
 //                     [--relax R] [--memory M]
 //                     [--traversal auto|postorder|liu|minmem]
-//                     [--admission greedy|lookahead|reservation]
-//                     [--workers W] [--kernel scalar|blocked|parallel[:nb]]
+//                     [--admission greedy|lookahead] [--workers W]
 //                     [--rhs K] [--seed S] [--synthetic] [--csv stats.csv]
 //                     [--trace out.json]
 //       The full pipeline: analyze -> plan -> factorize -> solve with K
@@ -27,7 +26,7 @@
 //
 //   treemem_cli serve <trace.txt> [solve flags] [--pool-workers W]
 //                     [--repeat R] [--cache-entries N] [--cache-bytes B]
-//                     [--factor-cache N] [--state-dir DIR] [--promote-lone]
+//                     [--factor-cache N] [--state-dir DIR]
 //                     [--csv stats.csv] [--trace out.json]
 //                     [--metrics-out FILE]
 //       Solver-as-a-service replay: each trace line is
@@ -40,8 +39,7 @@
 //       percentiles. --cache-entries/--cache-bytes cap the symbolic cache
 //       (LRU eviction; 0 = unbounded), --factor-cache N keeps up to N
 //       numeric factors resident so repeated (pattern, values) requests
-//       skip factorize, --promote-lone lets a lone job borrow the idle
-//       pool workers for parallel factorization, and --state-dir DIR
+//       skip factorize, and --state-dir DIR
 //       persists the symbolic cache across runs: state is loaded before
 //       the replay (a warm restart — 0 symbolic misses on a repeated
 //       trace) and saved after. --metrics-out FILE writes the service's
@@ -86,15 +84,13 @@ int usage() {
       << "  treemem_cli solve <matrix.mtx> [--order mindeg|nd|rcm|natural]"
          " [--relax R] [--memory M]\n"
       << "                    [--traversal auto|postorder|liu|minmem]"
-         " [--admission greedy|lookahead|reservation] [--workers W]\n"
-      << "                    [--kernel scalar|blocked|parallel[:nb]]"
-         " [--rhs K] [--seed S] [--synthetic] [--csv stats.csv]"
-         " [--trace out.json]\n"
+         " [--admission greedy|lookahead] [--workers W]\n"
+      << "                    [--rhs K] [--seed S] [--synthetic]"
+         " [--csv stats.csv] [--trace out.json]\n"
       << "  treemem_cli serve <trace.txt> [solve flags] [--pool-workers W]"
          " [--repeat R]\n"
       << "                    [--cache-entries N] [--cache-bytes B]"
-         " [--factor-cache N] [--state-dir DIR] [--promote-lone]"
-         " [--csv stats.csv]\n"
+         " [--factor-cache N] [--state-dir DIR] [--csv stats.csv]\n"
       << "                    [--trace out.json] [--metrics-out FILE]\n"
       << "      trace line: <matrix.mtx> <value-seed> <num-rhs>"
          " (seed 0 = the file's own values)\n"
@@ -157,7 +153,6 @@ struct CliOptions {
   std::string traversal_name = "auto";
   std::string admission_name = "greedy";
   int workers = 0;
-  std::string kernel_spec;
   int rhs = 1;
   std::uint64_t seed = 2011;
   bool synthetic = false;
@@ -166,7 +161,6 @@ struct CliOptions {
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
   std::size_t factor_cache = 0;
-  bool promote_lone = false;
   std::string state_dir;
   std::string csv_path;
   std::string trace_path;    ///< Chrome trace JSON out (empty = env/off)
@@ -189,11 +183,14 @@ std::optional<TraversalPolicy> traversal_of(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<AdmissionPolicy> admission_of(const std::string& name) {
+/// Throws treemem::Error on anything but the two policies — including the
+/// retired `reservation` — so a stale script fails loudly, naming the value.
+AdmissionPolicy admission_of(const std::string& name) {
   if (name == "greedy") return AdmissionPolicy::kGreedy;
   if (name == "lookahead") return AdmissionPolicy::kLookahead;
-  if (name == "reservation") return AdmissionPolicy::kReservation;
-  return std::nullopt;
+  TM_CHECK(false, "--admission: unknown admission policy '"
+                      << name << "' (expected greedy | lookahead)");
+  return AdmissionPolicy::kGreedy;  // unreachable
 }
 
 std::string seconds(double s) {
@@ -205,24 +202,20 @@ std::string seconds(double s) {
 std::optional<SolverOptions> solver_options_of(const CliOptions& cli) {
   const auto ordering = ordering_of(cli.order_name);
   const auto traversal = traversal_of(cli.traversal_name);
-  const auto admission = admission_of(cli.admission_name);
-  if (!ordering || !traversal || !admission) {
+  const AdmissionPolicy admission = admission_of(cli.admission_name);
+  if (!ordering || !traversal) {
     return std::nullopt;
   }
   SolverOptions options;
   options.analyze.ordering = *ordering;
   options.analyze.relax = cli.relax;
   options.plan.policy = *traversal;
-  options.plan.admission = *admission;
+  options.plan.admission = admission;
   if (cli.memory) {
     options.plan.memory_budget = *cli.memory;
   }
   options.factorize.workers = cli.workers;
-  options.factorize.admission = *admission;
-  if (!cli.kernel_spec.empty()) {
-    options.factorize.kernel =
-        parse_kernel_spec(cli.kernel_spec, options.factorize.kernel);
-  }
+  options.factorize.admission = admission;
   return options;
 }
 
@@ -295,7 +288,7 @@ int run_solve(const std::string& path, const CliOptions& cli) {
                  seconds(stats.plan_seconds)});
   table.add_row(
       {"factorize",
-       stats.engine + "/" + stats.kernel +
+       stats.engine +
            (stats.admission.empty() ? "" : "/" + stats.admission) + " w=" +
            std::to_string(stats.workers) + " measured=" +
            std::to_string(stats.measured_peak_entries) + " modeled=" +
@@ -316,7 +309,7 @@ int run_solve(const std::string& path, const CliOptions& cli) {
                    "tree_nodes",
                    "ordering", "strategy", "memory_budget",
                    "planned_peak", "in_core_optimum", "planned_io_volume",
-                   "engine", "kernel", "workers", "flops", "measured_peak",
+                   "engine", "workers", "flops", "measured_peak",
                    "modeled_peak", "rhs", "residual", "analyze_seconds",
                    "plan_seconds", "factorize_seconds", "solve_seconds"});
     csv.write_row(
@@ -332,7 +325,7 @@ int run_solve(const std::string& path, const CliOptions& cli) {
          CsvWriter::cell(static_cast<long long>(stats.planned_peak_entries)),
          CsvWriter::cell(static_cast<long long>(stats.in_core_optimum)),
          CsvWriter::cell(static_cast<long long>(stats.planned_io_volume)),
-         stats.engine, stats.kernel,
+         stats.engine,
          CsvWriter::cell(static_cast<long long>(stats.workers)),
          CsvWriter::cell(stats.flops),
          CsvWriter::cell(static_cast<long long>(stats.measured_peak_entries)),
@@ -414,7 +407,6 @@ int run_serve(const std::string& trace_path, const CliOptions& cli) {
   pool_options.cache_entries = cli.cache_entries;
   pool_options.cache_bytes = cli.cache_bytes;
   pool_options.factor_cache_entries = cli.factor_cache;
-  pool_options.promote_lone_jobs = cli.promote_lone;
   SolverPool pool(pool_options);
 
   // Warm restart: seed the symbolic cache from a previous run's state
@@ -608,8 +600,6 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
         cli.workers = static_cast<int>(
             parse_int_strict(argv[++i], 0, 1024, "--workers"));
-      } else if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
-        cli.kernel_spec = argv[++i];
       } else if (std::strcmp(argv[i], "--rhs") == 0 && i + 1 < argc) {
         cli.rhs =
             static_cast<int>(parse_int_strict(argv[++i], 1, 4096, "--rhs"));
@@ -635,8 +625,6 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--factor-cache") == 0 && i + 1 < argc) {
         cli.factor_cache = static_cast<std::size_t>(
             parse_int_strict(argv[++i], 0, 1 << 30, "--factor-cache"));
-      } else if (std::strcmp(argv[i], "--promote-lone") == 0) {
-        cli.promote_lone = true;
       } else if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
         cli.state_dir = argv[++i];
       } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {

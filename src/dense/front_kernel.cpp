@@ -2,69 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "dense/kernel_detail.hpp"
 #include "obs/trace.hpp"
+#include "parallel/worker_pool.hpp"
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace treemem {
 
-const char* to_string(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kScalar:
-      return "scalar";
-    case KernelKind::kBlocked:
-      return "blocked";
-    case KernelKind::kParallelTiled:
-      return "parallel";
-  }
-  return "?";
-}
+namespace {
 
-KernelConfig parse_kernel_spec(const std::string& spec, KernelConfig base) {
-  const std::size_t colon = spec.find(':');
-  const std::string name = spec.substr(0, colon);
-  if (name == "scalar") {
-    base.kind = KernelKind::kScalar;
-  } else if (name == "blocked") {
-    base.kind = KernelKind::kBlocked;
-  } else if (name == "parallel") {
-    base.kind = KernelKind::kParallelTiled;
-  } else {
-    TM_CHECK(false, "kernel spec: unknown kernel '"
-                        << name << "' in '" << spec
-                        << "' (expected scalar | blocked | parallel, "
-                           "optionally :<block size>)");
-  }
-  if (colon != std::string::npos) {
-    base.block_size = static_cast<std::size_t>(parse_int_strict(
-        spec.substr(colon + 1), 1, 4096, "kernel spec block size"));
-  }
-  return base;
-}
-
-KernelConfig kernel_config_from_env(KernelConfig base) {
-  // Strict parse through support/env.hpp: a malformed TREEMEM_KERNEL
-  // throws instead of silently running a different kernel mid-experiment.
-  if (const std::optional<std::string> env = env_string("TREEMEM_KERNEL")) {
-    return parse_kernel_spec(*env, base);
-  }
-  return base;
-}
-
-namespace detail {
-
+/// The serial trailing-update core: applies panel pivots [k0, k0+nb) to
+/// columns [c_begin, c_end) of the column-major m×m front, per column in
+/// ascending k with one subtraction per entry and the zero-multiplier
+/// skip. Returns flops (2(m−c) per applied (k, c) pair). Thread-safe for
+/// disjoint column ranges: writes touch only columns [c_begin, c_end),
+/// reads outside them touch only the (already finalized) panel columns.
 long long update_column_range(double* front, std::size_t m, std::size_t k0,
                               std::size_t nb, std::size_t c_begin,
                               std::size_t c_end) {
   // Per trailing column: gather the panel pivots with a nonzero
-  // multiplier (the zero skip is shared with the scalar reference — skips
-  // must match for bit-identical signed zeros and flop counts), then apply
-  // them four at a time in one pass over the column. The chained
-  // subtractions keep every entry's update sequence exactly the
-  // reference's ascending-k order — bit-identical results — while cutting
-  // the passes over the (write-hot) trailing column four-fold.
+  // multiplier (skips must match the scalar loop's for bit-identical
+  // signed zeros and flop counts), then apply them four at a time in one
+  // pass over the column. The chained subtractions keep every entry's
+  // update sequence exactly the scalar loop's ascending-k order —
+  // bit-identical results — while cutting the passes over the (write-hot)
+  // trailing column four-fold.
   constexpr std::size_t kChunk = 64;
   const double* panel_col[kChunk];
   double mult[kChunk];
@@ -111,17 +74,26 @@ long long update_column_range(double* front, std::size_t m, std::size_t k0,
   return flops;
 }
 
-}  // namespace detail
+}  // namespace
+
+FrontKernel::FrontKernel(const KernelConfig& config)
+    : block_size_(std::max<std::size_t>(1, config.block_size)),
+      // workers == 1 never leases, so it never needs (or constructs) the
+      // process-wide pool.
+      pool_(config.pool != nullptr || config.workers == 1
+                ? config.pool
+                : &WorkerPool::instance()),
+      workers_(config.workers != 0 ? config.workers : pool_->size()),
+      min_parallel_volume_(config.min_parallel_volume) {}
 
 long long FrontKernel::partial_factor(double* front, std::size_t m,
                                       std::size_t eta,
                                       const Index* member_columns) const {
   TM_CHECK(eta <= m, "partial_factor: eta " << eta << " exceeds front size "
                                             << m);
-  const std::size_t nb = std::max<std::size_t>(1, panel_width());
   long long flops = 0;
-  for (std::size_t k0 = 0; k0 < eta; k0 += nb) {
-    const std::size_t width = std::min(nb, eta - k0);
+  for (std::size_t k0 = 0; k0 < eta; k0 += block_size_) {
+    const std::size_t width = std::min(block_size_, eta - k0);
     {
       obs::TraceSpan span("panel", "dense", obs::TraceRecorder::kNoLane,
                           "k0", static_cast<long long>(k0), "width",
@@ -129,8 +101,8 @@ long long FrontKernel::partial_factor(double* front, std::size_t m,
       flops += factor_panel(front, m, k0, width, member_columns);
     }
     if (k0 + width < m) {
-      // The parallel kernel's lease grant/deny instants (from the pool)
-      // land inside this span, tying an inline panel to its denial.
+      // The lease grant/deny instants (from the pool) land inside this
+      // span, tying an inline panel to its denial.
       obs::TraceSpan span("trailing_update", "dense",
                           obs::TraceRecorder::kNoLane, "k0",
                           static_cast<long long>(k0), "cols",
@@ -165,7 +137,52 @@ long long FrontKernel::factor_panel(double* front, std::size_t m,
     // Right-looking update of the rest of the panel only; trailing columns
     // get this pivot later, in the same ascending-k order, via
     // trailing_update.
-    flops += detail::update_column_range(front, m, k, 1, k + 1, k0 + nb);
+    flops += update_column_range(front, m, k, 1, k + 1, k0 + nb);
+  }
+  return flops;
+}
+
+long long FrontKernel::trailing_update(double* front, std::size_t m,
+                                       std::size_t k0, std::size_t nb) const {
+  const std::size_t c_begin = k0 + nb;
+  const std::size_t cols = m - c_begin;
+  const std::size_t tiles = (cols + block_size_ - 1) / block_size_;
+  // Even a lease costs a mutex claim and a few condvar wakes per panel;
+  // only pay when the update amortizes them. The triangular trailing
+  // block holds cols·(cols+1)/2 entries, each receiving up to nb
+  // multiply-subtract pairs — the unit min_parallel_volume is counted in.
+  const bool too_small = nb * (cols * (cols + 1) / 2) < min_parallel_volume_;
+  if (workers_ <= 1 || tiles < 2 || too_small) {
+    return update_column_range(front, m, k0, nb, c_begin, m);
+  }
+  // Tiles write disjoint column ranges and read only the (finalized,
+  // pre-lease) panel columns, so the update is race-free; each tile runs
+  // the serial core in the same order, so the result is independent of
+  // the tile schedule and of how many workers the lease got, including
+  // zero. Per-tile flop slots instead of an atomic: deterministic and
+  // contention-free.
+  std::vector<long long> tile_flops(tiles, 0);
+  const auto tile_body = [&](std::size_t t) {
+    const std::size_t c0 = c_begin + t * block_size_;
+    const std::size_t c1 = std::min(m, c0 + block_size_);
+    tile_flops[t] = update_column_range(front, m, k0, nb, c0, c1);
+  };
+  // The calling thread is always one participant, so a width-w update
+  // needs w-1 leased helpers; tiles-1 caps the useful lease size. An empty
+  // lease (nobody idle right now — the tree level is using them) runs the
+  // panel inline via the same run() contract, never blocking.
+  const unsigned max_helpers =
+      std::min<unsigned>(workers_ - 1, static_cast<unsigned>(tiles - 1));
+  WorkerLease lease = pool_->try_lease(max_helpers);
+  if (lease.empty()) {
+    leases_denied_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    leases_granted_.fetch_add(1, std::memory_order_relaxed);
+  }
+  lease.run(tiles, tile_body);
+  long long flops = 0;
+  for (const long long f : tile_flops) {
+    flops += f;
   }
   return flops;
 }
@@ -189,22 +206,16 @@ void FrontKernel::extend_add(double* front, std::size_t m,
   }
 }
 
+KernelLeaseStats FrontKernel::lease_stats() const {
+  KernelLeaseStats stats;
+  stats.leases_granted = leases_granted_.load(std::memory_order_relaxed);
+  stats.leases_denied = leases_denied_.load(std::memory_order_relaxed);
+  return stats;
+}
+
 std::unique_ptr<const FrontKernel> make_front_kernel(
     const KernelConfig& config) {
-  const std::size_t nb = std::max<std::size_t>(1, config.block_size);
-  switch (config.kind) {
-    case KernelKind::kScalar:
-      return detail::make_scalar_kernel();
-    case KernelKind::kBlocked:
-      return detail::make_blocked_kernel(nb);
-    case KernelKind::kParallelTiled: {
-      KernelConfig clamped = config;
-      clamped.block_size = nb;
-      return detail::make_parallel_tiled_kernel(clamped);
-    }
-  }
-  TM_CHECK(false, "make_front_kernel: unknown kernel kind");
-  return nullptr;  // unreachable
+  return std::make_unique<const FrontKernel>(config);
 }
 
 }  // namespace treemem

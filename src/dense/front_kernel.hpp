@@ -1,49 +1,42 @@
-// Blocked dense front kernels — the dense math of the multifrontal engine,
-// extracted behind a pluggable interface.
+// The dense front kernel — the dense math of the multifrontal engine.
 //
 // FrontalEngine (multifrontal/numeric.hpp) owns the sparse choreography of
 // a front (row-set union, original-entry assembly, contribution-block slot
 // protocol, live-entry metering); everything dense — the partial Cholesky
 // of the leading η pivots and the scatter-add of a child's contribution
-// block — goes through a FrontKernel. Three implementations:
+// block — goes through the FrontKernel.
 //
-//   * scalar        — the original right-looking scalar loop (panel width
-//                     1), the bit-exactness reference;
-//   * blocked       — cache-blocked right-looking: panels of `block_size`
-//                     columns are factored, then the trailing columns
-//                     receive all panel updates in one pass, so the
-//                     trailing matrix is streamed once per panel instead of
-//                     once per pivot;
-//   * parallel      — the blocked kernel with the trailing update split
-//                     into column tiles run on workers *leased* from the
-//                     persistent pool (parallel/worker_pool.hpp): a panel
-//                     that clears the volume gate claims whatever workers
-//                     are idle right now — typically the tree-level
-//                     executor's, near the root where its frontier has
-//                     collapsed — and returns them at panel end. The lease
-//                     never blocks and never spawns a thread; when nobody
-//                     is idle the panel runs inline and the denial is
-//                     counted (lease_stats / SolverStats::lease_denied).
+// One algorithm: cache-blocked right-looking Cholesky. Panels of
+// `block_size` columns are factored, then the trailing columns receive all
+// panel updates in one pass, so the trailing matrix is streamed once per
+// panel instead of once per pivot. When a panel's trailing update clears
+// the volume gate, it is split into column tiles run on workers *leased*
+// from the persistent pool (parallel/worker_pool.hpp): the panel claims
+// whatever workers are idle right now — typically the tree-level
+// executor's, near the root where its frontier has collapsed — and returns
+// them at panel end. The lease never blocks and never spawns a thread;
+// when nobody is idle the panel runs inline and the denial is counted
+// (lease_stats / SolverStats::lease_denied). Below the gate, or with
+// `workers == 1`, the update runs inline on the calling thread.
 //
-// Exactness contract: every kernel applies, to every entry, exactly the
-// scalar reference's update sequence — per entry (r, c) the pivot updates
-// arrive in ascending k with one subtraction each, and the zero-multiplier
-// skip is shared — so `scalar` and `blocked` produce bit-identical factors
-// (pinned per-run by tests/dense and across the 56-instance corpus by
-// tests/multifrontal/numeric_parallel_test.cpp). The `parallel` kernel's
-// *contract* is only a small relative residual (room for future
-// reassociating/FMA variants), but the current implementation tiles over
-// disjoint columns without reassociating, so it too is bit-identical today
-// — tests pin the contract and, separately, the present stronger property.
+// Exactness contract: whatever the block size, worker count or lease
+// outcome, every entry (r, c) receives its pivot updates in ascending k
+// with one subtraction each, and zero multipliers are skipped — tiles
+// write disjoint columns and never reassociate. The factor is therefore
+// bit-identical to the right-looking scalar loop, which is this kernel
+// at `KernelConfig{.block_size = 1, .workers = 1}` — the reference tests
+// compare against (tests/dense per front, and across the 56-instance
+// corpus in tests/multifrontal/numeric_parallel_test.cpp).
 //
-// Flop accounting is identical across kernels (same counting convention,
-// same zero skips), so serial-vs-parallel flop equality tests hold under
-// any kernel.
+// Flop accounting (1 per sqrt, 1 per division, 2(m−c) per applied pivot
+// update of column c, zero multipliers skipped) is independent of the
+// configuration, so serial-vs-parallel flop equality tests hold under any
+// settings.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
-#include <string>
 
 #include "sparse/pattern.hpp"  // Index
 
@@ -51,67 +44,34 @@ namespace treemem {
 
 class WorkerPool;
 
-enum class KernelKind {
-  kScalar,        ///< right-looking scalar reference (panel width 1)
-  kBlocked,       ///< cache-blocked panels, serial trailing update
-  kParallelTiled, ///< blocked + parallel_for over trailing column tiles
-};
-
-const char* to_string(KernelKind kind);
-
-/// Selection + tuning knobs for make_front_kernel, threaded through
+/// Tuning knobs of the front kernel, threaded through
 /// multifrontal_cholesky and factor_parallel.
 struct KernelConfig {
-  KernelKind kind = KernelKind::kScalar;
-  /// Panel width and trailing-update tile width of the blocked kernels
-  /// (clamped to >= 1; the scalar reference ignores it). Default 16,
-  /// measured with bench/front_kernels on the small-L2 CI-class box:
-  /// across the 64–1024-row front sweep, block 16 beats the previous
-  /// default 48 in 10 of 12 blocked cells — by up to 1.18× GFLOP/s, and
-  /// within 4% in the two cells 48 wins — because a 48-wide panel of a
-  /// large front overflows the small L2. On a large-L2 part, rerun the
-  /// sweep (front_kernels.csv) and raise this per run via
-  /// SolverOptions::factorize.kernel or TREEMEM_KERNEL=blocked:<nb>.
+  /// Panel width and trailing-update tile width (clamped to >= 1). Default
+  /// 16, measured with bench/front_kernels on the small-L2 CI-class box:
+  /// across the 64–1024-row front sweep, block 16 beats 48 in 10 of 12
+  /// cells — by up to 1.18× GFLOP/s, and within 4% in the two cells 48
+  /// wins — because a 48-wide panel of a large front overflows the small
+  /// L2. On a large-L2 part, rerun the sweep (front_kernels.csv) and raise
+  /// this per run via SolverOptions::factorize.kernel.
   std::size_t block_size = 16;
-  /// Maximum parallel width (calling thread included) of the parallel
-  /// kernel's trailing updates; 0 defers to the pool's size (which
-  /// resolved TREEMEM_THREADS once, at pool construction).
+  /// Maximum parallel width (calling thread included) of the trailing
+  /// updates; 0 defers to the pool's size (which resolved TREEMEM_THREADS
+  /// once, at pool construction). 1 never leases.
   unsigned workers = 0;
-  /// Minimum trailing-update volume (multiply-subtract pairs) before the
-  /// parallel kernel requests a lease; below it the update runs on the
-  /// serial core. Leasing costs a mutex claim + condvar wake (~µs), not a
-  /// thread spawn (~100 µs), so the gate sits at 2^19 pairs (~1 Mflop) —
-  /// 8× below the fork/join era's ~8 Mflop — letting mid-tree fronts
-  /// parallelize too. The gate is no longer the only guard: a lease that
-  /// finds zero idle workers runs the panel inline (never blocks) and counts
-  /// lease_denied in lease_stats()/SolverStats. 0 forces a lease request
-  /// on every panel (tests/TSan coverage of the leased path on small
-  /// fronts).
+  /// Minimum trailing-update volume (multiply-subtract pairs) before a
+  /// panel requests a lease; below it the update runs inline. Leasing
+  /// costs a mutex claim + condvar wake (~µs), so the gate sits at 2^19
+  /// pairs (~1 Mflop). A lease that finds zero idle workers runs the panel
+  /// inline (never blocks) and counts lease_denied in lease_stats() /
+  /// SolverStats. 0 forces a lease request on every panel (tests/TSan
+  /// coverage of the leased path on small fronts).
   std::size_t min_parallel_volume = 1u << 19;
-  /// Worker source for the parallel kernel's leases; nullptr = the
-  /// process-wide WorkerPool::instance(). Tests and the bench microbench
-  /// pass private pools for deterministic counters.
+  /// Worker source for the leases; nullptr = the process-wide
+  /// WorkerPool::instance(). Tests and benches pass private pools for
+  /// deterministic counters.
   WorkerPool* pool = nullptr;
-  /// Legacy dispatch: fork/join fresh std::threads per panel
-  /// (forkjoin_parallel_for) instead of leasing — the pre-pool behavior,
-  /// kept ONLY so bench/front_kernels and the scaling sweep can measure
-  /// leased-vs-fork/join on identical tile math. Never enable on a
-  /// production path.
-  bool fork_join = false;
 };
-
-/// Parses a kernel spec — `scalar`, `blocked` or `parallel`, optionally
-/// suffixed with `:<block_size>` (a positive integer <= 4096) — onto
-/// `base`. Throws treemem::Error on any malformed value: unknown name,
-/// empty/garbage/zero block size, trailing characters. Shared by the
-/// TREEMEM_KERNEL override and the CLI's --kernel flag.
-KernelConfig parse_kernel_spec(const std::string& spec, KernelConfig base = {});
-
-/// `base` overridden by the TREEMEM_KERNEL environment variable. Parsed
-/// strictly through support/env.hpp, like TREEMEM_THREADS: a malformed
-/// value throws instead of silently switching kernels mid-experiment. Lets
-/// benches and tests select kernels without recompiling.
-KernelConfig kernel_config_from_env(KernelConfig base = {});
 
 /// Per-kernel lease observability: how often trailing updates that cleared
 /// the volume gate actually got pool workers, and how often they found
@@ -122,62 +82,61 @@ struct KernelLeaseStats {
   long long leases_denied = 0;
 };
 
-/// The pluggable dense kernel. Instances are immutable and thread-safe:
-/// one kernel is shared by every worker of a parallel factorization, and
-/// all numeric state lives in the caller's front buffer (the parallel
-/// kernel keeps only atomic lease tallies).
+/// The dense front kernel. Instances are thread-safe: one kernel is shared
+/// by every worker of a parallel factorization, and all numeric state
+/// lives in the caller's front buffer (the kernel keeps only atomic lease
+/// tallies).
 ///
 /// The front is a dense column-major m×m buffer (leading dimension m); only
 /// the lower triangle is read or written.
 class FrontKernel {
  public:
-  virtual ~FrontKernel() = default;
+  /// Resolves every knob once (the pool lookup and its size do not belong
+  /// on the per-panel path).
+  explicit FrontKernel(const KernelConfig& config);
 
-  virtual const char* name() const = 0;
-  virtual KernelKind kind() const = 0;
-
-  /// Dense partial Cholesky of the leading `eta` pivots of the m×m front:
-  /// loops panels of panel_width() columns through factor_panel +
-  /// trailing_update. Returns the flop count (the scalar reference's
-  /// convention: 1 per sqrt, 1 per division, 2(m−c) per applied pivot
-  /// update of column c). Throws treemem::Error on a non-positive pivot;
-  /// `member_columns` (length eta, may be nullptr) names the original
-  /// matrix column in that error.
+  /// Dense partial Cholesky of the leading `eta` pivots of the m×m front,
+  /// one panel of block_size columns at a time. Returns the flop count.
+  /// Throws treemem::Error on a non-positive pivot; `member_columns`
+  /// (length eta, may be nullptr) names the original matrix column in
+  /// that error.
   long long partial_factor(double* front, std::size_t m, std::size_t eta,
                            const Index* member_columns) const;
-
-  /// Factors panel columns [k0, k0+nb): per pivot k ascending, sqrt the
-  /// diagonal, scale rows k+1..m of column k, and update the *panel*
-  /// columns right of k. Columns >= k0+nb are untouched. The shared base
-  /// implementation is the reference order every kernel must preserve.
-  virtual long long factor_panel(double* front, std::size_t m,
-                                 std::size_t k0, std::size_t nb,
-                                 const Index* member_columns) const;
-
-  /// Applies panel [k0, k0+nb)'s updates to the trailing columns
-  /// [k0+nb, m): for each trailing entry the nb subtractions land in
-  /// ascending k, one at a time — the bit-exactness invariant.
-  virtual long long trailing_update(double* front, std::size_t m,
-                                    std::size_t k0, std::size_t nb) const = 0;
 
   /// Scatter-adds a child's cm×cm lower-triangular contribution block into
   /// the front: CB entry (cr, cc) lands at front position
   /// (front_pos[cb_rows[cr]], front_pos[cb_rows[cc]]).
-  virtual void extend_add(double* front, std::size_t m,
-                          const Index* front_pos, const Index* cb_rows,
-                          std::size_t cm, const double* cb_values) const;
+  void extend_add(double* front, std::size_t m, const Index* front_pos,
+                  const Index* cb_rows, std::size_t cm,
+                  const double* cb_values) const;
 
-  /// Lease grant/denial tallies of this kernel instance; all zeros for the
-  /// serial kernels (only the parallel kernel leases).
-  virtual KernelLeaseStats lease_stats() const { return {}; }
+  /// Lease grant/denial tallies of this kernel instance.
+  KernelLeaseStats lease_stats() const;
 
- protected:
-  /// Panel width the partial_factor driver steps by (>= 1).
-  virtual std::size_t panel_width() const = 0;
+ private:
+  /// Factors panel columns [k0, k0+nb): per pivot k ascending, sqrt the
+  /// diagonal, scale rows k+1..m of column k, and update the *panel*
+  /// columns right of k. Columns >= k0+nb are untouched.
+  long long factor_panel(double* front, std::size_t m, std::size_t k0,
+                         std::size_t nb, const Index* member_columns) const;
+
+  /// Applies panel [k0, k0+nb)'s updates to the trailing columns
+  /// [k0+nb, m), inline or over leased column tiles.
+  long long trailing_update(double* front, std::size_t m, std::size_t k0,
+                            std::size_t nb) const;
+
+  std::size_t block_size_;
+  WorkerPool* pool_;  ///< nullptr when workers_ == 1 (never leases)
+  unsigned workers_;
+  std::size_t min_parallel_volume_;
+  // Tallies, not synchronization: mutable because trailing_update is
+  // const (the kernel is numerically stateless and stays shareable).
+  mutable std::atomic<long long> leases_granted_{0};
+  mutable std::atomic<long long> leases_denied_{0};
 };
 
-/// Builds the configured kernel. The returned kernel is stateless; it may
-/// be shared across threads and reused for any number of fronts.
+/// Builds the configured kernel. It may be shared across threads and
+/// reused for any number of fronts.
 std::unique_ptr<const FrontKernel> make_front_kernel(
     const KernelConfig& config);
 

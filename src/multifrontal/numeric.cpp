@@ -175,7 +175,7 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   // Extend-add the children contribution blocks, releasing each as it is
   // absorbed. Children are walked in tree order (not completion order), so
   // the floating-point sums — and hence the factor — are schedule-exact
-  // under every kernel (the kernel only scatters one child at a time).
+  // (the kernel only scatters one child at a time).
   for (const NodeId c : tree.children(s)) {
     ContributionBlock& cb = blocks_[static_cast<std::size_t>(c)];
     const std::size_t cm = cb.rows.size();
@@ -188,9 +188,9 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
     cb.values.shrink_to_fit();
   }
 
-  // Dense partial Cholesky of the leading eta pivots via the configured
-  // kernel (dense/front_kernel.hpp) — scalar reference, cache-blocked, or
-  // parallel-tiled for intra-front parallelism.
+  // Dense partial Cholesky of the leading eta pivots via the front kernel
+  // (dense/front_kernel.hpp), which leases idle pool workers for large
+  // trailing updates.
   flops_.fetch_add(
       kernel_->partial_factor(ws.front.data(), m, eta, cols.data()),
       std::memory_order_relaxed);

@@ -13,14 +13,14 @@
 // the memory-bounded threaded executor.
 //
 // The dense math inside a front — the partial Cholesky and the
-// contribution-block scatter-add — is delegated to a pluggable FrontKernel
-// (dense/front_kernel.hpp): the scalar reference, a cache-blocked kernel
-// (bit-identical factors) or the parallel-tiled kernel (intra-front
-// parallelism for large root fronts; residual-bounded contract). The
-// engine keeps everything the kernels must not perturb: the front row-set
-// union, the tree-ordered extend-add of children (schedule-exact sums),
-// the contribution-block slot protocol and the LiveEntryMeter accounting,
-// so the Eq. 1 modeled/measured invariants hold under every kernel.
+// contribution-block scatter-add — is delegated to the FrontKernel
+// (dense/front_kernel.hpp): cache-blocked panels whose trailing updates
+// lease idle pool workers for large fronts, bit-identical to the scalar
+// loop under every setting. The engine keeps everything the kernel must
+// not perturb: the front row-set union, the tree-ordered extend-add of
+// children (schedule-exact sums), the contribution-block slot protocol and
+// the LiveEntryMeter accounting, so the Eq. 1 modeled/measured invariants
+// hold under every kernel configuration.
 //
 // Measured vs. modeled memory: the engine counts *measured* live factor
 // entries (resident contribution blocks + active fronts) in an atomic
@@ -113,8 +113,8 @@ class FrontWorkspace {
 class FrontalEngine {
  public:
   /// Validates that `assembly` matches `matrix` and precomputes the member
-  /// columns, the factor pattern and the per-front sizes. `kernel` selects
-  /// the dense front kernel (default: the scalar reference).
+  /// columns, the factor pattern and the per-front sizes. `kernel`
+  /// configures the dense front kernel.
   FrontalEngine(const SymmetricMatrix& matrix, const AssemblyTree& assembly,
                 const KernelConfig& kernel = {});
 
@@ -151,8 +151,7 @@ class FrontalEngine {
   long long flops() const { return flops_.load(std::memory_order_relaxed); }
 
   /// The kernel's lease grant/denial tallies for this engine's run (all
-  /// zeros for the serial kernels — only the parallel kernel leases pool
-  /// workers for its trailing updates).
+  /// zeros when no trailing update cleared the volume gate).
   KernelLeaseStats kernel_lease_stats() const {
     return kernel_->lease_stats();
   }
@@ -204,14 +203,12 @@ struct MultifrontalResult {
 /// `bottom_up_order` is an in-tree traversal of assembly.tree (children
 /// before parents) — e.g. reverse_traversal(minmem_optimal(tree).order).
 /// Throws if the order is invalid or the matrix does not match the tree.
-/// `kernel` selects the dense front kernel; the default honors the
-/// TREEMEM_KERNEL environment override and otherwise runs the scalar
-/// reference. For the threaded counterpart see factor_parallel in
-/// multifrontal/numeric_parallel.hpp.
-MultifrontalResult multifrontal_cholesky(
-    const SymmetricMatrix& matrix, const AssemblyTree& assembly,
-    const Traversal& bottom_up_order,
-    const KernelConfig& kernel = kernel_config_from_env());
+/// `kernel` configures the dense front kernel. For the threaded
+/// counterpart see factor_parallel in multifrontal/numeric_parallel.hpp.
+MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
+                                         const AssemblyTree& assembly,
+                                         const Traversal& bottom_up_order,
+                                         const KernelConfig& kernel = {});
 
 /// Frobenius norm of A − L·Lᵀ divided by the norm of A — the correctness
 /// metric for factorization tests.

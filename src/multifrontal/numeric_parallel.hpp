@@ -17,13 +17,11 @@
 //
 // The factor is schedule-exact: fronts write disjoint factor columns and
 // extend-add walks children in tree order, so every worker count and every
-// interleaving produces bit-identical values to the serial engine *running
-// the same kernel*. Kernel selection (options.kernel) composes with the
-// tree-level parallelism: the scalar and blocked kernels keep the factor
-// bit-identical to the scalar reference, while the parallel-tiled kernel
-// adds intra-front parallelism over trailing-update tiles for the large
-// root fronts (contract: small residual; currently also bit-identical —
-// see dense/front_kernel.hpp).
+// interleaving produces bit-identical values to the serial engine. The
+// front kernel (options.kernel) composes with the tree-level parallelism:
+// its trailing updates lease the pool workers the tree level leaves idle
+// for the large root fronts, still bit-identical to the scalar reference
+// (see dense/front_kernel.hpp).
 #pragma once
 
 #include "multifrontal/numeric.hpp"
@@ -38,29 +36,22 @@ struct ParallelFactorOptions {
   Weight memory_budget = kInfiniteWeight;
   ParallelPriority priority = ParallelPriority::kCriticalPath;
   /// How fronts are admitted against the budget. The greedy default can
-  /// deadlock under a tight budget; lookahead and reservation consult
-  /// `serial_witness` and never stall when the budget covers its serial
-  /// peak. The factor stays bit-identical across policies (schedule-exact
-  /// numerics — policies only reorder the schedule).
+  /// deadlock under a tight budget; lookahead consults `serial_witness`
+  /// and never stalls when the budget covers its serial peak. The factor
+  /// stays bit-identical across policies (schedule-exact numerics —
+  /// policies only reorder the schedule).
   AdmissionPolicy admission = AdmissionPolicy::kGreedy;
   /// Optional bottom-up witness traversal of the assembly tree for the
-  /// non-greedy policies; empty = the MinMem optimum.
+  /// lookahead policy; empty = the MinMem optimum.
   Traversal serial_witness = {};
-  /// Dense front kernel (dense/front_kernel.hpp). The default honors the
-  /// TREEMEM_KERNEL environment override and otherwise runs the scalar
-  /// reference. Note the env parse is strict: default-constructing this
-  /// struct under a malformed TREEMEM_KERNEL throws (fail fast at the
-  /// experiment boundary). Code that must stay env-independent — the
-  /// Solver facade does this — names every member in a designated
-  /// initializer so this default is never evaluated.
-  KernelConfig kernel = kernel_config_from_env();
+  /// Dense front kernel settings (dense/front_kernel.hpp).
+  KernelConfig kernel = {};
   /// Elastic crewing (ExecutorOptions::lease_idle_workers): tree-level
   /// workers with no ready front return to the persistent pool mid-run,
-  /// where a large front's trailing-update lease can absorb them — the
-  /// root-front case lone-job promotion (PR 8) could only approximate
-  /// from outside the run. Off = the pre-pool behavior (the full crew is
-  /// held for the whole run), kept for the scaling sweep's comparison.
-  /// The factor is bit-identical either way (schedule-exact numerics).
+  /// where a large front's trailing-update lease can absorb them. Off =
+  /// the full crew is held for the whole run (the root-front scenario's
+  /// comparison configuration). The factor is bit-identical either way
+  /// (schedule-exact numerics).
   bool lease_idle_workers = true;
 };
 
@@ -85,7 +76,7 @@ struct ParallelFactorResult {
   Traversal completion_order;
   /// Intra-front lease tallies of the run's kernel: panels that cleared
   /// the volume gate and got pool workers / found none idle and ran
-  /// inline. Both 0 under the serial kernels.
+  /// inline.
   long long leases_granted = 0;
   long long lease_denied = 0;
   /// Measured occupancy at each front's allocation instant / right after

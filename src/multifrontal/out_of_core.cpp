@@ -1,7 +1,7 @@
 #include "multifrontal/out_of_core.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <memory>
 
 #include "core/check.hpp"
 #include "symbolic/symbolic.hpp"
@@ -62,6 +62,11 @@ OutOfCoreRunResult multifrontal_cholesky_out_of_core(
 
   std::vector<Block> blocks(static_cast<std::size_t>(tree.size()));
   Weight live = 0;
+  // The in-core engines' dense kernel: same update order (bit-identical
+  // factor) and same flop convention. Spills make this engine serial, so
+  // the kernel never leases.
+  const std::unique_ptr<const FrontKernel> kernel =
+      make_front_kernel({.workers = 1});
 
   std::vector<Index> rows;
   std::vector<Index> front_pos(static_cast<std::size_t>(n), -1);
@@ -117,39 +122,13 @@ OutOfCoreRunResult multifrontal_cholesky_out_of_core(
     }
     for (const NodeId c : tree.children(s)) {
       Block& cb = blocks[static_cast<std::size_t>(c)];
-      const std::size_t cm = cb.rows.size();
-      for (std::size_t cc = 0; cc < cm; ++cc) {
-        const std::size_t fc = static_cast<std::size_t>(
-            front_pos[static_cast<std::size_t>(cb.rows[cc])]);
-        for (std::size_t cr = cc; cr < cm; ++cr) {
-          at(static_cast<std::size_t>(
-                 front_pos[static_cast<std::size_t>(cb.rows[cr])]),
-             fc) += cb.values[cc * cm + cr];
-        }
-      }
+      kernel->extend_add(front.data(), m, front_pos.data(), cb.rows.data(),
+                         cb.rows.size(), cb.values.data());
       live -= block_entries(cb);
       cb = Block{};
     }
 
-    for (std::size_t k = 0; k < eta; ++k) {
-      const double pivot = at(k, k);
-      TM_CHECK(pivot > 0.0, "matrix is not positive definite at column "
-                                << cols[k]);
-      const double lkk = std::sqrt(pivot);
-      at(k, k) = lkk;
-      for (std::size_t r = k + 1; r < m; ++r) {
-        at(r, k) /= lkk;
-      }
-      for (std::size_t c = k + 1; c < m; ++c) {
-        const double lck = at(c, k);
-        if (lck == 0.0) {
-          continue;
-        }
-        for (std::size_t r = c; r < m; ++r) {
-          at(r, c) -= at(r, k) * lck;
-        }
-      }
-    }
+    result.flops += kernel->partial_factor(front.data(), m, eta, cols.data());
 
     for (std::size_t k = 0; k < eta; ++k) {
       const Index j = cols[k];

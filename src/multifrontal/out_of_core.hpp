@@ -31,6 +31,9 @@ struct OutOfCoreRunResult {
   int spill_events = 0;
   /// I/O time under the given disk model (writes + reads).
   double estimated_io_s = 0.0;
+  /// Floating-point operations of the dense eliminations (the front
+  /// kernel's convention, so equal to the in-core engines' count).
+  long long flops = 0;
 };
 
 /// Executes `schedule` (out-tree order + writes, e.g. from minio_heuristic)

@@ -21,8 +21,6 @@ const char* admission_trace_name(AdmissionPolicy policy) {
       return "admission:greedy";
     case AdmissionPolicy::kLookahead:
       return "admission:lookahead";
-    case AdmissionPolicy::kReservation:
-      return "admission:reservation";
   }
   return "admission:?";
 }

@@ -65,11 +65,11 @@ struct ExecutorOptions {
   /// Shared memory bound; kInfiniteWeight disables the constraint.
   Weight memory_budget = kInfiniteWeight;
   ParallelPriority priority = ParallelPriority::kCriticalPath;
-  /// How ready tasks are admitted against the budget; lookahead and
-  /// reservation consult `serial_witness` (see ScheduleCore) and never
-  /// stall when the budget covers its serial peak.
+  /// How ready tasks are admitted against the budget; lookahead consults
+  /// `serial_witness` (see ScheduleCore) and never stalls when the budget
+  /// covers its serial peak.
   AdmissionPolicy admission = AdmissionPolicy::kGreedy;
-  /// Optional bottom-up witness traversal for the non-greedy policies;
+  /// Optional bottom-up witness traversal for the lookahead policy;
   /// empty = the MinMem optimum.
   Traversal serial_witness = {};
   /// Fallback when no TaskBody payload is supplied: synthetic busy-wait per

@@ -28,15 +28,12 @@ const char* to_string(AdmissionPolicy policy) {
       return "greedy";
     case AdmissionPolicy::kLookahead:
       return "lookahead";
-    case AdmissionPolicy::kReservation:
-      return "reservation";
   }
   return "?";
 }
 
 std::optional<AdmissionPolicy> admission_policy_from_env() {
-  const auto index =
-      env_choice("TREEMEM_ADMISSION", {"greedy", "lookahead", "reservation"});
+  const auto index = env_choice("TREEMEM_ADMISSION", {"greedy", "lookahead"});
   if (!index) {
     return std::nullopt;
   }
@@ -147,10 +144,6 @@ ScheduleCore::ScheduleCore(const Tree& tree, ParallelPriority priority,
   const auto p = static_cast<std::size_t>(tree.size());
   started_.assign(p, 0);
   finished_flag_.assign(p, 0);
-  if (admission_ == AdmissionPolicy::kReservation) {
-    spec_running_.assign(p, 0);
-    spec_file_charged_.assign(p, 0);
-  }
 }
 
 bool ScheduleCore::all_tasks_fit() const {
@@ -204,34 +197,12 @@ bool ScheduleCore::lookahead_admits(NodeId candidate, Weight delta) const {
   return true;
 }
 
-bool ScheduleCore::admission_allows(NodeId i, Weight delta) const {
-  switch (admission_) {
-    case AdmissionPolicy::kGreedy:
-      return true;
-    case AdmissionPolicy::kLookahead:
-      return lookahead_admits(i, delta);
-    case AdmissionPolicy::kReservation:
-      // The serial lane (the witness frontier's own task) is pre-booked:
-      // by the spec_occ_ invariant it always fits, so it is always
-      // admitted. Everything else runs speculatively against the slack
-      // budget − witness peak.
-      return is_serial_lane(i) ||
-             spec_occ_ + delta <= memory_.budget() - witness_peak_;
-  }
-  return true;
-}
-
-void ScheduleCore::commit_start(NodeId i, Weight delta) {
+void ScheduleCore::commit_start(NodeId i) {
   if (admission_ == AdmissionPolicy::kGreedy) {
     return;
   }
-  const auto ii = static_cast<std::size_t>(i);
-  started_[ii] = 1;
+  started_[static_cast<std::size_t>(i)] = 1;
   drain_sum_ += tree_->file_size(i) - transient(i);
-  if (admission_ == AdmissionPolicy::kReservation && !is_serial_lane(i)) {
-    spec_occ_ += delta;
-    spec_running_[ii] = 1;
-  }
 }
 
 NodeId ScheduleCore::try_start() {
@@ -242,10 +213,12 @@ NodeId ScheduleCore::try_start() {
     const Weight delta = tree_->work_size(i) + tree_->file_size(i);
     // The policy check is pure, so a refusal leaves no state to unwind;
     // only then is the budget actually committed.
-    if (!admission_allows(i, delta) || !memory_.try_acquire(delta)) {
+    const bool admitted =
+        admission_ == AdmissionPolicy::kGreedy || lookahead_admits(i, delta);
+    if (!admitted || !memory_.try_acquire(delta)) {
       continue;  // inadmissible now; try a lower-priority ready task
     }
-    commit_start(i, delta);
+    commit_start(i);
     ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(k));
     return i;
   }
@@ -260,38 +233,9 @@ void ScheduleCore::finish(NodeId i) {
     const auto ii = static_cast<std::size_t>(i);
     drain_sum_ -= tree_->file_size(i) - transient(i);
     finished_flag_[ii] = 1;
-    if (admission_ == AdmissionPolicy::kReservation) {
-      if (spec_running_[ii]) {
-        // The speculative task drained to its file; keep charging the file
-        // until the witness frontier passes it or the parent consumes it.
-        spec_occ_ -= tree_->work_size(i);
-        spec_running_[ii] = 0;
-        spec_file_charged_[ii] = 1;
-      }
-      // The finished parent absorbed and freed its children files — release
-      // any that were still charged to the speculative pool.
-      for (const NodeId c : tree_->children(i)) {
-        const auto ci = static_cast<std::size_t>(c);
-        if (spec_file_charged_[ci]) {
-          spec_occ_ -= tree_->file_size(c);
-          spec_file_charged_[ci] = 0;
-        }
-      }
-    }
-    // Advance the witness frontier past everything finished. A file whose
-    // node the frontier passes becomes part of the witness's own resident
-    // profile (already accounted in witness_peak_), so its speculative
-    // charge is released.
-    while (frontier_ < witness_.size()) {
-      const auto ui = static_cast<std::size_t>(witness_[frontier_]);
-      if (!finished_flag_[ui]) {
-        break;
-      }
-      if (admission_ == AdmissionPolicy::kReservation &&
-          spec_file_charged_[ui]) {
-        spec_occ_ -= tree_->file_size(witness_[frontier_]);
-        spec_file_charged_[ui] = 0;
-      }
+    // Advance the witness frontier past everything finished.
+    while (frontier_ < witness_.size() &&
+           finished_flag_[static_cast<std::size_t>(witness_[frontier_])]) {
       ++frontier_;
     }
   }

@@ -14,11 +14,11 @@
 // Admission is pluggable (AdmissionPolicy). The greedy policy admits any
 // ready task that currently fits — eager subtree starts can strand resident
 // contribution files and deadlock the schedule under a tight budget. The
-// lookahead and reservation policies both reason against a *serial witness*:
-// a bottom-up traversal whose serial Eq. 1 peak fits the budget (the
-// planner's traversal, or the MinMem optimum when none is supplied). They
-// admit a task only when doing so provably cannot strand resident files, so
-// with budget >= the witness peak neither policy can ever stall.
+// lookahead policy reasons against a *serial witness*: a bottom-up
+// traversal whose serial Eq. 1 peak fits the budget (the planner's
+// traversal, or the MinMem optimum when none is supplied). It admits a task
+// only when doing so provably cannot strand resident files, so with
+// budget >= the witness peak it can never stall.
 //
 // ScheduleCore itself is NOT thread-safe: the simulator drives it from its
 // event loop and the executor serializes all calls under its scheduler
@@ -45,7 +45,7 @@ enum class ParallelPriority {
 const char* to_string(ParallelPriority priority);
 
 /// How the scheduler decides whether a fitting ready task may actually
-/// start. All three policies share the same accounting and the same
+/// start. Both policies share the same accounting and the same
 /// measured <= modeled <= budget invariant; they differ only in which
 /// admissions they refuse.
 enum class AdmissionPolicy {
@@ -60,21 +60,13 @@ enum class AdmissionPolicy {
   /// per-state safety; O(remaining nodes) per admission test. Never stalls
   /// when the budget covers the witness peak.
   kLookahead,
-  /// Reservation: pre-book the witness tail (the "root path" of the serial
-  /// plan). The next witness task always runs in the reserved serial lane —
-  /// so large late fronts are guaranteed to land — while out-of-order tasks
-  /// are admitted only against the slack (budget − witness peak) and
-  /// charged there until the serial frontier passes them. O(1) amortized
-  /// per admission test; more conservative than lookahead. Never stalls
-  /// when the budget covers the witness peak.
-  kReservation,
 };
 
 const char* to_string(AdmissionPolicy policy);
 
-/// Strictly parsed TREEMEM_ADMISSION = greedy | lookahead | reservation
-/// (support/env.hpp contract: nullopt when unset/empty, treemem::Error on
-/// any other spelling).
+/// Strictly parsed TREEMEM_ADMISSION = greedy | lookahead (support/env.hpp
+/// contract: nullopt when unset/empty, treemem::Error on any other
+/// spelling).
 std::optional<AdmissionPolicy> admission_policy_from_env();
 
 /// One scheduled task instance. The simulator fills modeled times, the
@@ -138,12 +130,12 @@ class MemoryAccountant {
 /// real) dictates. `try_start() == kNoNode` with no task in flight means the
 /// schedule is stuck: started subtrees stranded resident files and no ready
 /// task is admissible — the instance is infeasible under this policy (the
-/// lookahead/reservation policies never reach that state when
-/// schedule_feasible() held at the start).
+/// lookahead policy never reaches that state when schedule_feasible() held
+/// at the start).
 class ScheduleCore {
  public:
-  /// `serial_witness`, consumed only by the lookahead/reservation policies,
-  /// is a bottom-up traversal (children before parents, all p nodes) whose
+  /// `serial_witness`, consumed only by the lookahead policy, is a
+  /// bottom-up traversal (children before parents, all p nodes) whose
   /// serial Eq. 1 peak should fit the budget — typically the planner's
   /// traversal. When empty, the MinMem optimum is computed internally, so
   /// any budget >= the serial optimal peak guarantees stall-freedom. With
@@ -164,10 +156,10 @@ class ScheduleCore {
   /// budget, so the instance is infeasible outright.
   bool all_tasks_fit() const;
 
-  /// The front-ends' pre-run gate. Greedy: all_tasks_fit(). Lookahead and
-  /// reservation additionally require the witness's serial peak to fit the
-  /// budget — below that no admission is ever safe (and the policies'
-  /// zero-stall guarantee needs the witness as the fallback schedule).
+  /// The front-ends' pre-run gate. Greedy: all_tasks_fit(). Lookahead
+  /// additionally requires the witness's serial peak to fit the budget —
+  /// below that no admission is ever safe (and the policy's zero-stall
+  /// guarantee needs the witness as the fallback schedule).
   bool schedule_feasible() const;
 
   AdmissionPolicy admission() const { return admission_; }
@@ -204,15 +196,8 @@ class ScheduleCore {
   }
 
  private:
-  bool admission_allows(NodeId i, Weight delta) const;
   bool lookahead_admits(NodeId i, Weight delta) const;
-  /// i is the serial lane's task: the first witness node not yet finished
-  /// (and, the caller guarantees, not yet started).
-  bool is_serial_lane(NodeId i) const {
-    return frontier_ < witness_.size() &&
-           witness_[frontier_] == i;
-  }
-  void commit_start(NodeId i, Weight delta);
+  void commit_start(NodeId i);
 
   const Tree* tree_;
   AdmissionPolicy admission_;
@@ -222,7 +207,7 @@ class ScheduleCore {
   MemoryAccountant memory_;
   std::size_t finished_ = 0;
 
-  // Non-greedy machinery. The witness is stored bottom-up; frontier_ is the
+  // Lookahead machinery. The witness is stored bottom-up; frontier_ is the
   // first witness position whose node has not finished; drain_sum_ is
   // Σ over running tasks of (f_i − transient(i)) — what hypothetically
   // completing them all would add to the occupancy.
@@ -232,15 +217,6 @@ class ScheduleCore {
   Weight drain_sum_ = 0;
   std::vector<char> started_;
   std::vector<char> finished_flag_;
-  // Reservation pools: spec_occ_ is the occupancy charged to the
-  // speculative (out-of-witness-order) lane; a task's n+f is charged at
-  // start, its n released at finish, and its file released when the serial
-  // frontier passes it or its parent consumes it. The invariant
-  // spec_occ_ <= budget − witness_peak keeps the serial lane's witness
-  // replay admissible at all times — the zero-stall guarantee.
-  Weight spec_occ_ = 0;
-  std::vector<char> spec_running_;
-  std::vector<char> spec_file_charged_;
 };
 
 }  // namespace treemem

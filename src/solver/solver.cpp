@@ -83,7 +83,6 @@ SolverOptions solver_options_from_env(SolverOptions base) {
     base.plan.admission = *admission;
     base.factorize.admission = *admission;
   }
-  base.factorize.kernel = kernel_config_from_env(base.factorize.kernel);
   return base;
 }
 
@@ -518,12 +517,8 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   const char* engine_name = "serial";
 
   if (engine == FactorizeEngine::kParallel) {
-    // Designated initialization on purpose: naming every member skips
-    // ParallelFactorOptions' kernel_config_from_env() default, so the
-    // facade stays insulated from the environment (options flow only
-    // through SolverOptions / solver_options_from_env). The planned
-    // traversal is the serial witness: plan() guaranteed its peak fits the
-    // budget, so the non-greedy policies are stall-free here.
+    // The planned traversal is the serial witness: plan() guaranteed its
+    // peak fits the budget, so lookahead admission is stall-free here.
     const ParallelFactorOptions parallel{
         .workers = workers,
         .memory_budget = plan_->budget,
@@ -538,7 +533,6 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
       factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
       phase_ = Phase::kFactorized;
       stats_.engine = "parallel";
-      stats_.kernel = to_string(options.kernel.kind);
       stats_.admission = to_string(options.admission);
       stats_.workers = workers;
       stats_.flops = run.flops;
@@ -571,9 +565,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
     OutOfCoreRunResult run = multifrontal_cholesky_out_of_core(
         permuted, analysis_->assembly, plan_->io_schedule, plan_->budget);
     measured_peak = run.peak_live_entries;
-    // The out-of-core engine does not count flops; the planned schedule
-    // executes the same eliminations, so reuse the serial convention via
-    // the factor itself (flops are reported as 0 when unknown).
+    flops = run.flops;
     factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
     engine_name = "out-of-core";
   } else {
@@ -585,7 +577,6 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   }
   phase_ = Phase::kFactorized;
   stats_.engine = engine_name;
-  stats_.kernel = to_string(options.kernel.kind);
   stats_.admission.clear();  // serial runs have no admission decisions
   stats_.workers = 1;
   stats_.flops = flops;

@@ -135,8 +135,6 @@ void SolverPool::worker_loop(int id) {
       }
       job = std::move(queue_.front());
       queue_.pop_front();
-      ++active_jobs_;  // counted until the job finishes, so a lone job
-                       // can tell no sibling is mid-factorize
     }
     try {
       SolveOutcome outcome = run_job(solver, job.request);
@@ -144,19 +142,11 @@ void SolverPool::worker_loop(int id) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         worker_stats_[static_cast<std::size_t>(id)] = solver.stats();
       }
-      {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        --active_jobs_;
-      }
       job.promise.set_value(std::move(outcome));
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         worker_stats_[static_cast<std::size_t>(id)] = solver.stats();
-      }
-      {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        --active_jobs_;
       }
       job.promise.set_exception(std::current_exception());
     }
@@ -246,22 +236,12 @@ SolveOutcome SolverPool::run_job(Solver& solver, SolveRequest& request) {
 
   FactorizeOptions factorize = options_.solver.factorize;
   if (factorize.engine == FactorizeEngine::kAuto) {
-    bool promote = false;
-    if (options_.promote_lone_jobs && workers() > 1) {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      promote = queue_.empty() && active_jobs_ == 1;
-    }
-    if (promote) {
-      // A lone job with idle siblings: keep kAuto with the pool's worker
-      // count, so Solver's own engine choice applies (parallel for
-      // in-core plans, serial for out-of-core ones).
-      factorize.workers = workers();
-    } else {
-      // Request-level parallelism is the pool's: demote kAuto to one
-      // serial worker per job (see the header).
-      factorize.engine = FactorizeEngine::kSerial;
-      factorize.workers = 1;
-    }
+    // Request-level parallelism is the pool's: demote kAuto to one serial
+    // worker per job whose kernel leases no WorkerPool threads on top of
+    // the pool's own (see the header).
+    factorize.engine = FactorizeEngine::kSerial;
+    factorize.workers = 1;
+    factorize.kernel.workers = 1;
   }
 
   const Weight charge = admission_charge(solver.stats().planned_peak_entries);
@@ -293,9 +273,11 @@ SolveOutcome SolverPool::run_job(Solver& solver, SolveRequest& request) {
       if (!inserted) {
         freed += residency;
       }
-      if (freed > 0) {
-        release_memory(freed);
-      }
+      // Unconditional, even when nothing was freed: a job that waited in
+      // acquire_memory() between try_acquire_for_cache() and insert() found
+      // nothing evictable and went to sleep, and the factor just inserted
+      // is evictable now — without this wakeup that job can sleep forever.
+      release_memory(freed);
     }
   }
 

@@ -18,15 +18,11 @@
 // free.
 //
 // Engine defaults: request-level parallelism comes from the pool's
-// workers, so a job's factorize defaults to the serial engine on one
-// thread (kAuto would grab every core per job and oversubscribe W-fold).
-// An explicit FactorizeEngine::kParallel in the pool options is honored
-// for deliberate hybrid setups. With `promote_lone_jobs`, a job that
-// finds the service otherwise idle (empty queue, no sibling in flight)
-// keeps kAuto with the pool's full worker count instead — a lone big job
-// borrows the idle threads for factor_parallel rather than leaving W-1
-// cores dark. The gate is queue depth at dequeue time, so a busy service
-// never oversubscribes.
+// workers, so a kAuto factorize is demoted to the serial engine on one
+// thread whose front kernel never leases WorkerPool threads (kAuto would
+// grab every core per job and oversubscribe W-fold). An explicit
+// FactorizeEngine::kParallel in the pool options is honored for
+// deliberate hybrid setups.
 //
 // Numeric-factor cache: with `factor_cache_entries > 0` the pool also
 // caches the CholeskyFactor keyed by (pattern fingerprint, value
@@ -85,10 +81,6 @@ struct SolverPoolOptions {
   std::size_t cache_bytes = 0;
   /// Resident-factor cap of the numeric cache; 0 (default) disables it.
   std::size_t factor_cache_entries = 0;
-  /// Promote a lone job (empty queue, nothing else in flight) to the
-  /// parallel engine with the pool's worker count. Off by default: the
-  /// steady-state service assumption is request-level parallelism.
-  bool promote_lone_jobs = false;
 };
 
 /// One unit of service: factorize `matrix`, then solve every column of
@@ -168,7 +160,6 @@ class SolverPool {
   std::condition_variable queue_cv_;
   std::deque<Job> queue_;
   bool stopping_ = false;
-  int active_jobs_ = 0;  ///< dequeued, not yet finished (queue_mutex_)
 
   MemoryAccountant accountant_;
   std::mutex memory_mutex_;

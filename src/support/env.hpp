@@ -1,8 +1,7 @@
 // The one strictly-parsed TREEMEM_* environment layer.
 //
 // Every runtime knob of the library reads its override through this file:
-// TREEMEM_THREADS (support/parallel_for.hpp), TREEMEM_KERNEL
-// (dense/front_kernel.hpp), TREEMEM_ADMISSION
+// TREEMEM_THREADS (support/parallel_for.hpp), TREEMEM_ADMISSION
 // (parallel/schedule_core.hpp), the solver facade's TREEMEM_ORDERING /
 // TREEMEM_TRAVERSAL / TREEMEM_WORKERS / TREEMEM_BUDGET
 // (solver/solver.hpp), and the bench harness's TREEMEM_SCALE / TREEMEM_OUT

@@ -4,19 +4,19 @@
 //
 // The load-bearing properties:
 //   * zero stalls: with budget >= the serial witness peak, the lookahead
-//     and reservation policies always complete — pinned at the tightest
-//     legal budget (the MinMem optimum itself) on random trees, and at the
-//     ROADMAP's 1.5x budget on the 10-instance numeric corpus, where the
-//     greedy baseline deadlocks on six instances;
+//     policy always completes — pinned at the tightest legal budget (the
+//     MinMem optimum itself) on random trees, and at the ROADMAP's 1.5x
+//     budget on the 10-instance numeric corpus, where the greedy baseline
+//     deadlocks on six instances;
 //   * the measured <= modeled <= budget invariant holds under every
 //     policy, on the simulator and on real threads;
 //   * w = 1 parity: the executor takes exactly the simulator's admission
 //     decisions for each policy (same completion order, same peak);
 //   * the factor is bit-identical across policies (admission only reorders
 //     the schedule; the numerics are schedule-exact);
-//   * TREEMEM_ADMISSION parses strictly and reaches both the plan-phase
-//     co-search and the factorize-phase executor via
-//     solver_options_from_env().
+//   * TREEMEM_ADMISSION parses strictly — the retired `reservation`
+//     spelling included — and reaches both the plan-phase co-search and
+//     the factorize-phase executor via solver_options_from_env().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,9 +43,6 @@ namespace {
 
 using testing::small_tree_corpus;
 
-constexpr AdmissionPolicy kNonGreedy[] = {AdmissionPolicy::kLookahead,
-                                          AdmissionPolicy::kReservation};
-
 /// The ROADMAP's stall-testbed budget: 1.5x the serial optimum, floored at
 /// max MemReq (below which no schedule exists at all). One definition
 /// shared with bench/parallel_tradeoff and bench/regression_report.
@@ -67,7 +64,6 @@ Traversal sim_completion_order(const ParallelScheduleResult& sim) {
 TEST(AdmissionPolicyName, ToString) {
   EXPECT_STREQ(to_string(AdmissionPolicy::kGreedy), "greedy");
   EXPECT_STREQ(to_string(AdmissionPolicy::kLookahead), "lookahead");
-  EXPECT_STREQ(to_string(AdmissionPolicy::kReservation), "reservation");
 }
 
 TEST(AdmissionPolicyEnv, StrictParse) {
@@ -79,8 +75,9 @@ TEST(AdmissionPolicyEnv, StrictParse) {
   EXPECT_EQ(admission_policy_from_env(), AdmissionPolicy::kGreedy);
   ::setenv("TREEMEM_ADMISSION", "lookahead", 1);
   EXPECT_EQ(admission_policy_from_env(), AdmissionPolicy::kLookahead);
+  // The retired reservation policy is an error, not a silent fallback.
   ::setenv("TREEMEM_ADMISSION", "reservation", 1);
-  EXPECT_EQ(admission_policy_from_env(), AdmissionPolicy::kReservation);
+  EXPECT_THROW(admission_policy_from_env(), Error);
   // Malformed values throw instead of silently running greedy.
   ::setenv("TREEMEM_ADMISSION", "Lookahead", 1);
   EXPECT_THROW(admission_policy_from_env(), Error);
@@ -107,17 +104,15 @@ TEST(AdmissionWitness, RejectsStructurallyInvalidWitness) {
 TEST(AdmissionWitness, InfiniteBudgetDegradesToGreedy) {
   const Tree tree = testing::tiny_mixed();
   const auto durations = default_task_durations(tree);
-  for (const AdmissionPolicy policy : kNonGreedy) {
-    ScheduleCore core(tree, ParallelPriority::kCriticalPath, kInfiniteWeight,
-                      durations, policy);
-    EXPECT_EQ(core.admission(), AdmissionPolicy::kGreedy);
-    EXPECT_EQ(core.witness_peak(), 0);
-  }
+  ScheduleCore core(tree, ParallelPriority::kCriticalPath, kInfiniteWeight,
+                    durations, AdmissionPolicy::kLookahead);
+  EXPECT_EQ(core.admission(), AdmissionPolicy::kGreedy);
+  EXPECT_EQ(core.witness_peak(), 0);
 }
 
 // The zero-stall guarantee at the *tightest legal budget*: the witness's
-// own serial peak. Greedy routinely deadlocks here; the non-greedy
-// policies must always complete, with the accounted peak within budget.
+// own serial peak. Greedy routinely deadlocks here; lookahead must always
+// complete, with the accounted peak within budget.
 TEST(AdmissionSimulator, NonGreedyNeverStallsAtWitnessPeak) {
   int greedy_stalls = 0;
   for (const Tree& tree : small_tree_corpus(60, 24)) {
@@ -129,15 +124,12 @@ TEST(AdmissionSimulator, NonGreedyNeverStallsAtWitnessPeak) {
       options.memory_budget = budget;
       options.admission = AdmissionPolicy::kGreedy;
       greedy_stalls += !simulate_parallel_traversal(tree, options).feasible;
-      for (const AdmissionPolicy policy : kNonGreedy) {
-        options.admission = policy;
-        options.serial_witness = reverse_traversal(mm.order);
-        const auto run = simulate_parallel_traversal(tree, options);
-        ASSERT_TRUE(run.feasible)
-            << to_string(policy) << " stalled at the witness peak (w="
-            << workers << ", p=" << tree.size() << ")";
-        EXPECT_LE(run.peak_memory, budget);
-      }
+      options.admission = AdmissionPolicy::kLookahead;
+      options.serial_witness = reverse_traversal(mm.order);
+      const auto run = simulate_parallel_traversal(tree, options);
+      ASSERT_TRUE(run.feasible) << "lookahead stalled at the witness peak (w="
+                                << workers << ", p=" << tree.size() << ")";
+      EXPECT_LE(run.peak_memory, budget);
     }
   }
   // The corpus must keep exercising the hard regime, or the guarantee
@@ -183,8 +175,7 @@ TEST(AdmissionExecutor, W1SimulatorParityPerPolicy) {
     const auto mm = minmem_optimal(tree);
     const Weight budget = std::max(mm.peak, tree.max_mem_req());
     for (const AdmissionPolicy policy :
-         {AdmissionPolicy::kGreedy, AdmissionPolicy::kLookahead,
-          AdmissionPolicy::kReservation}) {
+         {AdmissionPolicy::kGreedy, AdmissionPolicy::kLookahead}) {
       ParallelOptions sim_options;
       sim_options.workers = 1;
       sim_options.memory_budget = budget;
@@ -210,28 +201,25 @@ TEST(AdmissionExecutor, W1SimulatorParityPerPolicy) {
   }
 }
 
-// Real threads, tight budget: the non-greedy policies complete under every
-// interleaving and the accounted peak stays within budget. (This is the
-// suite's TSan surface for the admission bookkeeping.)
+// Real threads, tight budget: lookahead completes under every interleaving
+// and the accounted peak stays within budget. (This is the suite's TSan
+// surface for the admission bookkeeping.)
 TEST(AdmissionExecutor, NonGreedyFeasibleOnThreadsAtWitnessPeak) {
   for (const Tree& tree : small_tree_corpus(24, 20, /*salt=*/11)) {
     const auto mm = minmem_optimal(tree);
     const Weight budget = std::max(mm.peak, tree.max_mem_req());
-    for (const AdmissionPolicy policy : kNonGreedy) {
-      ExecutorOptions options;
-      options.workers = 4;
-      options.memory_budget = budget;
-      options.admission = policy;
-      options.serial_witness = reverse_traversal(mm.order);
-      const auto run = execute_task_tree(tree, options);
-      ASSERT_TRUE(run.feasible)
-          << to_string(policy) << " stalled on threads (p=" << tree.size()
-          << ")";
-      EXPECT_LE(run.peak_memory, budget);
-      const Weight checker_peak =
-          in_tree_traversal_peak(tree, run.completion_order);
-      EXPECT_LE(checker_peak, budget);
-    }
+    ExecutorOptions options;
+    options.workers = 4;
+    options.memory_budget = budget;
+    options.admission = AdmissionPolicy::kLookahead;
+    options.serial_witness = reverse_traversal(mm.order);
+    const auto run = execute_task_tree(tree, options);
+    ASSERT_TRUE(run.feasible)
+        << "lookahead stalled on threads (p=" << tree.size() << ")";
+    EXPECT_LE(run.peak_memory, budget);
+    const Weight checker_peak =
+        in_tree_traversal_peak(tree, run.completion_order);
+    EXPECT_LE(checker_peak, budget);
   }
 }
 
@@ -278,36 +266,27 @@ TEST(AdmissionCorpus, ZeroStallsAtTightBudgetW4) {
       greedy_stalls.push_back(instance.name);
     }
 
-    for (const AdmissionPolicy policy : kNonGreedy) {
-      options.admission = policy;
-      const auto run = simulate_parallel_traversal(tree, options);
-      ASSERT_TRUE(run.feasible) << instance.name << " stalled under "
-                                << to_string(policy);
-      EXPECT_LE(run.peak_memory, budget) << instance.name;
-      // Where the uncapped schedule's peak already fits the budget, memory
-      // is not the binding constraint, and lookahead must not cost more
-      // than 10% of the uncapped speedup. Reservation pre-books the
-      // root-path peak, deliberately trading some overlap for its stronger
-      // never-retract invariant — it gets a 25% allowance (measured: 79%
-      // retention on rand-dense/mindeg/r1). Where the uncapped peak
-      // exceeds the budget — up to 4.8x the serial optimum on this corpus
-      // — the budget itself bounds the speedup; zero stalls still holds,
-      // and bench/regression_report charts the retention.
-      if (free_run.peak_memory <= budget) {
-        const double floor =
-            policy == AdmissionPolicy::kLookahead ? 0.9 : 0.75;
-        EXPECT_GE(run.speedup, floor * free_run.speedup)
-            << instance.name << " under " << to_string(policy);
-        ++within_ten_percent_checked;
-      }
+    options.admission = AdmissionPolicy::kLookahead;
+    const auto run = simulate_parallel_traversal(tree, options);
+    ASSERT_TRUE(run.feasible) << instance.name << " stalled under lookahead";
+    EXPECT_LE(run.peak_memory, budget) << instance.name;
+    // Where the uncapped schedule's peak already fits the budget, memory is
+    // not the binding constraint, and lookahead must not cost more than
+    // 10% of the uncapped speedup. Where the uncapped peak exceeds the
+    // budget — up to 4.8x the serial optimum on this corpus — the budget
+    // itself bounds the speedup; zero stalls still holds, and
+    // bench/regression_report charts the retention.
+    if (free_run.peak_memory <= budget) {
+      EXPECT_GE(run.speedup, 0.9 * free_run.speedup) << instance.name;
+      ++within_ten_percent_checked;
     }
   }
   EXPECT_EQ(greedy_stalls, known_greedy_stalls);
   // The within-10% leg must actually trigger on this corpus.
-  EXPECT_GE(within_ten_percent_checked, 4);
+  EXPECT_GE(within_ten_percent_checked, 2);
 }
 
-// Bit-identical factors across all three policies on a formerly-stalling
+// Bit-identical factors across both policies on a formerly-stalling
 // instance: admission reorders the schedule, and the numerics are
 // schedule-exact. Greedy deadlocks at the tight budget, so it is compared
 // at an unconstrained budget instead; the serial engine anchors the bits.
@@ -338,15 +317,13 @@ TEST(AdmissionCorpus, FactorsBitIdenticalAcrossPolicies) {
 
   options.memory_budget = budget;
   options.serial_witness = witness;
-  for (const AdmissionPolicy policy : kNonGreedy) {
-    options.admission = policy;
-    const auto run =
-        factor_parallel(stalling->matrix, stalling->assembly, options);
-    ASSERT_TRUE(run.feasible) << to_string(policy);
-    EXPECT_LE(run.measured_peak_entries, run.modeled_peak_entries);
-    EXPECT_LE(run.modeled_peak_entries, budget);
-    EXPECT_EQ(run.factor.values, serial.factor.values) << to_string(policy);
-  }
+  options.admission = AdmissionPolicy::kLookahead;
+  const auto run =
+      factor_parallel(stalling->matrix, stalling->assembly, options);
+  ASSERT_TRUE(run.feasible);
+  EXPECT_LE(run.measured_peak_entries, run.modeled_peak_entries);
+  EXPECT_LE(run.modeled_peak_entries, budget);
+  EXPECT_EQ(run.factor.values, serial.factor.values);
 }
 
 // ---------------------------------------------------------------------------
@@ -393,23 +370,19 @@ TEST(AdmissionSolver, CoSearchAndLookaheadEndToEnd) {
   EXPECT_LE(stats.measured_peak_entries, stats.modeled_peak_entries);
   EXPECT_LE(stats.modeled_peak_entries, plan.memory_budget);
   EXPECT_EQ(solver.factor().values, reference_values);
-
-  // Same plan, reservation admission: same bits.
-  factorize.admission = AdmissionPolicy::kReservation;
-  solver.factorize(matrix, factorize);
-  EXPECT_EQ(solver.stats().admission, "reservation");
-  EXPECT_EQ(solver.factor().values, reference_values);
 }
 
 TEST(AdmissionSolver, EnvKnobReachesPlanAndFactorize) {
   const char* saved = std::getenv("TREEMEM_ADMISSION");
   const std::string saved_value = saved ? saved : "";
-  ::setenv("TREEMEM_ADMISSION", "reservation", 1);
+  ::setenv("TREEMEM_ADMISSION", "lookahead", 1);
   const SolverOptions options = solver_options_from_env();
-  EXPECT_EQ(options.plan.admission, AdmissionPolicy::kReservation);
-  EXPECT_EQ(options.factorize.admission, AdmissionPolicy::kReservation);
-  ::setenv("TREEMEM_ADMISSION", "eager", 1);
-  EXPECT_THROW(solver_options_from_env(), Error);
+  EXPECT_EQ(options.plan.admission, AdmissionPolicy::kLookahead);
+  EXPECT_EQ(options.factorize.admission, AdmissionPolicy::kLookahead);
+  for (const char* bad : {"eager", "reservation"}) {
+    ::setenv("TREEMEM_ADMISSION", bad, 1);
+    EXPECT_THROW(solver_options_from_env(), Error) << bad;
+  }
   if (saved) {
     ::setenv("TREEMEM_ADMISSION", saved_value.c_str(), 1);
   } else {

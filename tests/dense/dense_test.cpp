@@ -1,47 +1,50 @@
-// Correctness suite for the dense front-kernel layer
-// (dense/front_kernel.hpp) — the pluggable math under FrontalEngine.
+// Correctness suite for the dense front kernel (dense/front_kernel.hpp) —
+// the dense math under FrontalEngine.
 //
 // Pinned properties:
-//   * the blocked kernel produces bit-identical results to the scalar
-//     reference (factors, flop counts) across front sizes, pivot counts
-//     and block sizes, including degenerate blocks (width 1, width > η);
-//   * the parallel-tiled kernel honors its documented contract (small
-//     relative residual against the reference) and — a deliberate extra
-//     pin on the current non-reassociating implementation — is today also
-//     bit-identical;
+//   * every configuration produces bit-identical results (factors, flop
+//     counts) to the scalar reference KernelConfig{.block_size = 1,
+//     .workers = 1}, across front sizes, pivot counts and block sizes,
+//     including degenerate blocks (width 1, width > η), whether the
+//     trailing updates run inline or on leased column tiles;
+//   * the leased path is bit-identical whether the pool grants the lease
+//     or has nobody idle (the panel then runs inline), and the kernel
+//     counts each outcome;
 //   * degenerate fronts: η = 0 is a no-op, η = m is a full Cholesky, 1×1
-//     fronts factor, non-positive pivots throw a clean Error from every
-//     kernel;
+//     fronts factor, non-positive pivots throw a clean Error;
 //   * extend_add scatters a child contribution block exactly;
-//   * TREEMEM_KERNEL is parsed strictly (malformed values cannot silently
-//     switch kernels);
-//   * the parallel-tiled kernel runs race-clean *inside* factor_parallel —
-//     intra-front parallel_for nested under the executor's worker threads —
-//     with the fork threshold forced to zero so TSan sees the threaded
-//     path even on small fronts (this binary is in CI's TSan job).
+//   * the leased path runs race-clean *inside* factor_parallel — leased
+//     tiles nested under the executor's worker threads — with the volume
+//     gate forced to zero so TSan sees the threaded path even on small
+//     fronts (this binary is in CI's TSan job).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include "core/postorder.hpp"
 #include "dense/front_kernel.hpp"
 #include "dense/spd_front.hpp"
 #include "multifrontal/numeric_parallel.hpp"
+#include "parallel/worker_pool.hpp"
 #include "perf/corpus.hpp"
 #include "sparse/generators.hpp"
 #include "support/prng.hpp"
+#include "test_util.hpp"
 
 namespace treemem {
 namespace {
 
-KernelConfig config_of(KernelKind kind, std::size_t block_size,
-                       unsigned workers = 0) {
-  KernelConfig config;
-  config.kind = kind;
-  config.block_size = block_size;
-  config.workers = workers;
+/// The scalar reference: one pivot per panel, trailing updates inline.
+constexpr KernelConfig kReference{.block_size = 1, .workers = 1};
+
+/// Block size `nb` on `workers` threads; with more than one worker the
+/// volume gate is forced open so every panel takes the leased path.
+KernelConfig config_of(std::size_t nb, unsigned workers) {
+  KernelConfig config{.block_size = nb, .workers = workers};
+  if (workers > 1) {
+    config.min_parallel_volume = 0;
+  }
   return config;
 }
 
@@ -59,69 +62,60 @@ TEST(BlockedKernel, BitIdenticalToScalarAcrossSizesAndBlocks) {
       }
       const std::vector<double> original = make_dense_spd_front(m, m + eta);
       std::vector<double> reference = original;
-      const long long ref_flops =
-          factor_with(config_of(KernelKind::kScalar, 1), reference, m, eta);
+      const long long ref_flops = factor_with(kReference, reference, m, eta);
       for (const std::size_t nb : {1u, 2u, 3u, 7u, 16u, 64u, 128u}) {
-        std::vector<double> blocked = original;
-        const long long flops = factor_with(
-            config_of(KernelKind::kBlocked, nb), blocked, m, eta);
-        // Bit-for-bit, not merely close: same per-entry update order, same
-        // zero skips.
-        EXPECT_EQ(blocked, reference) << "m=" << m << " eta=" << eta
-                                      << " nb=" << nb;
-        EXPECT_EQ(flops, ref_flops) << "m=" << m << " eta=" << eta
-                                    << " nb=" << nb;
-      }
-    }
-  }
-}
-
-TEST(ParallelTiledKernel, MeetsResidualContractAgainstScalar) {
-  // The documented contract: a small relative residual against the scalar
-  // reference (room for future reassociating variants).
-  for (const std::size_t m : {64u, 160u}) {
-    for (const std::size_t eta : {m, m / 2}) {
-      const std::vector<double> original = make_dense_spd_front(m, 3 * m);
-      std::vector<double> reference = original;
-      factor_with(config_of(KernelKind::kScalar, 1), reference, m, eta);
-      for (const unsigned workers : {1u, 4u}) {
-        KernelConfig config =
-            config_of(KernelKind::kParallelTiled, 8, workers);
-        config.min_parallel_volume = 0;  // force the fork/join path
-        std::vector<double> tiled = original;
-        factor_with(config, tiled, m, eta);
-        EXPECT_LE(relative_frobenius_distance(reference, tiled), 1e-12)
-            << "m=" << m << " eta=" << eta << " workers=" << workers;
+        for (const unsigned workers : {1u, 4u}) {
+          std::vector<double> front = original;
+          const long long flops =
+              factor_with(config_of(nb, workers), front, m, eta);
+          // Bit-for-bit, not merely close: same per-entry update order,
+          // same zero skips.
+          EXPECT_EQ(front, reference) << "m=" << m << " eta=" << eta
+                                      << " nb=" << nb << " w=" << workers;
+          EXPECT_EQ(flops, ref_flops) << "m=" << m << " eta=" << eta
+                                      << " nb=" << nb << " w=" << workers;
+        }
       }
     }
   }
 }
 
 TEST(ParallelTiledKernel, CurrentImplementationIsBitIdentical) {
-  // Stronger than the contract: today's implementation tiles disjoint
-  // columns without reassociating, so it matches the reference exactly.
-  // If a future kernel variant trades this away, relax THIS test, not the
-  // residual contract above.
+  // A private pool controls the lease outcome: first with every worker
+  // idle at the start (the first panel's lease is granted), then with
+  // every worker held elsewhere (every lease is denied and the panels run
+  // inline). Either way the factor is the reference's.
   const std::size_t m = 128;
   const std::vector<double> original = make_dense_spd_front(m, 11);
   std::vector<double> reference = original;
-  const long long ref_flops =
-      factor_with(config_of(KernelKind::kScalar, 1), reference, m, m / 2);
-  for (const std::size_t nb : {4u, 16u, 48u}) {
-    KernelConfig config = config_of(KernelKind::kParallelTiled, nb, 4);
-    config.min_parallel_volume = 0;
-    std::vector<double> tiled = original;
-    const long long flops = factor_with(config, tiled, m, m / 2);
-    EXPECT_EQ(tiled, reference) << "nb=" << nb;
-    EXPECT_EQ(flops, ref_flops) << "nb=" << nb;
+  const long long ref_flops = factor_with(kReference, reference, m, m / 2);
+  WorkerPool pool(3);
+  for (const bool held : {false, true}) {
+    for (const std::size_t nb : {4u, 16u, 48u}) {
+      ASSERT_TRUE(testing::wait_for_idle(pool));
+      WorkerLease holder = held ? pool.try_lease(3) : WorkerLease{};
+      KernelConfig config = config_of(nb, 4);
+      config.pool = &pool;
+      const auto kernel = make_front_kernel(config);
+      std::vector<double> tiled = original;
+      const long long flops =
+          kernel->partial_factor(tiled.data(), m, m / 2, nullptr);
+      EXPECT_EQ(tiled, reference) << "nb=" << nb << " held=" << held;
+      EXPECT_EQ(flops, ref_flops) << "nb=" << nb << " held=" << held;
+      const KernelLeaseStats stats = kernel->lease_stats();
+      if (held) {
+        EXPECT_EQ(stats.leases_granted, 0) << "nb=" << nb;
+        EXPECT_GT(stats.leases_denied, 0) << "nb=" << nb;
+      } else {
+        EXPECT_GT(stats.leases_granted, 0) << "nb=" << nb;
+      }
+    }
   }
 }
 
 TEST(FrontKernels, DegenerateFronts) {
-  for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kBlocked,
-                                KernelKind::kParallelTiled}) {
-    KernelConfig config = config_of(kind, 4, 2);
-    config.min_parallel_volume = 0;
+  for (const KernelConfig& config :
+       {kReference, config_of(4, 1), config_of(4, 2)}) {
     const auto kernel = make_front_kernel(config);
 
     // eta = 0: no pivots — the front must come back untouched.
@@ -140,7 +134,8 @@ TEST(FrontKernels, DegenerateFronts) {
           sum += full[k * 12 + r] * full[k * 12 + c];
         }
         EXPECT_NEAR(sum, original[c * 12 + r], 1e-10)
-            << to_string(kind) << " (" << r << "," << c << ")";
+            << "nb=" << config.block_size << " w=" << config.workers << " ("
+            << r << "," << c << ")";
       }
     }
 
@@ -155,11 +150,11 @@ TEST(FrontKernels, DegenerateFronts) {
 }
 
 TEST(FrontKernels, NonPositivePivotThrowsFromEveryKernel) {
-  for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kBlocked,
-                                KernelKind::kParallelTiled}) {
-    const auto kernel = make_front_kernel(config_of(kind, 4, 2));
+  for (const KernelConfig& config :
+       {kReference, config_of(4, 1), config_of(4, 2)}) {
+    const auto kernel = make_front_kernel(config);
     // Identity with a poisoned pivot *beyond* the first panel, so blocked
-    // kernels reach it mid-run.
+    // configurations reach it mid-run.
     std::vector<double> front(16 * 16, 0.0);
     for (std::size_t k = 0; k < 16; ++k) {
       front[k * 16 + k] = 1.0;
@@ -167,12 +162,12 @@ TEST(FrontKernels, NonPositivePivotThrowsFromEveryKernel) {
     front[9 * 16 + 9] = -2.0;
     EXPECT_THROW(kernel->partial_factor(front.data(), 16, 16, nullptr),
                  Error)
-        << to_string(kind);
+        << "nb=" << config.block_size << " w=" << config.workers;
   }
 }
 
 TEST(FrontKernels, ExtendAddScattersChildBlockExactly) {
-  const auto kernel = make_front_kernel({});
+  const auto kernel = make_front_kernel(kReference);
   // Front over global rows {2, 5, 7, 8}; child CB over rows {5, 8}.
   std::vector<double> front(4 * 4, 1.0);
   const std::vector<double> expected_base = front;
@@ -194,45 +189,10 @@ TEST(FrontKernels, ExtendAddScattersChildBlockExactly) {
   EXPECT_EQ(front, expected);
 }
 
-TEST(KernelConfigEnv, StrictlyParsedLikeTreememThreads) {
-  KernelConfig base;
-  base.kind = KernelKind::kScalar;
-  base.block_size = 48;
-
-  const auto with_env = [&](const char* value) {
-    EXPECT_EQ(setenv("TREEMEM_KERNEL", value, 1), 0);
-    return kernel_config_from_env(base);
-  };
-
-  EXPECT_EQ(with_env("blocked").kind, KernelKind::kBlocked);
-  EXPECT_EQ(with_env("blocked").block_size, 48u);
-  EXPECT_EQ(with_env("parallel:64").kind, KernelKind::kParallelTiled);
-  EXPECT_EQ(with_env("parallel:64").block_size, 64u);
-  EXPECT_EQ(with_env("scalar").kind, KernelKind::kScalar);
-
-  // Malformed values throw (strict parse through support/env.hpp): a typo
-  // surfaces at startup instead of silently switching kernels.
-  for (const char* bad : {"bogus", "BLOCKED", "blocked:", "blocked:0",
-                          "blocked:12x", "blocked:999999", "block",
-                          "parallelx", ":32"}) {
-    EXPECT_THROW(with_env(bad), Error) << "value '" << bad << "'";
-  }
-  // parse_kernel_spec is the same parser, exposed for CLI flags.
-  EXPECT_EQ(parse_kernel_spec("blocked:32", base).block_size, 32u);
-  EXPECT_THROW(parse_kernel_spec("turbo", base), Error);
-
-  // Empty means "unset", not "malformed".
-  EXPECT_EQ(setenv("TREEMEM_KERNEL", "", 1), 0);
-  EXPECT_EQ(kernel_config_from_env(base).kind, base.kind);
-
-  ASSERT_EQ(unsetenv("TREEMEM_KERNEL"), 0);
-  EXPECT_EQ(kernel_config_from_env(base).kind, base.kind);
-}
-
-/// The TSan flagship: the parallel-tiled kernel's intra-front parallel_for
-/// nested inside factor_parallel's executor workers — two layers of real
-/// threads sharing one front buffer layer apart. The fork threshold is
-/// forced to zero so every panel of every front takes the threaded path.
+/// The TSan flagship: leased trailing-update tiles nested inside
+/// factor_parallel's executor workers — two layers of real threads sharing
+/// one front buffer layer apart. The volume gate is forced to zero so
+/// every panel of every front takes the leased path.
 TEST(KernelInEngine, ParallelTiledInsideFactorParallelIsRaceClean) {
   const NumericInstance inst = build_numeric_instance(
       {"dense-tsan", symmetrize(gen::grid2d(9, 9))},
@@ -240,23 +200,16 @@ TEST(KernelInEngine, ParallelTiledInsideFactorParallelIsRaceClean) {
   const MultifrontalResult reference = multifrontal_cholesky(
       inst.matrix, inst.assembly,
       reverse_traversal(best_postorder(inst.assembly.tree).order),
-      config_of(KernelKind::kScalar, 1));
+      kReference);
 
   ParallelFactorOptions options;
   options.workers = 4;
-  options.kernel = config_of(KernelKind::kParallelTiled, 4, 2);
-  options.kernel.min_parallel_volume = 0;
+  options.kernel = config_of(4, 2);
   const ParallelFactorResult run =
       factor_parallel(inst.matrix, inst.assembly, options);
   ASSERT_TRUE(run.feasible);
   EXPECT_LE(run.measured_peak_entries, run.modeled_peak_entries);
   EXPECT_EQ(run.flops, reference.flops);
-  // Contract-level agreement with the scalar reference...
-  ASSERT_EQ(run.factor.values.size(), reference.factor.values.size());
-  EXPECT_LE(
-      relative_frobenius_distance(reference.factor.values, run.factor.values),
-      1e-12);
-  // ...and the current implementation's stronger bit-exactness.
   EXPECT_EQ(run.factor.values, reference.factor.values);
 }
 
@@ -267,12 +220,11 @@ TEST(KernelInEngine, BlockedKernelKeepsSerialDriverBitExact) {
       OrderingKind::kNestedDissection, /*relax=*/1, /*seed=*/31);
   const Traversal order =
       reverse_traversal(best_postorder(inst.assembly.tree).order);
-  const MultifrontalResult scalar = multifrontal_cholesky(
-      inst.matrix, inst.assembly, order, config_of(KernelKind::kScalar, 1));
+  const MultifrontalResult scalar =
+      multifrontal_cholesky(inst.matrix, inst.assembly, order, kReference);
   for (const std::size_t nb : {2u, 16u, 96u}) {
     const MultifrontalResult blocked = multifrontal_cholesky(
-        inst.matrix, inst.assembly, order,
-        config_of(KernelKind::kBlocked, nb));
+        inst.matrix, inst.assembly, order, config_of(nb, 1));
     EXPECT_EQ(blocked.factor.values, scalar.factor.values) << "nb=" << nb;
     EXPECT_EQ(blocked.flops, scalar.flops) << "nb=" << nb;
     EXPECT_EQ(blocked.peak_live_entries, scalar.peak_live_entries)

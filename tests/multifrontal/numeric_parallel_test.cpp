@@ -43,12 +43,11 @@ NumericInstance make_instance(const SparsePattern& raw, std::uint64_t seed,
 }
 
 MultifrontalResult serial_factor(const NumericInstance& inst) {
-  // The scalar reference is pinned explicitly so a TREEMEM_KERNEL override
-  // in the environment cannot silently change what "serial" means here.
+  // The scalar reference: one pivot per panel, no leasing.
   return multifrontal_cholesky(
       inst.matrix, inst.assembly,
       reverse_traversal(best_postorder(inst.assembly.tree).order),
-      KernelConfig{});
+      KernelConfig{.block_size = 1, .workers = 1});
 }
 
 /// Pattern families chosen for their assembly-tree shapes: narrow banded →
@@ -79,12 +78,12 @@ TEST_P(NumericParallelSweep, MatchesSerialFactorAndReconstructsA) {
       const MultifrontalResult serial = serial_factor(inst);
       ASSERT_LT(relative_residual(inst.matrix, serial.factor), 1e-12);
 
-      // The blocked serial kernel is bit-identical to the scalar reference
-      // across the whole 56-instance corpus (block size varied by seed so
-      // the sweep covers width-1, mid, and wider-than-most-fronts panels).
+      // Wider panels on the serial driver are bit-identical to the scalar
+      // reference across the whole 56-instance corpus (block size varied
+      // by seed so the sweep covers width-1, mid, and
+      // wider-than-most-fronts panels).
       {
         KernelConfig blocked;
-        blocked.kind = KernelKind::kBlocked;
         blocked.block_size = static_cast<std::size_t>(1) << (seed % 7);
         const MultifrontalResult blocked_run = multifrontal_cholesky(
             inst.matrix, inst.assembly,

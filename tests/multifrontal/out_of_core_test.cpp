@@ -120,5 +120,25 @@ TEST(OutOfCore, SpillsReduceThePeakBelowTheInCoreRun) {
   EXPECT_LT(constrained.peak_live_entries, full.peak_live_entries);
 }
 
+TEST(OutOfCore, FactorAndFlopsMatchTheSerialEngineOnTheSamePlan) {
+  const OocSetup setup = make_setup(gen::grid2d(8, 8), 11, 2);
+  const Weight budget = (setup.floor + setup.peak) / 2;
+  const MinIoResult plan = minio_heuristic(
+      setup.assembly.tree, setup.out_tree_order, budget,
+      EvictionPolicy::kFirstFit);
+  ASSERT_TRUE(plan.feasible);
+  ASSERT_GT(plan.io_volume, 0);  // spills really happen
+  const OutOfCoreRunResult run = multifrontal_cholesky_out_of_core(
+      setup.matrix, setup.assembly, plan.schedule, budget);
+  // The scalar reference along the same traversal: spilling moves blocks,
+  // never reorders a floating-point operation.
+  const MultifrontalResult serial = multifrontal_cholesky(
+      setup.matrix, setup.assembly, reverse_traversal(plan.schedule.order),
+      KernelConfig{.block_size = 1, .workers = 1});
+  EXPECT_GT(run.flops, 0);
+  EXPECT_EQ(run.flops, serial.flops);
+  EXPECT_EQ(run.factor.values, serial.factor.values);
+}
+
 }  // namespace
 }  // namespace treemem

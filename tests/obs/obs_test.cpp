@@ -281,9 +281,9 @@ TEST(Metrics, SolverPoolExportsExactMetricSet) {
   SolverPoolOptions options;
   options.workers = 2;
   options.factor_cache_entries = 2;
-  // Keep the job off the process WorkerPool: its lazily-registered
-  // exporter would otherwise blur the before/after diff below.
-  options.solver.factorize.kernel.kind = KernelKind::kScalar;
+  // The pool demotes every job to one serial worker whose kernel never
+  // leases, so the job stays off the process WorkerPool — whose
+  // lazily-registered exporter would otherwise blur the diff below.
   SolverPool pool(options);
 
   SolveRequest request;

@@ -37,10 +37,13 @@
 #include "sparse/generators.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
+#include "test_util.hpp"
 #include "tree/generators.hpp"
 
 namespace treemem {
 namespace {
+
+using testing::wait_for_idle;
 
 TEST(WorkerPool, SpawnsOnceAndNeverAgain) {
   WorkerPool pool(3);
@@ -133,7 +136,7 @@ TEST(WorkerPool, ConcurrentLeaseReturnRacesAreClean) {
     EXPECT_EQ(hits[t].load(), static_cast<long long>(kRounds) * kIndices);
   }
   EXPECT_EQ(pool.stats().threads_spawned, 8);
-  EXPECT_EQ(pool.idle_workers(), 8u);
+  EXPECT_TRUE(wait_for_idle(pool));
 }
 
 TEST(WorkerPool, NestedLeaseFromInsideAnExecutorTask) {
@@ -156,7 +159,7 @@ TEST(WorkerPool, NestedLeaseFromInsideAnExecutorTask) {
   EXPECT_TRUE(run.feasible);
   EXPECT_EQ(tile_hits.load(), static_cast<long long>(p) * 16);
   EXPECT_EQ(pool.stats().threads_spawned, 4);
-  EXPECT_EQ(pool.idle_workers(), 4u);
+  EXPECT_TRUE(wait_for_idle(pool));
 }
 
 TEST(WorkerPool, ExceptionInLeasedTileFailsOnlyThatLoop) {
@@ -179,7 +182,7 @@ TEST(WorkerPool, ExceptionInLeasedTileFailsOnlyThatLoop) {
   std::atomic<int> ok{0};
   pool.try_lease(3).run(32, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 32);
-  EXPECT_EQ(pool.idle_workers(), 4u);
+  EXPECT_TRUE(wait_for_idle(pool));
 }
 
 TEST(WorkerPool, ShutdownWithLeaseOutstandingIsACleanError) {
@@ -199,9 +202,7 @@ TEST(WorkerPool, DispatchRunsJobOnceAndSelfReturns) {
   EXPECT_EQ(claimed, 2u);
   // Dispatched workers self-return; the destructor's drain would also
   // cover this, but pin it explicitly.
-  while (pool.idle_workers() != 2u) {
-    std::this_thread::yield();
-  }
+  ASSERT_TRUE(wait_for_idle(pool));
   EXPECT_EQ(runs.load(), 2);
   EXPECT_EQ(pool.stats().workers_dispatched, 2);
 }
@@ -228,9 +229,8 @@ TEST_P(LeasePolicySweep, FactorsBitIdenticalToSerialAcrossWorkerCounts) {
     ParallelFactorOptions options;
     options.workers = workers;
     options.lease_idle_workers = lease_idle;
-    // The parallel-tiled kernel with the gate forced open, leasing from a
-    // private pool: every panel of every front exercises the leased path.
-    options.kernel.kind = KernelKind::kParallelTiled;
+    // The front kernel with the gate forced open, leasing from a private
+    // pool: every panel of every front exercises the leased path.
     options.kernel.block_size = 4;
     options.kernel.min_parallel_volume = 0;
     options.kernel.pool = &pool;
@@ -245,7 +245,7 @@ TEST_P(LeasePolicySweep, FactorsBitIdenticalToSerialAcrossWorkerCounts) {
     }
   }
   // Everything returned: the pool drained back to fully idle.
-  EXPECT_EQ(pool.idle_workers(), 4u);
+  EXPECT_TRUE(wait_for_idle(pool));
   EXPECT_EQ(pool.stats().threads_spawned, 4);
 }
 

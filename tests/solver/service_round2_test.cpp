@@ -1,7 +1,7 @@
 // Service layer round two: LRU/size-capped eviction in SymbolicCache,
-// symbolic persistence (warm restarts), the numeric-factor cache, and
-// queue-depth-gated engine promotion in SolverPool — plus the three
-// cache-stats bugfix regressions this PR pins:
+// symbolic persistence (warm restarts), the numeric-factor cache, and the
+// pool's demotion of every job to one non-leasing serial worker — plus the
+// three cache-stats bugfix regressions this suite pins:
 //
 //   * lookup() counted a retry after a FAILED build as a hit (the entry
 //     existed, so hits_ incremented and hit=true came back while the
@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "parallel/worker_pool.hpp"
 #include "perf/traffic.hpp"
 #include "solver/numeric_cache.hpp"
 #include "solver/solver.hpp"
@@ -505,54 +506,32 @@ TEST(SolverPool, FactorCacheRespectsMemoryBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// Queue-depth-gated engine promotion
+// Engine demotion: request-level parallelism is the pool's
 // ---------------------------------------------------------------------------
 
-TEST(SolverPool, LoneJobPromotesToParallelEngine) {
-  const SparsePattern pattern = symmetrize(gen::grid2d(16, 16));
-  const SymmetricMatrix matrix = make_spd_matrix(pattern, 13);
-
-  SolverPoolOptions options;
-  options.workers = 4;
-  options.promote_lone_jobs = true;
-  SolverPool pool(options);
-
-  SolveRequest request;
-  request.matrix = matrix;
-  request.rhs = {seeded_rhs(pattern.cols(), 13)};
-  const SolveOutcome outcome = pool.solve(std::move(request));
-
-  // The lone job borrowed the idle workers: its factorize ran parallel.
-  bool saw_parallel = false;
-  for (const SolverStats& stats : pool.solver_stats()) {
-    if (stats.factorizations == 1) {
-      EXPECT_EQ(stats.engine, "parallel");
-      EXPECT_EQ(stats.workers, 4);
-      saw_parallel = true;
-    }
-  }
-  EXPECT_TRUE(saw_parallel);
-
-  // Promotion never changes the numbers: bit-exact vs the lone facade.
-  Solver lone;
-  lone.analyze(pattern).plan().factorize(matrix);
-  EXPECT_EQ(outcome.solutions[0], lone.solve(seeded_rhs(pattern.cols(), 13)));
-}
-
-TEST(SolverPool, PromotionStaysOffByDefault) {
+TEST(SolverPool, JobsRunSerialWithoutLeasing) {
   const SparsePattern pattern = symmetrize(gen::grid2d(10, 10));
   SolverPoolOptions options;
   options.workers = 4;
+  // A gate this low would make every panel of a kAuto job request a
+  // lease; the demotion must still keep the job on its own thread.
+  options.solver.factorize.kernel.min_parallel_volume = 0;
   SolverPool pool(options);
+  WorkerPool& shared = WorkerPool::instance();
+  const WorkerPoolStats before = shared.stats();
   SolveRequest request;
   request.matrix = make_spd_matrix(pattern, 1);
   request.rhs = {seeded_rhs(pattern.cols(), 1)};
   pool.solve(std::move(request));
+  const WorkerPoolStats after = shared.stats();
   for (const SolverStats& stats : pool.solver_stats()) {
     if (stats.factorizations == 1) {
       EXPECT_EQ(stats.engine, "serial");
+      EXPECT_EQ(stats.workers, 1);
     }
   }
+  EXPECT_EQ(after.leases_granted + after.leases_denied,
+            before.leases_granted + before.leases_denied);
 }
 
 }  // namespace

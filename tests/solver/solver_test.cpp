@@ -18,7 +18,7 @@
 //   * out-of-core plans (budget below the in-core optimum) execute through
 //     the facade and still reproduce the in-core factor bit for bit;
 //   * solver_options_from_env applies TREEMEM_ORDERING / TREEMEM_TRAVERSAL
-//     / TREEMEM_BUDGET / TREEMEM_WORKERS / TREEMEM_KERNEL strictly.
+//     / TREEMEM_BUDGET / TREEMEM_WORKERS / TREEMEM_ADMISSION strictly.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -364,6 +364,10 @@ TEST(SolverOutOfCore, TightBudgetPlansSpillsAndReproducesTheFactor) {
   EXPECT_LE(solver.stats().measured_peak_entries,
             solver.stats().memory_budget);
   EXPECT_EQ(solver.factor().values, unconstrained.factor().values);
+  // Same eliminations, same flop count: the stats are complete on every
+  // engine.
+  EXPECT_EQ(solver.stats().flops, unconstrained.stats().flops);
+  EXPECT_GT(solver.stats().flops, 0);
 
   // Solves work off the spilled-plan factor like any other.
   const std::vector<double> x =
@@ -401,7 +405,7 @@ class SolverEnvGuard {
  private:
   static constexpr const char* kNames[] = {
       "TREEMEM_ORDERING", "TREEMEM_TRAVERSAL", "TREEMEM_BUDGET",
-      "TREEMEM_WORKERS", "TREEMEM_KERNEL", "TREEMEM_ADMISSION"};
+      "TREEMEM_WORKERS", "TREEMEM_ADMISSION"};
   std::vector<std::pair<std::string, std::string>> saved_;
 };
 
@@ -418,15 +422,12 @@ TEST(SolverOptionsEnv, AppliesAllKnobsStrictly) {
   ::setenv("TREEMEM_TRAVERSAL", "minmem", 1);
   ::setenv("TREEMEM_BUDGET", "123456", 1);
   ::setenv("TREEMEM_WORKERS", "8", 1);
-  ::setenv("TREEMEM_KERNEL", "blocked:32", 1);
   ::setenv("TREEMEM_ADMISSION", "lookahead", 1);
   const SolverOptions options = solver_options_from_env();
   EXPECT_EQ(options.analyze.ordering, OrderingChoice::kNestedDissection);
   EXPECT_EQ(options.plan.policy, TraversalPolicy::kMinMem);
   EXPECT_EQ(options.plan.memory_budget, 123456);
   EXPECT_EQ(options.factorize.workers, 8);
-  EXPECT_EQ(options.factorize.kernel.kind, KernelKind::kBlocked);
-  EXPECT_EQ(options.factorize.kernel.block_size, 32u);
   EXPECT_EQ(options.plan.admission, AdmissionPolicy::kLookahead);
   EXPECT_EQ(options.factorize.admission, AdmissionPolicy::kLookahead);
   ::unsetenv("TREEMEM_ADMISSION");
@@ -454,9 +455,9 @@ TEST(SolverOptionsEnv, AppliesAllKnobsStrictly) {
   }
 
   // A Solver NOT built from env-derived options is insulated from the
-  // environment: even a malformed TREEMEM_KERNEL cannot reach its
+  // environment: even a malformed TREEMEM_ADMISSION cannot reach its
   // factorize path (options flow only through SolverOptions).
-  ::setenv("TREEMEM_KERNEL", "bogus", 1);
+  ::setenv("TREEMEM_ADMISSION", "bogus", 1);
   Solver insulated;
   insulated.analyze(pattern).plan();
   FactorizeOptions parallel;
@@ -464,7 +465,7 @@ TEST(SolverOptionsEnv, AppliesAllKnobsStrictly) {
   parallel.workers = 2;
   insulated.factorize(make_spd_matrix(pattern, 3), parallel);
   EXPECT_EQ(insulated.stats().engine, "parallel");
-  ::unsetenv("TREEMEM_KERNEL");
+  ::unsetenv("TREEMEM_ADMISSION");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "parallel/worker_pool.hpp"
 #include "support/prng.hpp"
 #include "tree/generators.hpp"
 #include "tree/tree.hpp"
@@ -77,6 +80,20 @@ inline std::vector<Tree> small_tree_corpus(int count, NodeId max_size,
                            size));
   }
   return corpus;
+}
+
+/// Bounded wait until every worker of `pool` has parked again: a lease's
+/// run() returns once every index executed, but the leased workers re-park
+/// asynchronously after that, so an immediate idle_workers() read races
+/// them. False after ~a million yields (a worker that never returns).
+inline bool wait_for_idle(const WorkerPool& pool) {
+  for (int spin = 0; spin < 1000000; ++spin) {
+    if (pool.idle_workers() == pool.size()) {
+      return true;
+    }
+    std::this_thread::yield();
+  }
+  return false;
 }
 
 }  // namespace treemem::testing
