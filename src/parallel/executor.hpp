@@ -81,8 +81,8 @@ struct ExecutorOptions {
   /// intra-front lease (a large root front's trailing update) can pick it
   /// up — and is re-recruited the moment scheduling frees new ready work.
   /// When false the executor claims its full crew up front and parks idle
-  /// workers on its own condvar for the whole run (the pre-pool behavior,
-  /// kept as the scaling sweep's comparison configuration).
+  /// workers on its own condvar for the whole run (the root-front
+  /// scenario's comparison configuration in bench/regression_report).
   bool lease_idle_workers = true;
   /// Worker source; nullptr = the process-wide WorkerPool::instance().
   /// The calling thread always anchors the run (guaranteed progress even

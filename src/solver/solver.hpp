@@ -157,8 +157,8 @@ struct FactorizeOptions {
   /// ParallelFactorOptions::lease_idle_workers): tree-level workers idle
   /// at the schedule frontier return to the persistent pool, where a
   /// large root front's trailing-update lease absorbs them. The factor is
-  /// bit-identical either way; off reproduces the pre-pool held-crew
-  /// behavior (the scaling sweep's comparison configuration).
+  /// bit-identical either way; off holds the full crew for the whole run
+  /// (the root-front scenario's comparison configuration).
   bool lease_idle_workers = true;
 };
 
