@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/check.hpp"
 #include "obs/trace.hpp"
-#include "symbolic/symbolic.hpp"
 
 namespace treemem {
-
-double CholeskyFactor::value_of(Index row, Index col) const {
-  const auto c = pattern.column(col);
-  const auto it = std::lower_bound(c.begin(), c.end(), row);
-  if (it == c.end() || *it != row) {
-    return 0.0;
-  }
-  const std::size_t offset =
-      static_cast<std::size_t>(pattern.col_ptr()[static_cast<std::size_t>(col)]) +
-      static_cast<std::size_t>(it - c.begin());
-  return values[offset];
-}
 
 Weight LiveEntryMeter::raise(Weight delta) {
   TM_ASSERT(delta >= 0, "LiveEntryMeter::raise needs delta >= 0");
@@ -41,51 +29,22 @@ FrontalEngine::FrontalEngine(const SymmetricMatrix& matrix,
                              const KernelConfig& kernel)
     : matrix_(&matrix),
       assembly_(&assembly),
+      fronts_(assembly.fronts.get()),
       kernel_(make_front_kernel(kernel)) {
   const Index n = matrix.size();
-  const Tree& tree = assembly.tree;
+  const std::size_t nodes = static_cast<std::size_t>(assembly.tree.size());
   TM_CHECK(assembly.columns == n,
            "assembly tree built for " << assembly.columns
                                       << " columns, matrix has " << n);
+  TM_CHECK(fronts_ != nullptr,
+           "assembly tree carries no front structure (build it with "
+           "build_assembly_tree, not amalgamate)");
 
-  // Member columns per supernode, ascending.
-  members_.assign(static_cast<std::size_t>(tree.size()), {});
-  for (Index j = 0; j < n; ++j) {
-    members_[static_cast<std::size_t>(
-                 assembly.supernode_of[static_cast<std::size_t>(j)])]
-        .push_back(j);
-  }
-  for (auto& m : members_) {
-    std::sort(m.begin(), m.end());
-  }
-
-  // Exact factor structure (column-merge symbolic factorization).
-  factor_.pattern = symbolic_cholesky(matrix.pattern());
+  factor_.pattern = fronts_->factor;
   factor_.values.assign(static_cast<std::size_t>(factor_.pattern.nnz()), 0.0);
-
-  // Symbolic front sizes: |union of the member columns' factor structures|.
-  // The members are the leading front rows, so the union size is the
-  // largest member structure extended by the earlier members — computed
-  // here once so durations/priorities are available before any numeric
-  // work runs.
-  front_size_.assign(static_cast<std::size_t>(tree.size()), 0);
-  std::vector<Index> mark(static_cast<std::size_t>(n), -1);
-  for (NodeId s = 0; s < tree.size(); ++s) {
-    Index count = 0;
-    for (const Index j : members_[static_cast<std::size_t>(s)]) {
-      for (const Index r : factor_.pattern.column(j)) {
-        if (mark[static_cast<std::size_t>(r)] != s) {
-          mark[static_cast<std::size_t>(r)] = s;
-          ++count;
-        }
-      }
-    }
-    front_size_[static_cast<std::size_t>(s)] = count;
-  }
-
-  blocks_.assign(static_cast<std::size_t>(tree.size()), {});
-  transient_at_start_.assign(static_cast<std::size_t>(tree.size()), 0);
-  live_after_.assign(static_cast<std::size_t>(tree.size()), 0);
+  blocks_.assign(nodes, {});
+  transient_at_start_.assign(nodes, 0);
+  live_after_.assign(nodes, 0);
 }
 
 FrontWorkspace FrontalEngine::make_workspace() const {
@@ -95,10 +54,11 @@ FrontWorkspace FrontalEngine::make_workspace() const {
 }
 
 std::vector<double> FrontalEngine::estimated_front_flops() const {
-  std::vector<double> flops(front_size_.size(), 1.0);
-  for (std::size_t s = 0; s < front_size_.size(); ++s) {
-    const double m = static_cast<double>(front_size_[s]);
-    const double eta = static_cast<double>(members_[s].size());
+  std::vector<double> flops(static_cast<std::size_t>(assembly_->tree.size()));
+  for (std::size_t s = 0; s < flops.size(); ++s) {
+    const auto node = static_cast<NodeId>(s);
+    const double m = static_cast<double>(fronts_->front_size(node));
+    const double eta = static_cast<double>(fronts_->members(node).size());
     // Σ_{k=0..η-1} (m-k)² — the dense partial-Cholesky update volume.
     double cost = 0.0;
     for (double k = 0.0; k < eta; k += 1.0) {
@@ -115,16 +75,12 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   TM_CHECK(ws.front_pos.size() == static_cast<std::size_t>(matrix_->size()),
            "process_front: workspace not made by this engine");
   const SparsePattern& l_pattern = factor_.pattern;
-  const auto& cols = members_[static_cast<std::size_t>(s)];
+  const auto cols = fronts_->members(s);
 
-  // Front rows: union of the member columns' factor structures.
-  ws.rows.clear();
-  for (const Index j : cols) {
-    const auto lc = l_pattern.column(j);
-    ws.rows.insert(ws.rows.end(), lc.begin(), lc.end());
-  }
-  std::sort(ws.rows.begin(), ws.rows.end());
-  ws.rows.erase(std::unique(ws.rows.begin(), ws.rows.end()), ws.rows.end());
+  // Front rows: the members, then the contribution block's rows.
+  const auto update_rows = fronts_->update_rows(s);
+  ws.rows.assign(cols.begin(), cols.end());
+  ws.rows.insert(ws.rows.end(), update_rows.begin(), update_rows.end());
   const std::size_t m = ws.rows.size();
   const std::size_t eta = cols.size();
   // On the emitting thread's own track: the executor separately records
@@ -133,16 +89,6 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
                              obs::TraceRecorder::kNoLane, "node",
                              static_cast<long long>(s), "m",
                              static_cast<long long>(m));
-  TM_ASSERT(m == static_cast<std::size_t>(
-                     front_size_[static_cast<std::size_t>(s)]),
-            "symbolic front size drifted from the numeric union at node " << s);
-  // Members are the eta smallest rows of the front (they are mutually
-  // reachable along the etree path inside the supernode; every other row
-  // is a strict ancestor of the top member).
-  for (std::size_t k = 0; k < eta; ++k) {
-    TM_ASSERT(ws.rows[k] == cols[k],
-              "member columns are not the leading front rows at node " << s);
-  }
   for (std::size_t k = 0; k < m; ++k) {
     ws.front_pos[static_cast<std::size_t>(ws.rows[k])] = static_cast<Index>(k);
   }
@@ -152,17 +98,32 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
     return ws.front[c * m + r];
   };
 
-  // Assemble the original entries of the member columns (lower part).
-  for (const Index j : cols) {
-    const std::size_t jc = static_cast<std::size_t>(
-        ws.front_pos[static_cast<std::size_t>(j)]);
-    for (const Index r : matrix_->pattern().column(j)) {
-      if (r >= j) {
-        TM_ASSERT(ws.front_pos[static_cast<std::size_t>(r)] >= 0,
-                  "matrix entry outside the front at (" << r << "," << j << ")");
-        at(static_cast<std::size_t>(ws.front_pos[static_cast<std::size_t>(r)]),
-           jc) += matrix_->value_of(r, j);
+  // Assemble the original entries of the member columns (lower part), one
+  // pass over each column's value range; member k is front row k. Merging
+  // against L(:, j) rejects a matrix that is not on the analyzed pattern.
+  const SparsePattern& a = matrix_->pattern();
+  const std::vector<double>& a_values = matrix_->values();
+  for (std::size_t k = 0; k < eta; ++k) {
+    const Index j = cols[k];
+    const auto a_rows = a.column(j);
+    const auto l_rows = l_pattern.column(j);
+    const std::size_t base =
+        static_cast<std::size_t>(a.col_ptr()[static_cast<std::size_t>(j)]);
+    std::size_t li = 0;
+    for (std::size_t e = 0; e < a_rows.size(); ++e) {
+      const Index r = a_rows[e];
+      if (r < j) {
+        continue;
       }
+      while (li < l_rows.size() && l_rows[li] < r) {
+        ++li;
+      }
+      TM_CHECK(li < l_rows.size() && l_rows[li] == r,
+               "matrix entry (" << r << "," << j
+                                << ") lies outside the analyzed factor "
+                                   "pattern");
+      at(static_cast<std::size_t>(ws.front_pos[static_cast<std::size_t>(r)]),
+         k) += a_values[base + e];
     }
   }
 
@@ -177,15 +138,14 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   // the floating-point sums — and hence the factor — are schedule-exact
   // (the kernel only scatters one child at a time).
   for (const NodeId c : tree.children(s)) {
-    ContributionBlock& cb = blocks_[static_cast<std::size_t>(c)];
-    const std::size_t cm = cb.rows.size();
+    std::vector<double>& cb = blocks_[static_cast<std::size_t>(c)];
+    const auto cb_rows = fronts_->update_rows(c);
+    const std::size_t cm = cb_rows.size();
     kernel_->extend_add(ws.front.data(), m, ws.front_pos.data(),
-                        cb.rows.data(), cm, cb.values.data());
+                        cb_rows.data(), cm, cb.data());
     meter_.lower(static_cast<Weight>(cm * cm));
-    cb.rows.clear();
-    cb.rows.shrink_to_fit();
-    cb.values.clear();
-    cb.values.shrink_to_fit();
+    cb.clear();
+    cb.shrink_to_fit();
   }
 
   // Dense partial Cholesky of the leading eta pivots via the front kernel
@@ -213,14 +173,12 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   // and release the front. The carve-out convention: the CB was already
   // counted inside m², so the meter shrinks by m² − (m−η)² in one step and
   // the peak cannot rise here.
-  ContributionBlock& own = blocks_[static_cast<std::size_t>(s)];
+  std::vector<double>& own = blocks_[static_cast<std::size_t>(s)];
   const std::size_t cbm = m - eta;
-  own.rows.assign(ws.rows.begin() + static_cast<std::ptrdiff_t>(eta),
-                  ws.rows.end());
-  own.values.assign(cbm * cbm, 0.0);
+  own.assign(cbm * cbm, 0.0);
   for (std::size_t c = 0; c < cbm; ++c) {
     for (std::size_t r = c; r < cbm; ++r) {
-      own.values[c * cbm + r] = at(eta + r, eta + c);
+      own[c * cbm + r] = at(eta + r, eta + c);
     }
   }
   live_after_[static_cast<std::size_t>(s)] =
@@ -235,27 +193,8 @@ MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
                                          const AssemblyTree& assembly,
                                          const Traversal& bottom_up_order,
                                          const KernelConfig& kernel) {
-  const Tree& tree = assembly.tree;
-  TM_CHECK(bottom_up_order.size() == static_cast<std::size_t>(tree.size()),
-           "traversal size mismatch");
-
-  // Validate the in-tree order: children before parents.
-  {
-    std::vector<NodeId> pos(static_cast<std::size_t>(tree.size()), kNoNode);
-    for (std::size_t t = 0; t < bottom_up_order.size(); ++t) {
-      const NodeId u = bottom_up_order[t];
-      TM_CHECK(u >= 0 && u < tree.size() && pos[static_cast<std::size_t>(u)] == kNoNode,
-               "invalid traversal entry at step " << t);
-      pos[static_cast<std::size_t>(u)] = static_cast<NodeId>(t);
-    }
-    for (NodeId u = 0; u < tree.size(); ++u) {
-      if (tree.parent(u) != kNoNode) {
-        TM_CHECK(pos[static_cast<std::size_t>(u)] <
-                     pos[static_cast<std::size_t>(tree.parent(u))],
-                 "traversal is not bottom-up at node " << u);
-      }
-    }
-  }
+  // Throws unless the order runs every node once, children before parents.
+  in_tree_traversal_peak(assembly.tree, bottom_up_order);
 
   FrontalEngine engine(matrix, assembly, kernel);
   FrontWorkspace ws = engine.make_workspace();

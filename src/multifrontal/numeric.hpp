@@ -12,12 +12,15 @@
 // (multifrontal/numeric_parallel.hpp) dispatches it as the task body of
 // the memory-bounded threaded executor.
 //
+// The front structure (the pattern of L and the member columns) comes
+// from build_assembly_tree: a factorization does no symbolic work.
+//
 // The dense math inside a front — the partial Cholesky and the
 // contribution-block scatter-add — is delegated to the FrontKernel
 // (dense/front_kernel.hpp): cache-blocked panels whose trailing updates
 // lease idle pool workers for large fronts, bit-identical to the scalar
 // loop under every setting. The engine keeps everything the kernel must
-// not perturb: the front row-set union, the tree-ordered extend-add of
+// not perturb: the front row set, the tree-ordered extend-add of
 // children (schedule-exact sums), the contribution-block slot protocol and
 // the LiveEntryMeter accounting, so the Eq. 1 modeled/measured invariants
 // hold under every kernel configuration.
@@ -61,8 +64,6 @@ namespace treemem {
 struct CholeskyFactor {
   SparsePattern pattern;       ///< lower triangle of L
   std::vector<double> values;  ///< aligned with pattern.row_idx()
-
-  double value_of(Index row, Index col) const;
 };
 
 /// Atomic live-entry meter for the engine's *measured* memory. Increments
@@ -112,9 +113,9 @@ class FrontWorkspace {
 /// per supernode; flop and live-entry counters are atomic.
 class FrontalEngine {
  public:
-  /// Validates that `assembly` matches `matrix` and precomputes the member
-  /// columns, the factor pattern and the per-front sizes. `kernel`
-  /// configures the dense front kernel.
+  /// Validates that `assembly` matches `matrix` and carries its front
+  /// structure (build_assembly_tree output; amalgamate() output is rejected
+  /// with treemem::Error). `kernel` configures the dense front kernel.
   FrontalEngine(const SymmetricMatrix& matrix, const AssemblyTree& assembly,
                 const KernelConfig& kernel = {});
 
@@ -124,7 +125,8 @@ class FrontalEngine {
   /// original entries of the member columns, extend-add (and release) the
   /// children's contribution blocks, dense partial Cholesky of the leading
   /// η pivots, emit the factor columns and store the contribution block.
-  /// Throws treemem::Error if a pivot is not positive (matrix not SPD).
+  /// Throws treemem::Error if a pivot is not positive (matrix not SPD) or
+  /// a matrix entry lies outside the analyzed factor pattern.
   void process_front(NodeId s, FrontWorkspace& ws);
 
   /// Estimated dense-elimination flops per supernode, from the symbolic
@@ -162,20 +164,15 @@ class FrontalEngine {
   CholeskyFactor take_factor() { return std::move(factor_); }
 
  private:
-  /// Live contribution block of a completed supernode (full-square storage,
-  /// the paper's accounting convention).
-  struct ContributionBlock {
-    std::vector<Index> rows;     ///< global row indices, ascending
-    std::vector<double> values;  ///< dense |rows| x |rows|, column-major
-  };
-
   const SymmetricMatrix* matrix_;
   const AssemblyTree* assembly_;
+  const FrontStructure* fronts_;  ///< assembly_->fronts, read only
   std::unique_ptr<const FrontKernel> kernel_;
-  std::vector<std::vector<Index>> members_;  ///< columns per supernode
-  std::vector<Index> front_size_;            ///< |front rows| per supernode
   CholeskyFactor factor_;
-  std::vector<ContributionBlock> blocks_;
+  /// Live contribution block per completed supernode: dense, column-major
+  /// over fronts_->update_rows(s) (full-square storage, the paper's
+  /// accounting convention).
+  std::vector<std::vector<double>> blocks_;
   std::vector<Weight> transient_at_start_;
   std::vector<Weight> live_after_;
   LiveEntryMeter meter_;

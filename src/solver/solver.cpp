@@ -16,7 +16,6 @@
 #include "support/env.hpp"
 #include "support/parallel_for.hpp"
 #include "support/timer.hpp"
-#include "symbolic/symbolic.hpp"
 
 namespace treemem {
 
@@ -163,7 +162,7 @@ Solver& Solver::analyze(const SparsePattern& pattern,
   analysis->permuted_pattern = std::move(permuted);
   analysis->assembly = std::move(assembly);
   analysis->permuted_value_map = std::move(value_map);
-  analysis->factor_nnz = factor_nnz(analysis->permuted_pattern);
+  analysis->factor_nnz = analysis->assembly.fronts->factor.nnz();
   analysis->ordering_name = to_string(options.ordering);
   analysis->analyze_seconds = timer.elapsed_s();
 

@@ -59,6 +59,11 @@ std::size_t approx_symbolic_bytes(const SolverSymbolic& symbolic) {
                                                        // file/work/child-sum
   bytes += a.assembly.supernode_of.size() * sizeof(NodeId);
   bytes += (a.assembly.eta.size() + a.assembly.mu.size()) * sizeof(Index);
+  if (const FrontStructure* fronts = a.assembly.fronts.get()) {
+    bytes += sizeof(FrontStructure) + pattern_bytes(fronts->factor);
+    bytes += (fronts->member_ptr.size() + fronts->member_cols.size()) *
+             sizeof(Index);
+  }
   bytes += p.bottom_up_order.size() * sizeof(NodeId);
   bytes += p.io_schedule.order.size() * sizeof(NodeId);
   bytes += p.io_schedule.writes.size() * sizeof(IoWrite);

@@ -61,10 +61,10 @@ struct SymbolicCacheOptions {
   AnalyzeOptions analyze;
   PlanOptions plan;
   /// LRU capacity caps; 0 = unbounded. `max_bytes` bounds the approximate
-  /// resident size of the cached symbolic state (patterns, assembly
-  /// trees, traversals — see approx_symbolic_bytes). When either cap is
-  /// exceeded the least-recently-used entries are dropped; in-flight
-  /// users keep their shared state alive.
+  /// resident size of the cached symbolic state (patterns, assembly trees
+  /// with their factor patterns, traversals — see approx_symbolic_bytes).
+  /// When either cap is exceeded the least-recently-used entries are
+  /// dropped; in-flight users keep their shared state alive.
   std::size_t max_entries = 0;
   std::size_t max_bytes = 0;
 };

@@ -42,7 +42,10 @@ class Writer {
     scalar(static_cast<std::uint64_t>(values.size()));
     const std::size_t at = buffer_.size();
     buffer_.resize(at + values.size() * sizeof(T));
-    std::memcpy(buffer_.data() + at, values.data(), values.size() * sizeof(T));
+    if (!values.empty()) {  // an empty vector's data() may be null
+      std::memcpy(buffer_.data() + at, values.data(),
+                  values.size() * sizeof(T));
+    }
   }
 
   void string(const std::string& text) {
@@ -77,8 +80,10 @@ class Reader {
     const std::uint64_t count = scalar<std::uint64_t>();
     require(count * sizeof(T));
     std::vector<T> values(static_cast<std::size_t>(count));
-    std::memcpy(values.data(), buffer_.data() + at_,
-                values.size() * sizeof(T));
+    if (!values.empty()) {  // an empty vector's data() may be null
+      std::memcpy(values.data(), buffer_.data() + at_,
+                  values.size() * sizeof(T));
+    }
     at_ += values.size() * sizeof(T);
     return values;
   }
@@ -295,6 +300,13 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
                static_cast<std::size_t>(analysis->assembly.tree.size()),
            "read_symbolic_file: " << path << " plan order does not cover the "
                                   << "assembly tree");
+  // The front structure is not persisted: rebuilding it from the permuted
+  // pattern also validates the supernode partition against the etree.
+  analysis->assembly.fronts = build_front_structure(analysis->permuted_pattern,
+                                                    analysis->assembly);
+  TM_CHECK(analysis->assembly.fronts->factor.nnz() == analysis->factor_nnz,
+           "read_symbolic_file: " << path << " factor_nnz does not match "
+                                  << "the stored pattern");
 
   return SolverSymbolic{std::move(analysis), std::move(plan)};
 }

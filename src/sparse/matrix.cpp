@@ -14,11 +14,27 @@ SymmetricMatrix::SymmetricMatrix(SparsePattern pattern,
   TM_CHECK(values_.size() == static_cast<std::size_t>(pattern_.nnz()),
            "SymmetricMatrix: " << values_.size() << " values for "
                                << pattern_.nnz() << " entries");
-  TM_CHECK(pattern_.is_symmetric(), "SymmetricMatrix: pattern not symmetric");
-  for_each_entry(pattern_, [&](Index r, Index j, std::size_t) {
-    TM_CHECK(value_of(r, j) == value_of(j, r),
-             "SymmetricMatrix: asymmetric values at (" << r << "," << j << ")");
+  // One linear pass checks pattern and values: columns are visited in
+  // order and sorted, so the mirror (j, r) of entry (r, j) must be the next
+  // unvisited entry of column r. Pattern errors take precedence.
+  const std::vector<std::int64_t>& col_ptr = pattern_.col_ptr();
+  std::vector<std::int64_t> mirror(col_ptr.begin(), col_ptr.end() - 1);
+  bool symmetric_pattern = true;
+  Index bad_row = -1, bad_col = -1;  // first asymmetric value pair
+  for_each_entry(pattern_, [&](Index r, Index j, std::size_t offset) {
+    const auto m = mirror[static_cast<std::size_t>(r)]++;
+    symmetric_pattern = symmetric_pattern &&
+                        m < col_ptr[static_cast<std::size_t>(r) + 1] &&
+                        pattern_.row_idx()[static_cast<std::size_t>(m)] == j;
+    if (symmetric_pattern && bad_row < 0 &&
+        values_[offset] != values_[static_cast<std::size_t>(m)]) {
+      bad_row = r;
+      bad_col = j;
+    }
   });
+  TM_CHECK(symmetric_pattern, "SymmetricMatrix: pattern not symmetric");
+  TM_CHECK(bad_row < 0, "SymmetricMatrix: asymmetric values at ("
+                            << bad_row << "," << bad_col << ")");
 }
 
 double SymmetricMatrix::value_of(Index row, Index col) const {

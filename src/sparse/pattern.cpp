@@ -1,6 +1,7 @@
 #include "sparse/pattern.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 namespace treemem {
@@ -18,24 +19,28 @@ SparsePattern::SparsePattern(Index rows, Index cols,
            "col_ptr end " << col_ptr_.back() << " != nnz "
                           << row_idx_.size());
 
-  // Sort and deduplicate each column in place.
+  // Sort and deduplicate each column in place; a strictly increasing
+  // column (what every library routine emits) is only validated.
   std::vector<Index> scratch;
   std::vector<std::int64_t> new_ptr(col_ptr_.size(), 0);
   std::vector<Index> new_idx;
   new_idx.reserve(row_idx_.size());
   for (Index j = 0; j < cols_; ++j) {
-    TM_CHECK(col_ptr_[static_cast<std::size_t>(j)] <=
-                 col_ptr_[static_cast<std::size_t>(j) + 1],
+    const std::int64_t begin = col_ptr_[static_cast<std::size_t>(j)];
+    const std::int64_t end = col_ptr_[static_cast<std::size_t>(j) + 1];
+    TM_CHECK(begin <= end && end <= col_ptr_.back(),
              "col_ptr not monotone at column " << j);
-    scratch.assign(
-        row_idx_.begin() + col_ptr_[static_cast<std::size_t>(j)],
-        row_idx_.begin() + col_ptr_[static_cast<std::size_t>(j) + 1]);
+    scratch.assign(row_idx_.begin() + begin, row_idx_.begin() + end);
     for (const Index r : scratch) {
       TM_CHECK(r >= 0 && r < rows_,
                "row index " << r << " out of range in column " << j);
     }
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+    if (!std::is_sorted(scratch.begin(), scratch.end(),
+                        std::less_equal<Index>())) {
+      std::sort(scratch.begin(), scratch.end());
+      scratch.erase(std::unique(scratch.begin(), scratch.end()),
+                    scratch.end());
+    }
     new_idx.insert(new_idx.end(), scratch.begin(), scratch.end());
     new_ptr[static_cast<std::size_t>(j) + 1] =
         static_cast<std::int64_t>(new_idx.size());

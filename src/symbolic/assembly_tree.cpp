@@ -213,16 +213,93 @@ AssemblyTree amalgamate(const std::vector<Index>& parent,
   return result;
 }
 
+namespace {
+
+void check_symbolic_input(const SparsePattern& a, const char* who) {
+  TM_CHECK(a.is_square(), who << ": pattern must be square");
+  TM_CHECK(a.is_symmetric(),
+           who << ": pattern must be symmetric (symmetrize first)");
+  TM_CHECK(a.has_full_diagonal(), who << ": pattern must have a full diagonal");
+}
+
+std::shared_ptr<const FrontStructure> make_front_structure(
+    const SparsePattern& a, const std::vector<Index>& parent,
+    const std::vector<Index>& counts, const AssemblyTree& assembly) {
+  const Index n = a.cols();
+  const Tree& tree = assembly.tree;
+  const auto nodes = static_cast<std::size_t>(tree.size());
+  TM_CHECK(assembly.columns == n &&
+               assembly.supernode_of.size() == static_cast<std::size_t>(n) &&
+               assembly.eta.size() == nodes && assembly.mu.size() == nodes,
+           "front structure: assembly tree does not match the "
+               << n << "-column pattern");
+
+  // Members by supernode: a counting sort over ascending columns keeps
+  // every member list ascending. The virtual root holds no column.
+  auto fronts = std::make_shared<FrontStructure>();
+  const NodeId first_real = assembly.has_virtual_root ? 1 : 0;
+  fronts->member_ptr.assign(nodes + 1, 0);
+  for (const NodeId s : assembly.supernode_of) {
+    TM_CHECK(s >= first_real && s < tree.size(),
+             "front structure: column mapped to invalid supernode " << s);
+    ++fronts->member_ptr[static_cast<std::size_t>(s) + 1];
+  }
+  std::partial_sum(fronts->member_ptr.begin(), fronts->member_ptr.end(),
+                   fronts->member_ptr.begin());
+  fronts->member_cols.resize(static_cast<std::size_t>(n));
+  std::vector<Index> cursor(fronts->member_ptr.begin(),
+                            fronts->member_ptr.end() - 1);
+  for (Index j = 0; j < n; ++j) {
+    const auto s = static_cast<std::size_t>(
+        assembly.supernode_of[static_cast<std::size_t>(j)]);
+    fronts->member_cols[static_cast<std::size_t>(cursor[s]++)] = j;
+  }
+
+  // Connectivity, which makes members ++ update_rows exact: the only column
+  // whose etree parent leaves its supernode is the top (the largest member,
+  // which always leaves), and that parent lies in the parent supernode.
+  for (Index j = 0; j < n; ++j) {
+    const NodeId s = assembly.supernode_of[static_cast<std::size_t>(j)];
+    const Index p = parent[static_cast<std::size_t>(j)];
+    const NodeId ps =
+        p != -1 ? assembly.supernode_of[static_cast<std::size_t>(p)]
+                : (assembly.has_virtual_root ? 0 : kNoNode);
+    TM_CHECK(ps == s ||
+                 (j == fronts->members(s).back() && tree.parent(s) == ps),
+             "front structure: supernode " << s << " is not a connected etree "
+                                          << "subtree under its top column");
+  }
+  for (NodeId s = first_real; s < tree.size(); ++s) {
+    const auto cols = fronts->members(s);
+    TM_CHECK(!cols.empty() &&
+                 assembly.eta[static_cast<std::size_t>(s)] ==
+                     static_cast<Index>(cols.size()) &&
+                 assembly.mu[static_cast<std::size_t>(s)] ==
+                     counts[static_cast<std::size_t>(cols.back())],
+             "front structure: eta/mu of supernode "
+                 << s << " do not match its member columns");
+  }
+  fronts->factor = symbolic_cholesky(a, parent, counts);
+  return fronts;
+}
+
+}  // namespace
+
+std::shared_ptr<const FrontStructure> build_front_structure(
+    const SparsePattern& a, const AssemblyTree& assembly) {
+  check_symbolic_input(a, "build_front_structure");
+  const std::vector<Index> parent = elimination_tree(a);
+  return make_front_structure(a, parent, column_counts(a, parent), assembly);
+}
+
 AssemblyTree build_assembly_tree(const SparsePattern& a,
                                  const AssemblyTreeOptions& options) {
-  TM_CHECK(a.is_square(), "build_assembly_tree: pattern must be square");
-  TM_CHECK(a.is_symmetric(),
-           "build_assembly_tree: pattern must be symmetric (symmetrize first)");
-  TM_CHECK(a.has_full_diagonal(),
-           "build_assembly_tree: pattern must have a full diagonal");
+  check_symbolic_input(a, "build_assembly_tree");
   const std::vector<Index> parent = elimination_tree(a);
   const std::vector<Index> counts = column_counts(a, parent);
-  return amalgamate(parent, counts, options);
+  AssemblyTree assembly = amalgamate(parent, counts, options);
+  assembly.fronts = make_front_structure(a, parent, counts, assembly);
+  return assembly;
 }
 
 }  // namespace treemem

@@ -1,6 +1,7 @@
 #include "symbolic/symbolic.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 namespace treemem {
@@ -78,81 +79,77 @@ std::vector<Index> etree_postorder(const std::vector<Index>& parent) {
   return post;
 }
 
-std::vector<Index> column_counts(const SparsePattern& a,
-                                 const std::vector<Index>& parent) {
-  TM_CHECK(a.is_square(), "column_counts: pattern must be square");
-  const Index n = a.cols();
-  TM_CHECK(parent.size() == static_cast<std::size_t>(n),
-           "column_counts: parent array size mismatch");
-  std::vector<Index> counts(static_cast<std::size_t>(n), 1);  // diagonal
-  std::vector<Index> mark(static_cast<std::size_t>(n), -1);
+namespace {
 
-  // Row subtrees: nonzeros of row i of L are exactly the nodes on etree
-  // paths from each j (A_ij != 0, j < i) up toward i. Each step of the walk
-  // visits a distinct L-entry, so total work is O(nnz(L)).
+/// Visits every entry of L as visit(i, k), row by row (i ascending), the
+/// diagonal of row i first. Row subtrees: the nonzeros of row i of L are
+/// exactly the nodes on etree paths from each j (A_ij != 0, j < i) up
+/// toward i. Each step of the walk visits a distinct L-entry, so total
+/// work is O(nnz(L)).
+template <typename Visit>
+void for_each_factor_entry(const SparsePattern& a,
+                           const std::vector<Index>& parent, Visit&& visit) {
+  const Index n = a.cols();
+  TM_CHECK(a.is_square() && parent.size() == static_cast<std::size_t>(n),
+           "symbolic: pattern must be square and match the parent array");
+  std::vector<Index> mark(static_cast<std::size_t>(n), -1);
   for (Index i = 0; i < n; ++i) {
     mark[static_cast<std::size_t>(i)] = i;
+    visit(i, i);
     for (const Index j : a.column(i)) {
       if (j >= i) {
-        continue;
+        break;  // rows are sorted: the rest lie on or below the diagonal
       }
       Index k = j;
       while (mark[static_cast<std::size_t>(k)] != i) {
         mark[static_cast<std::size_t>(k)] = i;
-        ++counts[static_cast<std::size_t>(k)];  // L(i, k) != 0
+        visit(i, k);  // L(i, k) != 0
         k = parent[static_cast<std::size_t>(k)];
         TM_ASSERT(k != -1, "row subtree escaped the forest at row " << i);
       }
     }
   }
+}
+
+}  // namespace
+
+std::vector<Index> column_counts(const SparsePattern& a,
+                                 const std::vector<Index>& parent) {
+  std::vector<Index> counts(static_cast<std::size_t>(a.cols()), 0);
+  for_each_factor_entry(a, parent, [&](Index, Index k) {
+    ++counts[static_cast<std::size_t>(k)];
+  });
   return counts;
+}
+
+SparsePattern symbolic_cholesky(const SparsePattern& a,
+                                const std::vector<Index>& parent,
+                                const std::vector<Index>& counts) {
+  const Index n = a.cols();
+  TM_CHECK(counts.size() == static_cast<std::size_t>(n),
+           "symbolic_cholesky: counts size mismatch");
+  std::vector<std::int64_t> col_ptr(static_cast<std::size_t>(n) + 1, 0);
+  std::inclusive_scan(counts.begin(), counts.end(), col_ptr.begin() + 1,
+                      std::plus<>(), std::int64_t{0});
+  // Rows arrive in increasing order, so each column fills up sorted, its
+  // diagonal first.
+  std::vector<Index> row_idx(static_cast<std::size_t>(col_ptr.back()));
+  std::vector<std::int64_t> next(col_ptr.begin(), col_ptr.end() - 1);
+  for_each_factor_entry(a, parent, [&](Index i, Index k) {
+    std::int64_t& slot = next[static_cast<std::size_t>(k)];
+    TM_ASSERT(slot < col_ptr[static_cast<std::size_t>(k) + 1],
+              "symbolic_cholesky: column " << k << " overflows its count");
+    row_idx[static_cast<std::size_t>(slot++)] = i;
+  });
+  TM_ASSERT(std::equal(next.begin(), next.end(), col_ptr.begin() + 1),
+            "symbolic_cholesky: counts exceed the factor's columns");
+  return SparsePattern(n, n, std::move(col_ptr), std::move(row_idx));
 }
 
 SparsePattern symbolic_cholesky(const SparsePattern& a) {
   TM_CHECK(a.is_square(), "symbolic_cholesky: pattern must be square");
-  const Index n = a.cols();
   const std::vector<Index> parent = elimination_tree(a);
-
-  // L(:,j) = lower part of A(:,j)  ∪  ∪_{c : parent(c)=j} (L(:,c) \ {c}).
-  std::vector<std::vector<Index>> cols(static_cast<std::size_t>(n));
-  std::vector<std::vector<Index>> children(static_cast<std::size_t>(n));
-  for (Index j = 0; j < n; ++j) {
-    if (parent[static_cast<std::size_t>(j)] != -1) {
-      children[static_cast<std::size_t>(parent[static_cast<std::size_t>(j)])]
-          .push_back(j);
-    }
-  }
-  std::vector<Index> merged;
-  for (const Index j : etree_postorder(parent)) {
-    auto& col = cols[static_cast<std::size_t>(j)];
-    for (const Index i : a.column(j)) {
-      if (i >= j) {
-        col.push_back(i);
-      }
-    }
-    std::sort(col.begin(), col.end());
-    col.erase(std::unique(col.begin(), col.end()), col.end());
-    for (const Index c : children[static_cast<std::size_t>(j)]) {
-      const auto& child_col = cols[static_cast<std::size_t>(c)];
-      merged.clear();
-      // Child entries below its diagonal, minus the child itself.
-      std::set_union(col.begin(), col.end(), child_col.begin() + 1,
-                     child_col.end(), std::back_inserter(merged));
-      col = merged;
-    }
-    TM_ASSERT(!col.empty() && col.front() == j,
-              "column " << j << " must start at its diagonal");
-  }
-
-  std::vector<std::int64_t> col_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<Index> row_idx;
-  for (Index j = 0; j < n; ++j) {
-    row_idx.insert(row_idx.end(), cols[static_cast<std::size_t>(j)].begin(),
-                   cols[static_cast<std::size_t>(j)].end());
-    col_ptr[static_cast<std::size_t>(j) + 1] =
-        static_cast<std::int64_t>(row_idx.size());
-  }
-  return SparsePattern(n, n, std::move(col_ptr), std::move(row_idx));
+  return symbolic_cholesky(a, parent, column_counts(a, parent));
 }
 
 std::int64_t factor_nnz(const SparsePattern& a) {

@@ -26,8 +26,16 @@ std::vector<Index> etree_postorder(const std::vector<Index>& parent);
 std::vector<Index> column_counts(const SparsePattern& a,
                                  const std::vector<Index>& parent);
 
-/// Full symbolic factorization (pattern of L, including the diagonal),
-/// by column merging. O(nnz(L) · height) — validation/small-n use.
+/// Full symbolic factorization: the pattern of L, including the diagonal,
+/// with every column sorted. Row-subtree fill: row i of L is the union of
+/// the etree paths from each j (A_ij != 0, j < i) up to i, so visiting the
+/// rows in increasing order appends each column's rows already sorted into
+/// slots sized by `counts` (column_counts of the same forest). O(nnz(L)).
+SparsePattern symbolic_cholesky(const SparsePattern& a,
+                                const std::vector<Index>& parent,
+                                const std::vector<Index>& counts);
+
+/// The same, with the elimination tree and column counts computed here.
 SparsePattern symbolic_cholesky(const SparsePattern& a);
 
 /// nnz(L) = sum of column counts (includes the diagonal).

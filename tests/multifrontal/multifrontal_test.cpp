@@ -207,6 +207,29 @@ TEST(Multifrontal, RejectsIndefiniteMatrix) {
   EXPECT_THROW(multifrontal_cholesky(negated, assembly, bottom_up), Error);
 }
 
+TEST(Multifrontal, RejectsAssemblyWithoutFrontStructure) {
+  const Pipeline pipe = run_pipeline(gen::grid2d(4, 4), 1, 1, true);
+  AssemblyTree bare = pipe.assembly;
+  bare.fronts.reset();  // what amalgamate() returns
+  const Traversal order = reverse_traversal(best_postorder(bare.tree).order);
+  EXPECT_THROW(multifrontal_cholesky(pipe.matrix, bare, order), Error);
+  EXPECT_THROW(FrontalEngine(pipe.matrix, bare), Error);
+}
+
+TEST(Multifrontal, RejectsMatrixOutsideTheAnalyzedPattern) {
+  // The tree of a path graph (tridiagonal): a grid's extra couplings fall
+  // outside its factor pattern.
+  const SparsePattern path = SparsePattern::from_coo(
+      4, 4, {{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 2},
+             {2, 2}, {3, 2}, {2, 3}, {3, 3}});
+  const AssemblyTree assembly = build_assembly_tree(path, {0, false});
+  const SymmetricMatrix grid =
+      make_spd_matrix(symmetrize(gen::grid2d(2, 2)), 3);
+  const Traversal order =
+      reverse_traversal(best_postorder(assembly.tree).order);
+  EXPECT_THROW(multifrontal_cholesky(grid, assembly, order), Error);
+}
+
 TEST(Multifrontal, FlopsArePositiveAndScaleWithFill) {
   const Pipeline small = run_pipeline(gen::grid2d(6, 6), 1, 4, true);
   const Pipeline large = run_pipeline(gen::grid2d(12, 12), 1, 4, true);

@@ -28,6 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "parallel/worker_pool.hpp"
 #include "perf/traffic.hpp"
 #include "solver/numeric_cache.hpp"
@@ -109,6 +111,27 @@ TEST(SymbolicCacheEviction, MaxBytesCapBoundsResidentBytes) {
   EXPECT_LE(stats.resident_bytes, options.max_bytes);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GE(stats.evictions, 1);
+}
+
+TEST(SymbolicCacheEviction, MaxBytesChargesTheFrontStructure) {
+  const SparsePattern a = symmetrize(gen::grid2d(8, 8));
+  SymbolicCache probe;
+  const SolverSymbolic symbolic = probe.lookup(a).symbolic;
+  auto bare = std::make_shared<SolverAnalysis>(*symbolic.analysis);
+  bare->assembly.fronts.reset();
+  const std::size_t without_structure =
+      approx_symbolic_bytes(SolverSymbolic{bare, symbolic.plan});
+  const std::size_t charge = approx_symbolic_bytes(symbolic);
+  ASSERT_LT(without_structure, charge);
+
+  // A cap that would hold the entry if the structure were not counted.
+  SymbolicCacheOptions options;
+  options.max_bytes = (without_structure + charge) / 2;
+  SymbolicCache cache(options);
+  cache.lookup(a);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
 }
 
 TEST(SymbolicCacheEviction, InFlightStateSurvivesEviction) {
@@ -279,9 +302,12 @@ TEST(SymbolicCacheChurn, RotationAboveCapWithClearLosesNothing) {
 class SymbolicStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Unique per test and process: ctest runs each case in its own process,
+    // concurrently, and a sanitizer runtime can hand every process the same
+    // addresses, so `this` alone does not separate them.
     dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("treemem_store_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+           ("treemem_store_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -309,6 +335,30 @@ TEST_F(SymbolicStoreTest, FileRoundTripPreservesStateBitExactly) {
   EXPECT_EQ(loaded.plan->planned_peak_entries,
             original.plan->planned_peak_entries);
   expect_bit_identical_factor(loaded, pattern, 77);
+}
+
+TEST_F(SymbolicStoreTest, TamperedSupernodeMapIsATypedError) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(8, 8));
+  SymbolicCache cache;
+  const SolverSymbolic original = cache.lookup(pattern).symbolic;
+
+  // Swap the supernodes of the first column and of the etree root (the
+  // last column): the root's supernode no longer tops the tree.
+  auto tampered = std::make_shared<SolverAnalysis>(*original.analysis);
+  std::vector<NodeId>& supernode_of = tampered->assembly.supernode_of;
+  ASSERT_NE(supernode_of.front(), supernode_of.back());
+  std::swap(supernode_of.front(), supernode_of.back());
+
+  std::filesystem::create_directories(dir_);
+  const std::string path = (dir_ / "pattern-tampered.tmsym").string();
+  write_symbolic_file(SolverSymbolic{tampered, original.plan}, path);
+  EXPECT_THROW(read_symbolic_file(path), Error);
+
+  // A warm start skips the file and rebuilds the pattern cold.
+  SymbolicCache restarted;
+  EXPECT_EQ(load_symbolic_state(restarted, dir_.string()).skipped_invalid,
+            1u);
+  EXPECT_FALSE(restarted.lookup(pattern).hit);
 }
 
 TEST_F(SymbolicStoreTest, WarmRestartHasZeroMisses) {

@@ -18,16 +18,21 @@
 //   * out-of-core plans (budget below the in-core optimum) execute through
 //     the facade and still reproduce the in-core factor bit for bit;
 //   * solver_options_from_env applies TREEMEM_ORDERING / TREEMEM_TRAVERSAL
-//     / TREEMEM_BUDGET / TREEMEM_WORKERS / TREEMEM_ADMISSION strictly.
+//     / TREEMEM_BUDGET / TREEMEM_WORKERS / TREEMEM_ADMISSION strictly;
+//   * tenants sharing one cached analysis refactor concurrently, each
+//     bit-identical to a solo serial run (runs under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/postorder.hpp"
 #include "multifrontal/numeric.hpp"
 #include "solver/solver.hpp"
+#include "solver/symbolic_cache.hpp"
 #include "sparse/generators.hpp"
 #include "support/prng.hpp"
 #include "symbolic/assembly_tree.hpp"
@@ -495,6 +500,57 @@ TEST(SolverStatsBookkeeping, PhaseTimersAndCountersBehave) {
   solver.analyze(pattern);
   EXPECT_EQ(solver.stats().factorizations, 0);
   EXPECT_EQ(solver.stats().rhs_solved, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent refactorization of one shared analysis
+// ---------------------------------------------------------------------------
+
+TEST(SolverConcurrency, TenantsRefactorOneCachedAnalysisBitExactly) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(14, 14));
+  SymbolicCache cache;
+  const SolverSymbolic symbolic = cache.lookup(pattern).symbolic;
+  constexpr int kTenants = 4;
+
+  std::vector<SymmetricMatrix> matrices;
+  std::vector<std::vector<double>> solo;
+  FactorizeOptions serial;
+  serial.engine = FactorizeEngine::kSerial;
+  for (int t = 0; t < kTenants; ++t) {
+    matrices.push_back(make_spd_matrix(pattern, 300 + t));
+    Solver reference;
+    reference.analyze(pattern).plan().factorize(matrices.back(), serial);
+    solo.push_back(reference.factor().values);
+  }
+
+  std::vector<std::vector<double>> factors(kTenants);
+  std::vector<std::string> errors(kTenants);
+  std::latch start(kTenants);
+  std::vector<std::thread> tenants;
+  for (int t = 0; t < kTenants; ++t) {
+    tenants.emplace_back([&, t] {
+      const auto slot = static_cast<std::size_t>(t);
+      try {
+        Solver tenant;
+        tenant.adopt(symbolic);
+        start.arrive_and_wait();
+        tenant.factorize(matrices[slot]);
+        factors[slot] = tenant.factor().values;
+        if (tenant.assembly().fronts != symbolic.analysis->assembly.fronts) {
+          errors[slot] = "front structure was copied, not shared";
+        }
+      } catch (const std::exception& e) {
+        errors[slot] = e.what();
+      }
+    });
+  }
+  for (std::thread& tenant : tenants) {
+    tenant.join();
+  }
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    EXPECT_EQ(errors[t], "") << "tenant " << t;
+    EXPECT_EQ(factors[t], solo[t]) << "tenant " << t;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sparse/generators.hpp"
+#include "sparse/matrix.hpp"
 #include "sparse/mm_io.hpp"
 #include "sparse/pattern.hpp"
 #include "support/prng.hpp"
@@ -35,6 +36,56 @@ TEST(Pattern, RejectsBadInput) {
   EXPECT_THROW(SparsePattern::from_coo(2, 2, {{0, -1}}), Error);
   EXPECT_THROW(SparsePattern(2, 2, {0, 1}, {0}), Error);      // bad col_ptr size
   EXPECT_THROW(SparsePattern(2, 2, {0, 2, 1}, {0, 1}), Error);  // not monotone
+}
+
+TEST(Pattern, CanonicalInputKeptOtherInputCanonicalized) {
+  const SparsePattern sorted(3, 3, {0, 2, 3, 4}, {0, 2, 1, 2});
+  EXPECT_EQ(sorted.row_idx(), (std::vector<Index>{0, 2, 1, 2}));
+  const SparsePattern messy(3, 3, {0, 3, 4, 5}, {2, 0, 2, 1, 2});
+  EXPECT_EQ(messy.col_ptr(), sorted.col_ptr());
+  EXPECT_EQ(messy.row_idx(), sorted.row_idx());
+  EXPECT_THROW(SparsePattern(2, 2, {0, 1, 1}, {2}), Error);  // row out of range
+  EXPECT_THROW(SparsePattern(2, 2, {0, 3, 1}, {0}), Error);  // col_ptr past nnz
+}
+
+/// The message of the Error thrown when `values` on `pattern` are not
+/// symmetric ("" when nothing is thrown).
+std::string asymmetry_error(const SparsePattern& pattern,
+                            std::vector<double> values) {
+  try {
+    const SymmetricMatrix a(pattern, std::move(values));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SymmetricMatrix, AsymmetricPairInFirstOrLastColumnThrows) {
+  // Columns 0 = {0,1,3} and 8 = {5,7,8}.
+  const SparsePattern p = symmetrize(gen::grid2d(3, 3));
+  const std::vector<double> values = make_spd_matrix(p, 7).values();
+  EXPECT_EQ(asymmetry_error(p, values), "");
+
+  std::vector<double> first = values;
+  first[static_cast<std::size_t>(p.col_ptr()[0]) + 1] += 1.0;  // (1,0)
+  EXPECT_NE(asymmetry_error(p, first).find("asymmetric values at (1,0)"),
+            std::string::npos);
+
+  std::vector<double> last = values;
+  last[static_cast<std::size_t>(p.col_ptr()[8])] += 1.0;  // (5,8)
+  // Entries are checked in column order, so the pair is reported at its
+  // mirror (8,5), the first of the two visited.
+  EXPECT_NE(asymmetry_error(p, last).find("asymmetric values at (8,5)"),
+            std::string::npos);
+}
+
+TEST(SymmetricMatrix, AsymmetricPatternIsReportedFirst) {
+  // (1,0) without (0,1); and (0,1) without (1,0). Values differ too.
+  for (const SparsePattern& p : {SparsePattern(2, 2, {0, 2, 3}, {0, 1, 1}),
+                                 SparsePattern(2, 2, {0, 1, 3}, {0, 0, 1})}) {
+    EXPECT_NE(asymmetry_error(p, {1.0, 2.0, 3.0}).find("pattern not symmetric"),
+              std::string::npos);
+  }
 }
 
 TEST(Pattern, TransposeRoundTrip) {

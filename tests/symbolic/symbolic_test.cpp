@@ -1,10 +1,14 @@
 // Tests for the symbolic factorization substrate: elimination trees,
 // postorder, column counts (validated against the explicit symbolic
-// factor), amalgamation and assembly-tree weights.
+// factor), amalgamation, assembly-tree weights and the front structure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <tuple>
 
+#include "order/ordering.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/pattern.hpp"
 #include "support/prng.hpp"
@@ -238,6 +242,164 @@ TEST(Amalgamation, WeightsFollowPaperFormulas) {
     EXPECT_EQ(at.tree.work_size(i), eta * eta + 2 * eta * (mu - 1));
     EXPECT_EQ(at.tree.file_size(i), (mu - 1) * (mu - 1));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Front structure
+// ---------------------------------------------------------------------------
+
+/// Oracle: the pattern of L by column merging, L(:,j) = lower part of
+/// A(:,j) ∪ the union over etree children c of L(:,c) \ {c}.
+SparsePattern column_merge_factor(const SparsePattern& a) {
+  const Index n = a.cols();
+  const std::vector<Index> parent = elimination_tree(a);
+  std::vector<std::vector<Index>> cols(static_cast<std::size_t>(n));
+  for (const Index j : etree_postorder(parent)) {
+    auto& col = cols[static_cast<std::size_t>(j)];
+    for (const Index i : a.column(j)) {
+      if (i >= j) {
+        col.push_back(i);
+      }
+    }
+    for (Index c = 0; c < j; ++c) {
+      if (parent[static_cast<std::size_t>(c)] == j) {
+        const auto& child = cols[static_cast<std::size_t>(c)];
+        col.insert(col.end(), child.begin() + 1, child.end());
+      }
+    }
+    std::sort(col.begin(), col.end());
+    col.erase(std::unique(col.begin(), col.end()), col.end());
+  }
+  std::vector<std::int64_t> col_ptr{0};
+  std::vector<Index> row_idx;
+  for (const auto& col : cols) {
+    row_idx.insert(row_idx.end(), col.begin(), col.end());
+    col_ptr.push_back(static_cast<std::int64_t>(row_idx.size()));
+  }
+  return SparsePattern(n, n, std::move(col_ptr), std::move(row_idx));
+}
+
+enum class Family { kGrid2d, kGrid3d, kRandom, kBlockTri, kHoles };
+enum class Order { kNatural, kMinDegree, kNestedDissection };
+
+SparsePattern family_pattern(Family family) {
+  Prng prng(static_cast<std::uint64_t>(family) + 11);
+  switch (family) {
+    case Family::kGrid2d:
+      return symmetrize(gen::grid2d(13, 11));
+    case Family::kGrid3d:
+      return symmetrize(gen::grid3d(5, 5, 4));
+    case Family::kRandom:
+      return symmetrize(gen::random_symmetric(140, 2.5, prng));
+    case Family::kBlockTri:
+      return symmetrize(gen::block_tridiagonal(9, 12, 0.25, prng));
+    case Family::kHoles:  // disconnected: exercises the virtual root
+      return symmetrize(gen::grid2d_with_holes(14, 12, 0.3, prng));
+  }
+  return {};
+}
+
+std::vector<Index> family_order(Order order, const SparsePattern& a) {
+  switch (order) {
+    case Order::kNatural:
+      return natural_order(a.cols());
+    case Order::kMinDegree:
+      return min_degree_order(a);
+    case Order::kNestedDissection:
+      return nested_dissection_order(a);
+  }
+  return {};
+}
+
+class FrontStructureSweep
+    : public ::testing::TestWithParam<std::tuple<Family, Order>> {};
+
+// 5 pattern families x 3 orderings (the parameters) x relax {0,1,2,4,16}
+// x perfect on/off (the loops): 150 assembly trees.
+TEST_P(FrontStructureSweep, MatchesColumnMergeOracle) {
+  const auto [family, order] = GetParam();
+  const SparsePattern raw = family_pattern(family);
+  const SparsePattern a = permute_symmetric(raw, family_order(order, raw));
+  const SparsePattern oracle = column_merge_factor(a);
+  const SparsePattern fill = symbolic_cholesky(a);
+  ASSERT_EQ(fill.col_ptr(), oracle.col_ptr());
+  ASSERT_EQ(fill.row_idx(), oracle.row_idx());
+
+  std::vector<Index> rows;
+  std::vector<Index> expected;
+  for (const Index relax : {0, 1, 2, 4, 16}) {
+    for (const bool perfect : {true, false}) {
+      SCOPED_TRACE("relax=" + std::to_string(relax) +
+                   " perfect=" + std::to_string(perfect));
+      const AssemblyTree at = build_assembly_tree(a, {relax, perfect});
+      ASSERT_NE(at.fronts, nullptr);
+      const FrontStructure& fronts = *at.fronts;
+      ASSERT_EQ(fronts.factor.col_ptr(), oracle.col_ptr());
+      ASSERT_EQ(fronts.factor.row_idx(), oracle.row_idx());
+      for (NodeId s = 0; s < at.tree.size(); ++s) {
+        // The members are the columns mapped to s, ascending.
+        expected.clear();
+        for (Index j = 0; j < a.cols(); ++j) {
+          if (at.supernode_of[static_cast<std::size_t>(j)] == s) {
+            expected.push_back(j);
+          }
+        }
+        const auto members = fronts.members(s);
+        ASSERT_EQ(std::vector<Index>(members.begin(), members.end()),
+                  expected)
+            << "node " << s;
+        // The front rows the engines form, members ++ update_rows, are the
+        // sorted union of the member columns.
+        for (const Index j : members) {
+          const auto col = oracle.column(j);
+          expected.insert(expected.end(), col.begin(), col.end());
+        }
+        std::sort(expected.begin(), expected.end());
+        expected.erase(std::unique(expected.begin(), expected.end()),
+                       expected.end());
+        const auto update_rows = fronts.update_rows(s);
+        rows.assign(members.begin(), members.end());
+        rows.insert(rows.end(), update_rows.begin(), update_rows.end());
+        ASSERT_EQ(rows, expected) << "node " << s;
+        ASSERT_EQ(fronts.front_size(s), expected.size());
+      }
+    }
+  }
+}
+
+std::string sweep_case_name(
+    const ::testing::TestParamInfo<std::tuple<Family, Order>>& info) {
+  static const char* const kFamilies[] = {"grid2d", "grid3d", "random",
+                                          "blocktri", "holes"};
+  static const char* const kOrders[] = {"natural", "mindeg", "nd"};
+  return std::string(kFamilies[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + kOrders[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, FrontStructureSweep,
+    ::testing::Combine(::testing::Values(Family::kGrid2d, Family::kGrid3d,
+                                         Family::kRandom, Family::kBlockTri,
+                                         Family::kHoles),
+                       ::testing::Values(Order::kNatural, Order::kMinDegree,
+                                         Order::kNestedDissection)),
+    sweep_case_name);
+
+TEST(FrontStructure, AmalgamateOutputCarriesNone) {
+  const AssemblyTree at = amalgamate({1, 2, -1}, {3, 2, 1});
+  EXPECT_EQ(at.fronts, nullptr);
+}
+
+TEST(FrontStructure, RejectsDisconnectedSupernode) {
+  // Path 0 - 1 - 2: the etree is the chain 0 <- 1 <- 2. Put columns 0 and 2
+  // in one supernode and 1 in another: no longer a connected subtree.
+  const SparsePattern a = SparsePattern::from_coo(
+      3, 3, {{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 2}, {2, 2}});
+  AssemblyTree at = build_assembly_tree(a, {0, false});
+  ASSERT_EQ(at.tree.size(), 3);
+  EXPECT_NE(build_front_structure(a, at), nullptr);  // untouched: valid
+  at.supernode_of[2] = at.supernode_of[0];
+  EXPECT_THROW(build_front_structure(a, at), Error);
 }
 
 }  // namespace
