@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "order/ordering.hpp"
@@ -28,66 +29,107 @@ Index off_degree(const SparsePattern& a, Index v) {
   return d;
 }
 
-/// BFS from `start` over unvisited vertices; returns vertices level by
-/// level (appended to `out`) and the index of the last level's start.
-struct LevelStructure {
-  std::vector<Index> vertices;       // concatenated levels
-  std::vector<std::size_t> level_ptr;  // offsets per level
+/// Vertex marks that clear in O(1): a vertex is marked iff its stamp
+/// equals the current epoch, so clear() bumps the epoch instead of
+/// rewriting n entries.
+class VisitMarks {
+ public:
+  explicit VisitMarks(Index n) : stamp_(static_cast<std::size_t>(n), 0) {}
+
+  void clear() {
+    if (++epoch_ == 0) {  // wrapped: stale stamps could alias the epoch
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+  void mark(Index v) { stamp_[static_cast<std::size_t>(v)] = epoch_; }
+  bool marked(Index v) const {
+    return stamp_[static_cast<std::size_t>(v)] == epoch_;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 1;
 };
 
-LevelStructure bfs_levels(const SparsePattern& a, Index start,
-                          const std::vector<char>& blocked) {
-  LevelStructure ls;
-  std::vector<char> seen(blocked.begin(), blocked.end());
-  ls.vertices.push_back(start);
-  seen[static_cast<std::size_t>(start)] = 1;
-  ls.level_ptr.push_back(0);
-  std::size_t level_begin = 0;
-  while (level_begin < ls.vertices.size()) {
-    const std::size_t level_end = ls.vertices.size();
-    for (std::size_t k = level_begin; k < level_end; ++k) {
-      for (const Index w : a.column(ls.vertices[k])) {
-        if (!seen[static_cast<std::size_t>(w)]) {
-          seen[static_cast<std::size_t>(w)] = 1;
-          ls.vertices.push_back(w);
+/// BFS level structures over a region of the graph. The visit marks and
+/// the level buffers persist across searches, so one search costs time in
+/// the part of the region it reaches, not O(n).
+class LevelBfs {
+ public:
+  explicit LevelBfs(Index n) : seen_(n) {}
+
+  /// BFS from `start` over the vertices with in_region(v); the levels are
+  /// concatenated in vertices(), level l spanning
+  /// [level_ptr()[l], level_ptr()[l + 1]).
+  template <class InRegion>
+  void run(const SparsePattern& a, Index start, const InRegion& in_region) {
+    seen_.clear();
+    vertices_.clear();
+    level_ptr_.clear();
+    vertices_.push_back(start);
+    seen_.mark(start);
+    level_ptr_.push_back(0);
+    std::size_t level_begin = 0;
+    while (level_begin < vertices_.size()) {
+      const std::size_t level_end = vertices_.size();
+      for (std::size_t k = level_begin; k < level_end; ++k) {
+        for (const Index w : a.column(vertices_[k])) {
+          if (in_region(w) && !seen_.marked(w)) {
+            seen_.mark(w);
+            vertices_.push_back(w);
+          }
         }
       }
-    }
-    if (ls.vertices.size() == level_end) {
-      break;  // no new level
-    }
-    ls.level_ptr.push_back(level_end);
-    level_begin = level_end;
-  }
-  ls.level_ptr.push_back(ls.vertices.size());
-  return ls;
-}
-
-/// A vertex of (approximately) maximal eccentricity in the component of
-/// `start`: repeat BFS from the last level's min-degree vertex until the
-/// eccentricity stops growing (George–Liu).
-Index pseudo_peripheral(const SparsePattern& a, Index start,
-                        const std::vector<char>& blocked) {
-  Index v = start;
-  std::size_t depth = 0;
-  for (int round = 0; round < 8; ++round) {
-    const LevelStructure ls = bfs_levels(a, v, blocked);
-    const std::size_t levels = ls.level_ptr.size() - 1;
-    if (levels <= depth) {
-      break;
-    }
-    depth = levels;
-    // Min-degree vertex of the last level.
-    Index best = ls.vertices[ls.level_ptr[levels - 1]];
-    for (std::size_t k = ls.level_ptr[levels - 1]; k < ls.level_ptr[levels]; ++k) {
-      if (off_degree(a, ls.vertices[k]) < off_degree(a, best)) {
-        best = ls.vertices[k];
+      if (vertices_.size() == level_end) {
+        break;  // no new level
       }
+      level_ptr_.push_back(level_end);
+      level_begin = level_end;
     }
-    v = best;
+    level_ptr_.push_back(vertices_.size());
   }
-  return v;
-}
+
+  /// A vertex of (approximately) maximal eccentricity in the component of
+  /// `start`: repeat BFS from the last level's min-degree vertex until the
+  /// eccentricity stops growing (George–Liu). Leaves the level structure
+  /// rooted at the returned vertex.
+  template <class InRegion>
+  Index pseudo_peripheral(const SparsePattern& a, Index start,
+                          const InRegion& in_region) {
+    Index v = start;
+    std::size_t depth = 0;
+    for (int round = 0; round < 8; ++round) {
+      run(a, v, in_region);
+      if (levels() <= depth) {
+        return v;
+      }
+      depth = levels();
+      // Min-degree vertex of the last level.
+      Index best = vertices_[level_ptr_[depth - 1]];
+      for (std::size_t k = level_ptr_[depth - 1]; k < level_ptr_[depth];
+           ++k) {
+        if (off_degree(a, vertices_[k]) < off_degree(a, best)) {
+          best = vertices_[k];
+        }
+      }
+      v = best;
+    }
+    run(a, v, in_region);
+    return v;
+  }
+
+  std::size_t levels() const { return level_ptr_.size() - 1; }
+  const std::vector<Index>& vertices() const { return vertices_; }
+  const std::vector<std::size_t>& level_ptr() const { return level_ptr_; }
+  /// Whether the last search reached v.
+  bool reached(Index v) const { return seen_.marked(v); }
+
+ private:
+  VisitMarks seen_;
+  std::vector<Index> vertices_;         // concatenated levels
+  std::vector<std::size_t> level_ptr_;  // offsets per level
+};
 
 }  // namespace
 
@@ -98,13 +140,16 @@ std::vector<Index> rcm_order(const SparsePattern& a) {
   order.reserve(static_cast<std::size_t>(n));
   std::vector<char> visited(static_cast<std::size_t>(n), 0);
   std::vector<Index> buffer;
+  LevelBfs bfs(n);
+  const auto unvisited = [&](Index v) {
+    return !visited[static_cast<std::size_t>(v)];
+  };
 
   for (Index seed = 0; seed < n; ++seed) {
     if (visited[static_cast<std::size_t>(seed)]) {
       continue;
     }
-    const std::vector<char> blocked(visited.begin(), visited.end());
-    const Index start = pseudo_peripheral(a, seed, blocked);
+    const Index start = bfs.pseudo_peripheral(a, seed, unvisited);
     // Cuthill–McKee BFS with degree-sorted neighbour expansion.
     std::size_t head = order.size();
     order.push_back(start);
@@ -138,10 +183,6 @@ std::vector<Index> nested_dissection_order(
   std::vector<Index> perm;
   perm.reserve(static_cast<std::size_t>(n));
 
-  // `assigned` marks vertices already placed in the output (or pending in a
-  // separator of an enclosing level — those are blocked for the recursion).
-  std::vector<char> blocked(static_cast<std::size_t>(n), 0);
-
   // Explicit recursion: each frame owns a vertex subset. Separator vertices
   // are emitted after both halves, giving elimination order part,part,sep.
   struct Frame {
@@ -160,7 +201,39 @@ std::vector<Index> nested_dissection_order(
     stack.push_back(std::move(top));
   }
 
-  std::vector<char> in_subset(static_cast<std::size_t>(n), 0);
+  // Scratch shared by all frames; each frame touches only its own vertices.
+  VisitMarks in_frame(n);  // the current frame's subset (the BFS region)
+  const auto in_region = [&](Index v) { return in_frame.marked(v); };
+  LevelBfs bfs(n);
+  std::vector<Index> local_of(static_cast<std::size_t>(n), -1);
+
+  // Appends `vertices` in the minimum-degree order of their induced
+  // subgraph (the leaf ordering, for quality).
+  const auto append_min_degree = [&](const std::vector<Index>& vertices) {
+    for (std::size_t k = 0; k < vertices.size(); ++k) {
+      local_of[static_cast<std::size_t>(vertices[k])] = static_cast<Index>(k);
+    }
+    std::vector<std::pair<Index, Index>> entries;
+    for (const Index v : vertices) {
+      const Index lv = local_of[static_cast<std::size_t>(v)];
+      entries.emplace_back(lv, lv);
+      for (const Index w : a.column(v)) {
+        const Index lw = local_of[static_cast<std::size_t>(w)];
+        if (lw >= 0) {
+          entries.emplace_back(lw, lv);
+        }
+      }
+    }
+    for (const Index v : vertices) {
+      local_of[static_cast<std::size_t>(v)] = -1;
+    }
+    const auto size = static_cast<Index>(vertices.size());
+    const SparsePattern sub =
+        SparsePattern::from_coo(size, size, std::move(entries));
+    for (const Index lk : min_degree_order(sub)) {
+      perm.push_back(vertices[static_cast<std::size_t>(lk)]);
+    }
+  };
 
   while (!stack.empty()) {
     Frame& frame = stack.back();
@@ -178,122 +251,57 @@ std::vector<Index> nested_dissection_order(
       continue;
     }
     if (static_cast<Index>(frame.vertices.size()) <= options.leaf_size) {
-      // Order the leaf subgraph by minimum degree for quality.
-      // Build the induced subpattern.
-      std::vector<Index> local_of(static_cast<std::size_t>(n), -1);
-      for (std::size_t k = 0; k < frame.vertices.size(); ++k) {
-        local_of[static_cast<std::size_t>(frame.vertices[k])] =
-            static_cast<Index>(k);
-      }
-      std::vector<std::pair<Index, Index>> entries;
-      for (const Index v : frame.vertices) {
-        const Index lv = local_of[static_cast<std::size_t>(v)];
-        entries.emplace_back(lv, lv);
-        for (const Index w : a.column(v)) {
-          const Index lw = local_of[static_cast<std::size_t>(w)];
-          if (lw >= 0) {
-            entries.emplace_back(lw, lv);
-          }
-        }
-      }
-      const SparsePattern sub = SparsePattern::from_coo(
-          static_cast<Index>(frame.vertices.size()),
-          static_cast<Index>(frame.vertices.size()), std::move(entries));
-      const std::vector<Index> local = min_degree_order(sub);
-      const std::vector<Index> vertices = frame.vertices;  // frame may move
-      for (const Index lk : local) {
-        perm.push_back(vertices[static_cast<std::size_t>(lk)]);
-      }
+      const std::vector<Index> vertices = std::move(frame.vertices);
       stack.pop_back();
+      append_min_degree(vertices);
       continue;
     }
 
     // Find a separator: BFS level structure from a pseudo-peripheral vertex
     // of the (largest piece of the) subset, cut at the median level.
+    in_frame.clear();
     for (const Index v : frame.vertices) {
-      in_subset[static_cast<std::size_t>(v)] = 1;
+      in_frame.mark(v);
     }
-    std::vector<char> sub_blocked(static_cast<std::size_t>(n), 1);
-    for (const Index v : frame.vertices) {
-      sub_blocked[static_cast<std::size_t>(v)] = 0;
-    }
-    const Index start = pseudo_peripheral(a, frame.vertices.front(), sub_blocked);
-    const LevelStructure ls = bfs_levels(a, start, sub_blocked);
-    const std::size_t levels = ls.level_ptr.size() - 1;
+    bfs.pseudo_peripheral(a, frame.vertices.front(), in_region);
+    const std::vector<Index>& reached = bfs.vertices();
+    const std::vector<std::size_t>& level_ptr = bfs.level_ptr();
+    const std::size_t levels = bfs.levels();
 
     std::vector<Index> separator;
     std::vector<Index> below;
     std::vector<Index> above;
-    if (levels <= 2 || ls.vertices.size() < frame.vertices.size()) {
-      // Disconnected subset or too-shallow structure: peel the reached
-      // piece off as "below", the rest as "above", no separator.
-      std::vector<char> reached(static_cast<std::size_t>(n), 0);
-      for (const Index v : ls.vertices) {
-        reached[static_cast<std::size_t>(v)] = 1;
+    if (reached.size() < frame.vertices.size()) {
+      // Disconnected subset: peel the reached piece off as "below", the
+      // rest as "above", no separator.
+      below = reached;
+      for (const Index v : frame.vertices) {
+        if (!bfs.reached(v)) {
+          above.push_back(v);
+        }
       }
-      if (ls.vertices.size() < frame.vertices.size()) {
-        below = ls.vertices;
-        for (const Index v : frame.vertices) {
-          if (!reached[static_cast<std::size_t>(v)]) {
-            above.push_back(v);
-          }
-        }
-      } else {
-        // Connected but shallow: fall back to min-degree on the whole
-        // subset by shrinking the leaf threshold locally.
-        std::vector<Index> local_of(static_cast<std::size_t>(n), -1);
-        for (std::size_t k = 0; k < frame.vertices.size(); ++k) {
-          local_of[static_cast<std::size_t>(frame.vertices[k])] =
-              static_cast<Index>(k);
-        }
-        std::vector<std::pair<Index, Index>> entries;
-        for (const Index v : frame.vertices) {
-          const Index lv = local_of[static_cast<std::size_t>(v)];
-          entries.emplace_back(lv, lv);
-          for (const Index w : a.column(v)) {
-            const Index lw = local_of[static_cast<std::size_t>(w)];
-            if (lw >= 0) {
-              entries.emplace_back(lw, lv);
-            }
-          }
-        }
-        const SparsePattern sub = SparsePattern::from_coo(
-            static_cast<Index>(frame.vertices.size()),
-            static_cast<Index>(frame.vertices.size()), std::move(entries));
-        const std::vector<Index> local = min_degree_order(sub);
-        const std::vector<Index> vertices = frame.vertices;
-        for (const Index lk : local) {
-          perm.push_back(vertices[static_cast<std::size_t>(lk)]);
-        }
-        for (const Index v : vertices) {
-          in_subset[static_cast<std::size_t>(v)] = 0;
-        }
-        stack.pop_back();
-        continue;
-      }
+    } else if (levels <= 2) {
+      // Connected but shallow: fall back to min-degree on the whole subset
+      // by shrinking the leaf threshold locally.
+      const std::vector<Index> vertices = std::move(frame.vertices);
+      stack.pop_back();
+      append_min_degree(vertices);
+      continue;
     } else {
       // Median level becomes the separator.
       std::size_t mid = 1;
-      const std::size_t half = ls.vertices.size() / 2;
-      while (mid + 1 < levels && ls.level_ptr[mid + 1] < half) {
+      const std::size_t half = reached.size() / 2;
+      while (mid + 1 < levels && level_ptr[mid + 1] < half) {
         ++mid;
       }
-      std::vector<char> role(static_cast<std::size_t>(n), 0);  // 1=sep
-      for (std::size_t k = ls.level_ptr[mid]; k < ls.level_ptr[mid + 1]; ++k) {
-        role[static_cast<std::size_t>(ls.vertices[k])] = 1;
-        separator.push_back(ls.vertices[k]);
-      }
-      for (std::size_t k = 0; k < ls.level_ptr[mid]; ++k) {
-        below.push_back(ls.vertices[k]);
-      }
-      for (std::size_t k = ls.level_ptr[mid + 1]; k < ls.vertices.size(); ++k) {
-        above.push_back(ls.vertices[k]);
-      }
+      const auto level_begin = [&](std::size_t l) {
+        return reached.begin() + static_cast<std::ptrdiff_t>(level_ptr[l]);
+      };
+      below.assign(reached.begin(), level_begin(mid));
+      separator.assign(level_begin(mid), level_begin(mid + 1));
+      above.assign(level_begin(mid + 1), reached.end());
     }
 
-    for (const Index v : frame.vertices) {
-      in_subset[static_cast<std::size_t>(v)] = 0;
-    }
     frame.separator = std::move(separator);
     // Push halves; they complete before the separator is emitted.
     Frame lo;

@@ -84,6 +84,7 @@ ExecutorResult execute_task_tree(const Tree& tree,
   std::condition_variable ready_cv;
   std::condition_variable helpers_cv;  ///< anchor waits for stints to drain
   int in_flight = 0;     ///< tasks between try_start() and finish()
+  int parked = 0;        ///< lanes waiting on ready_cv
   int helpers = 0;       ///< recruited stints currently active
   bool aborted = false;  ///< stall detected or a payload threw
   std::exception_ptr first_error;
@@ -169,7 +170,9 @@ ExecutorResult execute_task_tree(const Tree& tree,
                            in_flight, "resident",
                            static_cast<long long>(core.current_memory()));
         }
+        ++parked;
         ready_cv.wait(lock);
+        --parked;
         continue;
       }
       ++in_flight;
@@ -223,9 +226,12 @@ ExecutorResult execute_task_tree(const Tree& tree,
                                                finish_s};
       completion_order.push_back(node);
       total_busy += finish_s - start_s;
-      // Wake everyone: the freed memory / new ready parent may unblock any
-      // subset of the waiters.
-      ready_cv.notify_all();
+      // Wake every parked lane: the freed memory / new ready parent may
+      // unblock any subset of them. With none parked (elastic crews park
+      // only the anchor) the notify would be a wasted futex call.
+      if (parked > 0) {
+        ready_cv.notify_all();
+      }
       maybe_recruit();
     }
 

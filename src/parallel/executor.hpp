@@ -6,7 +6,8 @@
 // Eq. 1 transient (children files + n_i + f_i); admission is gated on the
 // shared budget M; ready tasks are tried in priority order, skipping those
 // that do not currently fit. The difference is the clock: up to `w` workers
-// pull tasks from a condvar-guarded ready queue and run real payloads, so
+// pull tasks from the core's ready heap under one scheduler mutex (idle
+// lanes park on a condvar that completions signal) and run real payloads, so
 // makespan/speedup are *measured*, not modeled, while the memory accounting
 // stays exact (an atomic accountant of modeled bytes).
 //

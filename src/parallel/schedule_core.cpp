@@ -122,8 +122,7 @@ ScheduleCore::ScheduleCore(const Tree& tree, ParallelPriority priority,
       ready_.push_back(i);
     }
   }
-  std::sort(ready_.begin(), ready_.end(),
-            [this](NodeId a, NodeId b) { return before(a, b); });
+  std::make_heap(ready_.begin(), ready_.end(), heap_order());
 
   // With an infinite budget every admission test is vacuously true; skip the
   // witness machinery entirely so the front-ends pay nothing for the
@@ -205,9 +204,19 @@ void ScheduleCore::commit_start(NodeId i) {
   drain_sum_ += tree_->file_size(i) - transient(i);
 }
 
+void ScheduleCore::push_ready(NodeId i) {
+  ready_.push_back(i);
+  std::push_heap(ready_.begin(), ready_.end(), heap_order());
+}
+
 NodeId ScheduleCore::try_start() {
-  for (std::size_t k = 0; k < ready_.size(); ++k) {
-    const NodeId i = ready_[k];
+  NodeId started = kNoNode;
+  while (!ready_.empty()) {
+    // Candidates leave the heap best first, so the first admissible one is
+    // the highest-priority admissible task.
+    std::pop_heap(ready_.begin(), ready_.end(), heap_order());
+    const NodeId i = ready_.back();
+    ready_.pop_back();
     // Starting i converts its children files from resident storage into
     // part of its transient; the admission delta is n_i + f_i.
     const Weight delta = tree_->work_size(i) + tree_->file_size(i);
@@ -215,14 +224,18 @@ NodeId ScheduleCore::try_start() {
     // only then is the budget actually committed.
     const bool admitted =
         admission_ == AdmissionPolicy::kGreedy || lookahead_admits(i, delta);
-    if (!admitted || !memory_.try_acquire(delta)) {
-      continue;  // inadmissible now; try a lower-priority ready task
+    if (admitted && memory_.try_acquire(delta)) {
+      commit_start(i);
+      started = i;
+      break;
     }
-    commit_start(i);
-    ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(k));
-    return i;
+    refused_.push_back(i);  // inadmissible now; try a lower-priority task
   }
-  return kNoNode;
+  for (const NodeId i : refused_) {
+    push_ready(i);
+  }
+  refused_.clear();
+  return started;
 }
 
 void ScheduleCore::finish(NodeId i) {
@@ -242,10 +255,7 @@ void ScheduleCore::finish(NodeId i) {
   const NodeId parent = tree_->parent(i);
   if (parent != kNoNode &&
       --missing_children_[static_cast<std::size_t>(parent)] == 0) {
-    ready_.insert(
-        std::upper_bound(ready_.begin(), ready_.end(), parent,
-                         [this](NodeId a, NodeId b) { return before(a, b); }),
-        parent);
+    push_ready(parent);
   }
 }
 

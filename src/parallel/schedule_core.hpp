@@ -176,11 +176,13 @@ class ScheduleCore {
   /// the current occupancy AND passes the admission policy, and accounts
   /// its start (the delta is n_i + f_i: the children files it absorbs are
   /// already resident). Returns kNoNode when no ready task is admissible
-  /// right now.
+  /// right now. O(log |ready|) per candidate tried: refused candidates go
+  /// back on the ready heap before the call returns.
   NodeId try_start();
 
   /// Marks i finished: frees its transient, keeps f_i resident until the
-  /// parent consumes it, and readies the parent once its last child is done.
+  /// parent consumes it, and readies the parent once its last child is done
+  /// (an O(log |ready|) heap push).
   void finish(NodeId i);
 
   Weight current_memory() const { return memory_.current(); }
@@ -198,12 +200,20 @@ class ScheduleCore {
  private:
   bool lookahead_admits(NodeId i, Weight delta) const;
   void commit_start(NodeId i);
+  void push_ready(NodeId i);
+  /// std:: heap comparator ("a ranks below b"), so the heap top is the
+  /// best ready task under before().
+  auto heap_order() const {
+    return [this](NodeId a, NodeId b) { return before(b, a); };
+  }
 
   const Tree* tree_;
   AdmissionPolicy admission_;
   std::vector<double> rank_;
   std::vector<NodeId> missing_children_;
-  std::vector<NodeId> ready_;  ///< sorted by priority (best first)
+  /// Binary heap under before(): ready_.front() is the best ready task.
+  std::vector<NodeId> ready_;
+  std::vector<NodeId> refused_;  ///< try_start's scratch, empty between calls
   MemoryAccountant memory_;
   std::size_t finished_ = 0;
 

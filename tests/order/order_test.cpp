@@ -2,6 +2,9 @@
 // quality, determinism, and the approximate-vs-exact degree variants.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "order/ordering.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/pattern.hpp"
@@ -124,6 +127,61 @@ TEST(Orderings, TinyAndDegenerateInputs) {
       SparsePattern::from_coo(5, 5, {{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}});
   check_permutation(min_degree_order(diag), 5);
   check_permutation(nested_dissection_order(diag), 5);
+}
+
+/// FNV-1a over a permutation.
+std::uint64_t digest(const std::vector<Index>& perm) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const Index v : perm) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct PinnedOrdering {
+  const char* name;
+  SparsePattern pattern;
+  Index leaf_size;
+  std::uint64_t nd;
+  std::uint64_t rcm;  ///< 0: not pinned for this case
+};
+
+// The orderings are part of every analysis, so a change to them moves every
+// downstream figure. These digests pin the exact permutations; a faster
+// implementation must reproduce them. Together the cases reach every branch
+// of the dissection: median-level separators, disconnected subsets (the
+// holes), shallow connected subsets that fall back to minimum degree (the
+// block-tridiagonal with leaf size 4), and several RCM components.
+std::vector<PinnedOrdering> pinned_orderings() {
+  Prng holes(7);
+  Prng coupling(7);
+  const SparsePattern blocktri = gen::block_tridiagonal(32, 8, 0.25, coupling);
+  const SparsePattern holey = gen::grid2d_with_holes(40, 40, 0.2, holes);
+  return {
+      {"grid2d 48x48", gen::grid2d(48, 48), 64, 0x777f0327cf25da23ULL,
+       0x57ab3f6de63d7073ULL},
+      {"grid3d-27pt 10^3", gen::grid3d(10, 10, 10, true), 64,
+       0xd4fd5dc2ac44bac9ULL, 0x480501c2b6dee765ULL},
+      {"block_tridiagonal 32x8", blocktri, 64, 0x40c41076f7622883ULL,
+       0x4bad93d5f217b965ULL},
+      {"grid2d_with_holes 40x40", holey, 64, 0x661e32b954b7be47ULL,
+       0x6bd0361783fed975ULL},
+      {"block_tridiagonal 32x8, leaf 4", blocktri, 4, 0x0bf7691d2fcf5a7bULL,
+       0},
+      {"grid2d_with_holes 40x40, leaf 4", holey, 4, 0xa01f32882279a7cdULL, 0},
+  };
+}
+
+TEST(Orderings, PinnedPermutations) {
+  for (const PinnedOrdering& c : pinned_orderings()) {
+    SCOPED_TRACE(c.name);
+    const NestedDissectionOptions options{.leaf_size = c.leaf_size};
+    EXPECT_EQ(digest(nested_dissection_order(c.pattern, options)), c.nd);
+    if (c.rcm != 0) {
+      EXPECT_EQ(digest(rcm_order(c.pattern)), c.rcm);
+    }
+  }
 }
 
 }  // namespace
