@@ -4,80 +4,20 @@
 #include <cmath>
 #include <vector>
 
+#include "dense/tile_kernel.hpp"
 #include "obs/trace.hpp"
 #include "parallel/worker_pool.hpp"
 #include "support/check.hpp"
 
 namespace treemem {
 
-namespace {
-
-/// The serial trailing-update core: applies panel pivots [k0, k0+nb) to
-/// columns [c_begin, c_end) of the column-major m×m front, per column in
-/// ascending k with one subtraction per entry and the zero-multiplier
-/// skip. Returns flops (2(m−c) per applied (k, c) pair). Thread-safe for
-/// disjoint column ranges: writes touch only columns [c_begin, c_end),
-/// reads outside them touch only the (already finalized) panel columns.
-long long update_column_range(double* front, std::size_t m, std::size_t k0,
-                              std::size_t nb, std::size_t c_begin,
-                              std::size_t c_end) {
-  // Per trailing column: gather the panel pivots with a nonzero
-  // multiplier (skips must match the scalar loop's for bit-identical
-  // signed zeros and flop counts), then apply them four at a time in one
-  // pass over the column. The chained subtractions keep every entry's
-  // update sequence exactly the scalar loop's ascending-k order —
-  // bit-identical results — while cutting the passes over the (write-hot)
-  // trailing column four-fold.
-  constexpr std::size_t kChunk = 64;
-  const double* panel_col[kChunk];
-  double mult[kChunk];
-  long long flops = 0;
-  for (std::size_t c = c_begin; c < c_end; ++c) {
-    double* const colc = front + c * m;
-    for (std::size_t kc = k0; kc < k0 + nb; kc += kChunk) {
-      const std::size_t k_hi = std::min(k0 + nb, kc + kChunk);
-      std::size_t count = 0;
-      for (std::size_t k = kc; k < k_hi; ++k) {
-        const double lck = front[k * m + c];  // at(c, k)
-        if (lck != 0.0) {
-          panel_col[count] = front + k * m;
-          mult[count] = lck;
-          ++count;
-        }
-      }
-      flops +=
-          2 * static_cast<long long>(m - c) * static_cast<long long>(count);
-      std::size_t i = 0;
-      for (; i + 4 <= count; i += 4) {
-        const double* const p0 = panel_col[i];
-        const double* const p1 = panel_col[i + 1];
-        const double* const p2 = panel_col[i + 2];
-        const double* const p3 = panel_col[i + 3];
-        const double l0 = mult[i];
-        const double l1 = mult[i + 1];
-        const double l2 = mult[i + 2];
-        const double l3 = mult[i + 3];
-        for (std::size_t r = c; r < m; ++r) {
-          colc[r] = (((colc[r] - p0[r] * l0) - p1[r] * l1) - p2[r] * l2) -
-                    p3[r] * l3;
-        }
-      }
-      for (; i < count; ++i) {
-        const double* const colk = panel_col[i];
-        const double lck = mult[i];
-        for (std::size_t r = c; r < m; ++r) {
-          colc[r] -= colk[r] * lck;
-        }
-      }
-    }
-  }
-  return flops;
-}
-
-}  // namespace
-
 FrontKernel::FrontKernel(const KernelConfig& config)
-    : block_size_(std::max<std::size_t>(1, config.block_size)),
+    : FrontKernel(config, supported_tile_kernels().front()) {}
+
+FrontKernel::FrontKernel(const KernelConfig& config,
+                         const TileKernel& tile_kernel)
+    : tile_kernel_(&tile_kernel),
+      block_size_(std::max<std::size_t>(1, config.block_size)),
       // workers == 1 never leases, so it never needs (or constructs) the
       // process-wide pool.
       pool_(config.pool != nullptr || config.workers == 1
@@ -120,24 +60,34 @@ long long FrontKernel::factor_panel(double* front, std::size_t m,
   auto at = [&](std::size_t r, std::size_t c) -> double& {
     return front[c * m + r];
   };
-  for (std::size_t k = k0; k < k0 + nb; ++k) {
-    const double pivot = at(k, k);
-    TM_CHECK(pivot > 0.0,
-             "matrix is not positive definite at column "
-                 << (member_columns ? member_columns[k]
-                                    : static_cast<Index>(k))
-                 << " (pivot " << pivot << ")");
-    const double lkk = std::sqrt(pivot);
-    at(k, k) = lkk;
-    ++flops;
-    for (std::size_t r = k + 1; r < m; ++r) {
-      at(r, k) /= lkk;
-      ++flops;
+  // Left-looking across blocks of kTileColumns panel columns, right-
+  // looking inside one: a block first receives the panel pivots left of
+  // it, in one tile pass, then factors its own columns. Each entry still
+  // receives its pivots in ascending k. Empty updates are not called: on
+  // the many tiny fronts the call costs more than the work.
+  for (std::size_t c0 = k0; c0 < k0 + nb; c0 += kTileColumns) {
+    const std::size_t c1 = std::min(k0 + nb, c0 + kTileColumns);
+    if (c0 > k0) {
+      flops += tile_kernel_->update(front, m, k0, c0 - k0, c0, c1);
     }
-    // Right-looking update of the rest of the panel only; trailing columns
-    // get this pivot later, in the same ascending-k order, via
-    // trailing_update.
-    flops += update_column_range(front, m, k, 1, k + 1, k0 + nb);
+    for (std::size_t k = c0; k < c1; ++k) {
+      const double pivot = at(k, k);
+      TM_CHECK(pivot > 0.0,
+               "matrix is not positive definite at column "
+                   << (member_columns ? member_columns[k]
+                                      : static_cast<Index>(k))
+                   << " (pivot " << pivot << ")");
+      const double lkk = std::sqrt(pivot);
+      at(k, k) = lkk;
+      ++flops;
+      for (std::size_t r = k + 1; r < m; ++r) {
+        at(r, k) /= lkk;
+        ++flops;
+      }
+      if (k + 1 < c1) {
+        flops += tile_kernel_->update(front, m, k, 1, k + 1, c1);
+      }
+    }
   }
   return flops;
 }
@@ -153,7 +103,7 @@ long long FrontKernel::trailing_update(double* front, std::size_t m,
   // multiply-subtract pairs — the unit min_parallel_volume is counted in.
   const bool too_small = nb * (cols * (cols + 1) / 2) < min_parallel_volume_;
   if (workers_ <= 1 || tiles < 2 || too_small) {
-    return update_column_range(front, m, k0, nb, c_begin, m);
+    return tile_kernel_->update(front, m, k0, nb, c_begin, m);
   }
   // Tiles write disjoint column ranges and read only the (finalized,
   // pre-lease) panel columns, so the update is race-free; each tile runs
@@ -165,7 +115,7 @@ long long FrontKernel::trailing_update(double* front, std::size_t m,
   const auto tile_body = [&](std::size_t t) {
     const std::size_t c0 = c_begin + t * block_size_;
     const std::size_t c1 = std::min(m, c0 + block_size_);
-    tile_flops[t] = update_column_range(front, m, k0, nb, c0, c1);
+    tile_flops[t] = tile_kernel_->update(front, m, k0, nb, c0, c1);
   };
   // The calling thread is always one participant, so a width-w update
   // needs w-1 leased helpers; tiles-1 caps the useful lease size. An empty

@@ -8,25 +8,36 @@
 //
 // One algorithm: cache-blocked right-looking Cholesky. Panels of
 // `block_size` columns are factored, then the trailing columns receive all
-// panel updates in one pass, so the trailing matrix is streamed once per
-// panel instead of once per pivot. When a panel's trailing update clears
-// the volume gate, it is split into column tiles run on workers *leased*
-// from the persistent pool (parallel/worker_pool.hpp): the panel claims
-// whatever workers are idle right now — typically the tree-level
-// executor's, near the root where its frontier has collapsed — and returns
-// them at panel end. The lease never blocks and never spawns a thread;
-// when nobody is idle the panel runs inline and the denial is counted
-// (lease_stats / SolverStats::lease_denied). Below the gate, or with
-// `workers == 1`, the update runs inline on the calling thread.
+// panel updates in one pass. Every update — the panel's own and the
+// trailing block's — runs one register-tiled microkernel
+// (dense/tile_kernel.hpp): a tile of 12 rows × 4 columns (AVX2) is loaded
+// into registers once per panel, receives every pivot of the panel and is
+// stored once. When a panel's trailing update clears the volume gate, it is
+// split into column tiles run on workers *leased* from the persistent pool
+// (parallel/worker_pool.hpp): the panel claims whatever workers are idle
+// right now — typically the tree-level executor's, near the root where its
+// frontier has collapsed — and returns them at panel end. The lease never
+// blocks and never spawns a thread; when nobody is idle the panel runs
+// inline and the denial is counted (lease_stats / SolverStats::
+// lease_denied). Below the gate, or with `workers == 1`, the update runs
+// inline on the calling thread.
 //
-// Exactness contract: whatever the block size, worker count or lease
-// outcome, every entry (r, c) receives its pivot updates in ascending k
-// with one subtraction each, and zero multipliers are skipped — tiles
-// write disjoint columns and never reassociate. The factor is therefore
-// bit-identical to the right-looking scalar loop, which is this kernel
-// at `KernelConfig{.block_size = 1, .workers = 1}` — the reference tests
-// compare against (tests/dense per front, and across the 56-instance
-// corpus in tests/multifrontal/numeric_parallel_test.cpp).
+// ISA dispatch: the microkernel is compiled twice, for AVX2 (through a
+// target attribute, whatever the build's -march) and for the build's
+// baseline ISA; the first use picks AVX2 when __builtin_cpu_supports
+// reports it. No option chooses: both instantiations give the same bits.
+//
+// Exactness contract: whatever the block size, worker count, lease outcome
+// or instantiation, every entry (r, c) receives its pivot updates in
+// ascending k, each one rounded multiply and one subtraction, and zero
+// multipliers (±0.0) are skipped — tiles write disjoint columns and never
+// reassociate. treemem_dense is compiled with -ffp-contract=off, so no
+// multiply-subtract fuses into an FMA even where -march allows one (CI
+// builds with -march=x86-64-v3 to check). The factor is therefore
+// bit-identical to the right-looking scalar loop, which is this kernel at
+// `KernelConfig{.block_size = 1, .workers = 1}` — the reference tests
+// compare against (tests/dense per front and per instantiation, and across
+// the 56-instance corpus in tests/multifrontal/numeric_parallel_test.cpp).
 //
 // Flop accounting (1 per sqrt, 1 per division, 2(m−c) per applied pivot
 // update of column c, zero multipliers skipped) is independent of the
@@ -43,17 +54,19 @@
 namespace treemem {
 
 class WorkerPool;
+struct TileKernel;
 
 /// Tuning knobs of the front kernel, threaded through
 /// multifrontal_cholesky and factor_parallel.
 struct KernelConfig {
   /// Panel width and trailing-update tile width (clamped to >= 1). Default
-  /// 16, measured with bench/front_kernels on the small-L2 CI-class box:
-  /// across the 64–1024-row front sweep, block 16 beats 48 in 10 of 12
-  /// cells — by up to 1.18× GFLOP/s, and within 4% in the two cells 48
-  /// wins — because a 48-wide panel of a large front overflows the small
-  /// L2. On a large-L2 part, rerun the sweep (front_kernels.csv) and raise
-  /// this per run via SolverOptions::factorize.kernel.
+  /// 16. bench/front_kernels swept 8, 16, 32, 48 and 96 with the register-
+  /// tiled kernel on a 4-core AVX2 Xeon (medians of 3 sweeps, 64–1024-row
+  /// fronts, inline): no width wins consistently — the best one per front
+  /// beats 16 by at most 1.19×, against a 16% median run-to-run spread per
+  /// cell — since a tile keeps its rows in registers for a whole panel at
+  /// any width. Rerun the sweep (front_kernels.csv) on a new machine and
+  /// set this per run via SolverOptions::factorize.kernel.
   std::size_t block_size = 16;
   /// Maximum parallel width (calling thread included) of the trailing
   /// updates; 0 defers to the pool's size (which resolved TREEMEM_THREADS
@@ -92,8 +105,12 @@ struct KernelLeaseStats {
 class FrontKernel {
  public:
   /// Resolves every knob once (the pool lookup and its size do not belong
-  /// on the per-panel path).
+  /// on the per-panel path) and runs the fastest tile-kernel instantiation
+  /// this CPU supports.
   explicit FrontKernel(const KernelConfig& config);
+  /// Runs the given instantiation instead — a seam for tests that check
+  /// each one of dense/tile_kernel.hpp's supported_tile_kernels().
+  FrontKernel(const KernelConfig& config, const TileKernel& tile_kernel);
 
   /// Dense partial Cholesky of the leading `eta` pivots of the m×m front,
   /// one panel of block_size columns at a time. Returns the flop count.
@@ -114,9 +131,10 @@ class FrontKernel {
   KernelLeaseStats lease_stats() const;
 
  private:
-  /// Factors panel columns [k0, k0+nb): per pivot k ascending, sqrt the
-  /// diagonal, scale rows k+1..m of column k, and update the *panel*
-  /// columns right of k. Columns >= k0+nb are untouched.
+  /// Factors panel columns [k0, k0+nb), kTileColumns at a time: a block
+  /// receives the panel pivots left of it, then per pivot k ascending the
+  /// diagonal is square-rooted, rows k+1..m of column k are scaled and the
+  /// block's columns right of k updated. Columns >= k0+nb are untouched.
   long long factor_panel(double* front, std::size_t m, std::size_t k0,
                          std::size_t nb, const Index* member_columns) const;
 
@@ -125,6 +143,7 @@ class FrontKernel {
   long long trailing_update(double* front, std::size_t m, std::size_t k0,
                             std::size_t nb) const;
 
+  const TileKernel* tile_kernel_;
   std::size_t block_size_;
   WorkerPool* pool_;  ///< nullptr when workers_ == 1 (never leases)
   unsigned workers_;

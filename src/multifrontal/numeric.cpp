@@ -42,7 +42,7 @@ FrontalEngine::FrontalEngine(const SymmetricMatrix& matrix,
 
   factor_.pattern = fronts_->factor;
   factor_.values.assign(static_cast<std::size_t>(factor_.pattern.nnz()), 0.0);
-  blocks_.assign(nodes, {});
+  blocks_.resize(nodes);
   transient_at_start_.assign(nodes, 0);
   live_after_.assign(nodes, 0);
 }
@@ -93,9 +93,17 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
     ws.front_pos[static_cast<std::size_t>(ws.rows[k])] = static_cast<Index>(k);
   }
 
-  ws.front.assign(m * m, 0.0);
+  // Only the lower triangle is zeroed: nothing reads the upper one.
+  if (ws.front_capacity < m * m) {
+    ws.front = std::make_unique_for_overwrite<double[]>(m * m);
+    ws.front_capacity = m * m;
+  }
+  double* const front = ws.front.get();
+  for (std::size_t c = 0; c < m; ++c) {
+    std::fill(front + c * m + c, front + (c + 1) * m, 0.0);
+  }
   auto at = [&](std::size_t r, std::size_t c) -> double& {
-    return ws.front[c * m + r];
+    return front[c * m + r];
   };
 
   // Assemble the original entries of the member columns (lower part), one
@@ -138,21 +146,20 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   // the floating-point sums — and hence the factor — are schedule-exact
   // (the kernel only scatters one child at a time).
   for (const NodeId c : tree.children(s)) {
-    std::vector<double>& cb = blocks_[static_cast<std::size_t>(c)];
+    std::unique_ptr<double[]>& cb = blocks_[static_cast<std::size_t>(c)];
     const auto cb_rows = fronts_->update_rows(c);
     const std::size_t cm = cb_rows.size();
-    kernel_->extend_add(ws.front.data(), m, ws.front_pos.data(),
-                        cb_rows.data(), cm, cb.data());
+    kernel_->extend_add(front, m, ws.front_pos.data(), cb_rows.data(), cm,
+                        cb.get());
     meter_.lower(static_cast<Weight>(cm * cm));
-    cb.clear();
-    cb.shrink_to_fit();
+    cb.reset();
   }
 
   // Dense partial Cholesky of the leading eta pivots via the front kernel
   // (dense/front_kernel.hpp), which leases idle pool workers for large
   // trailing updates.
   flops_.fetch_add(
-      kernel_->partial_factor(ws.front.data(), m, eta, cols.data()),
+      kernel_->partial_factor(front, m, eta, cols.data()),
       std::memory_order_relaxed);
 
   // Extract the factor columns of the members (disjoint ranges per
@@ -169,17 +176,19 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
     }
   }
 
-  // Store the contribution block (full square, the model's f_s entries)
-  // and release the front. The carve-out convention: the CB was already
+  // Store the contribution block (full square, the model's f_s entries;
+  // only its lower triangle is copied, the rest stays uninitialized) and
+  // release the front. The carve-out convention: the CB was already
   // counted inside m², so the meter shrinks by m² − (m−η)² in one step and
   // the peak cannot rise here.
-  std::vector<double>& own = blocks_[static_cast<std::size_t>(s)];
   const std::size_t cbm = m - eta;
-  own.assign(cbm * cbm, 0.0);
-  for (std::size_t c = 0; c < cbm; ++c) {
-    for (std::size_t r = c; r < cbm; ++r) {
-      own[c * cbm + r] = at(eta + r, eta + c);
+  if (cbm > 0) {
+    auto own = std::make_unique_for_overwrite<double[]>(cbm * cbm);
+    for (std::size_t c = 0; c < cbm; ++c) {
+      const double* const col = front + (eta + c) * m;
+      std::copy(col + eta + c, col + m, own.get() + c * cbm + c);
     }
+    blocks_[static_cast<std::size_t>(s)] = std::move(own);
   }
   live_after_[static_cast<std::size_t>(s)] =
       meter_.lower(static_cast<Weight>(m * m - cbm * cbm));

@@ -98,7 +98,10 @@ class FrontWorkspace {
   friend class FrontalEngine;
   std::vector<Index> rows;       ///< front row set, ascending
   std::vector<Index> front_pos;  ///< global row → front row, -1 outside
-  std::vector<double> front;     ///< dense front, column-major
+  /// Dense front, column-major, uninitialized beyond the lower triangle
+  /// process_front zeroes (nothing reads the upper one).
+  std::unique_ptr<double[]> front;
+  std::size_t front_capacity = 0;  ///< entries allocated in `front`
 };
 
 /// The reentrant numeric core of the multifrontal factorization: one
@@ -171,8 +174,8 @@ class FrontalEngine {
   CholeskyFactor factor_;
   /// Live contribution block per completed supernode: dense, column-major
   /// over fronts_->update_rows(s) (full-square storage, the paper's
-  /// accounting convention).
-  std::vector<std::vector<double>> blocks_;
+  /// accounting convention; only the lower triangle is written or read).
+  std::vector<std::unique_ptr<double[]>> blocks_;
   std::vector<Weight> transient_at_start_;
   std::vector<Weight> live_after_;
   LiveEntryMeter meter_;

@@ -16,7 +16,16 @@
 //   * the leased path runs race-clean *inside* factor_parallel — leased
 //     tiles nested under the executor's worker threads — with the volume
 //     gate forced to zero so TSan sees the threaded path even on small
-//     fronts (this binary is in CI's TSan job).
+//     fronts (this binary is in CI's TSan job);
+//   * every tile-kernel instantiation this CPU supports (AVX2, baseline)
+//     matches, bit for bit and flop for flop, a longhand right-looking
+//     Cholesky whose products are rounded before each subtraction, on
+//     fronts with planted ±0.0 multipliers. Built with FMA allowed
+//     (-march=x86-64-v3, a CI job), this fails if contraction ever reaches
+//     the kernel.
+//
+// "Bit-identical" here means bits: testing::bitwise_equal tells −0.0 from
+// +0.0, which EXPECT_EQ on the vectors does not.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,6 +34,7 @@
 #include "core/postorder.hpp"
 #include "dense/front_kernel.hpp"
 #include "dense/spd_front.hpp"
+#include "dense/tile_kernel.hpp"
 #include "multifrontal/numeric_parallel.hpp"
 #include "parallel/worker_pool.hpp"
 #include "perf/corpus.hpp"
@@ -70,10 +80,117 @@ TEST(BlockedKernel, BitIdenticalToScalarAcrossSizesAndBlocks) {
               factor_with(config_of(nb, workers), front, m, eta);
           // Bit-for-bit, not merely close: same per-entry update order,
           // same zero skips.
-          EXPECT_EQ(front, reference) << "m=" << m << " eta=" << eta
-                                      << " nb=" << nb << " w=" << workers;
+          EXPECT_TRUE(testing::bitwise_equal(front, reference))
+              << "m=" << m << " eta=" << eta << " nb=" << nb
+              << " w=" << workers;
           EXPECT_EQ(flops, ref_flops) << "m=" << m << " eta=" << eta
                                       << " nb=" << nb << " w=" << workers;
+        }
+      }
+    }
+  }
+}
+
+/// make_dense_spd_front with structural zeros planted where skipping a
+/// zero multiplier matters. Each column c of the trailing half with
+/// (m − 1 − c) % 5 == 0 (the last column included) gets +0.0 left of its
+/// diagonal and −0.0 below it. Its multipliers L(c, k) are then ±0.0 for
+/// every pivot, so its entries must receive no update and stay −0.0; one
+/// zero multiplier applied against a negative L(r, k) turns an entry into
+/// +0.0. Column blocks holding such a column run the tile's skipping
+/// instantiation, the others (with no random zeros) the branch-free one.
+std::vector<double> make_front_with_zero_multipliers(std::size_t m,
+                                                     double zero_fraction) {
+  std::vector<double> a = make_dense_spd_front(m, m, zero_fraction);
+  for (std::size_t c = m / 2; c < m; ++c) {
+    if ((m - 1 - c) % 5 != 0) {
+      continue;
+    }
+    for (std::size_t k = 0; k < c; ++k) {
+      a[k * m + c] = 0.0;
+    }
+    for (std::size_t r = c + 1; r < m; ++r) {
+      a[c * m + r] = -0.0;
+    }
+  }
+  return a;
+}
+
+/// Right-looking partial Cholesky written out longhand, sharing no code
+/// with the kernel: per pivot k ascending, square root, scale, then every
+/// later column c with a nonzero multiplier L(c, k) gets
+/// a(r, c) −= a(r, k)·L(c, k). The volatile store rounds each product to
+/// double before its subtraction whatever the compiler's contraction
+/// setting, so this reference never fuses into an FMA. Flops counted like
+/// the kernel's.
+long long longhand_partial_cholesky(std::vector<double>& a, std::size_t m,
+                                    std::size_t eta) {
+  long long flops = 0;
+  for (std::size_t k = 0; k < eta; ++k) {
+    const double lkk = std::sqrt(a[k * m + k]);
+    a[k * m + k] = lkk;
+    ++flops;
+    for (std::size_t r = k + 1; r < m; ++r) {
+      a[k * m + r] /= lkk;
+      ++flops;
+    }
+    for (std::size_t c = k + 1; c < m; ++c) {
+      const double l = a[k * m + c];
+      if (l == 0.0) {
+        continue;
+      }
+      flops += 2 * static_cast<long long>(m - c);
+      for (std::size_t r = c; r < m; ++r) {
+        const volatile double product = a[k * m + r] * l;
+        a[c * m + r] = a[c * m + r] - product;
+      }
+    }
+  }
+  return flops;
+}
+
+TEST(TileKernels, SupportedListMatchesTheCpu) {
+  const auto kernels = supported_tile_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.back().name, "baseline");
+#if defined(__x86_64__)
+  EXPECT_STREQ(kernels.front().name,
+               __builtin_cpu_supports("avx2") ? "avx2" : "baseline");
+#endif
+}
+
+TEST(TileKernels, EveryInstantiationMatchesTheLonghandOracleBitwise) {
+  // m = 37, 100, 149: none a multiple of a tile's rows (12 with AVX2, 6
+  // baseline) or of its vector width, so every scalar edge runs. Block
+  // sizes 65 and 128 exceed the 64 multipliers a tile packs per pass.
+  for (const std::size_t m : {37u, 100u, 149u}) {
+    for (const double zero_fraction : {0.0, 0.2}) {
+      const std::vector<double> original =
+          make_front_with_zero_multipliers(m, zero_fraction);
+      for (const std::size_t eta : {std::size_t{1}, m / 2, m}) {
+        std::vector<double> expected = original;
+        const long long expected_flops =
+            longhand_partial_cholesky(expected, m, eta);
+        // The scalar oracle configuration agrees with the longhand one.
+        std::vector<double> oracle = original;
+        EXPECT_EQ(factor_with(kReference, oracle, m, eta), expected_flops);
+        EXPECT_TRUE(testing::bitwise_equal(oracle, expected))
+            << "oracle m=" << m << " eta=" << eta;
+        for (const TileKernel& tile_kernel : supported_tile_kernels()) {
+          for (const std::size_t nb : {1u, 3u, 16u, 64u, 65u, 128u}) {
+            for (const unsigned workers : {1u, 4u}) {
+              const FrontKernel kernel(config_of(nb, workers), tile_kernel);
+              std::vector<double> front = original;
+              EXPECT_EQ(kernel.partial_factor(front.data(), m, eta, nullptr),
+                        expected_flops)
+                  << tile_kernel.name << " m=" << m << " eta=" << eta
+                  << " nb=" << nb << " w=" << workers;
+              EXPECT_TRUE(testing::bitwise_equal(front, expected))
+                  << tile_kernel.name << " m=" << m << " eta=" << eta
+                  << " nb=" << nb << " w=" << workers
+                  << " zeros=" << zero_fraction;
+            }
+          }
         }
       }
     }
@@ -100,7 +217,8 @@ TEST(ParallelTiledKernel, CurrentImplementationIsBitIdentical) {
       std::vector<double> tiled = original;
       const long long flops =
           kernel->partial_factor(tiled.data(), m, m / 2, nullptr);
-      EXPECT_EQ(tiled, reference) << "nb=" << nb << " held=" << held;
+      EXPECT_TRUE(testing::bitwise_equal(tiled, reference))
+          << "nb=" << nb << " held=" << held;
       EXPECT_EQ(flops, ref_flops) << "nb=" << nb << " held=" << held;
       const KernelLeaseStats stats = kernel->lease_stats();
       if (held) {
@@ -122,7 +240,7 @@ TEST(FrontKernels, DegenerateFronts) {
     const std::vector<double> original = make_dense_spd_front(12, 5);
     std::vector<double> front = original;
     EXPECT_EQ(kernel->partial_factor(front.data(), 12, 0, nullptr), 0);
-    EXPECT_EQ(front, original);
+    EXPECT_TRUE(testing::bitwise_equal(front, original));
 
     // eta = m: a full dense Cholesky; L·Lᵀ must reconstruct the front.
     std::vector<double> full = original;
@@ -186,7 +304,7 @@ TEST(FrontKernels, ExtendAddScattersChildBlockExactly) {
   expected[1 * 4 + 1] += 10.0;  // (5,5)
   expected[1 * 4 + 3] += 20.0;  // (8,5)
   expected[3 * 4 + 3] += 40.0;  // (8,8)
-  EXPECT_EQ(front, expected);
+  EXPECT_TRUE(testing::bitwise_equal(front, expected));
 }
 
 /// The TSan flagship: leased trailing-update tiles nested inside
@@ -210,7 +328,8 @@ TEST(KernelInEngine, ParallelTiledInsideFactorParallelIsRaceClean) {
   ASSERT_TRUE(run.feasible);
   EXPECT_LE(run.measured_peak_entries, run.modeled_peak_entries);
   EXPECT_EQ(run.flops, reference.flops);
-  EXPECT_EQ(run.factor.values, reference.factor.values);
+  EXPECT_TRUE(
+      testing::bitwise_equal(run.factor.values, reference.factor.values));
 }
 
 TEST(KernelInEngine, BlockedKernelKeepsSerialDriverBitExact) {
@@ -225,7 +344,9 @@ TEST(KernelInEngine, BlockedKernelKeepsSerialDriverBitExact) {
   for (const std::size_t nb : {2u, 16u, 96u}) {
     const MultifrontalResult blocked = multifrontal_cholesky(
         inst.matrix, inst.assembly, order, config_of(nb, 1));
-    EXPECT_EQ(blocked.factor.values, scalar.factor.values) << "nb=" << nb;
+    EXPECT_TRUE(
+        testing::bitwise_equal(blocked.factor.values, scalar.factor.values))
+        << "nb=" << nb;
     EXPECT_EQ(blocked.flops, scalar.flops) << "nb=" << nb;
     EXPECT_EQ(blocked.peak_live_entries, scalar.peak_live_entries)
         << "nb=" << nb;

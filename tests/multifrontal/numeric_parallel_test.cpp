@@ -29,6 +29,7 @@
 #include "perf/corpus.hpp"
 #include "sparse/generators.hpp"
 #include "support/prng.hpp"
+#include "test_util.hpp"
 
 namespace treemem {
 namespace {
@@ -89,7 +90,8 @@ TEST_P(NumericParallelSweep, MatchesSerialFactorAndReconstructsA) {
             inst.matrix, inst.assembly,
             reverse_traversal(best_postorder(inst.assembly.tree).order),
             blocked);
-        EXPECT_EQ(blocked_run.factor.values, serial.factor.values)
+        EXPECT_TRUE(testing::bitwise_equal(blocked_run.factor.values,
+                                           serial.factor.values))
             << "blocked nb=" << blocked.block_size;
         EXPECT_EQ(blocked_run.flops, serial.flops);
         EXPECT_EQ(blocked_run.peak_live_entries, serial.peak_live_entries);
@@ -102,7 +104,8 @@ TEST_P(NumericParallelSweep, MatchesSerialFactorAndReconstructsA) {
             factor_parallel(inst.matrix, inst.assembly, options);
         ASSERT_TRUE(run.feasible) << "w=" << workers;
         // Bit-exact, not merely close: same kernels, same summation order.
-        EXPECT_EQ(run.factor.values, serial.factor.values)
+        EXPECT_TRUE(
+            testing::bitwise_equal(run.factor.values, serial.factor.values))
             << "w=" << workers << " relax=" << relax;
         EXPECT_EQ(run.flops, serial.flops);
         EXPECT_LE(run.measured_peak_entries, run.modeled_peak_entries);
@@ -169,7 +172,8 @@ TEST(NumericParallelMemory, MeasuredPeakWithinModelAndBudget) {
     ASSERT_TRUE(run.feasible) << "w=" << workers;
     EXPECT_LE(run.modeled_peak_entries, budget);
     EXPECT_LE(run.measured_peak_entries, run.modeled_peak_entries);
-    EXPECT_EQ(run.factor.values, serial.factor.values);
+    EXPECT_TRUE(
+        testing::bitwise_equal(run.factor.values, serial.factor.values));
   }
 
   // Tight budgets may defer or stall the greedy schedule depending on the
@@ -183,7 +187,8 @@ TEST(NumericParallelMemory, MeasuredPeakWithinModelAndBudget) {
   if (tight.feasible) {
     EXPECT_LE(tight.modeled_peak_entries, w1.modeled_peak_entries);
     EXPECT_LE(tight.measured_peak_entries, tight.modeled_peak_entries);
-    EXPECT_EQ(tight.factor.values, serial.factor.values);
+    EXPECT_TRUE(
+        testing::bitwise_equal(tight.factor.values, serial.factor.values));
   } else {
     EXPECT_TRUE(tight.factor.values.empty());
   }
@@ -236,7 +241,8 @@ TEST(NumericParallelDeterminism, RepeatedRunsAgreeOnScheduleIndependentOutputs) 
       reference_values = run.factor.values;
       reference_flops = run.flops;
     } else {
-      EXPECT_EQ(run.factor.values, reference_values);
+      EXPECT_TRUE(
+          testing::bitwise_equal(run.factor.values, reference_values));
       EXPECT_EQ(run.flops, reference_flops);
     }
   }

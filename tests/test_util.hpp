@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iomanip>
+#include <span>
 #include <thread>
 
 #include "parallel/worker_pool.hpp"
@@ -80,6 +84,27 @@ inline std::vector<Tree> small_tree_corpus(int count, NodeId max_size,
                            size));
   }
   return corpus;
+}
+
+/// Bit-for-bit equality of two double arrays, for the bit-identity
+/// contracts. EXPECT_EQ on std::vector<double> compares with ==, which
+/// holds for −0.0 == +0.0, so it cannot see a factor whose zeros changed
+/// sign. Use as EXPECT_TRUE(testing::bitwise_equal(actual, expected)).
+inline ::testing::AssertionResult bitwise_equal(
+    std::span<const double> actual, std::span<const double> expected) {
+  if (actual.size() != expected.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes differ: " << actual.size() << " vs " << expected.size();
+  }
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(actual[i]) !=
+        std::bit_cast<std::uint64_t>(expected[i])) {
+      return ::testing::AssertionFailure()
+             << "first difference at index " << i << ": "
+             << std::setprecision(17) << actual[i] << " vs " << expected[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 /// Bounded wait until every worker of `pool` has parked again: a lease's
