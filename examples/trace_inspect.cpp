@@ -5,11 +5,13 @@
 //
 // Reads a trace produced by `treemem_cli solve --trace`, `serve --trace`,
 // bench/numeric_parallel --trace or TREEMEM_TRACE=…, and prints the two
-// summaries a timeline viewer makes you eyeball: per-worker busy/idle
-// fractions (how much of the run each scheduler lane spent inside `front`
-// spans — the executor's task payloads) and the top N longest fronts (the
-// spans that bound the makespan; the paper's root-front bottleneck shows
-// up here immediately).
+// summaries a timeline viewer makes you eyeball: per-worker tasks, fronts
+// and busy/idle fractions (how much of the run each scheduler lane spent
+// inside `front` spans — the executor's task payloads) and the top N
+// longest tasks (the spans that bound the makespan; the paper's root-front
+// bottleneck shows up here immediately). A task is one front or a whole
+// subtree run on one lane: its span names the supernode it stands for (the
+// subtree root) and the number of fronts it ran.
 //
 // The parser is deliberately narrow: it reads the obs exporter's own
 // format (one `{…}` event object per line inside `traceEvents`), not
@@ -61,8 +63,9 @@ std::optional<std::string> string_field(const std::string& line,
   return line.substr(begin, end - begin);
 }
 
-struct FrontSpan {
+struct TaskSpan {
   long long node = -1;
+  long long fronts = 1;
   int lane = 0;
   double start_us = 0.0;
   double duration_us = 0.0;
@@ -70,7 +73,8 @@ struct FrontSpan {
 
 struct LaneUsage {
   double busy_us = 0.0;
-  long long spans = 0;
+  long long tasks = 0;
+  long long fronts = 0;
 };
 
 std::string fmt(double v, int precision = 2) {
@@ -86,8 +90,8 @@ int run(const std::string& path, std::size_t top_n) {
   // One pass over the event lines: collect `front` begin/end pairs per
   // scheduler lane (pid 1; 'B'/'E' pair up as a stack per track) and the
   // run's overall time window from every timestamped event.
-  std::map<int, std::vector<FrontSpan>> open;  // lane -> span stack
-  std::vector<FrontSpan> fronts;
+  std::map<int, std::vector<TaskSpan>> open;  // lane -> span stack
+  std::vector<TaskSpan> tasks;
   std::map<int, LaneUsage> lanes;
   double first_ts = 0.0, last_ts = 0.0;
   bool any_ts = false;
@@ -112,25 +116,28 @@ int run(const std::string& path, std::size_t top_n) {
     }
     const int lane = static_cast<int>(number_field(line, "tid").value_or(0));
     if (*ph == "B") {
-      FrontSpan span;
+      TaskSpan span;
       span.lane = lane;
       span.start_us = *ts;
       span.node = static_cast<long long>(
           number_field(line, "node").value_or(-1.0));
+      span.fronts = static_cast<long long>(
+          number_field(line, "fronts").value_or(1.0));
       open[lane].push_back(span);
     } else if (*ph == "E" && !open[lane].empty()) {
-      FrontSpan span = open[lane].back();
+      TaskSpan span = open[lane].back();
       open[lane].pop_back();
       span.duration_us = *ts - span.start_us;
-      fronts.push_back(span);
+      tasks.push_back(span);
       lanes[lane].busy_us += span.duration_us;
-      ++lanes[lane].spans;
+      ++lanes[lane].tasks;
+      lanes[lane].fronts += span.fronts;
     }
   }
   // A truncated trace (ring overflow) can open spans it never closes;
   // they are simply not counted — the retained tail is still exact.
 
-  if (fronts.empty()) {
+  if (tasks.empty()) {
     std::cout << "no `front` spans in " << path
               << " — was the run traced with workers >= 1 and the parallel "
                  "engine?\n";
@@ -138,36 +145,46 @@ int run(const std::string& path, std::size_t top_n) {
   }
 
   const double window_us = std::max(last_ts - first_ts, 1e-9);
-  std::cout << "trace: " << path << " — " << fronts.size()
-            << " fronts across " << lanes.size() << " worker lane(s), "
-            << fmt(window_us / 1e3) << " ms window\n\n";
+  long long total_fronts = 0;
+  for (const auto& [lane, usage] : lanes) {
+    total_fronts += usage.fronts;
+  }
+  std::cout << "trace: " << path << " — " << tasks.size() << " tasks ("
+            << total_fronts << " fronts) across " << lanes.size()
+            << " worker lane(s), " << fmt(window_us / 1e3)
+            << " ms window\n\n";
 
-  TextTable lane_table({"worker", "fronts", "busy ms", "busy %", "idle %"});
+  TextTable lane_table(
+      {"worker", "tasks", "fronts", "busy ms", "busy %", "idle %"});
   for (const auto& [lane, usage] : lanes) {
     const double busy_fraction = usage.busy_us / window_us;
     lane_table.add_row({"worker " + std::to_string(lane),
-                        std::to_string(usage.spans),
+                        std::to_string(usage.tasks),
+                        std::to_string(usage.fronts),
                         fmt(usage.busy_us / 1e3),
                         fmt(100.0 * busy_fraction, 1),
                         fmt(100.0 * (1.0 - busy_fraction), 1)});
   }
   std::cout << lane_table.to_string();
 
-  std::sort(fronts.begin(), fronts.end(),
-            [](const FrontSpan& a, const FrontSpan& b) {
+  std::sort(tasks.begin(), tasks.end(),
+            [](const TaskSpan& a, const TaskSpan& b) {
               return a.duration_us > b.duration_us;
             });
-  const std::size_t shown = std::min(top_n, fronts.size());
-  std::cout << "\ntop " << shown << " longest fronts:\n";
-  TextTable front_table({"node", "worker", "duration ms", "start ms"});
+  const std::size_t shown = std::min(top_n, tasks.size());
+  std::cout << "\ntop " << shown << " longest tasks:\n";
+  TextTable task_table(
+      {"task", "node", "fronts", "worker", "duration ms", "start ms"});
   for (std::size_t i = 0; i < shown; ++i) {
-    const FrontSpan& span = fronts[i];
-    front_table.add_row({std::to_string(span.node),
+    const TaskSpan& span = tasks[i];
+    task_table.add_row({span.fronts > 1 ? "subtree" : "front",
+                         std::to_string(span.node),
+                         std::to_string(span.fronts),
                          std::to_string(span.lane),
                          fmt(span.duration_us / 1e3, 3),
                          fmt((span.start_us - first_ts) / 1e3, 3)});
   }
-  std::cout << front_table.to_string();
+  std::cout << task_table.to_string();
   return 0;
 }
 

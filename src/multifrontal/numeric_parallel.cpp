@@ -4,15 +4,17 @@
 #include <utility>
 #include <vector>
 
+#include "core/in_tree.hpp"
+#include "multifrontal/task_tree.hpp"
 #include "parallel/executor.hpp"
 
 namespace treemem {
 
 namespace {
 
-/// A small pool of per-front workspaces, one in flight per worker. Tasks
-/// check a workspace out for the duration of one front; the pool mutex is
-/// negligible next to the dense kernel it brackets.
+/// A small pool of front workspaces, one in flight per worker. A task
+/// checks one out for all the fronts it runs; the pool mutex is negligible
+/// next to the dense kernels it brackets.
 class WorkspacePool {
  public:
   WorkspacePool(const FrontalEngine& engine, int workers) {
@@ -50,29 +52,43 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
   FrontalEngine engine(matrix, assembly, options.kernel);
   WorkspacePool pool(engine, options.workers);
 
-  // Flop-count durations drive both the priority ranks and the executor's
-  // notion of task cost — the real-payload analogue of the scheduling
-  // studies' n_i + f_i proxy.
-  const std::vector<double> durations = engine.estimated_front_flops();
+  // The executor schedules the contracted task tree: cheap subtrees run
+  // whole, in witness order, as one task each (multifrontal/task_tree.hpp).
+  // Flop-count durations drive both the contraction cutoff and the
+  // priority ranks. Without a planned witness the MinMem optimum stands
+  // in, as it does for lookahead admission.
+  const TaskTree tasks = contract_subtrees(
+      assembly.tree, engine.estimated_front_flops(),
+      options.serial_witness.empty()
+          ? in_tree_minmem_optimal(assembly.tree).order
+          : options.serial_witness,
+      options.workers);
 
   ExecutorOptions exec_options;
   exec_options.workers = options.workers;
   exec_options.memory_budget = options.memory_budget;
   exec_options.priority = options.priority;
   exec_options.admission = options.admission;
-  exec_options.serial_witness = options.serial_witness;
+  exec_options.serial_witness = tasks.witness;
   exec_options.lease_idle_workers = options.lease_idle_workers;
   // Tree level and front level draw from the same pool: whichever pool
   // the kernel leases from is the one the executor recruits stints from
   // (tests pass a private pool through the kernel config for
   // deterministic counters).
   exec_options.pool = options.kernel.pool;
+  exec_options.trace_labels.reserve(static_cast<std::size_t>(tasks.size()));
+  for (NodeId t = 0; t < tasks.size(); ++t) {
+    exec_options.trace_labels.push_back(
+        {tasks.root_of(t), static_cast<NodeId>(tasks.fronts_of(t).size())});
+  }
 
   const ExecutorResult run = execute_task_tree(
-      assembly.tree, exec_options, durations, [&](NodeId node) {
+      tasks.tree, exec_options, tasks.durations, [&](NodeId task) {
         FrontWorkspace ws = pool.acquire();
         try {
-          engine.process_front(node, ws);
+          for (const NodeId s : tasks.fronts_of(task)) {
+            engine.process_front(s, ws);
+          }
         } catch (...) {
           pool.release(std::move(ws));  // keep the checkout exception-safe
           throw;
@@ -87,7 +103,7 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
   result.flops = engine.flops();
   result.factor_seconds = run.makespan;
   result.speedup = run.speedup;
-  result.completion_order = run.completion_order;
+  result.tasks = tasks.size();
   const KernelLeaseStats lease_stats = engine.kernel_lease_stats();
   result.leases_granted = lease_stats.leases_granted;
   result.lease_denied = lease_stats.leases_denied;
@@ -102,11 +118,17 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
                 << result.measured_peak_entries << " > "
                 << result.modeled_peak_entries);
 
-  result.transient_per_step.reserve(result.completion_order.size());
-  result.live_after_step.reserve(result.completion_order.size());
-  for (const NodeId s : result.completion_order) {
-    result.transient_per_step.push_back(engine.transient_at_start(s));
-    result.live_after_step.push_back(engine.live_after(s));
+  // Per supernode: each task's fronts, in the order it ran them.
+  const auto p = static_cast<std::size_t>(assembly.tree.size());
+  result.completion_order.reserve(p);
+  result.transient_per_step.reserve(p);
+  result.live_after_step.reserve(p);
+  for (const NodeId task : run.completion_order) {
+    for (const NodeId s : tasks.fronts_of(task)) {
+      result.completion_order.push_back(s);
+      result.transient_per_step.push_back(engine.transient_at_start(s));
+      result.live_after_step.push_back(engine.live_after(s));
+    }
   }
   result.factor = engine.take_factor();
   return result;

@@ -3,25 +3,40 @@
 // executor of parallel/executor.hpp — the end-to-end system the paper's
 // traversal model abstracts, running for real.
 //
-// Each assembly-tree task body allocates its front, extend-adds its
-// children's contribution blocks, runs the dense partial Cholesky and
-// emits its contribution block; the executor provides the precedence
-// (children complete before the parent starts) and gates admission on the
-// abstract Eq. 1 transient accounting, which remains the source of truth
-// for the memory budget. The engine independently meters *measured* live
-// factor entries; on every run measured occupancy is bounded by the
-// modeled occupancy (fronts never exceed their padded model weights), and
-// on single-worker runs over perfectly amalgamated trees the two agree
-// step for step — both facts are pinned by
+// Tasks. The executor does not see one task per supernode. It sees the
+// contracted task tree of multifrontal/task_tree.hpp: every maximal subtree
+// with more than one front whose summed estimated flops are at most
+// total / (2·w) is one task, provided the serial witness runs it
+// contiguously. A subtree task runs its fronts through process_front on
+// one lane and one workspace, in witness order. The fronts above the
+// cutoff, where the large separators sit, stay one task each, and their
+// trailing updates lease the pool workers the tree level leaves idle (see
+// dense/front_kernel.hpp). On a 2-D nested-dissection grid this turns tens
+// of thousands of tiny fronts, each paying a scheduler round trip and a
+// workspace checkout, into a few dozen tasks.
+//
+// Memory. This is the paper's model applied to a subtree: a subtree task's
+// output file is its root's f_i and its MemReq is the Eq. 1 peak of the
+// restricted witness order, so the executor's admission accounting stays
+// exact. The contiguity rule keeps the witness's peak: the witness with
+// each contracted subtree replaced by its task has the same Eq. 1 peak, so
+// lookahead admission never stalls at a budget that covers the witness
+// peak, even when the witness is a non-postorder MinMem order. The engine
+// independently meters *measured* live factor entries. On every run
+// measured occupancy is bounded by the modeled one (fronts never exceed
+// their padded model weights, and a subtree never exceeds its serial
+// peak), and on single-worker runs over perfectly amalgamated trees the
+// two agree step for step. Both facts are pinned by
 // tests/multifrontal/numeric_parallel_test.cpp.
+//
+// Results stay per supernode: completion_order, transient_per_step and
+// live_after_step expand each task into its fronts in the order it ran
+// them. `speedup` is the executor's busy time per task summed over tasks,
+// divided by the makespan.
 //
 // The factor is schedule-exact: fronts write disjoint factor columns and
 // extend-add walks children in tree order, so every worker count and every
-// interleaving produces bit-identical values to the serial engine. The
-// front kernel (options.kernel) composes with the tree-level parallelism:
-// its trailing updates lease the pool workers the tree level leaves idle
-// for the large root fronts, still bit-identical to the scalar reference
-// (see dense/front_kernel.hpp).
+// interleaving produces bit-identical values to the serial engine.
 #pragma once
 
 #include "multifrontal/numeric.hpp"
@@ -35,19 +50,20 @@ struct ParallelFactorOptions {
   /// assembly tree's n_i/f_i weights); kInfiniteWeight disables it.
   Weight memory_budget = kInfiniteWeight;
   ParallelPriority priority = ParallelPriority::kCriticalPath;
-  /// How fronts are admitted against the budget. The greedy default can
+  /// How tasks are admitted against the budget. The greedy default can
   /// deadlock under a tight budget; lookahead consults `serial_witness`
   /// and never stalls when the budget covers its serial peak. The factor
   /// stays bit-identical across policies (schedule-exact numerics —
   /// policies only reorder the schedule).
   AdmissionPolicy admission = AdmissionPolicy::kGreedy;
-  /// Optional bottom-up witness traversal of the assembly tree for the
-  /// lookahead policy; empty = the MinMem optimum.
+  /// The plan's bottom-up traversal of the assembly tree: the order
+  /// subtree tasks run their fronts in, and the lookahead policy's
+  /// witness. Empty = the MinMem optimum.
   Traversal serial_witness = {};
   /// Dense front kernel settings (dense/front_kernel.hpp).
   KernelConfig kernel = {};
   /// Elastic crewing (ExecutorOptions::lease_idle_workers): tree-level
-  /// workers with no ready front return to the persistent pool mid-run,
+  /// workers with no ready task return to the persistent pool mid-run,
   /// where a large front's trailing-update lease can absorb them. Off =
   /// the full crew is held for the whole run (the root-front scenario's
   /// comparison configuration). The factor is bit-identical either way
@@ -70,8 +86,10 @@ struct ParallelFactorResult {
   Weight modeled_peak_entries = 0;
   /// Measured wall-clock seconds of the factorization (executor makespan).
   double factor_seconds = 0.0;
-  /// Σ per-front busy seconds / makespan — achieved parallel speedup.
+  /// Σ per-task busy seconds / makespan — achieved parallel speedup.
   double speedup = 0.0;
+  /// Tasks the executor scheduled (subtree tasks plus one-front tasks).
+  NodeId tasks = 0;
   /// Supernodes in completion order — a valid bottom-up traversal.
   Traversal completion_order;
   /// Intra-front lease tallies of the run's kernel: panels that cleared

@@ -54,6 +54,8 @@ ExecutorResult execute_task_tree(const Tree& tree,
   const auto p = static_cast<std::size_t>(tree.size());
   TM_CHECK(options.workers >= 1, "need at least one worker");
   TM_CHECK(durations.size() == p, "durations size mismatch");
+  TM_CHECK(options.trace_labels.empty() || options.trace_labels.size() == p,
+           "trace labels size mismatch");
   for (const double d : durations) {
     TM_CHECK(d > 0.0, "durations must be positive");
   }
@@ -183,8 +185,13 @@ ExecutorResult execute_task_tree(const Tree& tree,
       maybe_recruit();  // more admissible tasks may still be ready
       lock.unlock();
       if (recorder.enabled()) {
+        const TaskLabel label =
+            options.trace_labels.empty()
+                ? TaskLabel{node, 1}
+                : options.trace_labels[static_cast<std::size_t>(node)];
         recorder.begin("front", "exec", worker_id, "node",
-                       static_cast<long long>(node));
+                       static_cast<long long>(label.node), "fronts",
+                       static_cast<long long>(label.fronts));
       }
       const double start_s = run_timer.elapsed_s();
       bool threw = false;

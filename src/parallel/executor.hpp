@@ -22,9 +22,10 @@
 //
 // The primary mode is a real TaskBody payload: the flagship is the
 // parallel numeric multifrontal engine (factor_parallel in
-// multifrontal/numeric_parallel.hpp dispatches FrontalEngine::process_front
-// per assembly-tree task, so the executor schedules actual frontal-matrix
-// kernels); bench/parallel_tradeoff passes a calibrated arithmetic burner
+// multifrontal/numeric_parallel.hpp hands it a contracted task tree whose
+// tasks run FrontalEngine::process_front for one front or for a whole
+// subtree, so the executor schedules actual frontal-matrix kernels);
+// bench/parallel_tradeoff passes a calibrated arithmetic burner
 // so measured speedups reflect core throughput. As fallbacks for
 // validation without a payload, callers can instead use synthetic
 // spin-work via ExecutorOptions::spin_seconds_per_unit, which busy-waits
@@ -61,6 +62,14 @@ class WorkerPool;
 /// after all workers joined.
 using TaskBody = std::function<void(NodeId)>;
 
+/// What a task's lane span names in a trace: the supernode it stands for
+/// and the number of fronts it runs (a caller that runs a whole subtree as
+/// one task names the subtree root).
+struct TaskLabel {
+  NodeId node = kNoNode;
+  NodeId fronts = 1;
+};
+
 struct ExecutorOptions {
   int workers = 4;
   /// Shared memory bound; kInfiniteWeight disables the constraint.
@@ -90,6 +99,9 @@ struct ExecutorOptions {
   /// when the pool has nothing idle), so a run needs zero pool workers to
   /// complete — it just runs serially.
   WorkerPool* pool = nullptr;
+  /// Trace labels per task; empty = each task names itself, one front.
+  /// Only the `front` lane spans read them.
+  std::vector<TaskLabel> trace_labels = {};
 };
 
 struct ExecutorResult {

@@ -539,6 +539,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
       stats_.modeled_peak_entries = run.modeled_peak_entries;
       stats_.factorize_seconds = timer.elapsed_s();
       stats_.parallel_speedup = run.speedup;
+      stats_.parallel_tasks = run.tasks;
       stats_.stall_fallback = false;
       stats_.leases_granted += run.leases_granted;
       stats_.lease_denied += run.lease_denied;
@@ -583,6 +584,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   stats_.modeled_peak_entries = stats_.planned_peak_entries;
   stats_.factorize_seconds = timer.elapsed_s();
   stats_.parallel_speedup = 0.0;
+  stats_.parallel_tasks = 0;
   stats_.stall_fallback = stall_fallback;
   ++stats_.factorizations;
   return *this;
@@ -698,6 +700,7 @@ Solver& Solver::adopt_factor(std::shared_ptr<const CholeskyFactor> factor) {
   stats_.modeled_peak_entries = 0;
   stats_.factorize_seconds = 0.0;
   stats_.parallel_speedup = 0.0;
+  stats_.parallel_tasks = 0;
   stats_.stall_fallback = false;
   return *this;
 }

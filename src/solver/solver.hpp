@@ -230,8 +230,11 @@ struct SolverStats {
   Weight modeled_peak_entries = 0;
   double factorize_seconds = 0.0;
   int factorizations = 0;
-  /// Parallel runs only: sum of per-front busy seconds / makespan.
+  /// Parallel runs only: sum of per-task busy seconds / makespan.
   double parallel_speedup = 0.0;
+  /// Parallel runs only: tasks the executor scheduled (whole-subtree
+  /// tasks plus one-front tasks; see multifrontal/numeric_parallel.hpp).
+  NodeId parallel_tasks = 0;
   /// True when a stalled parallel schedule fell back to the serial engine.
   bool stall_fallback = false;
   /// Parallel-engine runs: trailing-update panels that cleared the volume

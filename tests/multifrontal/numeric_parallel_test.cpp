@@ -15,17 +15,29 @@
 //     completes without stalls;
 //   * schedule-independent outputs (factor values, flops, executed-task
 //     set, final resident memory) are invariant across repeated w = 4 runs;
+//   * the subtree contraction (multifrontal/task_tree.hpp) on corpus trees
+//     and on non-postorder MinMem witnesses: every supernode lands in
+//     exactly one task, a subtree task's MemReq is the Eq. 1 peak of its
+//     restricted witness order, the collapsed witness keeps the witness's
+//     peak, and lookahead at that peak completes at w = 4 without a stall;
 //   * a non-SPD matrix surfaces a clean Error through the executor's
-//     exception-propagation contract, and an undersized budget reports
-//     infeasible instead of hanging.
+//     exception-propagation contract — also when the failing pivot lies in
+//     a leaf front inside a subtree task — and an undersized budget
+//     reports infeasible instead of hanging.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/check.hpp"
+#include "core/in_tree.hpp"
 #include "core/postorder.hpp"
 #include "multifrontal/numeric_parallel.hpp"
+#include "multifrontal/task_tree.hpp"
+#include "parallel/executor.hpp"
 #include "perf/corpus.hpp"
 #include "sparse/generators.hpp"
 #include "support/prng.hpp"
@@ -291,6 +303,215 @@ TEST(NumericParallelFailure, RejectsBadArguments) {
   EXPECT_THROW(
       factor_parallel(inst.matrix, other.assembly, ParallelFactorOptions{}),
       Error);
+}
+
+// ---------------------------------------------------------------------------
+// Subtree contraction (multifrontal/task_tree.hpp)
+// ---------------------------------------------------------------------------
+
+const std::vector<NumericInstance>& corpus() {
+  static const std::vector<NumericInstance> instances =
+      build_numeric_instances(CorpusOptions{}, 5);
+  return instances;
+}
+
+/// The subtree `fronts` spans, as a tree of its own whose node k is
+/// fronts[k] (so the identity order is the restricted run order).
+Tree subtree_of(const Tree& tree, std::span<const NodeId> fronts) {
+  std::vector<NodeId> local(static_cast<std::size_t>(tree.size()), kNoNode);
+  for (std::size_t k = 0; k < fronts.size(); ++k) {
+    local[static_cast<std::size_t>(fronts[k])] = static_cast<NodeId>(k);
+  }
+  std::vector<NodeId> parents;
+  std::vector<Weight> files, works;
+  for (const NodeId v : fronts) {
+    const NodeId parent = tree.parent(v);
+    parents.push_back(parent == kNoNode
+                          ? kNoNode
+                          : local[static_cast<std::size_t>(parent)]);
+    files.push_back(tree.file_size(v));
+    works.push_back(tree.work_size(v));
+  }
+  return Tree(std::move(parents), std::move(files), std::move(works));
+}
+
+/// Checks the contraction contract for one (tree, flops, witness, w) and
+/// returns the number of subtree tasks.
+int check_contraction(const Tree& tree, const std::vector<double>& flops,
+                      const Traversal& witness, int workers,
+                      const std::string& label) {
+  const TaskTree tasks = contract_subtrees(tree, flops, witness, workers);
+  SCOPED_TRACE(label + " w=" + std::to_string(workers));
+
+  // Every supernode lands in exactly one task.
+  std::vector<int> seen(static_cast<std::size_t>(tree.size()), 0);
+  int subtree_tasks = 0;
+  double total = 0.0;
+  for (const double f : flops) {
+    total += f;
+  }
+  for (NodeId t = 0; t < tasks.size(); ++t) {
+    const auto fronts = tasks.fronts_of(t);
+    for (const NodeId v : fronts) {
+      ++seen[static_cast<std::size_t>(v)];
+    }
+    const NodeId root = tasks.root_of(t);
+    EXPECT_EQ(tasks.tree.file_size(t), tree.file_size(root));
+    double sum = 0.0;
+    for (const NodeId v : fronts) {
+      sum += flops[static_cast<std::size_t>(v)];
+    }
+    EXPECT_DOUBLE_EQ(tasks.durations[static_cast<std::size_t>(t)], sum);
+    if (fronts.size() == 1) {
+      EXPECT_EQ(tasks.tree.mem_req(t), tree.mem_req(root)) << "task " << t;
+      continue;
+    }
+    // A subtree task: a leaf under the cutoff whose MemReq is the serial
+    // peak of the fronts it runs, in the witness order restricted to it.
+    ++subtree_tasks;
+    EXPECT_TRUE(tasks.tree.is_leaf(t));
+    EXPECT_LE(sum, total / (2.0 * workers));
+    Traversal run_order(fronts.size());
+    std::iota(run_order.begin(), run_order.end(), 0);
+    EXPECT_EQ(tasks.tree.mem_req(t),
+              in_tree_traversal_peak(subtree_of(tree, fronts), run_order))
+        << "task " << t << " rooted at " << root;
+  }
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(v)], 1) << "supernode " << v;
+  }
+
+  // The collapsed witness has the witness's Eq. 1 peak.
+  const Weight witness_peak = in_tree_traversal_peak(tree, witness);
+  EXPECT_EQ(in_tree_traversal_peak(tasks.tree, tasks.witness), witness_peak);
+
+  // So lookahead at exactly that budget never stalls on the task tree.
+  ExecutorOptions options;
+  options.workers = 4;
+  options.memory_budget = witness_peak;
+  options.admission = AdmissionPolicy::kLookahead;
+  options.serial_witness = tasks.witness;
+  const ExecutorResult run =
+      execute_task_tree(tasks.tree, options, tasks.durations);
+  EXPECT_TRUE(run.feasible);
+  EXPECT_LE(run.peak_memory, witness_peak);
+  return subtree_tasks;
+}
+
+TEST(NumericParallelTaskTree, ContractionContractOnCorpusTrees) {
+  int subtree_tasks = 0;
+  for (const NumericInstance& inst : corpus()) {
+    const Tree& tree = inst.assembly.tree;
+    const std::vector<double> flops =
+        FrontalEngine(inst.matrix, inst.assembly).estimated_front_flops();
+    const Traversal witnesses[] = {
+        reverse_traversal(best_postorder(tree).order),
+        in_tree_minmem_optimal(tree).order};
+    for (const Traversal& witness : witnesses) {
+      for (const int workers : {1, 2, 4, 8}) {
+        subtree_tasks +=
+            check_contraction(tree, flops, witness, workers, inst.name);
+      }
+    }
+  }
+  EXPECT_GT(subtree_tasks, 0);  // the corpus must exercise contraction
+}
+
+TEST(NumericParallelTaskTree, NonPostorderWitnessCollapsesOnlyContiguousRuns) {
+  // On the harpoons the MinMem witness is no postorder: it drains every
+  // heavy leaf into its v first and runs the u's last, so a branch subtree
+  // {u, v, w} is not contiguous while {v, w} is. A dominant root puts every
+  // branch under the cutoff, so only the contiguity rule decides.
+  const Tree trees[] = {gen::harpoon(4, 400, 1),
+                        gen::iterated_harpoon(3, 3, 300, 2)};
+  for (const Tree& tree : trees) {
+    const Traversal witness = in_tree_minmem_optimal(tree).order;
+    const Traversal postorder = reverse_traversal(best_postorder(tree).order);
+    ASSERT_LT(in_tree_traversal_peak(tree, witness),
+              in_tree_traversal_peak(tree, postorder));
+    std::vector<double> flops(static_cast<std::size_t>(tree.size()), 1.0);
+    flops[static_cast<std::size_t>(tree.root())] = 1e9;
+    for (const int workers : {1, 4}) {
+      EXPECT_GT(check_contraction(tree, flops, witness, workers, "harpoon"),
+                0);
+      check_contraction(tree, flops, postorder, workers, "harpoon/po");
+    }
+  }
+}
+
+TEST(NumericParallelTaskTree, LookaheadAtWitnessPeakFactorsOnCorpus) {
+  // The real engine at the tightest budget lookahead admits: the witness
+  // peak of a non-postorder MinMem witness, at w = 4.
+  for (const NumericInstance& inst : corpus()) {
+    const Tree& tree = inst.assembly.tree;
+    const MinMemResult minmem = in_tree_minmem_optimal(tree);
+    const MultifrontalResult serial =
+        multifrontal_cholesky(inst.matrix, inst.assembly, minmem.order);
+    ParallelFactorOptions options;
+    options.workers = 4;
+    options.memory_budget = minmem.peak;
+    options.admission = AdmissionPolicy::kLookahead;
+    options.serial_witness = minmem.order;
+    const ParallelFactorResult run =
+        factor_parallel(inst.matrix, inst.assembly, options);
+    ASSERT_TRUE(run.feasible) << inst.name;
+    EXPECT_LT(run.tasks, tree.size()) << inst.name;
+    EXPECT_LE(run.measured_peak_entries, run.modeled_peak_entries);
+    EXPECT_LE(run.modeled_peak_entries, minmem.peak);
+    EXPECT_EQ(run.flops, serial.flops);
+    EXPECT_TRUE(
+        testing::bitwise_equal(run.factor.values, serial.factor.values))
+        << inst.name;
+  }
+}
+
+TEST(NumericParallelFailure, NonSpdPivotInsideSubtreeTaskThrowsCleanly) {
+  // The first pivot of a leaf front is its first member's diagonal entry
+  // as assembled, so a negative diagonal there fails exactly that front —
+  // chosen inside a subtree task, i.e. mid-way through a task's run.
+  const NumericInstance inst = make_instance(
+      gen::grid2d(16, 16), 41, OrderingKind::kNestedDissection, /*relax=*/1);
+  const Tree& tree = inst.assembly.tree;
+  const Traversal witness = reverse_traversal(best_postorder(tree).order);
+  const std::vector<double> flops =
+      FrontalEngine(inst.matrix, inst.assembly).estimated_front_flops();
+  for (const int workers : {1, 2, 4}) {
+    const TaskTree tasks = contract_subtrees(tree, flops, witness, workers);
+    NodeId leaf = kNoNode;
+    for (NodeId t = 0; t < tasks.size() && leaf == kNoNode; ++t) {
+      const auto fronts = tasks.fronts_of(t);
+      // Not the task's first front: fail after it already ran some.
+      for (std::size_t k = 1; k < fronts.size(); ++k) {
+        if (tree.is_leaf(fronts[k])) {
+          leaf = fronts[k];
+          break;
+        }
+      }
+    }
+    ASSERT_NE(leaf, kNoNode) << "no subtree task with a second leaf";
+
+    const Index j = inst.assembly.fronts->members(leaf)[0];
+    const SparsePattern& pattern = inst.matrix.pattern();
+    std::vector<double> values = inst.matrix.values();
+    const auto rows = pattern.column(j);
+    const auto diagonal = static_cast<std::size_t>(
+        std::find(rows.begin(), rows.end(), j) - rows.begin());
+    values[static_cast<std::size_t>(
+               pattern.col_ptr()[static_cast<std::size_t>(j)]) +
+           diagonal] = -1.0;
+    const SymmetricMatrix planted(pattern, std::move(values));
+
+    ParallelFactorOptions options;
+    options.workers = workers;
+    options.serial_witness = witness;
+    EXPECT_THROW(factor_parallel(planted, inst.assembly, options), Error)
+        << "w=" << workers;
+    // The engine and its pool are intact afterwards: the original matrix
+    // still factors.
+    const ParallelFactorResult run =
+        factor_parallel(inst.matrix, inst.assembly, options);
+    EXPECT_TRUE(run.feasible);
+  }
 }
 
 }  // namespace
