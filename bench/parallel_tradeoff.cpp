@@ -99,7 +99,7 @@ int run() {
 
     // Measured serial baseline (w = 1, no budget).
     ExecutorOptions serial_exec;
-    serial_exec.workers = 1;
+    serial_exec.schedule.workers = 1;
     const auto serial_run =
         execute_task_tree(tree, serial_exec, durations, payload);
     TM_CHECK(serial_run.feasible, "unbounded serial run must be feasible");
@@ -178,18 +178,18 @@ int run() {
       // Keep the thread count sane for the smoke run; the simulation still
       // sweeps to 16.
       if (workers <= 8) {
-        std::vector<ExecutorResult> exec_by_mode(modes.size());
+        std::vector<ParallelScheduleResult> exec_by_mode(modes.size());
         std::vector<double> measured_speedup(modes.size(), 0.0);
         for (std::size_t m = 0; m < modes.size(); ++m) {
           const Mode& mode = modes[m];
           ExecutorOptions exec_opts;
-          exec_opts.workers = workers;
-          exec_opts.memory_budget = mode.budget;
-          exec_opts.admission = mode.admission;
-          exec_opts.serial_witness = witness;
+          exec_opts.schedule = {.workers = workers,
+                                .memory_budget = mode.budget,
+                                .admission = mode.admission,
+                                .serial_witness = witness};
           exec_by_mode[m] =
               execute_task_tree(tree, exec_opts, durations, payload);
-          const ExecutorResult& exec = exec_by_mode[m];
+          const ParallelScheduleResult& exec = exec_by_mode[m];
           measured_speedup[m] =
               exec.feasible
                   ? serial_run.makespan / std::max(exec.makespan, 1e-12)

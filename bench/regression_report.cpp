@@ -392,8 +392,8 @@ int run() {
           factor_parallel(root_inst.matrix, root_inst.assembly, held);
       if (e.factor_seconds < elastic_s) {
         elastic_s = e.factor_seconds;
-        attempts = e.leases_granted + e.lease_denied;
-        granted = e.leases_granted;
+        attempts = e.lease_stats.leases_granted + e.lease_stats.leases_denied;
+        granted = e.lease_stats.leases_granted;
       }
       held_s = std::min(held_s, h.factor_seconds);
     }

@@ -1,6 +1,8 @@
 #include "core/planner.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/liu.hpp"
 #include "core/minio.hpp"
@@ -39,20 +41,24 @@ ExecutionPlan plan_execution(const Tree& tree, Weight memory_budget,
   // postorder and Liu's optimal order (both build long dependence chains,
   // which Fig. 8 shows is what keeps I/O low); candidate policies per
   // Fig. 7.
+  const TraversalResult liu = liu_optimal(tree);
+  const TraversalCandidate candidates[] = {{"postorder", &postorder.order},
+                                           {"liu", &liu.order}};
+  plan = plan_out_of_core(tree, memory_budget, candidates, options);
+  plan.in_core_optimum = optimal.peak;
+  return plan;
+}
+
+ExecutionPlan plan_out_of_core(const Tree& tree, Weight memory_budget,
+                               std::span<const TraversalCandidate> candidates,
+                               const PlannerOptions& options) {
+  ExecutionPlan plan;
   const Weight floor = std::max(tree.max_mem_req(), tree.file_size(tree.root()));
   if (memory_budget < floor) {
     plan.strategy = "infeasible: budget below max MemReq";
-    plan.in_core_optimum = optimal.peak;
     return plan;
   }
 
-  const TraversalResult liu = liu_optimal(tree);
-  struct Candidate {
-    const char* traversal_name;
-    const Traversal* order;
-  };
-  const Candidate traversals[] = {{"postorder", &postorder.order},
-                                  {"liu", &liu.order}};
   std::vector<EvictionPolicy> policies{EvictionPolicy::kFirstFit};
   if (options.try_best_k) {
     policies.push_back(EvictionPolicy::kBestKCombination);
@@ -62,15 +68,15 @@ ExecutionPlan plan_execution(const Tree& tree, Weight memory_budget,
   }
 
   Weight best_io = kInfiniteWeight;
-  for (const Candidate& candidate : traversals) {
+  for (const TraversalCandidate& candidate : candidates) {
     for (const EvictionPolicy policy : policies) {
-      const MinIoResult result =
+      MinIoResult result =
           minio_heuristic(tree, *candidate.order, memory_budget, policy);
       TM_ASSERT(result.feasible, "budget above the floor must be feasible");
       if (result.io_volume < best_io) {
         best_io = result.io_volume;
-        plan.schedule = result.schedule;
-        plan.strategy = std::string(candidate.traversal_name) + "+" +
+        plan.schedule = std::move(result.schedule);
+        plan.strategy = std::string(candidate.name) + "+" +
                         to_string(policy) + "/out-of-core";
       }
     }

@@ -13,6 +13,7 @@
 //     help (Eq. 1 must hold per node).
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "core/traversal.hpp"
@@ -48,5 +49,20 @@ struct PlannerOptions {
 /// when feasible.
 ExecutionPlan plan_execution(const Tree& tree, Weight memory_budget,
                              const PlannerOptions& options = {});
+
+/// A traversal the out-of-core chooser may evict along.
+struct TraversalCandidate {
+  const char* name;         ///< strategy-tag prefix, e.g. "postorder"
+  const Traversal* order;   ///< out-tree order
+};
+
+/// The out-of-core regime alone: runs minio_heuristic on every candidate
+/// under every eviction policy `options` enables and keeps the schedule
+/// with the least I/O volume (the first one on ties). Infeasible, with no
+/// schedule, when the budget is below max(max MemReq, f_root): no
+/// eviction helps there (Eq. 1). in_core_optimum is left 0.
+ExecutionPlan plan_out_of_core(const Tree& tree, Weight memory_budget,
+                               std::span<const TraversalCandidate> candidates,
+                               const PlannerOptions& options = {});
 
 }  // namespace treemem

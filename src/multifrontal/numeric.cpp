@@ -220,6 +220,7 @@ MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
             "contribution blocks leaked: " << engine.live_entries());
   result.peak_live_entries = engine.peak_live_entries();
   result.flops = engine.flops();
+  result.lease_stats = engine.kernel_lease_stats();
   result.factor = engine.take_factor();
   return result;
 }

@@ -194,6 +194,9 @@ struct MultifrontalResult {
   std::vector<Weight> live_after_step;
   /// Total floating-point operations of the dense eliminations.
   long long flops = 0;
+  /// Intra-front lease tallies of the run's kernel (a serial run still
+  /// leases pool workers for its large trailing updates).
+  KernelLeaseStats lease_stats;
 };
 
 /// Factors `matrix` (already permuted!) with the multifrontal method,

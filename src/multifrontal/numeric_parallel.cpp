@@ -65,11 +65,11 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
       options.workers);
 
   ExecutorOptions exec_options;
-  exec_options.workers = options.workers;
-  exec_options.memory_budget = options.memory_budget;
-  exec_options.priority = options.priority;
-  exec_options.admission = options.admission;
-  exec_options.serial_witness = tasks.witness;
+  exec_options.schedule = {.workers = options.workers,
+                           .memory_budget = options.memory_budget,
+                           .priority = options.priority,
+                           .admission = options.admission,
+                           .serial_witness = tasks.witness};
   exec_options.lease_idle_workers = options.lease_idle_workers;
   // Tree level and front level draw from the same pool: whichever pool
   // the kernel leases from is the one the executor recruits stints from
@@ -82,7 +82,7 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
         {tasks.root_of(t), static_cast<NodeId>(tasks.fronts_of(t).size())});
   }
 
-  const ExecutorResult run = execute_task_tree(
+  const ParallelScheduleResult run = execute_task_tree(
       tasks.tree, exec_options, tasks.durations, [&](NodeId task) {
         FrontWorkspace ws = pool.acquire();
         try {
@@ -104,9 +104,7 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
   result.factor_seconds = run.makespan;
   result.speedup = run.speedup;
   result.tasks = tasks.size();
-  const KernelLeaseStats lease_stats = engine.kernel_lease_stats();
-  result.leases_granted = lease_stats.leases_granted;
-  result.lease_denied = lease_stats.leases_denied;
+  result.lease_stats = engine.kernel_lease_stats();
   if (!run.feasible) {
     return result;  // factor left empty: the run did not complete
   }

@@ -92,11 +92,8 @@ struct ParallelFactorResult {
   NodeId tasks = 0;
   /// Supernodes in completion order — a valid bottom-up traversal.
   Traversal completion_order;
-  /// Intra-front lease tallies of the run's kernel: panels that cleared
-  /// the volume gate and got pool workers / found none idle and ran
-  /// inline.
-  long long leases_granted = 0;
-  long long lease_denied = 0;
+  /// Intra-front lease tallies of the run's kernel.
+  KernelLeaseStats lease_stats;
   /// Measured occupancy at each front's allocation instant / right after
   /// each front's release, in completion order. On w = 1 these are the
   /// serial stepwise memory profiles (and live_after_step.back() == 0).

@@ -24,6 +24,16 @@ std::string render_name(const std::string& name, const std::string& labels) {
   return name + "{" + labels + "}";
 }
 
+std::string format_scalar(const std::string& name, const std::string& labels,
+                          const char* type, double value) {
+  std::ostringstream os;
+  os << "# TYPE " << name << ' ' << type << '\n'
+     << render_name(name, labels) << ' ';
+  append_value(os, value);
+  os << '\n';
+  return os.str();
+}
+
 }  // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
@@ -211,13 +221,14 @@ std::string format_counter(const std::string& name,
   return os.str();
 }
 
+std::string format_counter(const std::string& name,
+                           const std::string& labels, double value) {
+  return format_scalar(name, labels, "counter", value);
+}
+
 std::string format_gauge(const std::string& name, const std::string& labels,
                          double value) {
-  std::ostringstream os;
-  os << "# TYPE " << name << " gauge\n" << render_name(name, labels) << ' ';
-  append_value(os, value);
-  os << '\n';
-  return os.str();
+  return format_scalar(name, labels, "gauge", value);
 }
 
 std::string format_histogram(const std::string& name,

@@ -152,6 +152,9 @@ std::string dump_metrics();
 // Exposition formatting helpers (shared by the registry and exporters).
 std::string format_counter(const std::string& name,
                            const std::string& labels, long long value);
+/// A cumulative non-integral total (e.g. seconds spent).
+std::string format_counter(const std::string& name,
+                           const std::string& labels, double value);
 std::string format_gauge(const std::string& name, const std::string& labels,
                          double value);
 std::string format_histogram(const std::string& name,

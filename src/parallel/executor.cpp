@@ -1,7 +1,6 @@
 #include "parallel/executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -25,44 +24,24 @@ const char* admission_trace_name(AdmissionPolicy policy) {
   return "admission:?";
 }
 
-/// Busy-waits for `seconds` of wall-clock time. A spin (not a sleep) so the
-/// worker genuinely occupies its core, like a real factorization kernel
-/// would — sleeps would let the OS oversubscribe and flatter the speedup.
-void spin_for(double seconds) {
-  if (seconds <= 0.0) {
-    return;
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(seconds));
-  while (std::chrono::steady_clock::now() < deadline) {
-  }
-}
-
 }  // namespace
 
-ExecutorResult execute_task_tree(const Tree& tree,
-                                 const ExecutorOptions& options) {
+ParallelScheduleResult execute_task_tree(const Tree& tree,
+                                         const ExecutorOptions& options) {
   return execute_task_tree(tree, options, default_task_durations(tree));
 }
 
-ExecutorResult execute_task_tree(const Tree& tree,
-                                 const ExecutorOptions& options,
-                                 const std::vector<double>& durations,
-                                 const TaskBody& body) {
+ParallelScheduleResult execute_task_tree(const Tree& tree,
+                                         const ExecutorOptions& options,
+                                         const std::vector<double>& durations,
+                                         const TaskBody& body) {
   const auto p = static_cast<std::size_t>(tree.size());
-  TM_CHECK(options.workers >= 1, "need at least one worker");
-  TM_CHECK(durations.size() == p, "durations size mismatch");
   TM_CHECK(options.trace_labels.empty() || options.trace_labels.size() == p,
            "trace labels size mismatch");
-  for (const double d : durations) {
-    TM_CHECK(d > 0.0, "durations must be positive");
-  }
+  const ParallelOptions& schedule = options.schedule;
 
-  ExecutorResult result;
-  ScheduleCore core(tree, options.priority, options.memory_budget, durations,
-                    options.admission, options.serial_witness);
+  ParallelScheduleResult result;
+  ScheduleCore core(tree, schedule, durations);
   if (!core.schedule_feasible()) {
     return result;  // feasible = false: a transient or the witness peak
                     // exceeds the budget
@@ -78,7 +57,7 @@ ExecutorResult execute_task_tree(const Tree& tree,
   // thread (the anchor, worker id 0) is part of the crew, so at most
   // target-1 pool workers are ever recruited.
   const int target = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(options.workers), p));
+      static_cast<std::size_t>(schedule.workers), p));
 
   // Scheduler state. Every ScheduleCore call happens under `mutex`; workers
   // drop it only while a payload runs.
@@ -107,11 +86,11 @@ ExecutorResult execute_task_tree(const Tree& tree,
   if (recorder.enabled()) {
     // One instant names the policy for the whole run; the counter track
     // starts at the initial accountant level (the leaves' inputs).
-    recorder.instant(admission_trace_name(options.admission), "admission", 0,
-                     "budget",
-                     options.memory_budget == kInfiniteWeight
+    recorder.instant(admission_trace_name(schedule.admission), "admission",
+                     0, "budget",
+                     schedule.memory_budget == kInfiniteWeight
                          ? -1
-                         : static_cast<long long>(options.memory_budget));
+                         : static_cast<long long>(schedule.memory_budget));
     recorder.counter("memory_entries", "entries",
                      static_cast<long long>(core.current_memory()));
   }
@@ -198,9 +177,6 @@ ExecutorResult execute_task_tree(const Tree& tree,
       try {
         if (body) {
           body(node);
-        } else {
-          spin_for(durations[static_cast<std::size_t>(node)] *
-                   options.spin_seconds_per_unit);
         }
       } catch (...) {
         if (recorder.enabled()) {

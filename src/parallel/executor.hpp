@@ -26,14 +26,12 @@
 // tasks run FrontalEngine::process_front for one front or for a whole
 // subtree, so the executor schedules actual frontal-matrix kernels);
 // bench/parallel_tradeoff passes a calibrated arithmetic burner
-// so measured speedups reflect core throughput. As fallbacks for
-// validation without a payload, callers can instead use synthetic
-// spin-work via ExecutorOptions::spin_seconds_per_unit, which busy-waits
-// `duration(i) * spin_seconds_per_unit` wall-clock seconds per task (a
-// quick way to make measured makespans comparable to the simulator's
-// modeled ones when workers don't exceed physical cores), or neither, in
-// which case tasks complete instantly and only the scheduling machinery is
-// exercised.
+// so measured speedups reflect core throughput. Without a payload, tasks
+// complete instantly and only the scheduling machinery is exercised.
+//
+// Options and result are the simulator's: ExecutorOptions::schedule is the
+// same ParallelOptions simulate_parallel_traversal takes, and both return
+// a ParallelScheduleResult (here with measured seconds).
 //
 // Determinism: with w = 1 the executor takes exactly the simulator's
 // scheduling decisions (same greedy rule, same tie-breaks), so its
@@ -71,21 +69,8 @@ struct TaskLabel {
 };
 
 struct ExecutorOptions {
-  int workers = 4;
-  /// Shared memory bound; kInfiniteWeight disables the constraint.
-  Weight memory_budget = kInfiniteWeight;
-  ParallelPriority priority = ParallelPriority::kCriticalPath;
-  /// How ready tasks are admitted against the budget; lookahead consults
-  /// `serial_witness` (see ScheduleCore) and never stalls when the budget
-  /// covers its serial peak.
-  AdmissionPolicy admission = AdmissionPolicy::kGreedy;
-  /// Optional bottom-up witness traversal for the lookahead policy;
-  /// empty = the MinMem optimum.
-  Traversal serial_witness = {};
-  /// Fallback when no TaskBody payload is supplied: synthetic busy-wait per
-  /// duration unit (seconds); zero = tasks complete instantly. Real runs
-  /// (factor_parallel, bench payloads) pass a TaskBody and leave this 0.
-  double spin_seconds_per_unit = 0.0;
+  /// Workers, budget, priority and admission — the simulator's options.
+  ParallelOptions schedule;
   /// Elastic crewing (default): a recruited worker that finds no ready
   /// task ends its stint and returns to the worker pool — where an
   /// intra-front lease (a large root front's trailing update) can pick it
@@ -104,36 +89,17 @@ struct ExecutorOptions {
   std::vector<TaskLabel> trace_labels = {};
 };
 
-struct ExecutorResult {
-  /// False iff the run could not complete under the memory bound: either
-  /// some task's transient exceeds M outright, or the greedy schedule
-  /// stalled with stranded resident files (matching the simulator's notion
-  /// of a memory deadlock).
-  bool feasible = false;
-  /// Measured wall-clock seconds from run start to the last completion.
-  double makespan = 0.0;
-  /// Peak of the accounted shared-memory occupancy; never exceeds the
-  /// budget on feasible runs.
-  Weight peak_memory = 0;
-  /// Σ measured task seconds / makespan — the achieved parallel speedup.
-  double speedup = 0.0;
-  /// Measured intervals (seconds since run start), in node order.
-  std::vector<TaskInterval> gantt;
-  /// Tasks in completion order — a valid bottom-up (in-tree) traversal.
-  Traversal completion_order;
-};
+/// Runs the task tree on options.schedule.workers threads with default
+/// durations (see default_task_durations) and no payload: tasks complete
+/// instantly.
+ParallelScheduleResult execute_task_tree(const Tree& tree,
+                                         const ExecutorOptions& options);
 
-/// Runs the task tree on options.workers threads with default durations
-/// (see default_task_durations) and no payload beyond the optional
-/// spin-work.
-ExecutorResult execute_task_tree(const Tree& tree,
-                                 const ExecutorOptions& options);
-
-/// Full control: explicit durations (they drive priorities and spin-work)
-/// and an optional real payload per task.
-ExecutorResult execute_task_tree(const Tree& tree,
-                                 const ExecutorOptions& options,
-                                 const std::vector<double>& durations,
-                                 const TaskBody& body = {});
+/// Full control: explicit durations (they drive priorities) and an
+/// optional real payload per task.
+ParallelScheduleResult execute_task_tree(const Tree& tree,
+                                         const ExecutorOptions& options,
+                                         const std::vector<double>& durations,
+                                         const TaskBody& body = {});
 
 }  // namespace treemem

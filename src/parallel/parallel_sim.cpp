@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 namespace treemem {
 
@@ -15,15 +16,8 @@ ParallelScheduleResult simulate_parallel_traversal(
     const Tree& tree, const ParallelOptions& options,
     const std::vector<double>& durations) {
   const auto p = static_cast<std::size_t>(tree.size());
-  TM_CHECK(options.workers >= 1, "need at least one worker");
-  TM_CHECK(durations.size() == p, "durations size mismatch");
-  for (const double d : durations) {
-    TM_CHECK(d > 0.0, "durations must be positive");
-  }
-
   ParallelScheduleResult result;
-  ScheduleCore core(tree, options.priority, options.memory_budget, durations,
-                    options.admission, options.serial_witness);
+  ScheduleCore core(tree, options, durations);
   if (!core.schedule_feasible()) {
     return result;  // feasible = false
   }
@@ -45,6 +39,9 @@ ParallelScheduleResult simulate_parallel_traversal(
 
   double now = 0.0;
   double total_work = 0.0;
+  std::vector<TaskInterval> gantt(p);
+  Traversal completion_order;
+  completion_order.reserve(p);
 
   auto try_dispatch = [&]() {
     while (!free_workers.empty()) {
@@ -64,9 +61,9 @@ ParallelScheduleResult simulate_parallel_traversal(
     const Running done = running.top();
     running.pop();
     now = done.finish;
-    result.gantt.push_back({done.node, done.worker,
-                            now - durations[static_cast<std::size_t>(done.node)],
-                            now});
+    const auto node = static_cast<std::size_t>(done.node);
+    gantt[node] = {done.node, done.worker, now - durations[node], now};
+    completion_order.push_back(done.node);
     core.finish(done.node);
     free_workers.push_back(done.worker);
     try_dispatch();
@@ -83,6 +80,8 @@ ParallelScheduleResult simulate_parallel_traversal(
   result.feasible = true;
   result.makespan = now;
   result.speedup = total_work / std::max(now, 1e-300);
+  result.gantt = std::move(gantt);
+  result.completion_order = std::move(completion_order);
   return result;
 }
 

@@ -16,9 +16,10 @@
 // the scheduler serializes (or, if even one task cannot fit, fails), so
 // speedup is bought with memory. bench/parallel_tradeoff quantifies it.
 //
-// All scheduling decisions are shared with the real threaded executor
-// (parallel/executor.hpp) through parallel/schedule_core.hpp; this header
-// only adds the virtual-clock front-end.
+// All scheduling decisions, the options and the result type are shared
+// with the real threaded executor (parallel/executor.hpp) through
+// parallel/schedule_core.hpp; this header only adds the virtual-clock
+// front-end. Its gantt holds modeled times, indexed by node.
 #pragma once
 
 #include <vector>
@@ -27,33 +28,6 @@
 #include "tree/tree.hpp"
 
 namespace treemem {
-
-struct ParallelOptions {
-  int workers = 4;
-  /// Shared memory bound; kInfiniteWeight disables the constraint.
-  Weight memory_budget = kInfiniteWeight;
-  ParallelPriority priority = ParallelPriority::kCriticalPath;
-  /// How ready tasks are admitted against the budget; lookahead consults
-  /// `serial_witness` (see ScheduleCore) and never stalls when the budget
-  /// covers its serial peak.
-  AdmissionPolicy admission = AdmissionPolicy::kGreedy;
-  /// Optional bottom-up witness traversal for the lookahead policy;
-  /// empty = the MinMem optimum.
-  Traversal serial_witness = {};
-};
-
-struct ParallelScheduleResult {
-  /// False iff the schedule could not run to completion under the memory
-  /// bound: some task can never start, the non-greedy witness peak exceeds
-  /// the budget, or the (greedy) schedule deadlocked mid-run.
-  bool feasible = false;
-  double makespan = 0.0;
-  /// Peak of the simulated shared-memory occupancy.
-  Weight peak_memory = 0;
-  /// Σ durations / makespan — the achieved parallel speedup.
-  double speedup = 0.0;
-  std::vector<TaskInterval> gantt;
-};
 
 /// Task durations default to the node's transient footprint (n_i + f_i, at
 /// least 1) — see default_task_durations(). Use the explicit overload for

@@ -1,7 +1,6 @@
 #include "parallel/schedule_core.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/check.hpp"
 #include "core/minmem.hpp"
@@ -107,15 +106,17 @@ void MemoryAccountant::raise_peak(Weight observed) {
   }
 }
 
-ScheduleCore::ScheduleCore(const Tree& tree, ParallelPriority priority,
-                           Weight memory_budget,
-                           const std::vector<double>& durations,
-                           AdmissionPolicy admission, Traversal serial_witness)
+ScheduleCore::ScheduleCore(const Tree& tree, const ParallelOptions& options,
+                           const std::vector<double>& durations)
     : tree_(&tree),
-      admission_(admission),
-      rank_(compute_priority_ranks(tree, priority, durations)),
+      admission_(options.admission),
+      rank_(compute_priority_ranks(tree, options.priority, durations)),
       missing_children_(static_cast<std::size_t>(tree.size())),
-      memory_(memory_budget) {
+      memory_(options.memory_budget) {
+  TM_CHECK(options.workers >= 1, "need at least one worker");
+  for (const double d : durations) {
+    TM_CHECK(d > 0.0, "durations must be positive");
+  }
   for (NodeId i = 0; i < tree.size(); ++i) {
     missing_children_[static_cast<std::size_t>(i)] = tree.num_children(i);
     if (tree.is_leaf(i)) {
@@ -127,15 +128,15 @@ ScheduleCore::ScheduleCore(const Tree& tree, ParallelPriority priority,
   // With an infinite budget every admission test is vacuously true; skip the
   // witness machinery entirely so the front-ends pay nothing for the
   // default uncapped runs.
-  if (memory_budget >= kInfiniteWeight || tree.size() == 0) {
+  if (options.memory_budget >= kInfiniteWeight || tree.size() == 0) {
     admission_ = AdmissionPolicy::kGreedy;
   }
   if (admission_ == AdmissionPolicy::kGreedy) {
     return;
   }
-  witness_ = serial_witness.empty()
+  witness_ = options.serial_witness.empty()
                  ? reverse_traversal(minmem_optimal(tree).order)
-                 : std::move(serial_witness);
+                 : options.serial_witness;
   // Validates the witness structurally (bottom-up permutation) and yields
   // its serial Eq. 1 peak — the budget floor below which no admission
   // policy can promise progress.

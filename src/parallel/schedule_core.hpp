@@ -1,5 +1,6 @@
 // Scheduling state shared by the parallel simulator and the threaded
-// executor.
+// executor, and the one options/result contract both front-ends speak
+// (ParallelOptions in, ParallelScheduleResult out).
 //
 // Both front-ends run the same memory-bounded list scheduling of the
 // multifrontal task tree: a task is ready when all its children finished;
@@ -78,6 +79,44 @@ struct TaskInterval {
   double finish = 0.0;
 };
 
+/// The schedule both front-ends run: the worker count, the shared memory
+/// bound, the ready-task priority and the admission policy. The executor
+/// wraps it in ExecutorOptions::schedule; the simulator takes it as is.
+struct ParallelOptions {
+  int workers = 4;
+  /// Shared memory bound; kInfiniteWeight disables the constraint.
+  Weight memory_budget = kInfiniteWeight;
+  ParallelPriority priority = ParallelPriority::kCriticalPath;
+  /// How ready tasks are admitted against the budget; lookahead consults
+  /// `serial_witness` (see ScheduleCore) and never stalls when the budget
+  /// covers its serial peak.
+  AdmissionPolicy admission = AdmissionPolicy::kGreedy;
+  /// Optional bottom-up witness traversal for the lookahead policy;
+  /// empty = the MinMem optimum.
+  Traversal serial_witness = {};
+};
+
+/// What a front-end run produced. The simulator reports modeled times,
+/// the executor measured wall-clock seconds since the start of the run.
+struct ParallelScheduleResult {
+  /// False iff the schedule could not run to completion under the memory
+  /// bound: some task can never start, the lookahead witness peak exceeds
+  /// the budget, or the (greedy) schedule deadlocked mid-run.
+  bool feasible = false;
+  /// Time from the run's start to its last completion.
+  double makespan = 0.0;
+  /// Peak of the accounted shared-memory occupancy; never exceeds the
+  /// budget on feasible runs.
+  Weight peak_memory = 0;
+  /// Σ task durations / makespan — the achieved parallel speedup.
+  double speedup = 0.0;
+  /// One interval per task, indexed by node (feasible runs only).
+  std::vector<TaskInterval> gantt;
+  /// Tasks in completion order — a valid bottom-up (in-tree) traversal
+  /// (feasible runs only).
+  Traversal completion_order;
+};
+
 /// Default task durations: proportional to the node's own footprint
 /// (n_i + f_i, at least 1) — a flop-count proxy adequate for scheduling
 /// studies.
@@ -134,17 +173,17 @@ class MemoryAccountant {
 /// at the start).
 class ScheduleCore {
  public:
-  /// `serial_witness`, consumed only by the lookahead policy, is a
-  /// bottom-up traversal (children before parents, all p nodes) whose
-  /// serial Eq. 1 peak should fit the budget — typically the planner's
-  /// traversal. When empty, the MinMem optimum is computed internally, so
-  /// any budget >= the serial optimal peak guarantees stall-freedom. With
-  /// an infinite budget admission is vacuous and every policy degrades to
-  /// greedy (no witness is computed).
-  ScheduleCore(const Tree& tree, ParallelPriority priority,
-               Weight memory_budget, const std::vector<double>& durations,
-               AdmissionPolicy admission = AdmissionPolicy::kGreedy,
-               Traversal serial_witness = {});
+  /// Throws treemem::Error unless options.workers >= 1 and `durations`
+  /// holds one positive duration per node. `options.serial_witness`,
+  /// consumed only by the lookahead policy, is a bottom-up traversal
+  /// (children before parents, all p nodes) whose serial Eq. 1 peak
+  /// should fit the budget — typically the planner's traversal. When
+  /// empty, the MinMem optimum is computed internally, so any budget >=
+  /// the serial optimal peak guarantees stall-freedom. With an infinite
+  /// budget admission is vacuous and every policy degrades to greedy (no
+  /// witness is computed).
+  ScheduleCore(const Tree& tree, const ParallelOptions& options,
+               const std::vector<double>& durations);
 
   /// The Eq. 1 transient of task i: children files + n_i + f_i.
   Weight transient(NodeId i) const {

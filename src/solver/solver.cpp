@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "core/liu.hpp"
-#include "core/minio.hpp"
 #include "core/minmem.hpp"
+#include "core/planner.hpp"
 #include "core/postorder.hpp"
 #include "multifrontal/numeric_parallel.hpp"
 #include "multifrontal/out_of_core.hpp"
@@ -162,9 +162,12 @@ Solver& Solver::analyze(const SparsePattern& pattern,
   analysis->permuted_pattern = std::move(permuted);
   analysis->assembly = std::move(assembly);
   analysis->permuted_value_map = std::move(value_map);
-  analysis->factor_nnz = analysis->assembly.fronts->factor.nnz();
-  analysis->ordering_name = to_string(options.ordering);
-  analysis->analyze_seconds = timer.elapsed_s();
+  analysis->stats = {.n = pattern.cols(),
+                     .pattern_nnz = pattern.nnz(),
+                     .factor_nnz = analysis->assembly.fronts->factor.nnz(),
+                     .tree_nodes = analysis->assembly.tree.size(),
+                     .ordering = to_string(options.ordering),
+                     .analyze_seconds = timer.elapsed_s()};
 
   // Commit only after everything above succeeded, so a throwing analyze()
   // leaves a previously analyzed solver intact.
@@ -175,15 +178,8 @@ Solver& Solver::analyze(const SparsePattern& pattern,
   minmem_cache_.reset();
   factor_.reset();
   phase_ = Phase::kAnalyzed;
-
-  stats_ = SolverStats{};
-  solve_counters_.reset();
-  stats_.n = analysis_->pattern.cols();
-  stats_.pattern_nnz = analysis_->pattern.nnz();
-  stats_.factor_nnz = analysis_->factor_nnz;
-  stats_.tree_nodes = analysis_->assembly.tree.size();
-  stats_.ordering = analysis_->ordering_name;
-  stats_.analyze_seconds = analysis_->analyze_seconds;
+  last_run_ = {};
+  totals_ = {};
   return *this;
 }
 
@@ -238,7 +234,7 @@ Solver& Solver::plan(const PlanOptions& options) {
   // Candidate traversals in the out-of-core regime: the explicit policy's
   // own order, or — under kAuto — postorder and Liu, the chain-building
   // orders Fig. 8 shows keep I/O low.
-  std::vector<std::pair<std::string, Traversal>> ooc_candidates;
+  std::vector<TraversalCandidate> ooc_candidates;
 
   switch (options.policy) {
     case TraversalPolicy::kAuto:
@@ -252,8 +248,8 @@ Solver& Solver::plan(const PlanOptions& options) {
         strategy = "minmem/in-core";
       } else {
         out_of_core = true;
-        ooc_candidates.emplace_back("postorder", postorder.order);
-        ooc_candidates.emplace_back("liu", cached_liu().order);
+        ooc_candidates.push_back({"postorder", &postorder.order});
+        ooc_candidates.push_back({"liu", &cached_liu().order});
       }
       break;
     case TraversalPolicy::kPostorder:
@@ -279,8 +275,7 @@ Solver& Solver::plan(const PlanOptions& options) {
   // MinIO eviction on that same traversal.
   if (!out_of_core && budget < in_core_peak) {
     out_of_core = true;
-    ooc_candidates.emplace_back(to_string(options.policy),
-                                std::move(out_tree_order));
+    ooc_candidates.push_back({to_string(options.policy), &out_tree_order});
   }
 
   // Traversal × schedule co-search (in-core plans under a finite budget):
@@ -344,28 +339,16 @@ Solver& Solver::plan(const PlanOptions& options) {
              "Solver::plan: budget " << budget
                                      << " is below the in-core peak and "
                                         "out-of-core execution is disabled");
-    const Weight floor =
-        std::max(tree.max_mem_req(), tree.file_size(tree.root()));
-    TM_CHECK(budget >= floor,
-             "Solver::plan: budget " << budget << " is below max MemReq "
-                                     << floor
-                                     << " — no schedule can help (Eq. 1)");
-    Weight best_io = kInfiniteWeight;
-    for (const auto& [name, order] : ooc_candidates) {
-      for (const EvictionPolicy policy :
-           {EvictionPolicy::kFirstFit, EvictionPolicy::kBestKCombination}) {
-        const MinIoResult result =
-            minio_heuristic(tree, order, budget, policy);
-        TM_ASSERT(result.feasible, "budget above the floor must be feasible");
-        if (result.io_volume < best_io) {
-          best_io = result.io_volume;
-          schedule = result.schedule;
-          strategy = name + "+" + to_string(policy) + "/out-of-core";
-        }
-      }
-    }
+    ExecutionPlan ooc = plan_out_of_core(tree, budget, ooc_candidates);
+    TM_CHECK(ooc.feasible,
+             "Solver::plan: budget "
+                 << budget << " is below max MemReq "
+                 << std::max(tree.max_mem_req(), tree.file_size(tree.root()))
+                 << " — no schedule can help (Eq. 1)");
+    strategy = std::move(ooc.strategy);
+    schedule = std::move(ooc.schedule);
     out_tree_order = schedule.order;
-    io_volume = best_io;
+    io_volume = ooc.io_volume;
   }
 
   auto plan_state = std::make_shared<SolverPlan>();
@@ -373,27 +356,19 @@ Solver& Solver::plan(const PlanOptions& options) {
   plan_state->bottom_up_order = reverse_traversal(std::move(out_tree_order));
   plan_state->io_schedule = std::move(schedule);
   plan_state->out_of_core = out_of_core;
-  plan_state->budget = budget;
-  plan_state->strategy = std::move(strategy);
-  plan_state->planned_peak_entries = out_of_core ? budget : in_core_peak;
-  plan_state->in_core_optimum = optimal.peak;
-  plan_state->best_postorder_peak = postorder.peak;
-  plan_state->planned_io_volume = io_volume;
-  plan_state->planned_parallel_peak = parallel_peak;
-  plan_state->plan_seconds = timer.elapsed_s();
+  plan_state->stats = {
+      .strategy = std::move(strategy),
+      .memory_budget = budget,
+      .planned_peak_entries = out_of_core ? budget : in_core_peak,
+      .in_core_optimum = optimal.peak,
+      .best_postorder_peak = postorder.peak,
+      .planned_io_volume = io_volume,
+      .planned_parallel_peak = parallel_peak,
+      .plan_seconds = timer.elapsed_s()};
 
   plan_ = std::move(plan_state);
   factor_.reset();
   phase_ = Phase::kPlanned;
-
-  stats_.strategy = plan_->strategy;
-  stats_.memory_budget = budget;
-  stats_.planned_peak_entries = plan_->planned_peak_entries;
-  stats_.in_core_optimum = plan_->in_core_optimum;
-  stats_.best_postorder_peak = plan_->best_postorder_peak;
-  stats_.planned_io_volume = plan_->planned_io_volume;
-  stats_.planned_parallel_peak = plan_->planned_parallel_peak;
-  stats_.plan_seconds = plan_->plan_seconds;
   return *this;
 }
 
@@ -417,31 +392,9 @@ Solver& Solver::adopt(SolverSymbolic symbolic) {
   minmem_cache_.reset();
   factor_.reset();
   phase_ = Phase::kPlanned;
-
-  // Rebuild the analyze/plan reporting fields from the adopted snapshots;
-  // keep the cumulative service counters (factorizations + the atomic
-  // solve counters) so a pooled solver accumulates lifetime totals.
-  const int factorizations = stats_.factorizations;
-  const long long leases_granted = stats_.leases_granted;
-  const long long lease_denied = stats_.lease_denied;
-  stats_ = SolverStats{};
-  stats_.factorizations = factorizations;
-  stats_.leases_granted = leases_granted;
-  stats_.lease_denied = lease_denied;
-  stats_.n = analysis_->pattern.cols();
-  stats_.pattern_nnz = analysis_->pattern.nnz();
-  stats_.factor_nnz = analysis_->factor_nnz;
-  stats_.tree_nodes = analysis_->assembly.tree.size();
-  stats_.ordering = analysis_->ordering_name;
-  stats_.analyze_seconds = analysis_->analyze_seconds;
-  stats_.strategy = plan_->strategy;
-  stats_.memory_budget = plan_->budget;
-  stats_.planned_peak_entries = plan_->planned_peak_entries;
-  stats_.in_core_optimum = plan_->in_core_optimum;
-  stats_.best_postorder_peak = plan_->best_postorder_peak;
-  stats_.planned_io_volume = plan_->planned_io_volume;
-  stats_.planned_parallel_peak = plan_->planned_parallel_peak;
-  stats_.plan_seconds = plan_->plan_seconds;
+  // The analyze and plan sections now read the adopted state; the totals
+  // stay, so a pooled solver accumulates lifetime totals.
+  last_run_ = {};
   return *this;
 }
 
@@ -512,15 +465,26 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   Timer timer;
   obs::TraceSpan phase_span("factorize", "solver", obs::TraceRecorder::kNoLane,
                             "workers", workers);
-  bool stall_fallback = false;
-  const char* engine_name = "serial";
+  const Weight budget = plan_->stats.memory_budget;
+  // Every engine ends here: record the run, count it and its leases.
+  auto commit = [&](CholeskyFactor factor, FactorizeStats run,
+                    const KernelLeaseStats& leases) -> Solver& {
+    factor_ = std::make_shared<const CholeskyFactor>(std::move(factor));
+    phase_ = Phase::kFactorized;
+    run.factorize_seconds = timer.elapsed_s();
+    last_run_ = std::move(run);
+    ++totals_.factorizations;
+    totals_.leases.leases_granted += leases.leases_granted;
+    totals_.leases.leases_denied += leases.leases_denied;
+    return *this;
+  };
 
   if (engine == FactorizeEngine::kParallel) {
     // The planned traversal is the serial witness: plan() guaranteed its
     // peak fits the budget, so lookahead admission is stall-free here.
     const ParallelFactorOptions parallel{
         .workers = workers,
-        .memory_budget = plan_->budget,
+        .memory_budget = budget,
         .priority = options.priority,
         .admission = options.admission,
         .serial_witness = plan_->bottom_up_order,
@@ -529,22 +493,16 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
     ParallelFactorResult run =
         factor_parallel(permuted, analysis_->assembly, parallel);
     if (run.feasible) {
-      factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
-      phase_ = Phase::kFactorized;
-      stats_.engine = "parallel";
-      stats_.admission = to_string(options.admission);
-      stats_.workers = workers;
-      stats_.flops = run.flops;
-      stats_.measured_peak_entries = run.measured_peak_entries;
-      stats_.modeled_peak_entries = run.modeled_peak_entries;
-      stats_.factorize_seconds = timer.elapsed_s();
-      stats_.parallel_speedup = run.speedup;
-      stats_.parallel_tasks = run.tasks;
-      stats_.stall_fallback = false;
-      stats_.leases_granted += run.leases_granted;
-      stats_.lease_denied += run.lease_denied;
-      ++stats_.factorizations;
-      return *this;
+      return commit(std::move(run.factor),
+                    {.engine = "parallel",
+                     .admission = to_string(options.admission),
+                     .workers = workers,
+                     .flops = run.flops,
+                     .measured_peak_entries = run.measured_peak_entries,
+                     .modeled_peak_entries = run.modeled_peak_entries,
+                     .parallel_speedup = run.speedup,
+                     .parallel_tasks = run.tasks},
+                    run.lease_stats);
     }
     // Greedy stall under a tight budget: the planned serial traversal is
     // guaranteed feasible, and the serial engine produces the identical
@@ -552,42 +510,39 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
     if (!options.allow_serial_fallback) {
       std::ostringstream message;
       message << "Solver::factorize: parallel schedule stalled under budget "
-              << plan_->budget << " with " << workers << " workers ("
+              << budget << " with " << workers << " workers ("
               << to_string(options.admission) << " admission deadlock)";
       throw SolverStallError(message.str());
     }
-    stall_fallback = true;
   }
 
-  Weight measured_peak = 0;
-  long long flops = 0;
+  // Serial engines: no admission decisions, and the plan's peak is the
+  // modeled one.
+  const bool stall_fallback = engine == FactorizeEngine::kParallel;
   if (plan_->out_of_core) {
     OutOfCoreRunResult run = multifrontal_cholesky_out_of_core(
-        permuted, analysis_->assembly, plan_->io_schedule, plan_->budget);
-    measured_peak = run.peak_live_entries;
-    flops = run.flops;
-    factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
-    engine_name = "out-of-core";
-  } else {
-    MultifrontalResult run = multifrontal_cholesky(
-        permuted, analysis_->assembly, plan_->bottom_up_order, options.kernel);
-    measured_peak = run.peak_live_entries;
-    flops = run.flops;
-    factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
+        permuted, analysis_->assembly, plan_->io_schedule, budget);
+    return commit(std::move(run.factor),
+                  {.engine = "out-of-core",
+                   .admission = {},
+                   .workers = 1,
+                   .flops = run.flops,
+                   .measured_peak_entries = run.peak_live_entries,
+                   .modeled_peak_entries = plan_->stats.planned_peak_entries,
+                   .stall_fallback = stall_fallback},
+                  {});
   }
-  phase_ = Phase::kFactorized;
-  stats_.engine = engine_name;
-  stats_.admission.clear();  // serial runs have no admission decisions
-  stats_.workers = 1;
-  stats_.flops = flops;
-  stats_.measured_peak_entries = measured_peak;
-  stats_.modeled_peak_entries = stats_.planned_peak_entries;
-  stats_.factorize_seconds = timer.elapsed_s();
-  stats_.parallel_speedup = 0.0;
-  stats_.parallel_tasks = 0;
-  stats_.stall_fallback = stall_fallback;
-  ++stats_.factorizations;
-  return *this;
+  MultifrontalResult run = multifrontal_cholesky(
+      permuted, analysis_->assembly, plan_->bottom_up_order, options.kernel);
+  return commit(std::move(run.factor),
+                {.engine = "serial",
+                 .admission = {},
+                 .workers = 1,
+                 .flops = run.flops,
+                 .measured_peak_entries = run.peak_live_entries,
+                 .modeled_peak_entries = plan_->stats.planned_peak_entries,
+                 .stall_fallback = stall_fallback},
+                run.lease_stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -616,10 +571,10 @@ std::vector<double> Solver::solve(std::vector<double> rhs) const {
   }
   // Relaxed is enough: the counters are cumulative tallies read through
   // stats() snapshots, not synchronization edges.
-  solve_counters_.nanos.fetch_add(
+  totals_.solve_nanos.fetch_add(
       static_cast<long long>(timer.elapsed_s() * 1e9),
       std::memory_order_relaxed);
-  solve_counters_.rhs.fetch_add(1, std::memory_order_relaxed);
+  totals_.rhs.fetch_add(1, std::memory_order_relaxed);
   return x;
 }
 
@@ -639,11 +594,21 @@ std::vector<std::vector<double>> Solver::solve(
 // ---------------------------------------------------------------------------
 
 SolverStats Solver::stats() const {
-  SolverStats snapshot = stats_;
-  snapshot.rhs_solved = solve_counters_.rhs.load(std::memory_order_relaxed);
+  SolverStats snapshot;
+  if (analysis_) {
+    static_cast<AnalyzeStats&>(snapshot) = analysis_->stats;
+  }
+  if (plan_) {
+    static_cast<PlanStats&>(snapshot) = plan_->stats;
+  }
+  static_cast<FactorizeStats&>(snapshot) = last_run_;
+  snapshot.factorizations = totals_.factorizations;
+  snapshot.leases_granted = totals_.leases.leases_granted;
+  snapshot.lease_denied = totals_.leases.leases_denied;
+  snapshot.rhs_solved = totals_.rhs.load(std::memory_order_relaxed);
   snapshot.solve_seconds =
       static_cast<double>(
-          solve_counters_.nanos.load(std::memory_order_relaxed)) *
+          totals_.solve_nanos.load(std::memory_order_relaxed)) *
       1e-9;
   return snapshot;
 }
@@ -692,16 +657,8 @@ Solver& Solver::adopt_factor(std::shared_ptr<const CholeskyFactor> factor) {
   // Reporting: no numeric work ran — engine "cached", zero time/flops.
   // factorizations is deliberately NOT incremented; it counts factors
   // actually computed, which is what the repeat-values bench compares.
-  stats_.engine = "cached";
-  stats_.admission.clear();
-  stats_.workers = 0;
-  stats_.flops = 0;
-  stats_.measured_peak_entries = 0;
-  stats_.modeled_peak_entries = 0;
-  stats_.factorize_seconds = 0.0;
-  stats_.parallel_speedup = 0.0;
-  stats_.parallel_tasks = 0;
-  stats_.stall_fallback = false;
+  last_run_ = {};
+  last_run_.engine = "cached";
   return *this;
 }
 

@@ -194,20 +194,23 @@ class SolverStallError : public Error {
 /// cores, read once at pool construction too.)
 SolverOptions solver_options_from_env(SolverOptions base = {});
 
-/// Everything the run reported: modeled vs measured memory, flops, fill,
-/// and per-phase wall time. Cumulative counters (factorizations, solves)
-/// reset on analyze(); per-run fields describe the latest call.
-struct SolverStats {
-  // analyze
+/// What analyze() reports. Built once per analysis and stored with it
+/// (SolverAnalysis::stats), so every solver sharing the analysis reports
+/// the same section.
+struct AnalyzeStats {
   Index n = 0;                       ///< matrix dimension
   std::int64_t pattern_nnz = 0;      ///< nnz of the (symmetric) pattern
   std::int64_t factor_nnz = 0;       ///< nnz(L) incl. diagonal — the fill
   NodeId tree_nodes = 0;             ///< assembly-tree supernodes
   std::string ordering;              ///< ordering actually applied
   double analyze_seconds = 0.0;
+};
 
-  // plan
+/// What plan() reports. Built once per plan and stored with it
+/// (SolverPlan::stats).
+struct PlanStats {
   std::string strategy;              ///< e.g. "postorder/in-core"
+  /// The budget the plan was made for and factorize() runs under.
   Weight memory_budget = kInfiniteWeight;
   Weight planned_peak_entries = 0;   ///< modeled Eq. 1 peak of the plan
   Weight in_core_optimum = 0;        ///< MinMem optimum (workspace floor)
@@ -217,9 +220,12 @@ struct SolverStats {
   /// co-search was off or found no feasible schedule).
   Weight planned_parallel_peak = 0;
   double plan_seconds = 0.0;
+};
 
-  // factorize (latest run; factorizations counts since analyze)
-  std::string engine;                ///< "serial" | "parallel" | "out-of-core"
+/// What the latest factorize() (or adopt_factor()) reports. analyze()
+/// and adopt() clear it; plan() keeps it.
+struct FactorizeStats {
+  std::string engine;  ///< "serial" | "parallel" | "out-of-core" | "cached"
   std::string admission;             ///< admission policy of parallel runs
   int workers = 0;
   long long flops = 0;
@@ -229,7 +235,6 @@ struct SolverStats {
   /// >= measured_peak_entries and <= memory_budget.
   Weight modeled_peak_entries = 0;
   double factorize_seconds = 0.0;
-  int factorizations = 0;
   /// Parallel runs only: sum of per-task busy seconds / makespan.
   double parallel_speedup = 0.0;
   /// Parallel runs only: tasks the executor scheduled (whole-subtree
@@ -237,15 +242,21 @@ struct SolverStats {
   NodeId parallel_tasks = 0;
   /// True when a stalled parallel schedule fell back to the serial engine.
   bool stall_fallback = false;
-  /// Parallel-engine runs: trailing-update panels that cleared the volume
-  /// gate and leased pool workers / found none idle and ran inline. Makes
-  /// the volume gate's cost observable — a high denial rate means the tree
-  /// level never leaves workers idle and intra-front parallelism is not
-  /// paying. Cumulative since analyze(), like factorizations.
+};
+
+/// Everything the run reported: modeled vs measured memory, flops, fill,
+/// and per-phase wall time. A view assembled by Solver::stats() from one
+/// source per section — the analysis, the plan, the latest factorization —
+/// plus the totals below, which count since analyze() and survive adopt().
+struct SolverStats : AnalyzeStats, PlanStats, FactorizeStats {
+  int factorizations = 0;
+  /// Trailing-update panels that cleared the volume gate and leased pool
+  /// workers / found none idle and ran inline, over every engine's runs.
+  /// Makes the volume gate's cost observable — a high denial rate means
+  /// the tree level never leaves workers idle and intra-front parallelism
+  /// is not paying.
   long long leases_granted = 0;
   long long lease_denied = 0;
-
-  // solve (cumulative since analyze)
   int rhs_solved = 0;
   double solve_seconds = 0.0;
 };
@@ -266,11 +277,7 @@ struct SolverAnalysis {
   /// values with one linear pass instead of a symbolic permutation per
   /// value set.
   std::vector<std::size_t> permuted_value_map;
-
-  // Reporting snapshot (the analyze-phase SolverStats fields).
-  std::int64_t factor_nnz = 0;
-  std::string ordering_name;
-  double analyze_seconds = 0.0;
+  AnalyzeStats stats;
 };
 
 /// Immutable product of plan(): the bottom-up traversal (and, for
@@ -281,18 +288,7 @@ struct SolverPlan {
   Traversal bottom_up_order;
   IoSchedule io_schedule;          ///< out-tree order + writes (ooc plans)
   bool out_of_core = false;
-  /// The budget factorize() runs under — a plan product, kept separate
-  /// from the reporting-only SolverStats copy.
-  Weight budget = kInfiniteWeight;
-
-  // Reporting snapshot (the plan-phase SolverStats fields).
-  std::string strategy;
-  Weight planned_peak_entries = 0;
-  Weight in_core_optimum = 0;
-  Weight best_postorder_peak = 0;
-  Weight planned_io_volume = 0;
-  Weight planned_parallel_peak = 0;
-  double plan_seconds = 0.0;
+  PlanStats stats;                 ///< incl. the budget factorize() runs under
 };
 
 /// The shareable symbolic state of a planned Solver: one analysis handle +
@@ -337,10 +333,10 @@ class Solver {
   /// SymbolicCache), jumping straight to the planned phase: factorize()
   /// may be called immediately, and the result is bit-identical to a cold
   /// analyze+plan+factorize run with the same options. Invalidates any
-  /// previous factor and resets the analyze/plan reporting fields to the
-  /// adopted snapshots. Unlike analyze(), the cumulative service counters
-  /// (factorizations, rhs_solved, solve_seconds) are preserved — a pooled
-  /// solver keeps its lifetime totals as it serves different patterns.
+  /// previous factor and its run report; the analyze/plan reports are the
+  /// adopted state's own. Unlike analyze(), the totals (factorizations,
+  /// lease tallies, rhs_solved, solve_seconds) are kept — a pooled solver
+  /// keeps its lifetime totals as it serves different patterns.
   Solver& adopt(SolverSymbolic symbolic);
 
   // -- Phase 3: numeric factorization ---------------------------------------
@@ -416,32 +412,26 @@ class Solver {
   Solver& factorize_permuted(const SymmetricMatrix& permuted,
                              const FactorizeOptions& options);
 
-  /// Cumulative solve accounting. Atomic because solve() is const and may
-  /// run concurrently on a shared Solver; copy/move load the counters so
-  /// Solver keeps value semantics (moving a solver mid-solve is already
-  /// outside the thread-safety contract).
-  struct SolveCounters {
+  /// The totals SolverStats reports: counted since analyze(), which
+  /// replaces them with a fresh Totals, and untouched by adopt(). The
+  /// solve counters are atomic because solve() is const and may run
+  /// concurrently on a shared Solver; copy/move load them so Solver keeps
+  /// value semantics (moving a solver mid-solve is already outside the
+  /// thread-safety contract).
+  struct Totals {
+    int factorizations = 0;
+    KernelLeaseStats leases;
     std::atomic<int> rhs{0};
-    std::atomic<long long> nanos{0};
+    std::atomic<long long> solve_nanos{0};
 
-    SolveCounters() = default;
-    SolveCounters(const SolveCounters& other)
-        : rhs(other.rhs.load()), nanos(other.nanos.load()) {}
-    SolveCounters(SolveCounters&& other) noexcept
-        : rhs(other.rhs.load()), nanos(other.nanos.load()) {}
-    SolveCounters& operator=(const SolveCounters& other) {
+    Totals() = default;
+    Totals(const Totals& other) { *this = other; }
+    Totals& operator=(const Totals& other) {
+      factorizations = other.factorizations;
+      leases = other.leases;
       rhs = other.rhs.load();
-      nanos = other.nanos.load();
+      solve_nanos = other.solve_nanos.load();
       return *this;
-    }
-    SolveCounters& operator=(SolveCounters&& other) noexcept {
-      rhs = other.rhs.load();
-      nanos = other.nanos.load();
-      return *this;
-    }
-    void reset() {
-      rhs = 0;
-      nanos = 0;
     }
   };
 
@@ -467,8 +457,8 @@ class Solver {
   // solver moves on — same sharing contract as the symbolic state.
   std::shared_ptr<const CholeskyFactor> factor_;
 
-  SolverStats stats_;
-  mutable SolveCounters solve_counters_;
+  FactorizeStats last_run_;
+  mutable Totals totals_;
 };
 
 }  // namespace treemem

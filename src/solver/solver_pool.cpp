@@ -78,13 +78,14 @@ SolverPool::SolverPool(SolverPoolOptions options)
     text += obs::format_gauge("treemem_factor_cache_resident_charge", "",
                               static_cast<double>(num.resident_charge));
     const SolverStats total = aggregated_stats();
-    obs::for_each_stat_field([&](const char* name, obs::StatMerge,
+    obs::for_each_stat_field([&](const char* name, obs::StatMerge merge,
                                  auto member) {
       const auto value = total.*member;
       const std::string metric = std::string("treemem_solver_") + name;
-      if constexpr (std::is_floating_point_v<
-                        std::decay_t<decltype(value)>>) {
-        text += obs::format_gauge(metric, "", value);
+      if (merge != obs::StatMerge::kTotal) {
+        text += obs::format_gauge(metric, "", static_cast<double>(value));
+      } else if constexpr (std::is_floating_point_v<decltype(value)>) {
+        text += obs::format_counter(metric, "", static_cast<double>(value));
       } else {
         text += obs::format_counter(metric, "",
                                     static_cast<long long>(value));

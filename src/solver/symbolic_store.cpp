@@ -184,23 +184,23 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
   out.scalar<std::int32_t>(a.assembly.columns);
   out.scalar(static_cast<std::uint8_t>(a.assembly.has_virtual_root));
   out.array(a.permuted_value_map);
-  out.scalar<std::int64_t>(a.factor_nnz);
-  out.string(a.ordering_name);
-  out.scalar(a.analyze_seconds);
+  out.scalar<std::int64_t>(a.stats.factor_nnz);
+  out.string(a.stats.ordering);
+  out.scalar(a.stats.analyze_seconds);
 
   // Plan.
   out.array(p.bottom_up_order);
   out.array(p.io_schedule.order);
   out.array(p.io_schedule.writes);
   out.scalar(static_cast<std::uint8_t>(p.out_of_core));
-  out.scalar<std::int64_t>(p.budget);
-  out.string(p.strategy);
-  out.scalar<std::int64_t>(p.planned_peak_entries);
-  out.scalar<std::int64_t>(p.in_core_optimum);
-  out.scalar<std::int64_t>(p.best_postorder_peak);
-  out.scalar<std::int64_t>(p.planned_io_volume);
-  out.scalar<std::int64_t>(p.planned_parallel_peak);
-  out.scalar(p.plan_seconds);
+  out.scalar<std::int64_t>(p.stats.memory_budget);
+  out.string(p.stats.strategy);
+  out.scalar<std::int64_t>(p.stats.planned_peak_entries);
+  out.scalar<std::int64_t>(p.stats.in_core_optimum);
+  out.scalar<std::int64_t>(p.stats.best_postorder_peak);
+  out.scalar<std::int64_t>(p.stats.planned_io_volume);
+  out.scalar<std::int64_t>(p.stats.planned_parallel_peak);
+  out.scalar(p.stats.plan_seconds);
 
   // Temp + rename: a crash mid-write never leaves a half file that a
   // later warm start would have to reject.
@@ -274,22 +274,22 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
   analysis->assembly.columns = in.scalar<std::int32_t>();
   analysis->assembly.has_virtual_root = in.scalar<std::uint8_t>() != 0;
   analysis->permuted_value_map = in.array<std::size_t>();
-  analysis->factor_nnz = in.scalar<std::int64_t>();
-  analysis->ordering_name = in.string();
-  analysis->analyze_seconds = in.scalar<double>();
+  analysis->stats.factor_nnz = in.scalar<std::int64_t>();
+  analysis->stats.ordering = in.string();
+  analysis->stats.analyze_seconds = in.scalar<double>();
 
   plan->bottom_up_order = in.array<NodeId>();
   plan->io_schedule.order = in.array<NodeId>();
   plan->io_schedule.writes = in.array<IoWrite>();
   plan->out_of_core = in.scalar<std::uint8_t>() != 0;
-  plan->budget = in.scalar<std::int64_t>();
-  plan->strategy = in.string();
-  plan->planned_peak_entries = in.scalar<std::int64_t>();
-  plan->in_core_optimum = in.scalar<std::int64_t>();
-  plan->best_postorder_peak = in.scalar<std::int64_t>();
-  plan->planned_io_volume = in.scalar<std::int64_t>();
-  plan->planned_parallel_peak = in.scalar<std::int64_t>();
-  plan->plan_seconds = in.scalar<double>();
+  plan->stats.memory_budget = in.scalar<std::int64_t>();
+  plan->stats.strategy = in.string();
+  plan->stats.planned_peak_entries = in.scalar<std::int64_t>();
+  plan->stats.in_core_optimum = in.scalar<std::int64_t>();
+  plan->stats.best_postorder_peak = in.scalar<std::int64_t>();
+  plan->stats.planned_io_volume = in.scalar<std::int64_t>();
+  plan->stats.planned_parallel_peak = in.scalar<std::int64_t>();
+  plan->stats.plan_seconds = in.scalar<double>();
   in.expect_end();
 
   TM_CHECK(pattern_fingerprint(analysis->pattern) == stored_fingerprint,
@@ -304,9 +304,15 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
   // pattern also validates the supernode partition against the etree.
   analysis->assembly.fronts = build_front_structure(analysis->permuted_pattern,
                                                     analysis->assembly);
-  TM_CHECK(analysis->assembly.fronts->factor.nnz() == analysis->factor_nnz,
+  TM_CHECK(analysis->assembly.fronts->factor.nnz() ==
+               analysis->stats.factor_nnz,
            "read_symbolic_file: " << path << " factor_nnz does not match "
                                   << "the stored pattern");
+  // The rest of the analyze report is not persisted either: it reads off
+  // the loaded pattern and tree.
+  analysis->stats.n = analysis->pattern.cols();
+  analysis->stats.pattern_nnz = analysis->pattern.nnz();
+  analysis->stats.tree_nodes = analysis->assembly.tree.size();
 
   return SolverSymbolic{std::move(analysis), std::move(plan)};
 }

@@ -51,16 +51,6 @@ Weight tight_budget(const Tree& tree) {
   return std::max(serial_opt + serial_opt / 2, tree.max_mem_req());
 }
 
-/// Nodes of a simulator gantt in completion order.
-Traversal sim_completion_order(const ParallelScheduleResult& sim) {
-  Traversal order;
-  order.reserve(sim.gantt.size());
-  for (const TaskInterval& task : sim.gantt) {
-    order.push_back(task.node);
-  }
-  return order;
-}
-
 TEST(AdmissionPolicyName, ToString) {
   EXPECT_STREQ(to_string(AdmissionPolicy::kGreedy), "greedy");
   EXPECT_STREQ(to_string(AdmissionPolicy::kLookahead), "lookahead");
@@ -95,17 +85,19 @@ TEST(AdmissionWitness, RejectsStructurallyInvalidWitness) {
   const auto durations = default_task_durations(tree);
   // Top-down (root-first) order is not a valid bottom-up witness.
   Traversal top_down = tree.top_down_order();
-  EXPECT_THROW(ScheduleCore(tree, ParallelPriority::kCriticalPath,
-                            tree.max_mem_req() * 4, durations,
-                            AdmissionPolicy::kLookahead, top_down),
+  EXPECT_THROW(ScheduleCore(tree,
+                            {.memory_budget = tree.max_mem_req() * 4,
+                             .admission = AdmissionPolicy::kLookahead,
+                             .serial_witness = top_down},
+                            durations),
                Error);
 }
 
 TEST(AdmissionWitness, InfiniteBudgetDegradesToGreedy) {
   const Tree tree = testing::tiny_mixed();
   const auto durations = default_task_durations(tree);
-  ScheduleCore core(tree, ParallelPriority::kCriticalPath, kInfiniteWeight,
-                    durations, AdmissionPolicy::kLookahead);
+  ScheduleCore core(tree, {.admission = AdmissionPolicy::kLookahead},
+                    durations);
   EXPECT_EQ(core.admission(), AdmissionPolicy::kGreedy);
   EXPECT_EQ(core.witness_peak(), 0);
 }
@@ -176,26 +168,20 @@ TEST(AdmissionExecutor, W1SimulatorParityPerPolicy) {
     const Weight budget = std::max(mm.peak, tree.max_mem_req());
     for (const AdmissionPolicy policy :
          {AdmissionPolicy::kGreedy, AdmissionPolicy::kLookahead}) {
-      ParallelOptions sim_options;
-      sim_options.workers = 1;
-      sim_options.memory_budget = budget;
-      sim_options.admission = policy;
-      sim_options.serial_witness = reverse_traversal(mm.order);
-      const auto sim = simulate_parallel_traversal(tree, sim_options);
-
-      ExecutorOptions exec_options;
-      exec_options.workers = 1;
-      exec_options.memory_budget = budget;
-      exec_options.admission = policy;
-      exec_options.serial_witness = reverse_traversal(mm.order);
-      const auto exec = execute_task_tree(tree, exec_options);
+      const ParallelOptions options{
+          .workers = 1,
+          .memory_budget = budget,
+          .admission = policy,
+          .serial_witness = reverse_traversal(mm.order)};
+      const auto sim = simulate_parallel_traversal(tree, options);
+      const auto exec = execute_task_tree(tree, {.schedule = options});
 
       ASSERT_EQ(sim.feasible, exec.feasible) << to_string(policy);
       if (!sim.feasible) {
         continue;  // greedy may legitimately deadlock at this budget
       }
       EXPECT_EQ(sim.peak_memory, exec.peak_memory) << to_string(policy);
-      EXPECT_EQ(sim_completion_order(sim), exec.completion_order)
+      EXPECT_EQ(sim.completion_order, exec.completion_order)
           << to_string(policy);
     }
   }
@@ -209,10 +195,10 @@ TEST(AdmissionExecutor, NonGreedyFeasibleOnThreadsAtWitnessPeak) {
     const auto mm = minmem_optimal(tree);
     const Weight budget = std::max(mm.peak, tree.max_mem_req());
     ExecutorOptions options;
-    options.workers = 4;
-    options.memory_budget = budget;
-    options.admission = AdmissionPolicy::kLookahead;
-    options.serial_witness = reverse_traversal(mm.order);
+    options.schedule = {.workers = 4,
+                        .memory_budget = budget,
+                        .admission = AdmissionPolicy::kLookahead,
+                        .serial_witness = reverse_traversal(mm.order)};
     const auto run = execute_task_tree(tree, options);
     ASSERT_TRUE(run.feasible)
         << "lookahead stalled on threads (p=" << tree.size() << ")";

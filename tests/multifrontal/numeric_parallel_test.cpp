@@ -387,11 +387,11 @@ int check_contraction(const Tree& tree, const std::vector<double>& flops,
 
   // So lookahead at exactly that budget never stalls on the task tree.
   ExecutorOptions options;
-  options.workers = 4;
-  options.memory_budget = witness_peak;
-  options.admission = AdmissionPolicy::kLookahead;
-  options.serial_witness = tasks.witness;
-  const ExecutorResult run =
+  options.schedule = {.workers = 4,
+                      .memory_budget = witness_peak,
+                      .admission = AdmissionPolicy::kLookahead,
+                      .serial_witness = tasks.witness};
+  const ParallelScheduleResult run =
       execute_task_tree(tasks.tree, options, tasks.durations);
   EXPECT_TRUE(run.feasible);
   EXPECT_LE(run.peak_memory, witness_peak);

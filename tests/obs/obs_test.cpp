@@ -320,19 +320,19 @@ TEST(Metrics, SolverPoolExportsExactMetricSet) {
       "treemem_solver_analyze_seconds gauge",
       "treemem_solver_plan_seconds gauge",
       "treemem_solver_factorize_seconds gauge",
-      "treemem_solver_solve_seconds gauge",
+      "treemem_solver_solve_seconds counter",
       "treemem_solver_factorizations counter",
       "treemem_solver_rhs_solved counter",
-      "treemem_solver_flops counter",
+      "treemem_solver_flops gauge",
       "treemem_solver_leases_granted counter",
       "treemem_solver_lease_denied counter",
-      "treemem_solver_measured_peak_entries counter",
-      "treemem_solver_modeled_peak_entries counter",
-      "treemem_solver_planned_peak_entries counter",
-      "treemem_solver_planned_parallel_peak counter",
-      "treemem_solver_in_core_optimum counter",
-      "treemem_solver_best_postorder_peak counter",
-      "treemem_solver_planned_io_volume counter",
+      "treemem_solver_measured_peak_entries gauge",
+      "treemem_solver_modeled_peak_entries gauge",
+      "treemem_solver_planned_peak_entries gauge",
+      "treemem_solver_planned_parallel_peak gauge",
+      "treemem_solver_in_core_optimum gauge",
+      "treemem_solver_best_postorder_peak gauge",
+      "treemem_solver_planned_io_volume gauge",
   };
   EXPECT_EQ(types, expected);
 

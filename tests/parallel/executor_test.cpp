@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -37,20 +38,10 @@ namespace {
 using testing::seeded_random_tree;
 using testing::small_tree_corpus;
 
-/// Nodes of the simulator gantt in completion order.
-Traversal sim_completion_order(const ParallelScheduleResult& sim) {
-  Traversal order;
-  order.reserve(sim.gantt.size());
-  for (const TaskInterval& task : sim.gantt) {
-    order.push_back(task.node);
-  }
-  return order;
-}
-
 /// Structural validation of an executor run: every task exactly once,
 /// children complete before their parent starts (measured clocks), no two
 /// tasks overlap on one worker.
-void check_executor_run(const Tree& tree, const ExecutorResult& result,
+void check_executor_run(const Tree& tree, const ParallelScheduleResult& result,
                         int workers) {
   ASSERT_TRUE(result.feasible);
   ASSERT_EQ(result.gantt.size(), static_cast<std::size_t>(tree.size()));
@@ -93,18 +84,13 @@ TEST(Executor, SingleWorkerMatchesSimulatorAndSerialChecker) {
     for (const ParallelPriority priority :
          {ParallelPriority::kCriticalPath, ParallelPriority::kPostorder,
           ParallelPriority::kSmallestWork}) {
-      ParallelOptions sim_options;
-      sim_options.workers = 1;
-      sim_options.priority = priority;
-      const auto sim = simulate_parallel_traversal(tree, sim_options);
+      const ParallelOptions options{.workers = 1, .priority = priority};
+      const auto sim = simulate_parallel_traversal(tree, options);
       ASSERT_TRUE(sim.feasible);
 
-      ExecutorOptions exec_options;
-      exec_options.workers = 1;
-      exec_options.priority = priority;
-      const auto exec = execute_task_tree(tree, exec_options);
+      const auto exec = execute_task_tree(tree, {.schedule = options});
       check_executor_run(tree, exec, 1);
-      EXPECT_EQ(exec.completion_order, sim_completion_order(sim));
+      EXPECT_EQ(exec.completion_order, sim.completion_order);
       EXPECT_EQ(exec.peak_memory, sim.peak_memory);
       EXPECT_EQ(exec.peak_memory,
                 in_tree_traversal_peak(tree, exec.completion_order))
@@ -121,20 +107,14 @@ TEST(Executor, SingleWorkerFeasibilityParityUnderTightBudgets) {
     for (const Weight budget :
          {tree.max_mem_req(), postorder_peak,
           (tree.max_mem_req() + postorder_peak) / 2, postorder_peak * 2}) {
-      ParallelOptions sim_options;
-      sim_options.workers = 1;
-      sim_options.memory_budget = budget;
-      const auto sim = simulate_parallel_traversal(tree, sim_options);
-
-      ExecutorOptions exec_options;
-      exec_options.workers = 1;
-      exec_options.memory_budget = budget;
-      const auto exec = execute_task_tree(tree, exec_options);
+      const ParallelOptions options{.workers = 1, .memory_budget = budget};
+      const auto sim = simulate_parallel_traversal(tree, options);
+      const auto exec = execute_task_tree(tree, {.schedule = options});
       ASSERT_EQ(exec.feasible, sim.feasible) << "budget " << budget;
       if (exec.feasible) {
         EXPECT_EQ(exec.peak_memory, sim.peak_memory);
         EXPECT_LE(exec.peak_memory, budget);
-        EXPECT_EQ(exec.completion_order, sim_completion_order(sim));
+        EXPECT_EQ(exec.completion_order, sim.completion_order);
       }
     }
   }
@@ -145,7 +125,7 @@ TEST(Executor, UnlimitedBudgetAlwaysCompletes) {
     const Tree tree = seeded_random_tree(seed * 733, 80);
     for (const int workers : {2, 4, 8}) {
       ExecutorOptions options;
-      options.workers = workers;
+      options.schedule.workers = workers;
       const auto result = execute_task_tree(tree, options);
       check_executor_run(tree, result, workers);
       // When any task starts, its children files are already accounted, so
@@ -163,8 +143,8 @@ TEST(Executor, SymmetricStarRespectsTightBudget) {
   const Tree tree = gen::star(16, 5, 1);
   for (const int workers : {2, 8}) {
     ExecutorOptions options;
-    options.workers = workers;
-    options.memory_budget = 81;
+    options.schedule.workers = workers;
+    options.schedule.memory_budget = 81;
     const auto result = execute_task_tree(tree, options);
     check_executor_run(tree, result, workers);
     EXPECT_LE(result.peak_memory, 81);
@@ -181,8 +161,8 @@ TEST(Executor, PeakNeverExceedsBudgetAcrossSweep) {
     const Weight budget = best_postorder(tree).peak * 2;
     for (const int workers : {1, 2, 4}) {
       ExecutorOptions options;
-      options.workers = workers;
-      options.memory_budget = budget;
+      options.schedule.workers = workers;
+      options.schedule.memory_budget = budget;
       const auto result = execute_task_tree(tree, options);
       if (result.feasible) {
         EXPECT_LE(result.peak_memory, budget);
@@ -202,7 +182,7 @@ TEST(Executor, ScheduleIndependentOutputsAreDeterministic) {
     std::vector<Weight> slots(p, 0);
     std::atomic<int> executions{0};
     ExecutorOptions options;
-    options.workers = 4;
+    options.schedule.workers = 4;
     const auto result = execute_task_tree(
         tree, options, default_task_durations(tree), [&](NodeId node) {
           Weight value = tree.file_size(node) + 3 * tree.work_size(node);
@@ -225,8 +205,8 @@ TEST(Executor, ScheduleIndependentOutputsAreDeterministic) {
 TEST(Executor, InfeasibleWhenATaskCannotFit) {
   const Tree tree = gen::star(4, 10, 0);  // root transient = 40
   ExecutorOptions options;
-  options.workers = 2;
-  options.memory_budget = 39;
+  options.schedule.workers = 2;
+  options.schedule.memory_budget = 39;
   const auto result = execute_task_tree(tree, options);
   EXPECT_FALSE(result.feasible);
   EXPECT_TRUE(result.gantt.empty());
@@ -250,15 +230,9 @@ TEST(Executor, GreedyStallFailsCleanlyAndMatchesSimulator) {
   const std::vector<double> durations{1.0, 1.0, 1.0, 100.0, 90.0};
 
   for (const Weight budget : {Weight{20}, Weight{25}}) {
-    ExecutorOptions exec_options;
-    exec_options.workers = 1;
-    exec_options.memory_budget = budget;
-    const auto exec = execute_task_tree(tree, exec_options, durations);
-
-    ParallelOptions sim_options;
-    sim_options.workers = 1;
-    sim_options.memory_budget = budget;
-    const auto sim = simulate_parallel_traversal(tree, sim_options, durations);
+    const ParallelOptions options{.workers = 1, .memory_budget = budget};
+    const auto exec = execute_task_tree(tree, {.schedule = options}, durations);
+    const auto sim = simulate_parallel_traversal(tree, options, durations);
 
     EXPECT_EQ(exec.feasible, sim.feasible) << "budget " << budget;
     EXPECT_EQ(exec.feasible, budget == 25) << "budget " << budget;
@@ -272,20 +246,30 @@ TEST(Executor, SpinWorkYieldsRealSpeedup) {
   if (std::thread::hardware_concurrency() < 2) {
     GTEST_SKIP() << "needs at least two cores for measured speedup";
   }
-  // 8 identical leaves of 6 duration units each; with 2 ms per unit the
-  // serial run spins ~100 ms, so scheduling overhead is noise. Wall-clock
-  // thresholds on a shared CI runner can lose to a noisy neighbor, so take
-  // the best of a few attempts before judging.
+  // 8 identical leaves of 6 duration units each; with a payload that
+  // busy-waits 2 ms per unit the serial run spins ~100 ms, so scheduling
+  // overhead is noise. A spin, not a sleep, so the worker genuinely
+  // occupies its core. Wall-clock thresholds on a shared CI runner can lose
+  // to a noisy neighbor, so take the best of a few attempts before judging.
   const Tree tree = gen::star(8, 5, 1);
+  const std::vector<double> durations = default_task_durations(tree);
+  const TaskBody spin = [&](NodeId node) {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(
+                durations[static_cast<std::size_t>(node)] * 2e-3));
+    while (std::chrono::steady_clock::now() < deadline) {
+    }
+  };
   ExecutorOptions serial;
-  serial.workers = 1;
-  serial.spin_seconds_per_unit = 2e-3;
+  serial.schedule.workers = 1;
   ExecutorOptions parallel = serial;
-  parallel.workers = 2;
+  parallel.schedule.workers = 2;
   double best_ratio = std::numeric_limits<double>::max();
   for (int attempt = 0; attempt < 3 && best_ratio >= 0.8; ++attempt) {
-    const auto one = execute_task_tree(tree, serial);
-    const auto two = execute_task_tree(tree, parallel);
+    const auto one = execute_task_tree(tree, serial, durations, spin);
+    const auto two = execute_task_tree(tree, parallel, durations, spin);
     ASSERT_TRUE(one.feasible);
     ASSERT_TRUE(two.feasible);
     EXPECT_LE(two.speedup, 2.0 + 1e-6);
@@ -297,7 +281,7 @@ TEST(Executor, SpinWorkYieldsRealSpeedup) {
 TEST(Executor, PayloadExceptionPropagatesWithoutHanging) {
   const Tree tree = gen::star(12, 2, 1);
   ExecutorOptions options;
-  options.workers = 4;
+  options.schedule.workers = 4;
   std::atomic<int> ran{0};
   EXPECT_THROW(
       execute_task_tree(tree, options, default_task_durations(tree),
@@ -314,9 +298,9 @@ TEST(Executor, PayloadExceptionPropagatesWithoutHanging) {
 TEST(Executor, RejectsBadArguments) {
   const Tree tree = gen::chain(3, 1, 1);
   ExecutorOptions options;
-  options.workers = 0;
+  options.schedule.workers = 0;
   EXPECT_THROW(execute_task_tree(tree, options), Error);
-  options.workers = 2;
+  options.schedule.workers = 2;
   EXPECT_THROW(execute_task_tree(tree, options, {1.0, 2.0}), Error);
   EXPECT_THROW(execute_task_tree(tree, options, {1.0, -1.0, 2.0}), Error);
 }
@@ -324,8 +308,7 @@ TEST(Executor, RejectsBadArguments) {
 TEST(ScheduleCore, TransientMatchesEquationOne) {
   for (const Tree& tree : small_tree_corpus(20, 12, /*salt=*/9)) {
     const auto durations = default_task_durations(tree);
-    ScheduleCore core(tree, ParallelPriority::kCriticalPath, kInfiniteWeight,
-                      durations);
+    ScheduleCore core(tree, ParallelOptions{}, durations);
     for (NodeId i = 0; i < tree.size(); ++i) {
       EXPECT_EQ(core.transient(i), tree.mem_req(i));
     }
@@ -341,7 +324,7 @@ TEST(ScheduleCore, SerialDriveReproducesSerialCheckerPeak) {
          {ParallelPriority::kCriticalPath, ParallelPriority::kPostorder,
           ParallelPriority::kSmallestWork}) {
       const auto durations = default_task_durations(tree);
-      ScheduleCore core(tree, priority, kInfiniteWeight, durations);
+      ScheduleCore core(tree, {.priority = priority}, durations);
       Traversal order;
       while (!core.done()) {
         const NodeId node = core.try_start();

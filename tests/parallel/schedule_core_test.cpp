@@ -167,7 +167,11 @@ std::size_t run_in_lockstep(const Tree& tree, ParallelPriority priority,
                             AdmissionPolicy admission, Weight budget,
                             const std::vector<double>& durations,
                             Prng& prng) {
-  ScheduleCore core(tree, priority, budget, durations, admission);
+  ScheduleCore core(tree,
+                    {.memory_budget = budget,
+                     .priority = priority,
+                     .admission = admission},
+                    durations);
   ReferenceSchedule reference(tree, priority, budget, durations, admission);
   if (!core.schedule_feasible()) {
     return 0;

@@ -32,8 +32,7 @@ Tree wide_tree() {
 
 TEST(ScheduleScaling, ScheduleCoreHandlesAMillionReadyLeaves) {
   const Tree tree = wide_tree();
-  ScheduleCore core(tree, ParallelPriority::kCriticalPath, kInfiniteWeight,
-                    default_task_durations(tree));
+  ScheduleCore core(tree, ParallelOptions{}, default_task_durations(tree));
   // Four lanes: keep up to four tasks running, finish the oldest first.
   std::deque<NodeId> running;
   std::size_t started = 0;
@@ -56,8 +55,8 @@ TEST(ScheduleScaling, ScheduleCoreHandlesAMillionReadyLeaves) {
 TEST(ScheduleScaling, ExecutorRunsAMillionEmptyTasksOnFourWorkers) {
   const Tree tree = wide_tree();
   ExecutorOptions options;
-  options.workers = 4;
-  const ExecutorResult run = execute_task_tree(
+  options.schedule.workers = 4;
+  const ParallelScheduleResult run = execute_task_tree(
       tree, options, default_task_durations(tree), [](NodeId) {});
   ASSERT_TRUE(run.feasible);
   EXPECT_EQ(run.completion_order.size(),

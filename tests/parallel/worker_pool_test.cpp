@@ -147,10 +147,10 @@ TEST(WorkerPool, NestedLeaseFromInsideAnExecutorTask) {
   const Tree tree = gen::complete_kary(3, 3, 2, 1);  // 13 fronts, arity 3
   const auto p = static_cast<std::size_t>(tree.size());
   ExecutorOptions options;
-  options.workers = 3;
+  options.schedule.workers = 3;
   options.pool = &pool;
   std::atomic<long long> tile_hits{0};
-  const ExecutorResult run = execute_task_tree(
+  const ParallelScheduleResult run = execute_task_tree(
       tree, options, std::vector<double>(p, 1.0), [&](NodeId) {
         pool.try_lease(2).run(16, [&](std::size_t) {
           tile_hits.fetch_add(1);

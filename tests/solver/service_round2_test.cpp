@@ -329,11 +329,18 @@ TEST_F(SymbolicStoreTest, FileRoundTripPreservesStateBitExactly) {
   EXPECT_EQ(loaded.analysis->perm, original.analysis->perm);
   EXPECT_EQ(loaded.analysis->permuted_value_map,
             original.analysis->permuted_value_map);
-  EXPECT_EQ(loaded.analysis->factor_nnz, original.analysis->factor_nnz);
+  EXPECT_EQ(loaded.analysis->stats.factor_nnz,
+            original.analysis->stats.factor_nnz);
+  // The unpersisted analyze report fields are rebuilt on load.
+  EXPECT_EQ(loaded.analysis->stats.n, original.analysis->stats.n);
+  EXPECT_EQ(loaded.analysis->stats.pattern_nnz,
+            original.analysis->stats.pattern_nnz);
+  EXPECT_EQ(loaded.analysis->stats.tree_nodes,
+            original.analysis->stats.tree_nodes);
   EXPECT_EQ(loaded.plan->bottom_up_order, original.plan->bottom_up_order);
-  EXPECT_EQ(loaded.plan->strategy, original.plan->strategy);
-  EXPECT_EQ(loaded.plan->planned_peak_entries,
-            original.plan->planned_peak_entries);
+  EXPECT_EQ(loaded.plan->stats.strategy, original.plan->stats.strategy);
+  EXPECT_EQ(loaded.plan->stats.planned_peak_entries,
+            original.plan->stats.planned_peak_entries);
   expect_bit_identical_factor(loaded, pattern, 77);
 }
 
