@@ -34,9 +34,13 @@
 // with perfect amalgamation only, the measured live entries at every step
 // of a serial schedule equal the abstract Eq. 1 in-tree transient of
 // core/check.hpp exactly (full-square frontal storage, the paper's
-// convention); with relaxed amalgamation the model pads fronts with
-// explicit zeros, so measured memory is bounded by the model. Both facts
-// are asserted in the tests.
+// convention); with relaxed amalgamation — and the chain merge that
+// build_assembly_tree runs after it for relax > 0 — the model pads fronts
+// with explicit zeros, so measured memory is bounded by the model. The
+// chain merge trades a few padded rows per merged link for one front
+// instead of a chain of fronts that each zero, extend-add and store
+// nearly the same contribution block. Both facts are asserted in the
+// tests.
 //
 // Scope: double-precision Cholesky of symmetric positive definite matrices;
 // fronts are dense full squares; contribution blocks live until the parent

@@ -96,6 +96,7 @@ Tree assembly_tree_for(const SparsePattern& symmetric_pattern,
   const SparsePattern permuted = permute_symmetric(symmetric_pattern, perm);
   AssemblyTreeOptions options;
   options.relax = relax;
+  options.merge_chains = false;  // the paper's relaxed trees
   return build_assembly_tree(permuted, options).tree;
 }
 
@@ -115,6 +116,7 @@ std::vector<CorpusInstance> build_corpus_instances(const CorpusOptions& options)
       for (const Index relax : options.relax_values) {
         AssemblyTreeOptions at;
         at.relax = relax;
+        at.merge_chains = false;
         CorpusInstance inst;
         inst.name = m.name + "/" + to_string(ordering) + "/r" +
                     std::to_string(relax);
@@ -148,6 +150,7 @@ NumericInstance build_numeric_instance(const CorpusMatrix& source,
   inst.matrix = values.permuted(perm);
   AssemblyTreeOptions at;
   at.relax = relax;
+  at.merge_chains = false;
   inst.assembly = build_assembly_tree(inst.matrix.pattern(), at);
   return inst;
 }

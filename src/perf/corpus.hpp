@@ -5,7 +5,8 @@
 // rationale in DESIGN.md §4).
 //
 // Everything is seeded and deterministic: corpus(i) is the same instance on
-// every machine and every run.
+// every machine and every run. The corpus keeps the paper's relaxed trees:
+// it builds them with AssemblyTreeOptions::merge_chains off.
 #pragma once
 
 #include <string>

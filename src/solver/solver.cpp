@@ -95,6 +95,35 @@ void Solver::require_phase(Phase at_least, const char* verb,
 // Phase 1: analyze
 // ---------------------------------------------------------------------------
 
+void permute_analysis(SolverAnalysis& analysis) {
+  const SparsePattern& pattern = analysis.pattern;
+  const std::vector<Index>& perm = analysis.perm;
+  SparsePattern permuted = permute_symmetric(pattern, perm);
+
+  // Gather map: permuted entry (r, j) holds the original value at
+  // (perm[r], perm[j]). Resolving those offsets once here turns every
+  // later factorize() into a single linear gather over the value array.
+  std::vector<std::size_t> value_map(static_cast<std::size_t>(permuted.nnz()));
+  std::size_t offset = 0;
+  for (Index j = 0; j < permuted.cols(); ++j) {
+    const Index source_col = perm[static_cast<std::size_t>(j)];
+    const auto source_rows = pattern.column(source_col);
+    const std::size_t source_base = static_cast<std::size_t>(
+        pattern.col_ptr()[static_cast<std::size_t>(source_col)]);
+    for (const Index r : permuted.column(j)) {
+      const Index source_row = perm[static_cast<std::size_t>(r)];
+      const auto it = std::lower_bound(source_rows.begin(), source_rows.end(),
+                                       source_row);
+      TM_ASSERT(it != source_rows.end() && *it == source_row,
+                "permuted pattern entry missing from the source pattern");
+      value_map[offset++] =
+          source_base + static_cast<std::size_t>(it - source_rows.begin());
+    }
+  }
+  analysis.permuted_pattern = std::move(permuted);
+  analysis.permuted_value_map = std::move(value_map);
+}
+
 Solver& Solver::analyze(const SparsePattern& pattern) {
   return analyze(pattern, options_.analyze);
 }
@@ -128,40 +157,14 @@ Solver& Solver::analyze(const SparsePattern& pattern,
       perm = nested_dissection_order(pattern);
       break;
   }
-  SparsePattern permuted = permute_symmetric(pattern, perm);
+  analysis->pattern = pattern;
+  analysis->perm = std::move(perm);
+  permute_analysis(*analysis);
   AssemblyTreeOptions tree_options;
   tree_options.relax = options.relax;
   tree_options.perfect = options.perfect;
-  AssemblyTree assembly = build_assembly_tree(permuted, tree_options);
-
-  // Gather map: permuted entry (r, j) holds the original value at
-  // (perm[r], perm[j]). Resolving those offsets once here turns every
-  // later factorize() into a single linear gather over the value array.
-  std::vector<std::size_t> value_map(static_cast<std::size_t>(permuted.nnz()));
-  {
-    std::size_t offset = 0;
-    for (Index j = 0; j < permuted.cols(); ++j) {
-      const Index source_col = perm[static_cast<std::size_t>(j)];
-      const auto source_rows = pattern.column(source_col);
-      const std::size_t source_base = static_cast<std::size_t>(
-          pattern.col_ptr()[static_cast<std::size_t>(source_col)]);
-      for (const Index r : permuted.column(j)) {
-        const Index source_row = perm[static_cast<std::size_t>(r)];
-        const auto it = std::lower_bound(source_rows.begin(),
-                                         source_rows.end(), source_row);
-        TM_ASSERT(it != source_rows.end() && *it == source_row,
-                  "permuted pattern entry missing from the source pattern");
-        value_map[offset++] =
-            source_base + static_cast<std::size_t>(it - source_rows.begin());
-      }
-    }
-  }
-
-  analysis->pattern = pattern;
-  analysis->perm = std::move(perm);
-  analysis->permuted_pattern = std::move(permuted);
-  analysis->assembly = std::move(assembly);
-  analysis->permuted_value_map = std::move(value_map);
+  analysis->assembly =
+      build_assembly_tree(analysis->permuted_pattern, tree_options);
   analysis->stats = {.n = pattern.cols(),
                      .pattern_nnz = pattern.nnz(),
                      .factor_nnz = analysis->assembly.fronts->factor.nnz(),

@@ -280,6 +280,12 @@ struct SolverAnalysis {
   AnalyzeStats stats;
 };
 
+/// Sets analysis.permuted_pattern (P A Pᵀ) and analysis.permuted_value_map
+/// from analysis.pattern and analysis.perm, which must be a permutation of
+/// its columns. analyze() and the state-file loader share it, so a loaded
+/// state never carries a stored map that could point outside the values.
+void permute_analysis(SolverAnalysis& analysis);
+
 /// Immutable product of plan(): the bottom-up traversal (and, for
 /// out-of-core plans, the eviction schedule) plus the reporting fields.
 /// Same sharing contract as SolverAnalysis.

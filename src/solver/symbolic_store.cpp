@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/check.hpp"
 #include "support/check.hpp"
 
 namespace treemem {
@@ -18,7 +19,10 @@ namespace treemem {
 namespace {
 
 constexpr char kMagic[8] = {'T', 'M', 'S', 'Y', 'M', 'B', '0', '1'};
-constexpr std::uint32_t kVersion = 1;
+// Version 2: assembly trees carry the chain merge (AssemblyTreeOptions::
+// merge_chains). A version-1 file holds the unmerged tree, so loading
+// rejects it and the pattern is rebuilt under the current rule.
+constexpr std::uint32_t kVersion = 2;
 
 // ---------------------------------------------------------------------------
 // Binary encoding: native-endian scalars and length-prefixed arrays. The
@@ -78,7 +82,12 @@ class Reader {
   std::vector<T> array() {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t count = scalar<std::uint64_t>();
-    require(count * sizeof(T));
+    // Bounded by the bytes left, not by count * sizeof(T): a crafted
+    // length would wrap that product around.
+    TM_CHECK(count <= remaining() / sizeof(T),
+             "symbolic file " << path_ << ": truncated (array of " << count
+                              << " elements at offset " << at_ << ", have "
+                              << remaining() << " bytes)");
     std::vector<T> values(static_cast<std::size_t>(count));
     if (!values.empty()) {  // an empty vector's data() may be null
       std::memcpy(values.data(), buffer_.data() + at_,
@@ -98,16 +107,19 @@ class Reader {
 
   void expect_end() const {
     TM_CHECK(at_ == buffer_.size(), "symbolic file " << path_ << ": "
-                                    << buffer_.size() - at_
+                                    << remaining()
                                     << " trailing bytes");
   }
 
  private:
+  std::size_t remaining() const { return buffer_.size() - at_; }
+
+  // Compares against the bytes left: at_ + bytes could wrap around.
   void require(std::uint64_t bytes) const {
-    TM_CHECK(at_ + bytes <= buffer_.size(),
+    TM_CHECK(bytes <= remaining(),
              "symbolic file " << path_ << ": truncated (need " << bytes
                               << " bytes at offset " << at_ << ", have "
-                              << buffer_.size() - at_ << ")");
+                              << remaining() << ")");
   }
 
   std::vector<char> buffer_;
@@ -129,6 +141,49 @@ SparsePattern read_pattern(Reader& in) {
   std::vector<Index> row_idx = in.array<Index>();
   // The validating constructor rejects malformed CSC arrays.
   return SparsePattern(rows, cols, std::move(col_ptr), std::move(row_idx));
+}
+
+/// The options must name real enumerators, and the plan must run under
+/// the budget it was built for.
+void check_options(const SolverAnalysis& analysis, const SolverPlan& plan,
+                   const std::string& path) {
+  TM_CHECK(analysis.options.ordering <= OrderingChoice::kNestedDissection &&
+               plan.options.policy <= TraversalPolicy::kMinMem &&
+               plan.options.admission <= AdmissionPolicy::kLookahead,
+           "read_symbolic_file: " << path << " names an unknown option");
+  TM_CHECK(plan.options.memory_budget > 0 &&
+               plan.stats.memory_budget == plan.options.memory_budget,
+           "read_symbolic_file: " << path << " plan budget "
+                                  << plan.stats.memory_budget
+                                  << " differs from its options");
+}
+
+/// The plan must be a bottom-up traversal of the tree whose Eq. 1 peak is
+/// the planned one and fits the budget — or, out of core, an eviction
+/// schedule of that traversal that fits the budget.
+void check_plan(const Tree& tree, const SolverPlan& plan,
+                const std::string& path) {
+  const Weight budget = plan.stats.memory_budget;
+  const Weight peak = in_tree_traversal_peak(tree, plan.bottom_up_order);
+  if (plan.out_of_core) {
+    const CheckResult check = check_out_of_core(tree, plan.io_schedule, budget);
+    TM_CHECK(plan.io_schedule.order ==
+                     reverse_traversal(plan.bottom_up_order) &&
+                 check.feasible &&
+                 check.io_volume == plan.stats.planned_io_volume &&
+                 plan.stats.planned_peak_entries == budget,
+             "read_symbolic_file: " << path << " carries an out-of-core "
+                                    << "schedule that misses its budget "
+                                    << budget);
+  } else {
+    TM_CHECK(plan.io_schedule.order.empty() &&
+                 plan.io_schedule.writes.empty() &&
+                 plan.stats.planned_peak_entries == peak && peak <= budget,
+             "read_symbolic_file: " << path << " plan peak "
+                                    << plan.stats.planned_peak_entries
+                                    << " does not match its traversal's "
+                                    << peak << " within budget " << budget);
+  }
 }
 
 }  // namespace
@@ -174,7 +229,6 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
   // Analysis.
   write_pattern(out, a.pattern);
   out.array(a.perm);
-  write_pattern(out, a.permuted_pattern);
   out.array(a.assembly.tree.parents());
   out.array(a.assembly.tree.files());
   out.array(a.assembly.tree.works());
@@ -183,7 +237,6 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
   out.array(a.assembly.mu);
   out.scalar<std::int32_t>(a.assembly.columns);
   out.scalar(static_cast<std::uint8_t>(a.assembly.has_virtual_root));
-  out.array(a.permuted_value_map);
   out.scalar<std::int64_t>(a.stats.factor_nnz);
   out.string(a.stats.ordering);
   out.scalar(a.stats.analyze_seconds);
@@ -260,7 +313,6 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
 
   analysis->pattern = read_pattern(in);
   analysis->perm = in.array<Index>();
-  analysis->permuted_pattern = read_pattern(in);
   std::vector<NodeId> parents = in.array<NodeId>();
   std::vector<Weight> files = in.array<Weight>();
   std::vector<Weight> works = in.array<Weight>();
@@ -273,7 +325,6 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
   analysis->assembly.mu = in.array<Index>();
   analysis->assembly.columns = in.scalar<std::int32_t>();
   analysis->assembly.has_virtual_root = in.scalar<std::uint8_t>() != 0;
-  analysis->permuted_value_map = in.array<std::size_t>();
   analysis->stats.factor_nnz = in.scalar<std::int64_t>();
   analysis->stats.ordering = in.string();
   analysis->stats.analyze_seconds = in.scalar<double>();
@@ -295,15 +346,16 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
   TM_CHECK(pattern_fingerprint(analysis->pattern) == stored_fingerprint,
            "read_symbolic_file: " << path << " fingerprint mismatch (stale "
                                   << "or tampered state file)");
+  check_options(*analysis, *plan, path);
   check_permutation(analysis->perm, analysis->pattern.cols());
-  TM_CHECK(plan->bottom_up_order.size() ==
-               static_cast<std::size_t>(analysis->assembly.tree.size()),
-           "read_symbolic_file: " << path << " plan order does not cover the "
-                                  << "assembly tree");
-  // The front structure is not persisted: rebuilding it from the permuted
-  // pattern also validates the supernode partition against the etree.
+  // Neither the permuted pattern with its value map nor the front
+  // structure is persisted: both are rebuilt from the pattern and the
+  // permutation, and rebuilding the front structure also validates the
+  // supernode partition against the etree.
+  permute_analysis(*analysis);
   analysis->assembly.fronts = build_front_structure(analysis->permuted_pattern,
                                                     analysis->assembly);
+  check_plan(analysis->assembly.tree, *plan, path);
   TM_CHECK(analysis->assembly.fronts->factor.nnz() ==
                analysis->stats.factor_nnz,
            "read_symbolic_file: " << path << " factor_nnz does not match "

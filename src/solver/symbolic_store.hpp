@@ -12,10 +12,17 @@
 // build's AnalyzeOptions/PlanOptions and the pattern fingerprint; loading
 // re-validates all three (magic/version, fingerprint recomputed from the
 // decoded pattern, options equal to the consumer's) and reconstructs
-// SparsePattern/Tree through their validating constructors, so a stale,
-// truncated or foreign file can never smuggle malformed state into a
-// solver. Files are written to a temp name and renamed, so a crash
-// mid-write never leaves a half file behind.
+// SparsePattern/Tree through their validating constructors. What can be
+// derived is not stored: the permuted pattern, its value gather map and
+// the front structure are rebuilt from the pattern and the permutation.
+// The rest is checked against them: the supernode partition and its Eq. 1
+// weights against the elimination tree, the planned traversal (and its
+// eviction schedule) against the tree and the budget. So a stale,
+// truncated, foreign or corrupted file can never smuggle malformed state
+// into a solver (tests/mutation drives the loader with mutated files).
+// Version 2 holds assembly trees with the chain merge; an older file is
+// rejected, and its pattern rebuilt. Files are written to a temp name and
+// renamed, so a crash mid-write never leaves a half file behind.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +44,9 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
                          const std::string& path);
 
 /// Deserializes a SolverSymbolic from `path`. Throws treemem::Error when
-/// the file is missing, truncated, carries a wrong magic/version, or its
-/// stored fingerprint disagrees with the decoded pattern.
+/// the file is missing, truncated, carries a wrong magic/version, its
+/// stored fingerprint disagrees with the decoded pattern, or any of the
+/// checks in the format note above fails.
 SolverSymbolic read_symbolic_file(const std::string& path);
 
 /// The canonical file name for a pattern's symbolic state inside a state

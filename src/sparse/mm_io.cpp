@@ -72,13 +72,26 @@ MatrixMarketData parse_coordinate(std::istream& in) {
   }
   TM_CHECK(rows >= 0 && cols >= 0 && entries >= 0,
            "negative sizes in Matrix Market header");
+  // Checked before anything is allocated from the header: indices are
+  // Index-sized. The entry count is not bounded by rows * cols, because
+  // repeated coordinates are legal here (they sum).
+  constexpr std::int64_t kMaxDimension = std::numeric_limits<Index>::max();
+  TM_CHECK(rows <= kMaxDimension && cols <= kMaxDimension,
+           "Matrix Market header: " << rows << "x" << cols
+                                    << " exceeds the largest dimension "
+                                    << kMaxDimension);
   data.rows = static_cast<Index>(rows);
   data.cols = static_cast<Index>(cols);
 
   const bool expand = data.symmetry != "general";
   const bool has_values = data.field != "pattern";
+  // The declared count only sizes the first allocation, capped: a header
+  // that overstates it fails as a truncated stream, having allocated no
+  // more than the entries the stream holds.
+  constexpr std::int64_t kMaxReserve = std::int64_t{1} << 20;
   std::vector<Triplet> coo;
-  coo.reserve(static_cast<std::size_t>(expand ? 2 * entries : entries));
+  coo.reserve(static_cast<std::size_t>(std::min(entries, kMaxReserve) *
+                                       (expand ? 2 : 1)));
   for (std::int64_t k = 0; k < entries; ++k) {
     std::int64_t r = 0;
     std::int64_t c = 0;

@@ -1,6 +1,7 @@
 #include "symbolic/assembly_tree.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "symbolic/symbolic.hpp"
@@ -62,6 +63,12 @@ class SupernodeForest {
   std::vector<Index> eta_;
   std::vector<Index> top_;
 };
+
+/// Chain-merge bounds as unit fractions of the parent's front order: at
+/// most 1/10 of it may be rows the child's contribution block lacks, and
+/// the child may bring at most 1/10 of it in pivots.
+constexpr std::int64_t kChainShareDivisor = 10;
+constexpr std::int64_t kChainCapDivisor = 10;
 
 }  // namespace
 
@@ -152,6 +159,42 @@ AssemblyTree amalgamate(const std::vector<Index>& parent,
           break;  // no child supernodes left
         }
         forest.merge_into(j, best);
+      }
+    }
+  }
+
+  // Chain merge, bottom-up: fold the only child supernode c into its
+  // parent p when c's contribution block already covers all but a small
+  // share of p's front (η_p + µ_p − µ_c new rows ≤ 1/kChainShareDivisor of
+  // p's order η_p + µ_p − 1) and c's accumulated η stays a small share of
+  // that order too (the growth cap). The merged front is the parent's
+  // front grown by c's η pivots: one front instead of a chain of fronts
+  // that each zero, extend-add and store nearly the same block.
+  if (options.relax > 0 && options.merge_chains) {
+    // Child supernodes per supernode (by top column) after the relaxed
+    // pass. A chain merge never changes the child count of a supernode
+    // still to be visited: it joins a supernode with its only child.
+    std::vector<Index> child_count(static_cast<std::size_t>(n), 0);
+    std::vector<Index> only_child(static_cast<std::size_t>(n), -1);
+    for (Index j = 0; j < n; ++j) {
+      const Index p = parent[static_cast<std::size_t>(j)];
+      if (p != -1 && forest.find(p) != forest.find(j)) {
+        const auto t = static_cast<std::size_t>(forest.top(p));
+        ++child_count[t];
+        only_child[t] = j;  // j left its supernode, so it is the top
+      }
+    }
+    for (const Index j : post) {
+      if (forest.top(j) != j || child_count[static_cast<std::size_t>(j)] != 1) {
+        continue;
+      }
+      const Index c = only_child[static_cast<std::size_t>(j)];
+      const std::int64_t order = std::int64_t{forest.eta(j)} + forest.mu(j) - 1;
+      const std::int64_t new_rows =
+          std::int64_t{forest.eta(j)} + forest.mu(j) - forest.mu(c);
+      if (kChainShareDivisor * new_rows <= order &&
+          kChainCapDivisor * std::int64_t{forest.eta(c)} <= order) {
+        forest.merge_into(j, c);
       }
     }
   }
@@ -269,15 +312,21 @@ std::shared_ptr<const FrontStructure> make_front_structure(
              "front structure: supernode " << s << " is not a connected etree "
                                           << "subtree under its top column");
   }
+  TM_CHECK(!assembly.has_virtual_root ||
+               (tree.file_size(0) == 0 && tree.work_size(0) == 0),
+           "front structure: the virtual root carries weights");
   for (NodeId s = first_real; s < tree.size(); ++s) {
     const auto cols = fronts->members(s);
-    TM_CHECK(!cols.empty() &&
-                 assembly.eta[static_cast<std::size_t>(s)] ==
-                     static_cast<Index>(cols.size()) &&
-                 assembly.mu[static_cast<std::size_t>(s)] ==
-                     counts[static_cast<std::size_t>(cols.back())],
+    const Weight eta = assembly.eta[static_cast<std::size_t>(s)];
+    const Weight mu = assembly.mu[static_cast<std::size_t>(s)];
+    TM_CHECK(!cols.empty() && eta == static_cast<Weight>(cols.size()) &&
+                 mu == counts[static_cast<std::size_t>(cols.back())],
              "front structure: eta/mu of supernode "
                  << s << " do not match its member columns");
+    TM_CHECK(tree.file_size(s) == (mu - 1) * (mu - 1) &&
+                 tree.work_size(s) == eta * eta + 2 * eta * (mu - 1),
+             "front structure: the weights of supernode "
+                 << s << " are not the Eq. 1 weights of its eta and mu");
   }
   fronts->factor = symbolic_cholesky(a, parent, counts);
   return fronts;

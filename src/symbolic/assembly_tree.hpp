@@ -5,6 +5,11 @@
 //           →  perfect amalgamation (fundamental supernode chains)
 //           →  relaxed amalgamation (up to `r` extra nodes per supernode,
 //              densest child first)
+//           →  chain merge (r > 0 only): bottom-up, an only child
+//              supernode c joins its parent p when
+//                 η_p + µ_p − µ_c ≤ (η_p + µ_p − 1) / 10   (share)
+//                 η_c             ≤ (η_p + µ_p − 1) / 10   (growth cap)
+//              with η_c accumulated over earlier chain merges
 //           →  task tree with
 //                 n_i = η² + 2η(µ−1)   (frontal matrix minus the CB)
 //                 f_i = (µ−1)²         (contribution block)
@@ -12,6 +17,22 @@
 // column count of its highest (closest-to-root) node. MemReq(i) is then the
 // frontal matrix plus the children contribution blocks — the in-core
 // multifrontal assembly requirement.
+//
+// The chain merge targets what the relaxed pass leaves behind on 3-D
+// nested-dissection orderings: chains of only-child separator supernodes
+// (2 to 32 pivots, fronts of up to ~1,300 rows; 103 links in chains of up
+// to 18 on a 27-point 22³ grid) whose parent adds only a few rows each. Every link zeroes, extend-adds and stores nearly the same
+// contribution block around little dense work; merging a link saves that
+// traffic for a few padded rows. The share bound (the parent's rows the
+// child's block lacks) keeps the padding small; the growth cap (the pivots
+// a merged chain brings into its parent) stops a long chain from growing
+// one front without bound, which keeps the Eq. 1 peaks: without the cap
+// the MinMem optimum of a 256 × 48 block-tridiagonal matrix rose by 6%. Both
+// bounds were picked from a sweep over {1/50, 1/20, 1/10, 1/5} (share) and
+// {1/20, 1/10, 1/5, none} (cap); CHANGES.md records it. Merged supernodes
+// are still connected etree subtrees, so the front structure, the pattern
+// of L and the numeric engines are unchanged, and the Eq. 1 weights below
+// follow the merged (η, µ).
 // build_assembly_tree also fixes the FrontStructure every numeric
 // factorization only reads, so refactorizations do no symbolic work.
 #pragma once
@@ -30,6 +51,10 @@ struct AssemblyTreeOptions {
   Index relax = 1;
   /// Perform perfect (fundamental supernode) amalgamation first.
   bool perfect = true;
+  /// After the relaxed pass, merge pass-through chains of only-child
+  /// supernodes (see the pipeline above). Acts only when relax > 0, so
+  /// relax = 0 trees stay perfect.
+  bool merge_chains = true;
 };
 
 /// The front structure of an assembly tree: the pattern of L and the
@@ -92,7 +117,8 @@ AssemblyTree build_assembly_tree(const SparsePattern& a,
 /// amalgamated from (a loaded state file does). Checks that each supernode
 /// is a connected etree subtree — every member's etree parent lies in the
 /// same supernode, the top's in the parent supernode — with matching η and
-/// µ; a violation throws treemem::Error.
+/// µ and the Eq. 1 weights of that (η, µ); a violation throws
+/// treemem::Error.
 std::shared_ptr<const FrontStructure> build_front_structure(
     const SparsePattern& a, const AssemblyTree& assembly);
 

@@ -428,6 +428,61 @@ TEST_F(SymbolicStoreTest, LoadSkipsOptionMismatchesAndCorruptFiles) {
   EXPECT_TRUE(third.lookup(pattern).hit);
 }
 
+/// The bytes of a valid state file for a small grid.
+std::string valid_state_bytes(const std::filesystem::path& dir) {
+  SymbolicCache cache;
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "valid.tmsym.src").string();
+  write_symbolic_file(cache.lookup(symmetrize(gen::grid2d(6, 6))).symbolic,
+                      path);
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+void write_bytes(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(SymbolicStoreTest, HugeArrayLengthIsATypedError) {
+  // Header, options, fingerprint and the pattern's two dimensions (49
+  // bytes), then a first array length of 2^61 elements — 2^64 bytes,
+  // which wraps a naive `count * sizeof(T)` bounds check to 0 — and 16
+  // bytes of payload: 73 bytes in all.
+  std::string bytes = valid_state_bytes(dir_).substr(0, 49);
+  const std::uint64_t count = std::uint64_t{1} << 61;
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  bytes.append(16, '\0');
+  ASSERT_EQ(bytes.size(), 73u);
+  const std::filesystem::path path = dir_ / "pattern-huge.tmsym";
+  write_bytes(path, bytes);
+  EXPECT_THROW(read_symbolic_file(path.string()), Error);
+
+  SymbolicCache restarted;
+  EXPECT_EQ(load_symbolic_state(restarted, dir_.string()).skipped_invalid,
+            1u);
+}
+
+TEST_F(SymbolicStoreTest, VersionOneFileIsRebuilt) {
+  // Version-1 files hold trees built before the chain merge: loading
+  // rejects them, so the pattern is rebuilt under the current rule.
+  std::string bytes = valid_state_bytes(dir_);
+  const std::uint32_t version = 1;
+  bytes.replace(8, sizeof(version), reinterpret_cast<const char*>(&version),
+                sizeof(version));
+  write_bytes(dir_ / "pattern-v1.tmsym", bytes);
+
+  SymbolicCache restarted;
+  const SymbolicStoreReport report =
+      load_symbolic_state(restarted, dir_.string());
+  EXPECT_EQ(report.saved, 0u);
+  EXPECT_EQ(report.skipped_invalid, 1u);
+  EXPECT_FALSE(restarted.lookup(symmetrize(gen::grid2d(6, 6))).hit);
+}
+
 TEST_F(SymbolicStoreTest, MissingDirectoryIsAColdStart) {
   SymbolicCache cache;
   const SymbolicStoreReport report =

@@ -174,6 +174,43 @@ TEST(MatrixMarket, RejectsGarbage) {
                Error);
 }
 
+/// The message of the treemem::Error that reading `text` throws ("" when
+/// it throws none); any other exception fails the test.
+std::string matrix_market_error(const std::string& text) {
+  try {
+    read_matrix_market_data_string(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MatrixMarket, HeaderDimensionsBeyondIndexAreRejected) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  for (const char* size_line : {"3000000000 3000000000 0\n",
+                                "2147483648 1 0\n", "1 2147483648 0\n"}) {
+    EXPECT_NE(matrix_market_error(banner + size_line)
+                  .find("exceeds the largest dimension"),
+              std::string::npos)
+        << size_line;
+  }
+}
+
+TEST(MatrixMarket, OverstatedEntryCountFailsAsTruncated) {
+  // The declared count sizes a capped reservation only: the stream runs
+  // out after one entry and the reader reports it, with no 96 TB request.
+  EXPECT_NE(matrix_market_error("%%MatrixMarket matrix coordinate real "
+                                "general\n1 1 4000000000000\n1 1 1.0\n")
+                .find("truncated entry 1"),
+            std::string::npos);
+  // Symmetric storage reserves for the mirror too; the largest count must
+  // not overflow doing so.
+  EXPECT_NE(matrix_market_error("%%MatrixMarket matrix coordinate pattern "
+                                "symmetric\n2 2 9223372036854775807\n2 1\n")
+                .find("truncated entry 1"),
+            std::string::npos);
+}
+
 TEST(MatrixMarket, WriteReadRoundTrip) {
   Prng prng(5);
   const SparsePattern p = symmetrize(gen::random_symmetric(30, 4.0, prng));

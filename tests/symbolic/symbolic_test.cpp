@@ -402,5 +402,16 @@ TEST(FrontStructure, RejectsDisconnectedSupernode) {
   EXPECT_THROW(build_front_structure(a, at), Error);
 }
 
+TEST(FrontStructure, RejectsWeightsOffEquationOne) {
+  // A loaded state file's tree must carry the Eq. 1 weights of its (η, µ):
+  // the planner and the executor's admission read them, not the fronts.
+  const SparsePattern a = symmetrize(gen::grid2d(4, 4));
+  AssemblyTree at = build_assembly_tree(a);
+  std::vector<Weight> works = at.tree.works();
+  works.back() += 1;
+  at.tree = Tree(at.tree.parents(), at.tree.files(), std::move(works));
+  EXPECT_THROW(build_front_structure(a, at), Error);
+}
+
 }  // namespace
 }  // namespace treemem
