@@ -40,8 +40,8 @@ FrontalEngine::FrontalEngine(const SymmetricMatrix& matrix,
            "assembly tree carries no front structure (build it with "
            "build_assembly_tree, not amalgamate)");
 
-  factor_.pattern = fronts_->factor;
-  factor_.values.assign(static_cast<std::size_t>(factor_.pattern.nnz()), 0.0);
+  factor_.fronts = assembly.fronts;
+  factor_.values.resize(static_cast<std::size_t>(fronts_->panel_entries()));
   blocks_.resize(nodes);
   transient_at_start_.assign(nodes, 0);
   live_after_.assign(nodes, 0);
@@ -74,14 +74,9 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   TM_CHECK(s >= 0 && s < tree.size(), "process_front: bad supernode " << s);
   TM_CHECK(ws.front_pos.size() == static_cast<std::size_t>(matrix_->size()),
            "process_front: workspace not made by this engine");
-  const SparsePattern& l_pattern = factor_.pattern;
   const auto cols = fronts_->members(s);
-
-  // Front rows: the members, then the contribution block's rows.
-  const auto update_rows = fronts_->update_rows(s);
-  ws.rows.assign(cols.begin(), cols.end());
-  ws.rows.insert(ws.rows.end(), update_rows.begin(), update_rows.end());
-  const std::size_t m = ws.rows.size();
+  const auto rows = fronts_->rows(s);
+  const std::size_t m = rows.size();
   const std::size_t eta = cols.size();
   // On the emitting thread's own track: the executor separately records
   // this front on its worker lane, so serial runs still get front spans.
@@ -90,7 +85,7 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
                              static_cast<long long>(s), "m",
                              static_cast<long long>(m));
   for (std::size_t k = 0; k < m; ++k) {
-    ws.front_pos[static_cast<std::size_t>(ws.rows[k])] = static_cast<Index>(k);
+    ws.front_pos[static_cast<std::size_t>(rows[k])] = static_cast<Index>(k);
   }
 
   // Only the lower triangle is zeroed: nothing reads the upper one.
@@ -107,31 +102,25 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   };
 
   // Assemble the original entries of the member columns (lower part), one
-  // pass over each column's value range; member k is front row k. Merging
-  // against L(:, j) rejects a matrix that is not on the analyzed pattern.
+  // pass over each column's value range; member k is front row k. An entry
+  // whose row is not a front row lies outside every front: rejected.
   const SparsePattern& a = matrix_->pattern();
   const std::vector<double>& a_values = matrix_->values();
   for (std::size_t k = 0; k < eta; ++k) {
     const Index j = cols[k];
     const auto a_rows = a.column(j);
-    const auto l_rows = l_pattern.column(j);
     const std::size_t base =
         static_cast<std::size_t>(a.col_ptr()[static_cast<std::size_t>(j)]);
-    std::size_t li = 0;
-    for (std::size_t e = 0; e < a_rows.size(); ++e) {
+    for (auto e = static_cast<std::size_t>(
+             std::lower_bound(a_rows.begin(), a_rows.end(), j) -
+             a_rows.begin());
+         e < a_rows.size(); ++e) {
       const Index r = a_rows[e];
-      if (r < j) {
-        continue;
-      }
-      while (li < l_rows.size() && l_rows[li] < r) {
-        ++li;
-      }
-      TM_CHECK(li < l_rows.size() && l_rows[li] == r,
-               "matrix entry (" << r << "," << j
-                                << ") lies outside the analyzed factor "
-                                   "pattern");
-      at(static_cast<std::size_t>(ws.front_pos[static_cast<std::size_t>(r)]),
-         k) += a_values[base + e];
+      const Index pos = ws.front_pos[static_cast<std::size_t>(r)];
+      TM_CHECK(pos >= 0, "matrix entry (" << r << "," << j
+                                          << ") lies outside the analyzed "
+                                             "fronts");
+      at(static_cast<std::size_t>(pos), k) += a_values[base + e];
     }
   }
 
@@ -162,18 +151,12 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
       kernel_->partial_factor(front, m, eta, cols.data()),
       std::memory_order_relaxed);
 
-  // Extract the factor columns of the members (disjoint ranges per
-  // supernode, so concurrent fronts never write the same slot).
+  // Copy the factor panel out, one contiguous run per column (disjoint
+  // panels per supernode, so concurrent fronts never write the same slot).
+  double* panel =
+      factor_.values.data() + fronts_->value_ptr[static_cast<std::size_t>(s)];
   for (std::size_t k = 0; k < eta; ++k) {
-    const Index j = cols[k];
-    const auto lc = l_pattern.column(j);
-    const std::size_t base = static_cast<std::size_t>(
-        l_pattern.col_ptr()[static_cast<std::size_t>(j)]);
-    for (std::size_t i = 0; i < lc.size(); ++i) {
-      const std::size_t fr = static_cast<std::size_t>(
-          ws.front_pos[static_cast<std::size_t>(lc[i])]);
-      factor_.values[base + i] = at(fr, k);
-    }
+    panel = std::copy(front + k * m + k, front + (k + 1) * m, panel);
   }
 
   // Store the contribution block (full square, the model's f_s entries;
@@ -193,7 +176,7 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   live_after_[static_cast<std::size_t>(s)] =
       meter_.lower(static_cast<Weight>(m * m - cbm * cbm));
 
-  for (const Index r : ws.rows) {
+  for (const Index r : rows) {
     ws.front_pos[static_cast<std::size_t>(r)] = -1;
   }
 }
@@ -259,15 +242,20 @@ double relative_residual(const SymmetricMatrix& matrix,
   }
 
   // Subtract L Lᵀ column by column: (L Lᵀ)(i,j) = Σ_k L(i,k) L(j,k).
-  for (Index k = 0; k < n; ++k) {
-    const auto lc = factor.pattern.column(k);
-    const std::size_t base = static_cast<std::size_t>(
-        factor.pattern.col_ptr()[static_cast<std::size_t>(k)]);
-    for (std::size_t x = 0; x < lc.size(); ++x) {
-      for (std::size_t y = 0; y < lc.size(); ++y) {
-        a[static_cast<std::size_t>(lc[y]) * static_cast<std::size_t>(n) +
-          static_cast<std::size_t>(lc[x])] -=
-            factor.values[base + x] * factor.values[base + y];
+  const FrontStructure& fronts = *factor.fronts;
+  TM_CHECK(factor.size() == n, "relative_residual: factor of order "
+                                   << factor.size() << ", matrix of " << n);
+  for (NodeId s = 0; s < fronts.supernodes(); ++s) {
+    const auto rows = fronts.rows(s);
+    for (std::size_t k = 0; k < fronts.members(s).size(); ++k) {
+      const double* const col =
+          factor.values.data() + fronts.panel_column(s, k);
+      const auto lc = rows.subspan(k);
+      for (std::size_t x = 0; x < lc.size(); ++x) {
+        for (std::size_t y = 0; y < lc.size(); ++y) {
+          a[static_cast<std::size_t>(lc[y]) * static_cast<std::size_t>(n) +
+            static_cast<std::size_t>(lc[x])] -= col[x] * col[y];
+        }
       }
     }
   }
@@ -276,37 +264,6 @@ double relative_residual(const SymmetricMatrix& matrix,
     norm_r += v * v;
   }
   return std::sqrt(norm_r) / std::sqrt(norm_a);
-}
-
-std::vector<double> solve_with_factor(const CholeskyFactor& factor,
-                                      std::vector<double> rhs) {
-  const Index n = factor.pattern.cols();
-  TM_CHECK(rhs.size() == static_cast<std::size_t>(n),
-           "solve: rhs size mismatch");
-  // Forward: L y = b.
-  for (Index j = 0; j < n; ++j) {
-    const auto lc = factor.pattern.column(j);
-    const std::size_t base = static_cast<std::size_t>(
-        factor.pattern.col_ptr()[static_cast<std::size_t>(j)]);
-    TM_ASSERT(!lc.empty() && lc.front() == j, "factor missing diagonal");
-    rhs[static_cast<std::size_t>(j)] /= factor.values[base];
-    const double yj = rhs[static_cast<std::size_t>(j)];
-    for (std::size_t i = 1; i < lc.size(); ++i) {
-      rhs[static_cast<std::size_t>(lc[i])] -= factor.values[base + i] * yj;
-    }
-  }
-  // Backward: Lᵀ x = y.
-  for (Index j = n; j-- > 0;) {
-    const auto lc = factor.pattern.column(j);
-    const std::size_t base = static_cast<std::size_t>(
-        factor.pattern.col_ptr()[static_cast<std::size_t>(j)]);
-    double sum = rhs[static_cast<std::size_t>(j)];
-    for (std::size_t i = 1; i < lc.size(); ++i) {
-      sum -= factor.values[base + i] * rhs[static_cast<std::size_t>(lc[i])];
-    }
-    rhs[static_cast<std::size_t>(j)] = sum / factor.values[base];
-  }
-  return rhs;
 }
 
 }  // namespace treemem

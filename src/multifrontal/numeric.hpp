@@ -12,8 +12,17 @@
 // (multifrontal/numeric_parallel.hpp) dispatches it as the task body of
 // the memory-bounded threaded executor.
 //
-// The front structure (the pattern of L and the member columns) comes
-// from build_assembly_tree: a factorization does no symbolic work.
+// The front structure (the member columns and front rows of every
+// supernode) comes from build_assembly_tree: a factorization does no
+// symbolic work. The factor is supernodal: each front emits its η factor
+// columns as one dense panel over its front rows, one contiguous copy per
+// column, relaxed zeros included (CholeskyFactor below).
+//
+// The entry contract: a matrix entry (r, j), r ≥ j, is assembled into the
+// front of the supernode holding column j. An entry inside that front is
+// factored exactly, whether or not it lies in the pattern the tree was
+// analyzed on (relaxed fronts carry rows beyond L(:, j)); an entry outside
+// every front is rejected with treemem::Error.
 //
 // The dense math inside a front — the partial Cholesky and the
 // contribution-block scatter-add — is delegated to the FrontKernel
@@ -49,6 +58,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/traversal.hpp"
@@ -64,10 +74,19 @@ namespace treemem {
 // (so the Matrix Market reader can produce real-valued matrices); the
 // include above keeps every existing consumer of this header working.
 
-/// Lower-triangular factor in CSC form (pattern includes the diagonal).
+/// The supernodal Cholesky factor L: the front structure it was computed
+/// on, shared with the analysis, and one dense panel per supernode. Panel s
+/// starts at values[fronts->value_ptr[s]] and holds η columns over the
+/// front rows fronts->rows(s): column k is L(rows[k..m), members[k]),
+/// diagonal first, stored contiguously (FrontStructure::panel_column). The
+/// panels store the relaxed fronts' explicit zeros too, so values.size()
+/// is fronts->panel_entries() ≥ fronts->factor_nnz.
 struct CholeskyFactor {
-  SparsePattern pattern;       ///< lower triangle of L
-  std::vector<double> values;  ///< aligned with pattern.row_idx()
+  std::shared_ptr<const FrontStructure> fronts;
+  std::vector<double> values;
+
+  /// Order n of the factored matrix.
+  Index size() const { return static_cast<Index>(fronts->member_cols.size()); }
 };
 
 /// Atomic live-entry meter for the engine's *measured* memory. Increments
@@ -100,7 +119,6 @@ class FrontWorkspace {
 
  private:
   friend class FrontalEngine;
-  std::vector<Index> rows;       ///< front row set, ascending
   std::vector<Index> front_pos;  ///< global row → front row, -1 outside
   /// Dense front, column-major, uninitialized beyond the lower triangle
   /// process_front zeroes (nothing reads the upper one).
@@ -116,7 +134,7 @@ class FrontWorkspace {
 /// every child of s completed (with a happens-before edge) before s
 /// starts — exactly what the serial driver and the executor's precedence
 /// guarantee. Contribution-block slots are written once by the owning
-/// supernode and consumed once by its parent; factor columns are disjoint
+/// supernode and consumed once by its parent; factor panels are disjoint
 /// per supernode; flop and live-entry counters are atomic.
 class FrontalEngine {
  public:
@@ -131,9 +149,9 @@ class FrontalEngine {
   /// Executes supernode s end to end: allocate the front, assemble the
   /// original entries of the member columns, extend-add (and release) the
   /// children's contribution blocks, dense partial Cholesky of the leading
-  /// η pivots, emit the factor columns and store the contribution block.
+  /// η pivots, copy the factor panel out and store the contribution block.
   /// Throws treemem::Error if a pivot is not positive (matrix not SPD) or
-  /// a matrix entry lies outside the analyzed factor pattern.
+  /// a matrix entry lies outside the front of its column.
   void process_front(NodeId s, FrontWorkspace& ws);
 
   /// Estimated dense-elimination flops per supernode, from the symbolic
@@ -228,8 +246,18 @@ double relative_residual(const SymmetricMatrix& matrix,
                          const std::vector<double>& x,
                          const std::vector<double>& b);
 
-/// Solves A x = b via the factor (forward + backward substitution).
+/// Solves A x = b via the factor: a forward sweep over the panels from the
+/// leaves up (L y = b), then a backward sweep from the root down (Lᵀ x =
+/// y). Large fronts gather their rows of the right-hand side into a dense
+/// vector and run the panel's columns on it; small ones sweep the indexed
+/// rows in place (multifrontal/supernodal_solve.cpp).
 std::vector<double> solve_with_factor(const CholeskyFactor& factor,
                                       std::vector<double> rhs);
+
+/// The same for `nrhs` right-hand sides at once, in place: column c is
+/// columns[c·n, (c+1)·n). Each panel is swept once for all of them, and
+/// every column gets the arithmetic of solve_with_factor, bit for bit.
+void solve_with_factor(const CholeskyFactor& factor, std::span<double> columns,
+                       std::size_t nrhs);
 
 }  // namespace treemem

@@ -34,7 +34,7 @@
 // them. `speedup` is the executor's busy time per task summed over tasks,
 // divided by the makespan.
 //
-// The factor is schedule-exact: fronts write disjoint factor columns and
+// The factor is schedule-exact: fronts write disjoint factor panels and
 // extend-add walks children in tree order, so every worker count and every
 // interleaving produces bit-identical values to the serial engine.
 #pragma once

@@ -96,32 +96,13 @@ void Solver::require_phase(Phase at_least, const char* verb,
 // ---------------------------------------------------------------------------
 
 void permute_analysis(SolverAnalysis& analysis) {
-  const SparsePattern& pattern = analysis.pattern;
-  const std::vector<Index>& perm = analysis.perm;
-  SparsePattern permuted = permute_symmetric(pattern, perm);
-
-  // Gather map: permuted entry (r, j) holds the original value at
-  // (perm[r], perm[j]). Resolving those offsets once here turns every
-  // later factorize() into a single linear gather over the value array.
-  std::vector<std::size_t> value_map(static_cast<std::size_t>(permuted.nnz()));
-  std::size_t offset = 0;
-  for (Index j = 0; j < permuted.cols(); ++j) {
-    const Index source_col = perm[static_cast<std::size_t>(j)];
-    const auto source_rows = pattern.column(source_col);
-    const std::size_t source_base = static_cast<std::size_t>(
-        pattern.col_ptr()[static_cast<std::size_t>(source_col)]);
-    for (const Index r : permuted.column(j)) {
-      const Index source_row = perm[static_cast<std::size_t>(r)];
-      const auto it = std::lower_bound(source_rows.begin(), source_rows.end(),
-                                       source_row);
-      TM_ASSERT(it != source_rows.end() && *it == source_row,
-                "permuted pattern entry missing from the source pattern");
-      value_map[offset++] =
-          source_base + static_cast<std::size_t>(it - source_rows.begin());
-    }
-  }
-  analysis.permuted_pattern = std::move(permuted);
-  analysis.permuted_value_map = std::move(value_map);
+  // The gather map: permuted entry o holds the original value at offset
+  // map[o]. The permutation records it as it places each entry, so every
+  // later factorize() is a single linear gather over the value array.
+  PermutedPattern permuted =
+      permute_symmetric_mapped(analysis.pattern, analysis.perm);
+  analysis.permuted_pattern = std::move(permuted.pattern);
+  analysis.permuted_value_map = std::move(permuted.source_offset);
 }
 
 Solver& Solver::analyze(const SparsePattern& pattern) {
@@ -167,7 +148,7 @@ Solver& Solver::analyze(const SparsePattern& pattern,
       build_assembly_tree(analysis->permuted_pattern, tree_options);
   analysis->stats = {.n = pattern.cols(),
                      .pattern_nnz = pattern.nnz(),
-                     .factor_nnz = analysis->assembly.fronts->factor.nnz(),
+                     .factor_nnz = analysis->assembly.fronts->factor_nnz,
                      .tree_nodes = analysis->assembly.tree.size(),
                      .ordering = to_string(options.ordering),
                      .analyze_seconds = timer.elapsed_s()};
@@ -553,42 +534,47 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
 // ---------------------------------------------------------------------------
 
 std::vector<double> Solver::solve(std::vector<double> rhs) const {
+  std::vector<std::vector<double>> columns(1);
+  columns[0] = std::move(rhs);
+  return std::move(solve(columns)[0]);
+}
+
+std::vector<std::vector<double>> Solver::solve(
+    const std::vector<std::vector<double>>& rhs) const {
   require_phase(Phase::kFactorized, "solve", "factorize()");
   const std::size_t n = static_cast<std::size_t>(analysis_->pattern.cols());
-  TM_CHECK(rhs.size() == n, "Solver::solve: rhs has " << rhs.size()
-                                                      << " entries, expected "
-                                                      << n);
+  for (const std::vector<double>& column : rhs) {
+    TM_CHECK(column.size() == n, "Solver::solve: rhs has "
+                                     << column.size() << " entries, expected "
+                                     << n);
+  }
   Timer timer;
   obs::TraceSpan phase_span("solve", "solver");
   const std::vector<Index>& perm = analysis_->perm;
-  // Solve P A Pᵀ y = P b, then undo the permutation: x = Pᵀ y.
-  std::vector<double> permuted_rhs(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    permuted_rhs[k] = rhs[static_cast<std::size_t>(perm[k])];
+  // Solve P A Pᵀ Y = P B for every column in one sweep over the panels,
+  // then undo the permutation: X = Pᵀ Y. The block is local, so concurrent
+  // solves share nothing but the immutable factor.
+  std::vector<double> block(n * rhs.size());
+  for (std::size_t c = 0; c < rhs.size(); ++c) {
+    for (std::size_t k = 0; k < n; ++k) {
+      block[c * n + k] = rhs[c][static_cast<std::size_t>(perm[k])];
+    }
   }
-  const std::vector<double> y =
-      solve_with_factor(*factor_, std::move(permuted_rhs));
-  std::vector<double>& x = rhs;  // reuse the buffer
-  for (std::size_t k = 0; k < n; ++k) {
-    x[static_cast<std::size_t>(perm[k])] = y[k];
+  solve_with_factor(*factor_, std::span<double>(block), rhs.size());
+  std::vector<std::vector<double>> solutions(rhs.size(),
+                                             std::vector<double>(n));
+  for (std::size_t c = 0; c < rhs.size(); ++c) {
+    for (std::size_t k = 0; k < n; ++k) {
+      solutions[c][static_cast<std::size_t>(perm[k])] = block[c * n + k];
+    }
   }
   // Relaxed is enough: the counters are cumulative tallies read through
   // stats() snapshots, not synchronization edges.
   totals_.solve_nanos.fetch_add(
       static_cast<long long>(timer.elapsed_s() * 1e9),
       std::memory_order_relaxed);
-  totals_.rhs.fetch_add(1, std::memory_order_relaxed);
-  return x;
-}
-
-std::vector<std::vector<double>> Solver::solve(
-    const std::vector<std::vector<double>>& rhs) const {
-  require_phase(Phase::kFactorized, "solve", "factorize()");
-  std::vector<std::vector<double>> solutions;
-  solutions.reserve(rhs.size());
-  for (const std::vector<double>& column : rhs) {
-    solutions.push_back(solve(column));
-  }
+  totals_.rhs.fetch_add(static_cast<int>(rhs.size()),
+                        std::memory_order_relaxed);
   return solutions;
 }
 
@@ -651,10 +637,17 @@ Solver& Solver::adopt_factor(std::shared_ptr<const CholeskyFactor> factor) {
   TM_CHECK(factor != nullptr,
            "Solver::adopt_factor: factor must be non-null (export it from a "
            "factorized solver via shared_factor())");
-  TM_CHECK(factor->pattern.cols() == analysis_->permuted_pattern.cols(),
-           "Solver::adopt_factor: factor dimension "
-               << factor->pattern.cols() << " differs from the adopted "
-               << "pattern's " << analysis_->permuted_pattern.cols());
+  // The panels' layout is the front structure's: a factor computed on
+  // any other one (another pattern, ordering or amalgamation) would be
+  // read through the wrong rows. A rebuilt but equal structure is fine.
+  const FrontStructure& fronts = *analysis_->assembly.fronts;
+  TM_CHECK(factor->fronts != nullptr &&
+               (factor->fronts.get() == &fronts || *factor->fronts == fronts),
+           "Solver::adopt_factor: the factor was computed on a different "
+           "front structure than the adopted analysis");
+  TM_CHECK(factor->values.size() ==
+               static_cast<std::size_t>(fronts.panel_entries()),
+           "Solver::adopt_factor: factor values do not fill its panels");
   factor_ = std::move(factor);
   phase_ = Phase::kFactorized;
   // Reporting: no numeric work ran — engine "cached", zero time/flops.

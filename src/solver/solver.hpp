@@ -366,8 +366,9 @@ class Solver {
   /// solves against one factorized Solver are supported (the factor is
   /// read-only and the cumulative counters are atomic).
   std::vector<double> solve(std::vector<double> rhs) const;
-  /// Multi-RHS: one forward/backward sweep per column, columns independent.
-  /// Counts one rhs_solved per column, not per call.
+  /// Multi-RHS: one forward and one backward sweep over the factor's panels
+  /// for all columns together; each column's solution is bit-identical to
+  /// a single solve of it. Counts one rhs_solved per column, not per call.
   std::vector<std::vector<double>> solve(
       const std::vector<std::vector<double>>& rhs) const;
 
@@ -405,8 +406,10 @@ class Solver {
   /// called immediately, skipping factorize() entirely (the numeric-cache
   /// fast path). Requires plan() (or adopt()); the factor must belong to
   /// the adopted pattern — the cache guarantees that by keying on the
-  /// (pattern, values) fingerprints and verifying the defining values.
-  /// Reports engine "cached" and does not count a factorization.
+  /// (pattern, values) fingerprints and verifying the defining values —
+  /// and must have been computed on an equal front structure (its panels'
+  /// layout), else treemem::Error. Reports engine "cached" and does not
+  /// count a factorization.
   Solver& adopt_factor(std::shared_ptr<const CholeskyFactor> factor);
 
  private:

@@ -60,9 +60,12 @@ std::size_t approx_symbolic_bytes(const SolverSymbolic& symbolic) {
   bytes += a.assembly.supernode_of.size() * sizeof(NodeId);
   bytes += (a.assembly.eta.size() + a.assembly.mu.size()) * sizeof(Index);
   if (const FrontStructure* fronts = a.assembly.fronts.get()) {
-    bytes += sizeof(FrontStructure) + pattern_bytes(fronts->factor);
-    bytes += (fronts->member_ptr.size() + fronts->member_cols.size()) *
+    bytes += sizeof(FrontStructure);
+    bytes += (fronts->member_ptr.size() + fronts->member_cols.size() +
+              fronts->row_idx.size()) *
              sizeof(Index);
+    bytes += (fronts->row_ptr.size() + fronts->value_ptr.size()) *
+             sizeof(std::int64_t);
   }
   bytes += p.bottom_up_order.size() * sizeof(NodeId);
   bytes += p.io_schedule.order.size() * sizeof(NodeId);

@@ -62,7 +62,7 @@ struct SymbolicCacheOptions {
   PlanOptions plan;
   /// LRU capacity caps; 0 = unbounded. `max_bytes` bounds the approximate
   /// resident size of the cached symbolic state (patterns, assembly trees
-  /// with their factor patterns, traversals — see approx_symbolic_bytes).
+  /// with their front structures, traversals — see approx_symbolic_bytes).
   /// When either cap is exceeded the least-recently-used entries are
   /// dropped; in-flight users keep their shared state alive.
   std::size_t max_entries = 0;

@@ -356,7 +356,7 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
   analysis->assembly.fronts = build_front_structure(analysis->permuted_pattern,
                                                     analysis->assembly);
   check_plan(analysis->assembly.tree, *plan, path);
-  TM_CHECK(analysis->assembly.fronts->factor.nnz() ==
+  TM_CHECK(analysis->assembly.fronts->factor_nnz ==
                analysis->stats.factor_nnz,
            "read_symbolic_file: " << path << " factor_nnz does not match "
                                   << "the stored pattern");

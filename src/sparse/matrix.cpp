@@ -64,14 +64,13 @@ std::vector<double> SymmetricMatrix::multiply(
 }
 
 SymmetricMatrix SymmetricMatrix::permuted(const std::vector<Index>& perm) const {
-  const SparsePattern permuted_pattern = permute_symmetric(pattern_, perm);
-  std::vector<double> permuted_values(
-      static_cast<std::size_t>(permuted_pattern.nnz()));
-  for_each_entry(permuted_pattern, [&](Index r, Index j, std::size_t offset) {
-    permuted_values[offset] = value_of(perm[static_cast<std::size_t>(r)],
-                                       perm[static_cast<std::size_t>(j)]);
-  });
-  return SymmetricMatrix(permuted_pattern, std::move(permuted_values));
+  PermutedPattern permuted = permute_symmetric_mapped(pattern_, perm);
+  std::vector<double> permuted_values(permuted.source_offset.size());
+  for (std::size_t o = 0; o < permuted_values.size(); ++o) {
+    permuted_values[o] = values_[permuted.source_offset[o]];
+  }
+  return SymmetricMatrix(std::move(permuted.pattern),
+                         std::move(permuted_values));
 }
 
 SymmetricMatrix make_spd_matrix(const SparsePattern& pattern,

@@ -1,7 +1,6 @@
 #include "sparse/pattern.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 
 namespace treemem {
@@ -19,31 +18,38 @@ SparsePattern::SparsePattern(Index rows, Index cols,
            "col_ptr end " << col_ptr_.back() << " != nnz "
                           << row_idx_.size());
 
-  // Sort and deduplicate each column in place; a strictly increasing
-  // column (what every library routine emits) is only validated.
-  std::vector<Index> scratch;
-  std::vector<std::int64_t> new_ptr(col_ptr_.size(), 0);
-  std::vector<Index> new_idx;
-  new_idx.reserve(row_idx_.size());
+  // A strictly increasing column (what every library routine emits) is
+  // only validated, in place; the first column that is not triggers a
+  // rebuild that sorts and deduplicates every column.
+  bool strictly_increasing = true;
   for (Index j = 0; j < cols_; ++j) {
     const std::int64_t begin = col_ptr_[static_cast<std::size_t>(j)];
     const std::int64_t end = col_ptr_[static_cast<std::size_t>(j) + 1];
     TM_CHECK(begin <= end && end <= col_ptr_.back(),
              "col_ptr not monotone at column " << j);
-    scratch.assign(row_idx_.begin() + begin, row_idx_.begin() + end);
-    for (const Index r : scratch) {
+    for (std::int64_t e = begin; e < end; ++e) {
+      const Index r = row_idx_[static_cast<std::size_t>(e)];
       TM_CHECK(r >= 0 && r < rows_,
                "row index " << r << " out of range in column " << j);
+      strictly_increasing = strictly_increasing &&
+                            (e == begin ||
+                             row_idx_[static_cast<std::size_t>(e) - 1] < r);
     }
-    if (!std::is_sorted(scratch.begin(), scratch.end(),
-                        std::less_equal<Index>())) {
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-    }
+  }
+  if (strictly_increasing) {
+    return;
+  }
+  std::vector<Index> scratch;
+  std::vector<std::int64_t> new_ptr(col_ptr_.size(), 0);
+  std::vector<Index> new_idx;
+  new_idx.reserve(row_idx_.size());
+  for (std::size_t j = 0; j < static_cast<std::size_t>(cols_); ++j) {
+    scratch.assign(row_idx_.begin() + col_ptr_[j],
+                   row_idx_.begin() + col_ptr_[j + 1]);
+    std::sort(scratch.begin(), scratch.end());
+    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
     new_idx.insert(new_idx.end(), scratch.begin(), scratch.end());
-    new_ptr[static_cast<std::size_t>(j) + 1] =
-        static_cast<std::int64_t>(new_idx.size());
+    new_ptr[j + 1] = static_cast<std::int64_t>(new_idx.size());
   }
   col_ptr_ = std::move(new_ptr);
   row_idx_ = std::move(new_idx);
@@ -92,8 +98,24 @@ bool SparsePattern::is_symmetric() const {
   if (!is_square()) {
     return false;
   }
-  const SparsePattern t = transposed();
-  return col_ptr_ == t.col_ptr() && row_idx_ == t.row_idx();
+  // Visiting the columns j in ascending order hands every column i the rows
+  // it must hold (the j whose column holds i) in ascending order, so one
+  // cursor per column matches them in O(nnz) without a transpose. Every
+  // visited entry consumes one distinct entry, so a walk that never
+  // mismatches has consumed them all.
+  std::vector<std::int64_t> cursor(col_ptr_.begin(), col_ptr_.end() - 1);
+  for (Index j = 0; j < cols_; ++j) {
+    for (const Index r : column(j)) {
+      const auto i = static_cast<std::size_t>(r);
+      std::int64_t& at = cursor[i];
+      if (at == col_ptr_[i + 1] ||
+          row_idx_[static_cast<std::size_t>(at)] != j) {
+        return false;
+      }
+      ++at;
+    }
+  }
+  return true;
 }
 
 bool SparsePattern::has_full_diagonal() const {
@@ -151,20 +173,68 @@ std::vector<Index> invert_permutation(const std::vector<Index>& perm) {
   return inverse;
 }
 
-SparsePattern permute_symmetric(const SparsePattern& a,
-                                const std::vector<Index>& perm) {
+PermutedPattern permute_symmetric_mapped(const SparsePattern& a,
+                                         const std::vector<Index>& perm) {
   TM_CHECK(a.is_square(), "permute_symmetric needs a square pattern");
   check_permutation(perm, a.cols());
   const std::vector<Index> inverse = invert_permutation(perm);
-  std::vector<std::pair<Index, Index>> entries;
-  entries.reserve(static_cast<std::size_t>(a.nnz()));
-  for (Index j = 0; j < a.cols(); ++j) {
-    for (const Index r : a.column(j)) {
-      entries.emplace_back(inverse[static_cast<std::size_t>(r)],
-                           inverse[static_cast<std::size_t>(j)]);
+  const auto n = static_cast<std::size_t>(a.cols());
+  const auto nnz = static_cast<std::size_t>(a.nnz());
+  const std::vector<std::int64_t>& old_ptr = a.col_ptr();
+  const std::vector<Index>& old_rows = a.row_idx();
+
+  // Pass 1: bucket every entry by its new row, visiting the old columns in
+  // new-column order, so each row bucket lists its new columns ascending.
+  const auto new_index = [&](Index old) {
+    return static_cast<std::size_t>(inverse[static_cast<std::size_t>(old)]);
+  };
+  std::vector<std::int64_t> row_ptr(n + 1, 0);
+  for (const Index r : old_rows) {
+    ++row_ptr[new_index(r) + 1];
+  }
+  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
+  std::vector<Index> row_cols(nnz);
+  std::vector<std::size_t> row_source(nnz);
+  std::vector<std::int64_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto j = static_cast<std::size_t>(perm[k]);
+    for (auto o = static_cast<std::size_t>(old_ptr[j]);
+         o < static_cast<std::size_t>(old_ptr[j + 1]); ++o) {
+      const auto slot =
+          static_cast<std::size_t>(cursor[new_index(old_rows[o])]++);
+      row_cols[slot] = static_cast<Index>(k);
+      row_source[slot] = o;
     }
   }
-  return SparsePattern::from_coo(a.rows(), a.cols(), std::move(entries));
+
+  // Pass 2: bucket by new column, visiting the rows in new-row order, so
+  // each column comes out with its rows ascending.
+  std::vector<std::int64_t> col_ptr(n + 1, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto j = static_cast<std::size_t>(perm[k]);
+    col_ptr[k + 1] = col_ptr[k] + (old_ptr[j + 1] - old_ptr[j]);
+  }
+  std::vector<Index> row_idx(nnz);
+  PermutedPattern result;
+  result.source_offset.resize(nnz);
+  cursor.assign(col_ptr.begin(), col_ptr.end() - 1);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (auto slot = static_cast<std::size_t>(row_ptr[r]);
+         slot < static_cast<std::size_t>(row_ptr[r + 1]); ++slot) {
+      const auto dst = static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(row_cols[slot])]++);
+      row_idx[dst] = static_cast<Index>(r);
+      result.source_offset[dst] = row_source[slot];
+    }
+  }
+  result.pattern = SparsePattern(a.rows(), a.cols(), std::move(col_ptr),
+                                 std::move(row_idx));
+  return result;
+}
+
+SparsePattern permute_symmetric(const SparsePattern& a,
+                                const std::vector<Index>& perm) {
+  return permute_symmetric_mapped(a, perm).pattern;
 }
 
 }  // namespace treemem

@@ -69,9 +69,22 @@ SparsePattern symmetrize(const SparsePattern& a);
 
 /// Symmetric permutation P A Pᵀ. `perm[k]` is the original index placed at
 /// position k (so column k of the result is column perm[k] of A, with row
-/// indices relabelled by the inverse permutation).
+/// indices relabelled by the inverse permutation). Two counting passes,
+/// O(nnz + n): bucket by new row while visiting the old columns in new
+/// column order, then by new column while visiting the rows in new row
+/// order, so every column comes out sorted without a sort.
 SparsePattern permute_symmetric(const SparsePattern& a,
                                 const std::vector<Index>& perm);
+
+/// P A Pᵀ together with, for every entry of it, the offset in a.row_idx()
+/// of the entry it came from: the gather map that moves a value array of
+/// A onto the permuted pattern.
+struct PermutedPattern {
+  SparsePattern pattern;
+  std::vector<std::size_t> source_offset;  ///< aligned with pattern.row_idx()
+};
+PermutedPattern permute_symmetric_mapped(const SparsePattern& a,
+                                         const std::vector<Index>& perm);
 
 /// Validates that `perm` is a permutation of 0..n-1.
 void check_permutation(const std::vector<Index>& perm, Index n);

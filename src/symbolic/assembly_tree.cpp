@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 
 #include "symbolic/symbolic.hpp"
 
@@ -90,17 +91,36 @@ AssemblyTree amalgamate(const std::vector<Index>& parent,
 
   SupernodeForest forest(parent, counts);
 
-  // Child lists of the elimination forest.
-  std::vector<std::vector<Index>> children(static_cast<std::size_t>(n));
+  // Child lists of the elimination forest, ascending, in one array:
+  // children of p are child_list[child_ptr[p], child_ptr[p + 1]).
+  std::vector<Index> child_ptr(static_cast<std::size_t>(n) + 1, 0);
   std::vector<Index> roots;
   for (Index j = 0; j < n; ++j) {
     const Index p = parent[static_cast<std::size_t>(j)];
     if (p == -1) {
       roots.push_back(j);
     } else {
-      children[static_cast<std::size_t>(p)].push_back(j);
+      ++child_ptr[static_cast<std::size_t>(p) + 1];
     }
   }
+  std::partial_sum(child_ptr.begin(), child_ptr.end(), child_ptr.begin());
+  std::vector<Index> child_list(static_cast<std::size_t>(child_ptr.back()));
+  {
+    std::vector<Index> cursor(child_ptr.begin(), child_ptr.end() - 1);
+    for (Index j = 0; j < n; ++j) {
+      const Index p = parent[static_cast<std::size_t>(j)];
+      if (p != -1) {
+        child_list[static_cast<std::size_t>(
+            cursor[static_cast<std::size_t>(p)]++)] = j;
+      }
+    }
+  }
+  const auto children = [&](Index p) {
+    const auto i = static_cast<std::size_t>(p);
+    return std::span<const Index>(child_list.data() + child_ptr[i],
+                                  static_cast<std::size_t>(child_ptr[i + 1] -
+                                                           child_ptr[i]));
+  };
 
   const std::vector<Index> post = etree_postorder(parent);
 
@@ -110,7 +130,7 @@ AssemblyTree amalgamate(const std::vector<Index>& parent,
   if (options.perfect) {
     for (const Index j : post) {
       const Index p = parent[static_cast<std::size_t>(j)];
-      if (p != -1 && children[static_cast<std::size_t>(p)].size() == 1 &&
+      if (p != -1 && children(p).size() == 1 &&
           counts[static_cast<std::size_t>(p)] ==
               counts[static_cast<std::size_t>(j)] - 1) {
         forest.merge_into(p, j);
@@ -125,6 +145,7 @@ AssemblyTree amalgamate(const std::vector<Index>& parent,
     // Child supernodes of a supernode s = supernodes of etree children of
     // every member column... iterating over the top's subtree is enough if
     // we recompute lazily; we rebuild the candidate list on each merge.
+    std::vector<Index> stack;
     for (const Index j : post) {
       if (forest.top(j) != j) {
         continue;  // only process each supernode once, at its top column
@@ -138,11 +159,11 @@ AssemblyTree amalgamate(const std::vector<Index>& parent,
         // the columns whose find() equals find(j); enumerating them all is
         // expensive, so we exploit that supernodes are connected: walk the
         // member set via a stack over etree children that are in-supernode.
-        std::vector<Index> stack{j};
+        stack.assign(1, j);
         while (!stack.empty()) {
           const Index m = stack.back();
           stack.pop_back();
-          for (const Index c : children[static_cast<std::size_t>(m)]) {
+          for (const Index c : children(m)) {
             if (forest.find(c) == forest.find(j)) {
               stack.push_back(c);
             } else {
@@ -298,9 +319,12 @@ std::shared_ptr<const FrontStructure> make_front_structure(
     fronts->member_cols[static_cast<std::size_t>(cursor[s]++)] = j;
   }
 
-  // Connectivity, which makes members ++ update_rows exact: the only column
+  // Connectivity, which makes the front rows below exact: the only column
   // whose etree parent leaves its supernode is the top (the largest member,
   // which always leaves), and that parent lies in the parent supernode.
+  // Supernodes are numbered parents first, so a descending sweep visits
+  // children before their parent (the rows below and the supernodal solve
+  // rely on it).
   for (Index j = 0; j < n; ++j) {
     const NodeId s = assembly.supernode_of[static_cast<std::size_t>(j)];
     const Index p = parent[static_cast<std::size_t>(j)];
@@ -315,20 +339,73 @@ std::shared_ptr<const FrontStructure> make_front_structure(
   TM_CHECK(!assembly.has_virtual_root ||
                (tree.file_size(0) == 0 && tree.work_size(0) == 0),
            "front structure: the virtual root carries weights");
-  for (NodeId s = first_real; s < tree.size(); ++s) {
+  fronts->row_ptr.assign(nodes + 1, 0);
+  fronts->value_ptr.assign(nodes + 1, 0);
+  for (NodeId s = 0; s < tree.size(); ++s) {
+    const auto i = static_cast<std::size_t>(s);
     const auto cols = fronts->members(s);
-    const Weight eta = assembly.eta[static_cast<std::size_t>(s)];
-    const Weight mu = assembly.mu[static_cast<std::size_t>(s)];
-    TM_CHECK(!cols.empty() && eta == static_cast<Weight>(cols.size()) &&
-                 mu == counts[static_cast<std::size_t>(cols.back())],
-             "front structure: eta/mu of supernode "
-                 << s << " do not match its member columns");
-    TM_CHECK(tree.file_size(s) == (mu - 1) * (mu - 1) &&
-                 tree.work_size(s) == eta * eta + 2 * eta * (mu - 1),
-             "front structure: the weights of supernode "
-                 << s << " are not the Eq. 1 weights of its eta and mu");
+    const Weight eta = assembly.eta[i];
+    const Weight mu = assembly.mu[i];
+    if (s >= first_real) {
+      TM_CHECK(!cols.empty() && eta == static_cast<Weight>(cols.size()) &&
+                   mu == counts[static_cast<std::size_t>(cols.back())],
+               "front structure: eta/mu of supernode "
+                   << s << " do not match its member columns");
+      TM_CHECK(tree.file_size(s) == (mu - 1) * (mu - 1) &&
+                   tree.work_size(s) == eta * eta + 2 * eta * (mu - 1),
+               "front structure: the weights of supernode "
+                   << s << " are not the Eq. 1 weights of its eta and mu");
+    }
+    TM_CHECK(tree.parent(s) < s, "front structure: supernode "
+                                     << s << " is numbered before its parent "
+                                     << tree.parent(s));
+    const Weight m = cols.empty() ? 0 : eta + mu - 1;
+    fronts->row_ptr[i + 1] = fronts->row_ptr[i] + m;
+    fronts->value_ptr[i + 1] =
+        fronts->value_ptr[i] + (m == 0 ? 0 : eta * m - eta * (eta - 1) / 2);
   }
-  fronts->factor = symbolic_cholesky(a, parent, counts);
+  fronts->factor_nnz =
+      std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
+
+  // Front rows, children first: the members, then the rows above the top
+  // that the members' columns of A or the children's contribution blocks
+  // reach — exactly L(:, top) below the diagonal, since L(i, top) ≠ 0 iff
+  // A(i, k) ≠ 0 for some k in the etree subtree under top. A row at most
+  // top is a member (it lies on an etree path inside the supernode).
+  fronts->row_idx.resize(static_cast<std::size_t>(fronts->row_ptr.back()));
+  std::vector<NodeId> mark(static_cast<std::size_t>(n), kNoNode);
+  std::vector<Index> above;
+  for (NodeId s = tree.size(); s-- > first_real;) {
+    const auto cols = fronts->members(s);
+    const Index top = cols.back();
+    above.clear();
+    auto reach = [&](Index r) {
+      if (r > top && mark[static_cast<std::size_t>(r)] != s) {
+        mark[static_cast<std::size_t>(r)] = s;
+        above.push_back(r);
+      }
+    };
+    for (const Index j : cols) {
+      const auto col = a.column(j);
+      std::for_each(std::upper_bound(col.begin(), col.end(), top), col.end(),
+                    reach);
+    }
+    for (const NodeId c : tree.children(s)) {
+      const auto cb = fronts->update_rows(c);
+      std::for_each(cb.begin(), cb.end(), reach);
+    }
+    std::sort(above.begin(), above.end());
+    const auto begin = static_cast<std::size_t>(
+        fronts->row_ptr[static_cast<std::size_t>(s)]);
+    TM_ASSERT(cols.size() + above.size() == fronts->front_size(s),
+              "front structure: front " << s << " has "
+                                        << cols.size() + above.size()
+                                        << " rows, its column count says "
+                                        << fronts->front_size(s));
+    std::copy(cols.begin(), cols.end(), fronts->row_idx.begin() + begin);
+    std::copy(above.begin(), above.end(),
+              fronts->row_idx.begin() + begin + cols.size());
+  }
   return fronts;
 }
 

@@ -30,13 +30,14 @@
 // the MinMem optimum of a 256 × 48 block-tridiagonal matrix rose by 6%. Both
 // bounds were picked from a sweep over {1/50, 1/20, 1/10, 1/5} (share) and
 // {1/20, 1/10, 1/5, none} (cap); CHANGES.md records it. Merged supernodes
-// are still connected etree subtrees, so the front structure, the pattern
-// of L and the numeric engines are unchanged, and the Eq. 1 weights below
-// follow the merged (η, µ).
+// are still connected etree subtrees, so the front rows stay members ++
+// L(:, top) below the diagonal, and the Eq. 1 weights below follow the
+// merged (η, µ).
 // build_assembly_tree also fixes the FrontStructure every numeric
 // factorization only reads, so refactorizations do no symbolic work.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 
@@ -57,18 +58,34 @@ struct AssemblyTreeOptions {
   bool merge_chains = true;
 };
 
-/// The front structure of an assembly tree: the pattern of L and the
-/// member columns of every supernode. A supernode's members form a
-/// connected etree subtree under its top column (the largest member), and
-/// every row of a member column is either a member or an etree ancestor of
-/// the top, which already lies in L(:, top). Front s therefore has the
-/// ascending rows members(s) ++ update_rows(s) — η + µ − 1 of them —
-/// without any union over the member columns.
+/// The front structure of an assembly tree: the member columns and the
+/// front rows of every supernode, and the layout of the supernodal factor
+/// over them. A supernode's members form a connected etree subtree under
+/// its top column (the largest member), so its front rows are the members
+/// followed by the rows of L(:, top) below the diagonal — η + µ − 1 rows,
+/// ascending. build_assembly_tree forms them bottom-up as the members ∪
+/// the rows of A below them ∪ the children's contribution-block rows, and
+/// never the column pattern of L: that pattern holds Σ column counts
+/// indices, the fronts Σ front orders (one index per front row, not one
+/// per factor entry).
+///
+/// The factor's values live in dense panels, one per supernode: η columns
+/// over the front rows, column k holding front rows k..m−1 (m the front
+/// order), relaxed zeros included. Panel s starts at value_ptr[s].
 struct FrontStructure {
-  SparsePattern factor;            ///< pattern of L, diagonal included
-  std::vector<Index> member_ptr;   ///< node s: member_cols[ptr[s], ptr[s+1])
-  std::vector<Index> member_cols;  ///< member columns, ascending per node
+  std::vector<Index> member_ptr;      ///< node s: member_cols[ptr[s], ptr[s+1])
+  std::vector<Index> member_cols;     ///< member columns, ascending per node
+  std::vector<std::int64_t> row_ptr;  ///< node s: row_idx[ptr[s], ptr[s+1])
+  std::vector<Index> row_idx;         ///< front rows: members ++ update rows
+  std::vector<std::int64_t> value_ptr;  ///< node s: panel at values[ptr[s]]
+  /// nnz(L), diagonal included: Σ column counts, the exact fill (the
+  /// panels store value_ptr.back() ≥ factor_nnz entries).
+  std::int64_t factor_nnz = 0;
 
+  /// Number of supernodes (the assembly tree's nodes).
+  NodeId supernodes() const {
+    return static_cast<NodeId>(member_ptr.size()) - 1;
+  }
   /// Eliminated columns of supernode s, ascending (none for the virtual
   /// root).
   std::span<const Index> members(NodeId s) const {
@@ -76,16 +93,30 @@ struct FrontStructure {
     return {member_cols.data() + member_ptr[i],
             static_cast<std::size_t>(member_ptr[i + 1] - member_ptr[i])};
   }
+  /// Front rows of supernode s, ascending: members(s) ++ update_rows(s).
+  std::span<const Index> rows(NodeId s) const {
+    const auto i = static_cast<std::size_t>(s);
+    return {row_idx.data() + row_ptr[i],
+            static_cast<std::size_t>(row_ptr[i + 1] - row_ptr[i])};
+  }
   /// Rows of the contribution block of s: L(:, top(s)) below the diagonal.
   std::span<const Index> update_rows(NodeId s) const {
-    const auto cols = members(s);
-    return cols.empty() ? std::span<const Index>{}
-                        : factor.column(cols.back()).subspan(1);
+    return rows(s).subspan(members(s).size());
   }
   /// Order of front s (0 for the virtual root).
-  std::size_t front_size(NodeId s) const {
-    return members(s).size() + update_rows(s).size();
+  std::size_t front_size(NodeId s) const { return rows(s).size(); }
+  /// Offset of panel column k of supernode s in the factor's values: the
+  /// columns before it hold m, m − 1, ..., m − k + 1 entries.
+  std::int64_t panel_column(NodeId s, std::size_t k) const {
+    const auto m = static_cast<std::int64_t>(front_size(s));
+    const auto kk = static_cast<std::int64_t>(k);
+    return value_ptr[static_cast<std::size_t>(s)] + kk * m - kk * (kk - 1) / 2;
   }
+  /// Entries of all panels (the factor's stored values).
+  std::int64_t panel_entries() const { return value_ptr.back(); }
+
+  friend bool operator==(const FrontStructure&,
+                         const FrontStructure&) = default;
 };
 
 struct AssemblyTree {

@@ -122,12 +122,11 @@ std::vector<Index> column_counts(const SparsePattern& a,
   return counts;
 }
 
-SparsePattern symbolic_cholesky(const SparsePattern& a,
-                                const std::vector<Index>& parent,
-                                const std::vector<Index>& counts) {
+SparsePattern symbolic_cholesky(const SparsePattern& a) {
+  TM_CHECK(a.is_square(), "symbolic_cholesky: pattern must be square");
   const Index n = a.cols();
-  TM_CHECK(counts.size() == static_cast<std::size_t>(n),
-           "symbolic_cholesky: counts size mismatch");
+  const std::vector<Index> parent = elimination_tree(a);
+  const std::vector<Index> counts = column_counts(a, parent);
   std::vector<std::int64_t> col_ptr(static_cast<std::size_t>(n) + 1, 0);
   std::inclusive_scan(counts.begin(), counts.end(), col_ptr.begin() + 1,
                       std::plus<>(), std::int64_t{0});
@@ -144,12 +143,6 @@ SparsePattern symbolic_cholesky(const SparsePattern& a,
   TM_ASSERT(std::equal(next.begin(), next.end(), col_ptr.begin() + 1),
             "symbolic_cholesky: counts exceed the factor's columns");
   return SparsePattern(n, n, std::move(col_ptr), std::move(row_idx));
-}
-
-SparsePattern symbolic_cholesky(const SparsePattern& a) {
-  TM_CHECK(a.is_square(), "symbolic_cholesky: pattern must be square");
-  const std::vector<Index> parent = elimination_tree(a);
-  return symbolic_cholesky(a, parent, column_counts(a, parent));
 }
 
 std::int64_t factor_nnz(const SparsePattern& a) {

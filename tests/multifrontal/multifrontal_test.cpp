@@ -218,7 +218,7 @@ TEST(Multifrontal, RejectsAssemblyWithoutFrontStructure) {
 
 TEST(Multifrontal, RejectsMatrixOutsideTheAnalyzedPattern) {
   // The tree of a path graph (tridiagonal): a grid's extra couplings fall
-  // outside its factor pattern.
+  // outside its fronts.
   const SparsePattern path = SparsePattern::from_coo(
       4, 4, {{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 2},
              {2, 2}, {3, 2}, {2, 3}, {3, 3}});

@@ -562,6 +562,74 @@ TEST(Solver, AdoptFactorSolvesWithoutFactorize) {
   EXPECT_EQ(consumer.solve(rhs), producer.solve(rhs));
 }
 
+TEST(Solver, AdoptFactorRejectsAnotherFrontStructure) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(7, 7));
+  const SymmetricMatrix matrix = make_spd_matrix(pattern, 9);
+  Solver producer;
+  producer.analyze(pattern).plan().factorize(matrix);
+
+  // Same pattern and options, analyzed apart: an equal structure, whose
+  // panels the factor fits.
+  Solver twin;
+  twin.analyze(pattern).plan();
+  ASSERT_NE(twin.assembly().fronts, producer.assembly().fronts);
+  twin.adopt_factor(producer.shared_factor());
+  const std::vector<double> rhs = seeded_rhs(pattern.cols(), 4);
+  EXPECT_EQ(twin.solve(rhs), producer.solve(rhs));
+
+  // Same order n, other fronts: another ordering, another amalgamation.
+  AnalyzeOptions other_order;
+  other_order.ordering = OrderingChoice::kRcm;
+  Solver reordered;
+  reordered.analyze(pattern, other_order).plan();
+  EXPECT_THROW(reordered.adopt_factor(producer.shared_factor()), Error);
+
+  AnalyzeOptions other_relax;
+  other_relax.relax = 0;
+  Solver unrelaxed;
+  unrelaxed.analyze(pattern, other_relax).plan();
+  EXPECT_THROW(unrelaxed.adopt_factor(producer.shared_factor()), Error);
+  EXPECT_FALSE(unrelaxed.factorized());
+
+  // Panels of the right total size over other rows: still rejected.
+  auto moved = std::make_shared<FrontStructure>(*producer.assembly().fronts);
+  std::swap(moved->member_cols.front(), moved->member_cols.back());
+  auto misfit = std::make_shared<CholeskyFactor>(producer.factor());
+  misfit->fronts = moved;
+  EXPECT_THROW(twin.adopt_factor(misfit), Error);
+}
+
+TEST(SymbolicCacheEviction, FrontStructureChargesFrontRowsNotTheFill) {
+  // A band of half-width 12: every front row is charged once per front,
+  // not once per entry of L.
+  Prng prng(3);
+  const SparsePattern a = symmetrize(gen::banded(400, 12, 1.0, prng));
+  SymbolicCache probe;
+  const SolverSymbolic symbolic = probe.lookup(a).symbolic;
+  const FrontStructure& fronts = *symbolic.analysis->assembly.fronts;
+  std::size_t front_rows = 0;
+  for (NodeId s = 0; s < fronts.supernodes(); ++s) {
+    front_rows += fronts.front_size(s);
+  }
+  EXPECT_EQ(fronts.row_idx.size(), front_rows);
+  EXPECT_LT(static_cast<std::int64_t>(front_rows) * 4, fronts.factor_nnz);
+
+  auto bare = std::make_shared<SolverAnalysis>(*symbolic.analysis);
+  bare->assembly.fronts.reset();
+  const std::size_t structure_charge =
+      approx_symbolic_bytes(symbolic) -
+      approx_symbolic_bytes(SolverSymbolic{bare, symbolic.plan});
+  EXPECT_EQ(structure_charge,
+            sizeof(FrontStructure) +
+                (fronts.member_ptr.size() + fronts.member_cols.size() +
+                 fronts.row_idx.size()) *
+                    sizeof(Index) +
+                (fronts.row_ptr.size() + fronts.value_ptr.size()) *
+                    sizeof(std::int64_t));
+  EXPECT_LT(structure_charge,
+            static_cast<std::size_t>(fronts.factor_nnz) * sizeof(Index) / 2);
+}
+
 TEST(SolverPool, RepeatedValuesHitFactorCacheBitExactly) {
   const SparsePattern pattern = symmetrize(gen::grid2d(8, 8));
   SolverPoolOptions options;

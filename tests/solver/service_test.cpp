@@ -67,7 +67,7 @@ TEST(SymbolicCache, HitFactorizesBitIdenticalToColdRun) {
   for (std::size_t i = 0; i < cold.factor().values.size(); ++i) {
     EXPECT_EQ(warm.factor().values[i], cold.factor().values[i]) << "at " << i;
   }
-  EXPECT_EQ(warm.factor().pattern.row_idx(), cold.factor().pattern.row_idx());
+  EXPECT_EQ(warm.factor().fronts->row_idx, cold.factor().fronts->row_idx);
 }
 
 TEST(SymbolicCache, SharesStateAndKeysOnStructure) {

@@ -22,6 +22,7 @@
 #include "parallel/worker_pool.hpp"
 #include "solver/solver.hpp"
 #include "sparse/generators.hpp"
+#include "symbolic/symbolic.hpp"
 
 namespace treemem {
 namespace {
@@ -102,7 +103,22 @@ TEST(SolverStatsView, PinsEveryFieldAcrossThePhaseSequence) {
   const Tree& tree = solver.assembly().tree;
   EXPECT_EQ(analyzed.n, 256);
   EXPECT_EQ(analyzed.pattern_nnz, pattern.nnz());
-  EXPECT_EQ(analyzed.factor_nnz, solver.assembly().fronts->factor.nnz());
+  const FrontStructure& fronts = *solver.assembly().fronts;
+  const SparsePattern fill =
+      symbolic_cholesky(permute_symmetric(pattern, solver.permutation()));
+  EXPECT_EQ(analyzed.factor_nnz, fronts.factor_nnz);
+  EXPECT_EQ(analyzed.factor_nnz, fill.nnz());
+  for (NodeId s = 0; s < tree.size(); ++s) {
+    const auto members = fronts.members(s);
+    std::vector<Index> expected(members.begin(), members.end());
+    if (!members.empty()) {
+      const auto below = fill.column(members.back()).subspan(1);
+      expected.insert(expected.end(), below.begin(), below.end());
+    }
+    const auto rows = fronts.rows(s);
+    EXPECT_EQ(std::vector<Index>(rows.begin(), rows.end()), expected)
+        << "node " << s;
+  }
   EXPECT_EQ(analyzed.tree_nodes, tree.size());
   EXPECT_EQ(analyzed.ordering, "nd");
   EXPECT_GT(analyzed.analyze_seconds, 0.0);

@@ -2,7 +2,10 @@
 // permutation, Matrix Market I/O and the matrix generators.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "sparse/generators.hpp"
 #include "sparse/matrix.hpp"
@@ -115,6 +118,113 @@ TEST(Pattern, PermuteSymmetricRelabels) {
   EXPECT_EQ(q.has_entry(2, 3), s.has_entry(1, 0));
   EXPECT_THROW(permute_symmetric(s, {0, 1, 2}), Error);
   EXPECT_THROW(permute_symmetric(s, {0, 0, 1, 2}), Error);
+}
+
+/// A random n×n pattern with about `density`·n² entries; when `symmetric`,
+/// every entry comes with its mirror.
+SparsePattern random_square(Index n, double density, bool symmetric,
+                            Prng& prng) {
+  std::vector<std::pair<Index, Index>> entries;
+  for (Index j = 0; j < n; ++j) {
+    for (Index i = 0; i < n; ++i) {
+      if (prng.bernoulli(density)) {
+        entries.emplace_back(i, j);
+        if (symmetric) {
+          entries.emplace_back(j, i);
+        }
+      }
+    }
+  }
+  return SparsePattern::from_coo(n, n, std::move(entries));
+}
+
+/// The permutation through coordinates: relabel every entry, then let
+/// from_coo sort the columns.
+SparsePattern permute_through_coo(const SparsePattern& a,
+                                  const std::vector<Index>& perm) {
+  const std::vector<Index> inverse = invert_permutation(perm);
+  std::vector<std::pair<Index, Index>> entries;
+  for (Index j = 0; j < a.cols(); ++j) {
+    for (const Index r : a.column(j)) {
+      entries.emplace_back(inverse[static_cast<std::size_t>(r)],
+                           inverse[static_cast<std::size_t>(j)]);
+    }
+  }
+  return SparsePattern::from_coo(a.rows(), a.cols(), std::move(entries));
+}
+
+TEST(Pattern, PermuteMatchesTheCoordinatePathAndMapsEverySource) {
+  Prng prng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Index n = static_cast<Index>(prng.uniform_int(1, 40));
+    const bool symmetric = trial % 2 == 0;
+    const SparsePattern a =
+        random_square(n, prng.uniform_real(0.0, 0.4), symmetric, prng);
+    std::vector<Index> perm(static_cast<std::size_t>(n));
+    std::iota(perm.begin(), perm.end(), Index{0});
+    prng.shuffle(perm);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+
+    const SparsePattern expected = permute_through_coo(a, perm);
+    const SparsePattern q = permute_symmetric(a, perm);
+    EXPECT_EQ(q.col_ptr(), expected.col_ptr());
+    EXPECT_EQ(q.row_idx(), expected.row_idx());
+
+    // Entry (r, k) of P A Pᵀ came from (perm[r], perm[k]) of A.
+    const PermutedPattern mapped = permute_symmetric_mapped(a, perm);
+    EXPECT_EQ(mapped.pattern.row_idx(), expected.row_idx());
+    ASSERT_EQ(mapped.source_offset.size(),
+              static_cast<std::size_t>(expected.nnz()));
+    for (Index k = 0; k < n; ++k) {
+      const Index j = perm[static_cast<std::size_t>(k)];
+      for (std::int64_t o = expected.col_ptr()[static_cast<std::size_t>(k)];
+           o < expected.col_ptr()[static_cast<std::size_t>(k) + 1]; ++o) {
+        const std::size_t source =
+            mapped.source_offset[static_cast<std::size_t>(o)];
+        ASSERT_GE(source, static_cast<std::size_t>(
+                              a.col_ptr()[static_cast<std::size_t>(j)]));
+        ASSERT_LT(source, static_cast<std::size_t>(
+                              a.col_ptr()[static_cast<std::size_t>(j) + 1]));
+        EXPECT_EQ(a.row_idx()[source],
+                  perm[static_cast<std::size_t>(
+                      expected.row_idx()[static_cast<std::size_t>(o)])]);
+      }
+    }
+  }
+}
+
+TEST(Pattern, IsSymmetricAgreesWithTheTransposeComparison) {
+  Prng prng(77);
+  int symmetric_seen = 0;
+  int asymmetric_seen = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const Index n = static_cast<Index>(prng.uniform_int(1, 25));
+    // Sparse asymmetric patterns are sometimes symmetric by chance; a
+    // symmetric one loses a random entry now and then.
+    SparsePattern a = random_square(n, prng.uniform_real(0.0, 0.3),
+                                    trial % 2 == 0, prng);
+    if (trial % 4 == 0 && a.nnz() > 0) {
+      std::vector<std::int64_t> col_ptr = a.col_ptr();
+      std::vector<Index> row_idx = a.row_idx();
+      const auto drop = static_cast<std::size_t>(
+          prng.uniform_int(0, a.nnz() - 1));
+      row_idx.erase(row_idx.begin() + static_cast<std::ptrdiff_t>(drop));
+      for (std::size_t j = 1; j < col_ptr.size(); ++j) {
+        if (col_ptr[j] > static_cast<std::int64_t>(drop)) {
+          --col_ptr[j];
+        }
+      }
+      a = SparsePattern(n, n, std::move(col_ptr), std::move(row_idx));
+    }
+    const SparsePattern t = a.transposed();
+    const bool expected =
+        a.col_ptr() == t.col_ptr() && a.row_idx() == t.row_idx();
+    EXPECT_EQ(a.is_symmetric(), expected) << "trial " << trial;
+    (expected ? symmetric_seen : asymmetric_seen) += 1;
+  }
+  EXPECT_GT(symmetric_seen, 20);
+  EXPECT_GT(asymmetric_seen, 20);
+  EXPECT_FALSE(SparsePattern::from_coo(2, 3, {{0, 0}}).is_symmetric());
 }
 
 TEST(Pattern, PermutationHelpers) {

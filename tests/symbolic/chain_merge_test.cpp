@@ -98,7 +98,8 @@ TEST(ChainMerge, OnlyChildrenJoin) {
 }
 
 /// Checks the merged tree of `a` (permuted) against the unmerged one at
-/// `relax`: same pattern of L, a valid front structure for amalgamate's
+/// `relax`: the same nnz(L), merged front rows that are members ++ L(:, top)
+/// below the diagonal, a valid front structure for amalgamate's
 /// output, every unmerged supernode inside one merged supernode, and a
 /// merged link only where the parent had no other child. Returns the
 /// number of supernodes the merge removed.
@@ -111,8 +112,20 @@ NodeId expect_chain_merge_refines(const SparsePattern& a, Index relax) {
   on.merge_chains = true;
   const AssemblyTree base = build_assembly_tree(a, off);
   const AssemblyTree merged = build_assembly_tree(a, on);
-  EXPECT_EQ(merged.fronts->factor.col_ptr(), base.fronts->factor.col_ptr());
-  EXPECT_EQ(merged.fronts->factor.row_idx(), base.fronts->factor.row_idx());
+  const SparsePattern fill = symbolic_cholesky(a);
+  EXPECT_EQ(merged.fronts->factor_nnz, fill.nnz());
+  EXPECT_EQ(base.fronts->factor_nnz, fill.nnz());
+  for (NodeId s = 0; s < merged.tree.size(); ++s) {
+    const auto members = merged.fronts->members(s);
+    std::vector<Index> expected(members.begin(), members.end());
+    if (!members.empty()) {
+      const auto below = fill.column(members.back()).subspan(1);
+      expected.insert(expected.end(), below.begin(), below.end());
+    }
+    const auto rows = merged.fronts->rows(s);
+    EXPECT_EQ(std::vector<Index>(rows.begin(), rows.end()), expected)
+        << "node " << s;
+  }
 
   const std::vector<Index> parent = elimination_tree(a);
   const AssemblyTree raw = amalgamate(parent, column_counts(a, parent), on);
