@@ -8,17 +8,19 @@
 //
 // Each instance is analyzed ONCE (ordering, assembly tree, symbolic) and
 // then factorized many times through the facade's reuse path: serially
-// (the scalar reference along the planned best postorder), and with the
-// threaded engine at w ∈ {1, 2, 4, 8} under the scalar reference settings
-// ({block 1, one worker}: 1-wide panels, no leasing) and the default
-// kernel (16-wide panels, trailing updates on leased tiles) — free and (at
-// w = 4, default kernel) re-planned with the modeled budget capped at 1.5×
-// the w = 1 modeled peak. Reported per run: measured factor seconds,
-// speedup over the serial engine, the engine's *measured* peak live
-// entries and the *modeled* Eq. 1 peak from SolverStats — the same
-// quantity in the same units, machine vs. model. Stalled capped runs are
-// reported as such (the greedy scheduler's memory deadlock, surfaced by
-// allow_serial_fallback = false, not an error).
+// (the scalar reference along the planned best postorder), and at
+// w ∈ {1, 2, 4, 8} (the facade runs the threaded engine from w = 2 on)
+// under the scalar reference settings ({block 1, one worker}: 1-wide
+// panels, no leasing) and the default kernel (16-wide panels, trailing
+// updates on leased tiles) — free and (at w = 4, default kernel)
+// re-planned with the modeled budget capped at 1.5× the threaded engine's
+// w = 1 modeled peak. Reported per run: measured factor seconds, speedup
+// over the serial engine, the engine's *measured* peak live entries and
+// the *modeled* Eq. 1 peak from SolverStats — the same quantity in the
+// same units, machine vs. model. Stalled capped runs are
+// reported as such (the greedy scheduler's memory deadlock, which the
+// facade reports in SolverStats::stall_fallback after falling back to the
+// serial engine).
 //
 // Exactness is enforced on every feasible run: every run must reproduce
 // the serial factor bit for bit. Intra-front workers follow
@@ -34,6 +36,7 @@
 
 #include "bench_common.hpp"
 #include "multifrontal/numeric.hpp"
+#include "multifrontal/numeric_parallel.hpp"
 #include "obs/trace.hpp"
 #include "solver/solver.hpp"
 #include "sparse/generators.hpp"
@@ -121,21 +124,23 @@ int run(const std::string& trace_path) {
     solver.plan(free_plan);
 
     FactorizeOptions serial_options;
-    serial_options.engine = FactorizeEngine::kSerial;
+    serial_options.workers = 1;
     serial_options.kernel = kernels[kReference];
     solver.factorize(values, serial_options);
     const double serial_seconds = solver.stats().factorize_seconds;
     const long long serial_flops = solver.stats().flops;
     const std::vector<double> serial_factor = solver.factor().values;
 
-    // The w = 1 modeled peak anchors the capped runs (kernel-independent:
-    // the model sees only the assembly-tree weights).
-    FactorizeOptions w1 = serial_options;
-    w1.engine = FactorizeEngine::kParallel;
-    w1.workers = 1;
-    solver.factorize(values, w1);
-    const Weight cap = std::max(solver.stats().modeled_peak_entries * 3 / 2,
-                                tree.max_mem_req());
+    // The threaded engine's w = 1 modeled peak anchors the capped runs
+    // (kernel-independent: the model sees only the assembly-tree weights).
+    // The facade runs one worker serially, so this run goes to the engine.
+    const ParallelFactorResult w1 = factor_parallel(
+        values.permuted(solver.permutation()), solver.assembly(),
+        {.workers = 1,
+         .serial_witness = solver.planned_traversal(),
+         .kernel = kernels[kReference]});
+    const Weight cap =
+        std::max(w1.modeled_peak_entries * 3 / 2, tree.max_mem_req());
 
     double best_speedup = 0.0;
     std::string capped_greedy_cell = "-";
@@ -171,29 +176,25 @@ int run(const std::string& trace_path) {
            CsvWriter::cell(run.flops)});
     };
 
-    // A parallel factorization through the facade; a greedy stall is
-    // surfaced as an infeasible sample (typed SolverStallError — not
-    // smoothed over by the serial fallback). Exactness enforcement on
-    // every feasible run: a fast wrong kernel must crash the bench, not
-    // chart a win.
+    // A parallel factorization through the facade; a greedy stall (the
+    // facade's stall_fallback) is charted as an infeasible sample, not as
+    // the serial fallback's time. Exactness enforcement on every run: a
+    // fast wrong kernel must crash the bench, not chart a win.
     const auto parallel_run = [&](int ki, int workers,
                                   AdmissionPolicy admission =
                                       AdmissionPolicy::kGreedy) {
       FactorizeOptions run_options;
-      run_options.engine = FactorizeEngine::kParallel;
       run_options.workers = workers;
       run_options.kernel = kernels[ki];
       run_options.admission = admission;
-      run_options.allow_serial_fallback = false;
       RunSample sample;
-      try {
-        solver.factorize(values, run_options);
-      } catch (const SolverStallError&) {
-        return sample;
-      }
+      solver.factorize(values, run_options);
       TM_CHECK(solver.factor().values == serial_factor,
                kernel_names[ki] << " kernel at w=" << workers
                                 << " diverged from serial on " << name);
+      if (solver.stats().stall_fallback) {
+        return sample;
+      }
       sample.feasible = true;
       sample.seconds = solver.stats().factorize_seconds;
       sample.measured_peak = solver.stats().measured_peak_entries;
@@ -222,7 +223,6 @@ int run(const std::string& trace_path) {
          {AdmissionPolicy::kGreedy, AdmissionPolicy::kLookahead}) {
       PlanOptions plan;
       plan.memory_budget = cap;
-      plan.admission = admission;
       solver.plan(plan);
       const RunSample run = parallel_run(kDefault, 4, admission);
       const double speedup =

@@ -368,8 +368,19 @@ int run() {
   // With the crew held (lease_idle_workers=false) those leases find nobody
   // idle and run inline; the attempt count (granted + denied) is schedule-
   // determined and gated exactly, the granted/denied split is timing-
-  // dependent and reported for the record.
+  // dependent and reported for the record. The runs use a private pool
+  // and start only once all of its workers are parked, so no stint left
+  // over from an earlier run (or the sweep above) occupies them: a w = 4
+  // run recruits at most 3 of the 4, and an elastic run's root-front
+  // leases always find one idle (the >= 1 grant the checker gates).
   {
+    constexpr unsigned kPoolSize = 4;
+    WorkerPool root_pool(kPoolSize);
+    const auto wait_idle = [&] {
+      while (root_pool.idle_workers() != kPoolSize) {
+        std::this_thread::yield();
+      }
+    };
     Prng prng(9001);
     const SparsePattern raw =
         symmetrize(gen::random_symmetric(160, 8.0, prng));
@@ -379,6 +390,7 @@ int run() {
     elastic.workers = 4;
     elastic.kernel.block_size = 8;          // several tiles per root panel
     elastic.kernel.min_parallel_volume = 0;  // every panel leases
+    elastic.kernel.pool = &root_pool;
     ParallelFactorOptions held = elastic;
     held.lease_idle_workers = false;
     double elastic_s = std::numeric_limits<double>::max();
@@ -386,8 +398,10 @@ int run() {
     long long attempts = 0;
     long long granted = 0;
     for (int rep = 0; rep < 3; ++rep) {
+      wait_idle();
       const ParallelFactorResult e =
           factor_parallel(root_inst.matrix, root_inst.assembly, elastic);
+      wait_idle();
       const ParallelFactorResult h =
           factor_parallel(root_inst.matrix, root_inst.assembly, held);
       if (e.factor_seconds < elastic_s) {

@@ -210,7 +210,6 @@ std::optional<SolverOptions> solver_options_of(const CliOptions& cli) {
   options.analyze.ordering = *ordering;
   options.analyze.relax = cli.relax;
   options.plan.policy = *traversal;
-  options.plan.admission = admission;
   if (cli.memory) {
     options.plan.memory_budget = *cli.memory;
   }

@@ -1,39 +1,52 @@
 #include "core/planner.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/liu.hpp"
 #include "core/minio.hpp"
-#include "core/minmem.hpp"
 #include "core/postorder.hpp"
 
 namespace treemem {
 
 ExecutionPlan plan_execution(const Tree& tree, Weight memory_budget,
                              const PlannerOptions& options) {
-  ExecutionPlan plan;
-
   const TraversalResult postorder = best_postorder(tree);
   const MinMemResult optimal = minmem_optimal(tree);
-  plan.in_core_optimum = optimal.peak;
+  std::optional<TraversalResult> liu;
+  const PlannerSearches searches{
+      postorder, optimal, [&]() -> const TraversalResult& {
+        if (!liu) {
+          liu = liu_optimal(tree);
+        }
+        return *liu;
+      }};
+  return plan_execution(tree, memory_budget, searches, options);
+}
+
+ExecutionPlan plan_execution(const Tree& tree, Weight memory_budget,
+                             const PlannerSearches& searches,
+                             const PlannerOptions& options) {
+  ExecutionPlan plan;
+  plan.in_core_optimum = searches.minmem.peak;
 
   // Regime 1: the best postorder fits — maximal locality, zero I/O.
-  if (memory_budget >= postorder.peak) {
+  if (memory_budget >= searches.postorder.peak) {
     plan.feasible = true;
     plan.strategy = "postorder/in-core";
-    plan.schedule.order = postorder.order;
-    plan.peak = postorder.peak;
+    plan.schedule.order = searches.postorder.order;
+    plan.peak = searches.postorder.peak;
     return plan;
   }
 
   // Regime 2: only an optimal traversal fits.
-  if (memory_budget >= optimal.peak) {
+  if (memory_budget >= searches.minmem.peak) {
     plan.feasible = true;
     plan.strategy = "minmem/in-core";
-    plan.schedule.order = optimal.order;
-    plan.peak = optimal.peak;
+    plan.schedule.order = searches.minmem.order;
+    plan.peak = searches.minmem.peak;
     return plan;
   }
 
@@ -41,11 +54,11 @@ ExecutionPlan plan_execution(const Tree& tree, Weight memory_budget,
   // postorder and Liu's optimal order (both build long dependence chains,
   // which Fig. 8 shows is what keeps I/O low); candidate policies per
   // Fig. 7.
-  const TraversalResult liu = liu_optimal(tree);
-  const TraversalCandidate candidates[] = {{"postorder", &postorder.order},
-                                           {"liu", &liu.order}};
+  const TraversalCandidate candidates[] = {
+      {"postorder", &searches.postorder.order},
+      {"liu", &searches.liu().order}};
   plan = plan_out_of_core(tree, memory_budget, candidates, options);
-  plan.in_core_optimum = optimal.peak;
+  plan.in_core_optimum = searches.minmem.peak;
   return plan;
 }
 
@@ -82,6 +95,7 @@ ExecutionPlan plan_out_of_core(const Tree& tree, Weight memory_budget,
     }
   }
   plan.feasible = true;
+  plan.out_of_core = true;
   plan.io_volume = best_io;
   plan.peak = memory_budget;
   return plan;

@@ -13,9 +13,11 @@
 //     help (Eq. 1 must hold per node).
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string>
 
+#include "core/minmem.hpp"
 #include "core/traversal.hpp"
 #include "tree/tree.hpp"
 
@@ -32,6 +34,8 @@ struct ExecutionPlan {
   Weight peak = 0;
   /// Total volume written to secondary storage (0 for in-core plans).
   Weight io_volume = 0;
+  /// True when the schedule evicts files (the out-of-core regime).
+  bool out_of_core = false;
   /// The smallest budget that would run fully in-core (the MinMemory
   /// optimum) — reported so callers can size workspaces.
   Weight in_core_optimum = 0;
@@ -44,10 +48,24 @@ struct PlannerOptions {
   bool try_lsnf = false;
 };
 
+/// The traversal searches the decision procedure reads. Liu's order is
+/// needed only out of core, so it is fetched on first use.
+struct PlannerSearches {
+  const TraversalResult& postorder;
+  const MinMemResult& minmem;
+  std::function<const TraversalResult&()> liu;
+};
+
 /// Plans an execution of `tree` within `memory_budget`. The returned
 /// schedule always passes check_out_of_core(tree, schedule, memory_budget)
 /// when feasible.
 ExecutionPlan plan_execution(const Tree& tree, Weight memory_budget,
+                             const PlannerOptions& options = {});
+
+/// The same decision over searches the caller has already run (Solver
+/// memoizes them per analysis), so no search runs twice.
+ExecutionPlan plan_execution(const Tree& tree, Weight memory_budget,
+                             const PlannerSearches& searches,
                              const PlannerOptions& options = {});
 
 /// A traversal the out-of-core chooser may evict along.

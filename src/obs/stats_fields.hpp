@@ -51,7 +51,6 @@ void for_each_stat_field(Fn&& fn) {
   fn("measured_peak_entries", StatMerge::kMax, &S::measured_peak_entries);
   fn("modeled_peak_entries", StatMerge::kMax, &S::modeled_peak_entries);
   fn("planned_peak_entries", StatMerge::kMax, &S::planned_peak_entries);
-  fn("planned_parallel_peak", StatMerge::kMax, &S::planned_parallel_peak);
   fn("in_core_optimum", StatMerge::kMax, &S::in_core_optimum);
   fn("best_postorder_peak", StatMerge::kMax, &S::best_postorder_peak);
   fn("planned_io_volume", StatMerge::kMax, &S::planned_io_volume);

@@ -1,7 +1,6 @@
 #include "solver/solver.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "core/liu.hpp"
@@ -11,7 +10,6 @@
 #include "multifrontal/numeric_parallel.hpp"
 #include "multifrontal/out_of_core.hpp"
 #include "obs/trace.hpp"
-#include "parallel/parallel_sim.hpp"
 #include "order/ordering.hpp"
 #include "support/env.hpp"
 #include "support/parallel_for.hpp"
@@ -47,18 +45,6 @@ const char* to_string(TraversalPolicy policy) {
   return "?";
 }
 
-const char* to_string(FactorizeEngine engine) {
-  switch (engine) {
-    case FactorizeEngine::kAuto:
-      return "auto";
-    case FactorizeEngine::kSerial:
-      return "serial";
-    case FactorizeEngine::kParallel:
-      return "parallel";
-  }
-  return "?";
-}
-
 SolverOptions solver_options_from_env(SolverOptions base) {
   // The enum values are declared in the same order as these spellings, so
   // the matched index casts straight to the enumerator.
@@ -77,9 +63,6 @@ SolverOptions solver_options_from_env(SolverOptions base) {
     base.factorize.workers = static_cast<int>(*workers);
   }
   if (const auto admission = admission_policy_from_env()) {
-    // One knob steers both consumers: the plan-phase co-search simulates
-    // under the same policy the factorize-phase executor will run.
-    base.plan.admission = *admission;
     base.factorize.admission = *admission;
   }
   return base;
@@ -206,149 +189,56 @@ Solver& Solver::plan(const PlanOptions& options) {
   const TraversalResult& postorder = cached_postorder();
   const MinMemResult& optimal = cached_minmem();
 
-  // The chosen out-tree traversal; the facade stores its reverse (the
-  // bottom-up multifrontal direction).
-  Traversal out_tree_order;
-  Weight in_core_peak = 0;
-  std::string strategy;
-  bool out_of_core = false;
-  IoSchedule schedule;
-  Weight io_volume = 0;
-
-  // Candidate traversals in the out-of-core regime: the explicit policy's
-  // own order, or — under kAuto — postorder and Liu, the chain-building
-  // orders Fig. 8 shows keep I/O low.
-  std::vector<TraversalCandidate> ooc_candidates;
-
-  switch (options.policy) {
-    case TraversalPolicy::kAuto:
-      if (budget >= postorder.peak) {
-        out_tree_order = postorder.order;
-        in_core_peak = postorder.peak;
-        strategy = "postorder/in-core";
-      } else if (budget >= optimal.peak) {
-        out_tree_order = optimal.order;
-        in_core_peak = optimal.peak;
-        strategy = "minmem/in-core";
-      } else {
-        out_of_core = true;
-        ooc_candidates.push_back({"postorder", &postorder.order});
-        ooc_candidates.push_back({"liu", &cached_liu().order});
-      }
-      break;
-    case TraversalPolicy::kPostorder:
-      out_tree_order = postorder.order;
-      in_core_peak = postorder.peak;
-      strategy = "postorder/in-core";
-      break;
-    case TraversalPolicy::kLiu: {
-      const TraversalResult& liu = cached_liu();
-      out_tree_order = liu.order;
-      in_core_peak = liu.peak;
-      strategy = "liu/in-core";
-      break;
+  ExecutionPlan chosen;
+  if (options.policy == TraversalPolicy::kAuto) {
+    // The paper's decision procedure, over the memoized searches.
+    chosen = plan_execution(
+        tree, budget,
+        {postorder, optimal,
+         [this]() -> const TraversalResult& { return cached_liu(); }});
+  } else {
+    // An explicit policy runs its own traversal: in core when it fits,
+    // else with MinIO eviction along that same traversal.
+    const char* name = to_string(options.policy);
+    const Traversal* order = &optimal.order;
+    Weight peak = optimal.peak;
+    if (options.policy != TraversalPolicy::kMinMem) {
+      const TraversalResult& result =
+          options.policy == TraversalPolicy::kPostorder ? postorder
+                                                        : cached_liu();
+      order = &result.order;
+      peak = result.peak;
     }
-    case TraversalPolicy::kMinMem:
-      out_tree_order = optimal.order;
-      in_core_peak = optimal.peak;
-      strategy = "minmem/in-core";
-      break;
-  }
-
-  // An explicitly chosen traversal that misses the budget falls back to
-  // MinIO eviction on that same traversal.
-  if (!out_of_core && budget < in_core_peak) {
-    out_of_core = true;
-    ooc_candidates.push_back({to_string(options.policy), &out_tree_order});
-  }
-
-  // Traversal × schedule co-search (in-core plans under a finite budget):
-  // rank every budget-feasible candidate traversal by the *parallel* peak
-  // it produces as the serial witness of a simulated
-  // co_search_workers-worker schedule under the chosen admission policy,
-  // and adopt the winner. The serial decision above remains the fallback
-  // when no candidate yields a feasible parallel schedule (e.g. greedy
-  // admission deadlocks on all of them).
-  Weight parallel_peak = 0;
-  if (options.co_search_workers > 0 && !out_of_core &&
-      budget < kInfiniteWeight) {
-    struct Candidate {
-      const char* name;
-      const Traversal* order;  // out-tree direction
-      Weight serial_peak;
-    };
-    const TraversalResult& liu = cached_liu();
-    const Candidate candidates[] = {
-        {"postorder", &postorder.order, postorder.peak},
-        {"liu", &liu.order, liu.peak},
-        {"minmem", &optimal.order, optimal.peak},
-    };
-    const Candidate* winner = nullptr;
-    ParallelScheduleResult winner_run;
-    for (const Candidate& candidate : candidates) {
-      if (candidate.serial_peak > budget) {
-        continue;  // cannot serve as a witness: its own serial run misses
-      }
-      ParallelOptions sim;
-      sim.workers = options.co_search_workers;
-      sim.memory_budget = budget;
-      sim.admission = options.admission;
-      sim.serial_witness = reverse_traversal(*candidate.order);
-      const ParallelScheduleResult run =
-          simulate_parallel_traversal(tree, sim);
-      if (!run.feasible) {
-        continue;
-      }
-      const bool better =
-          winner == nullptr || run.peak_memory < winner_run.peak_memory ||
-          (run.peak_memory == winner_run.peak_memory &&
-           run.makespan < winner_run.makespan);
-      if (better) {
-        winner = &candidate;
-        winner_run = run;
-      }
-    }
-    if (winner != nullptr) {
-      out_tree_order = *winner->order;
-      in_core_peak = winner->serial_peak;
-      parallel_peak = winner_run.peak_memory;
-      strategy = std::string(winner->name) + "/in-core+cosearch(w" +
-                 std::to_string(options.co_search_workers) + "," +
-                 to_string(options.admission) + ")";
+    if (budget >= peak) {
+      chosen.feasible = true;
+      chosen.strategy = std::string(name) + "/in-core";
+      chosen.schedule.order = *order;
+      chosen.peak = peak;
+    } else {
+      const TraversalCandidate candidates[] = {{name, order}};
+      chosen = plan_out_of_core(tree, budget, candidates);
     }
   }
-
-  if (out_of_core) {
-    TM_CHECK(options.allow_out_of_core,
-             "Solver::plan: budget " << budget
-                                     << " is below the in-core peak and "
-                                        "out-of-core execution is disabled");
-    ExecutionPlan ooc = plan_out_of_core(tree, budget, ooc_candidates);
-    TM_CHECK(ooc.feasible,
-             "Solver::plan: budget "
-                 << budget << " is below max MemReq "
-                 << std::max(tree.max_mem_req(), tree.file_size(tree.root()))
-                 << " — no schedule can help (Eq. 1)");
-    strategy = std::move(ooc.strategy);
-    schedule = std::move(ooc.schedule);
-    out_tree_order = schedule.order;
-    io_volume = ooc.io_volume;
-  }
+  TM_CHECK(chosen.feasible,
+           "Solver::plan: budget "
+               << budget << " is below max MemReq "
+               << std::max(tree.max_mem_req(), tree.file_size(tree.root()))
+               << " — no schedule can help (Eq. 1)");
 
   auto plan_state = std::make_shared<SolverPlan>();
   plan_state->options = options;
-  plan_state->bottom_up_order = reverse_traversal(std::move(out_tree_order));
-  plan_state->io_schedule = std::move(schedule);
-  plan_state->out_of_core = out_of_core;
-  plan_state->stats = {
-      .strategy = std::move(strategy),
-      .memory_budget = budget,
-      .planned_peak_entries = out_of_core ? budget : in_core_peak,
-      .in_core_optimum = optimal.peak,
-      .best_postorder_peak = postorder.peak,
-      .planned_io_volume = io_volume,
-      .planned_parallel_peak = parallel_peak,
-      .plan_seconds = timer.elapsed_s()};
+  plan_state->bottom_up_order = reverse_traversal(chosen.schedule.order);
+  if (chosen.out_of_core) {
+    plan_state->io_schedule = std::move(chosen.schedule);
+  }
+  plan_state->out_of_core = chosen.out_of_core;
+  plan_state->stats = {.strategy = std::move(chosen.strategy),
+                       .memory_budget = budget,
+                       .planned_peak_entries = chosen.peak,
+                       .in_core_optimum = optimal.peak,
+                       .best_postorder_peak = postorder.peak,
+                       .planned_io_volume = chosen.io_volume,
+                       .plan_seconds = timer.elapsed_s()};
 
   plan_ = std::move(plan_state);
   factor_.reset();
@@ -436,16 +326,6 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
                           ? options.workers
                           : static_cast<int>(default_thread_count());
 
-  FactorizeEngine engine = options.engine;
-  if (engine == FactorizeEngine::kAuto) {
-    engine = (!plan_->out_of_core && workers > 1) ? FactorizeEngine::kParallel
-                                                  : FactorizeEngine::kSerial;
-  }
-  TM_CHECK(engine == FactorizeEngine::kSerial || !plan_->out_of_core,
-           "Solver::factorize: the parallel engine cannot execute an "
-           "out-of-core plan (spills are inherently serial here); use "
-           "FactorizeEngine::kSerial or raise the memory budget");
-
   Timer timer;
   obs::TraceSpan phase_span("factorize", "solver", obs::TraceRecorder::kNoLane,
                             "workers", workers);
@@ -463,7 +343,24 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
     return *this;
   };
 
-  if (engine == FactorizeEngine::kParallel) {
+  // The engine follows from the plan and the worker count. Spilling is
+  // serial, and the serial engines make no admission decisions: the plan's
+  // peak is the modeled one.
+  if (plan_->out_of_core) {
+    OutOfCoreRunResult run = multifrontal_cholesky_out_of_core(
+        permuted, analysis_->assembly, plan_->io_schedule, budget);
+    return commit(std::move(run.factor),
+                  {.engine = "out-of-core",
+                   .admission = {},
+                   .workers = 1,
+                   .flops = run.flops,
+                   .measured_peak_entries = run.peak_live_entries,
+                   .modeled_peak_entries = plan_->stats.planned_peak_entries},
+                  {});
+  }
+
+  bool stall_fallback = false;
+  if (workers > 1) {
     // The planned traversal is the serial witness: plan() guaranteed its
     // peak fits the budget, so lookahead admission is stall-free here.
     const ParallelFactorOptions parallel{
@@ -490,32 +387,10 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
     }
     // Greedy stall under a tight budget: the planned serial traversal is
     // guaranteed feasible, and the serial engine produces the identical
-    // factor bit for bit — fall back unless the caller wants to see it.
-    if (!options.allow_serial_fallback) {
-      std::ostringstream message;
-      message << "Solver::factorize: parallel schedule stalled under budget "
-              << budget << " with " << workers << " workers ("
-              << to_string(options.admission) << " admission deadlock)";
-      throw SolverStallError(message.str());
-    }
+    // factor bit for bit.
+    stall_fallback = true;
   }
 
-  // Serial engines: no admission decisions, and the plan's peak is the
-  // modeled one.
-  const bool stall_fallback = engine == FactorizeEngine::kParallel;
-  if (plan_->out_of_core) {
-    OutOfCoreRunResult run = multifrontal_cholesky_out_of_core(
-        permuted, analysis_->assembly, plan_->io_schedule, budget);
-    return commit(std::move(run.factor),
-                  {.engine = "out-of-core",
-                   .admission = {},
-                   .workers = 1,
-                   .flops = run.flops,
-                   .measured_peak_entries = run.peak_live_entries,
-                   .modeled_peak_entries = plan_->stats.planned_peak_entries,
-                   .stall_fallback = stall_fallback},
-                  {});
-  }
   MultifrontalResult run = multifrontal_cholesky(
       permuted, analysis_->assembly, plan_->bottom_up_order, options.kernel);
   return commit(std::move(run.factor),
@@ -573,7 +448,7 @@ std::vector<std::vector<double>> Solver::solve(
   totals_.solve_nanos.fetch_add(
       static_cast<long long>(timer.elapsed_s() * 1e9),
       std::memory_order_relaxed);
-  totals_.rhs.fetch_add(static_cast<int>(rhs.size()),
+  totals_.rhs.fetch_add(static_cast<long long>(rhs.size()),
                         std::memory_order_relaxed);
   return solutions;
 }

@@ -17,7 +17,12 @@
 // The phases form an explicit state machine: each call requires its
 // predecessor (a clean treemem::Error otherwise), analyze() invalidates
 // any previous plan and factor, plan() invalidates the factor, and
-// factorize()/solve() may be repeated at will. The point of the split is
+// factorize()/solve() may be repeated at will. factorize() derives its
+// engine from the plan and the worker count (threaded for an in-core plan
+// with more than one worker, serial otherwise, spilling for an
+// out-of-core plan); a parallel schedule that stalls under the budget
+// falls back to the serial engine and says so in
+// FactorizeStats::stall_fallback. The point of the split is
 // amortization: the expensive symbolic phase (ordering, elimination tree,
 // amalgamation, traversal planning) is computed once and reused across
 // many numeric factorizations of matrices sharing the pattern — the
@@ -85,17 +90,6 @@ enum class TraversalPolicy {
 
 const char* to_string(TraversalPolicy policy);
 
-/// Numeric engine of factorize(). kAuto picks the threaded engine when the
-/// plan is in-core and more than one worker is requested, the serial
-/// engine otherwise (out-of-core plans always run serially).
-enum class FactorizeEngine {
-  kAuto,
-  kSerial,
-  kParallel,
-};
-
-const char* to_string(FactorizeEngine engine);
-
 struct AnalyzeOptions {
   OrderingChoice ordering = OrderingChoice::kMinDegree;
   /// Relaxed amalgamations per supernode (assembly_tree.hpp; the paper
@@ -108,32 +102,20 @@ struct AnalyzeOptions {
 struct PlanOptions {
   TraversalPolicy policy = TraversalPolicy::kAuto;
   /// Budget on modeled live entries (Eq. 1 accounting over the assembly
-  /// tree); kInfiniteWeight plans unconstrained.
+  /// tree); kInfiniteWeight plans unconstrained. Below the chosen
+  /// traversal's in-core peak the plan is a MinIO eviction schedule
+  /// (out-of-core execution); below max MemReq no schedule exists and
+  /// plan() throws.
   Weight memory_budget = kInfiniteWeight;
-  /// When the budget is below the chosen traversal's in-core peak, fall
-  /// back to a MinIO eviction schedule (out-of-core execution) instead of
-  /// failing. Below max MemReq no schedule exists and plan() throws
-  /// either way.
-  bool allow_out_of_core = true;
-  /// Admission policy assumed by the traversal × schedule co-search below
-  /// (and the natural companion of FactorizeOptions::admission — the env
-  /// layer sets both from TREEMEM_ADMISSION).
-  AdmissionPolicy admission = AdmissionPolicy::kGreedy;
-  /// > 0 enables the traversal × schedule co-search: every budget-feasible
-  /// traversal candidate (postorder, Liu, MinMem — the searches plan()
-  /// already memoizes) is simulated as the serial witness of a
-  /// `co_search_workers`-worker schedule under `admission`, and the plan
-  /// adopts the traversal minimizing the simulated *parallel* peak
-  /// (tie-break: makespan, then candidate order) — the paper's MinMem
-  /// machinery steering the parallel regime rather than the serial one.
-  /// 0 (default) keeps the serial decision procedure untouched.
-  int co_search_workers = 0;
 };
 
+/// The engine follows from the plan and the worker count: an in-core plan
+/// with more than one worker runs the threaded engine, any other in-core
+/// plan the serial engine, and an out-of-core plan the serial spilling
+/// engine.
 struct FactorizeOptions {
-  FactorizeEngine engine = FactorizeEngine::kAuto;
-  /// Worker threads of the parallel engine; 0 defers to
-  /// default_thread_count() (which honors TREEMEM_THREADS).
+  /// Worker threads; 0 defers to default_thread_count() (which honors
+  /// TREEMEM_THREADS).
   int workers = 0;
   /// Dense front kernel settings (the block_size default is the
   /// measured-fastest 16; see dense/front_kernel.hpp for the bench data).
@@ -145,14 +127,6 @@ struct FactorizeOptions {
   /// never stall (the plan guarantees the witness fits the budget) and the
   /// factor stays bit-identical across policies.
   AdmissionPolicy admission = AdmissionPolicy::kGreedy;
-  /// A tight budget can stall the parallel engine's greedy schedule
-  /// (started subtrees strand resident files; the lookahead policy is
-  /// stall-free by construction). When true, such a stall falls back to
-  /// the serial engine along the planned traversal — which the plan
-  /// guarantees feasible — and produces the identical factor (bit-exact
-  /// across engines). When false, a stall throws, so benches can observe
-  /// and report it.
-  bool allow_serial_fallback = true;
   /// Elastic crewing of the parallel engine (see
   /// ParallelFactorOptions::lease_idle_workers): tree-level workers idle
   /// at the schedule frontier return to the persistent pool, where a
@@ -171,23 +145,13 @@ struct SolverOptions {
   FactorizeOptions factorize;
 };
 
-/// Thrown by factorize() when the parallel engine's greedy schedule
-/// stalls under the memory budget and allow_serial_fallback is off —
-/// typed so benches can chart the stall without string-matching the
-/// message.
-class SolverStallError : public Error {
- public:
-  using Error::Error;
-};
-
 /// `base` with every TREEMEM_* override applied, through the strict
 /// support/env.hpp parsers (malformed values throw):
 ///   TREEMEM_ORDERING  = natural | rcm | mindeg | nd
 ///   TREEMEM_TRAVERSAL = auto | postorder | liu | minmem
 ///   TREEMEM_BUDGET    = <positive entries>        (plan memory budget)
 ///   TREEMEM_WORKERS   = <positive thread count>   (tree-level workers)
-///   TREEMEM_ADMISSION = greedy | lookahead
-///                       (applied to plan *and* factorize admission)
+///   TREEMEM_ADMISSION = greedy | lookahead      (factorize admission)
 /// (TREEMEM_THREADS keeps steering intra-front workers and the
 /// workers == 0 default — now resolved exactly once, when the process-wide
 /// WorkerPool is constructed; TREEMEM_AFFINITY=1 pins pool workers to
@@ -216,9 +180,6 @@ struct PlanStats {
   Weight in_core_optimum = 0;        ///< MinMem optimum (workspace floor)
   Weight best_postorder_peak = 0;    ///< what a postorder-only code needs
   Weight planned_io_volume = 0;      ///< entries written out-of-core (0 in-core)
-  /// Simulated parallel peak of the co-searched schedule (0 when the
-  /// co-search was off or found no feasible schedule).
-  Weight planned_parallel_peak = 0;
   double plan_seconds = 0.0;
 };
 
@@ -240,7 +201,11 @@ struct FactorizeStats {
   /// Parallel runs only: tasks the executor scheduled (whole-subtree
   /// tasks plus one-front tasks; see multifrontal/numeric_parallel.hpp).
   NodeId parallel_tasks = 0;
-  /// True when a stalled parallel schedule fell back to the serial engine.
+  /// True when the parallel schedule stalled under the budget (greedy
+  /// admission can strand resident files; lookahead cannot) and the run
+  /// fell back to the serial engine along the planned traversal, which the
+  /// plan guarantees feasible. The factor is the same bit for bit; this
+  /// flag, with engine "serial", is how the stall is reported.
   bool stall_fallback = false;
 };
 
@@ -249,7 +214,7 @@ struct FactorizeStats {
 /// source per section — the analysis, the plan, the latest factorization —
 /// plus the totals below, which count since analyze() and survive adopt().
 struct SolverStats : AnalyzeStats, PlanStats, FactorizeStats {
-  int factorizations = 0;
+  long long factorizations = 0;
   /// Trailing-update panels that cleared the volume gate and leased pool
   /// workers / found none idle and ran inline, over every engine's runs.
   /// Makes the volume gate's cost observable — a high denial rate means
@@ -257,7 +222,7 @@ struct SolverStats : AnalyzeStats, PlanStats, FactorizeStats {
   /// is not paying.
   long long leases_granted = 0;
   long long lease_denied = 0;
-  int rhs_solved = 0;
+  long long rhs_solved = 0;
   double solve_seconds = 0.0;
 };
 
@@ -327,7 +292,7 @@ class Solver {
   /// Chooses the bottom-up traversal (and, under a tight budget, the MinIO
   /// eviction schedule) for the analyzed tree. Requires analyze();
   /// invalidates any previous factor. Throws when no schedule fits the
-  /// budget (below max MemReq, or out-of-core disallowed).
+  /// budget (below max MemReq).
   Solver& plan();
   Solver& plan(const PlanOptions& options);
 
@@ -428,9 +393,9 @@ class Solver {
   /// value semantics (moving a solver mid-solve is already outside the
   /// thread-safety contract).
   struct Totals {
-    int factorizations = 0;
+    long long factorizations = 0;
     KernelLeaseStats leases;
-    std::atomic<int> rhs{0};
+    std::atomic<long long> rhs{0};
     std::atomic<long long> solve_nanos{0};
 
     Totals() = default;

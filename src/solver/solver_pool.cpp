@@ -235,15 +235,12 @@ SolveOutcome SolverPool::run_job(Solver& solver, SolveRequest& request) {
     }
   }
 
+  // Request-level parallelism is the pool's: each job runs the serial
+  // engine on one worker whose kernel leases no WorkerPool threads on top
+  // of the pool's own (see the header).
   FactorizeOptions factorize = options_.solver.factorize;
-  if (factorize.engine == FactorizeEngine::kAuto) {
-    // Request-level parallelism is the pool's: demote kAuto to one serial
-    // worker per job whose kernel leases no WorkerPool threads on top of
-    // the pool's own (see the header).
-    factorize.engine = FactorizeEngine::kSerial;
-    factorize.workers = 1;
-    factorize.kernel.workers = 1;
-  }
+  factorize.workers = 1;
+  factorize.kernel.workers = 1;
 
   const Weight charge = admission_charge(solver.stats().planned_peak_entries);
   acquire_memory(charge);

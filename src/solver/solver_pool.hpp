@@ -17,12 +17,12 @@
 // instead of deadlocking. With the default infinite budget the gate is
 // free.
 //
-// Engine defaults: request-level parallelism comes from the pool's
-// workers, so a kAuto factorize is demoted to the serial engine on one
-// thread whose front kernel never leases WorkerPool threads (kAuto would
-// grab every core per job and oversubscribe W-fold). An explicit
-// FactorizeEngine::kParallel in the pool options is honored for
-// deliberate hybrid setups.
+// Engine: request-level parallelism comes from the pool's workers, so
+// every job factorizes with one worker — the serial engine — and a front
+// kernel that never leases WorkerPool threads. A per-job parallel engine
+// would grab every core per job and oversubscribe W-fold; the factor is
+// bit-identical either way. The `workers` and `kernel.workers` of
+// SolverPoolOptions::solver.factorize are therefore overridden.
 //
 // Numeric-factor cache: with `factor_cache_entries > 0` the pool also
 // caches the CholeskyFactor keyed by (pattern fingerprint, value
@@ -65,12 +65,8 @@ struct SolverPoolOptions {
   /// tree and planning.
   bool use_cache = true;
   /// Phase options applied to every request (analyze/plan feed the cache
-  /// key configuration; factorize applies per job, with kAuto demoted to
-  /// serial as described above). This is also how the scheduler's
-  /// admission policy reaches pooled jobs: plan.admission /
-  /// factorize.admission — e.g. set from TREEMEM_ADMISSION via
-  /// solver_options_from_env() — apply to every tenant's parallel
-  /// factorizations.
+  /// key configuration; factorize applies per job, on one worker as
+  /// described above).
   SolverOptions solver;
   /// Pool-wide budget on the sum of in-flight plans' modeled peaks
   /// (entries, Eq. 1 accounting). kInfiniteWeight = no admission gate.

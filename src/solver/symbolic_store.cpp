@@ -20,9 +20,10 @@ namespace {
 
 constexpr char kMagic[8] = {'T', 'M', 'S', 'Y', 'M', 'B', '0', '1'};
 // Version 2: assembly trees carry the chain merge (AssemblyTreeOptions::
-// merge_chains). A version-1 file holds the unmerged tree, so loading
-// rejects it and the pattern is rebuilt under the current rule.
-constexpr std::uint32_t kVersion = 2;
+// merge_chains). Version 3: the plan options are the policy and the budget
+// only, and the plan stats no longer carry a co-searched parallel peak.
+// Loading rejects any other version, and the pattern is rebuilt.
+constexpr std::uint32_t kVersion = 3;
 
 // ---------------------------------------------------------------------------
 // Binary encoding: native-endian scalars and length-prefixed arrays. The
@@ -148,8 +149,7 @@ SparsePattern read_pattern(Reader& in) {
 void check_options(const SolverAnalysis& analysis, const SolverPlan& plan,
                    const std::string& path) {
   TM_CHECK(analysis.options.ordering <= OrderingChoice::kNestedDissection &&
-               plan.options.policy <= TraversalPolicy::kMinMem &&
-               plan.options.admission <= AdmissionPolicy::kLookahead,
+               plan.options.policy <= TraversalPolicy::kMinMem,
            "read_symbolic_file: " << path << " names an unknown option");
   TM_CHECK(plan.options.memory_budget > 0 &&
                plan.stats.memory_budget == plan.options.memory_budget,
@@ -194,10 +194,7 @@ bool same_build_options(const AnalyzeOptions& a, const AnalyzeOptions& b) {
 }
 
 bool same_build_options(const PlanOptions& a, const PlanOptions& b) {
-  return a.policy == b.policy && a.memory_budget == b.memory_budget &&
-         a.allow_out_of_core == b.allow_out_of_core &&
-         a.admission == b.admission &&
-         a.co_search_workers == b.co_search_workers;
+  return a.policy == b.policy && a.memory_budget == b.memory_budget;
 }
 
 void write_symbolic_file(const SolverSymbolic& symbolic,
@@ -220,9 +217,6 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
   out.scalar(static_cast<std::uint8_t>(a.options.perfect));
   out.scalar(static_cast<std::uint8_t>(p.options.policy));
   out.scalar<std::int64_t>(p.options.memory_budget);
-  out.scalar(static_cast<std::uint8_t>(p.options.allow_out_of_core));
-  out.scalar(static_cast<std::uint8_t>(p.options.admission));
-  out.scalar<std::int32_t>(p.options.co_search_workers);
 
   out.scalar(pattern_fingerprint(a.pattern));
 
@@ -252,7 +246,6 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
   out.scalar<std::int64_t>(p.stats.in_core_optimum);
   out.scalar<std::int64_t>(p.stats.best_postorder_peak);
   out.scalar<std::int64_t>(p.stats.planned_io_volume);
-  out.scalar<std::int64_t>(p.stats.planned_parallel_peak);
   out.scalar(p.stats.plan_seconds);
 
   // Temp + rename: a crash mid-write never leaves a half file that a
@@ -304,10 +297,6 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
   plan->options.policy =
       static_cast<TraversalPolicy>(in.scalar<std::uint8_t>());
   plan->options.memory_budget = in.scalar<std::int64_t>();
-  plan->options.allow_out_of_core = in.scalar<std::uint8_t>() != 0;
-  plan->options.admission =
-      static_cast<AdmissionPolicy>(in.scalar<std::uint8_t>());
-  plan->options.co_search_workers = in.scalar<std::int32_t>();
 
   const std::uint64_t stored_fingerprint = in.scalar<std::uint64_t>();
 
@@ -339,7 +328,6 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
   plan->stats.in_core_optimum = in.scalar<std::int64_t>();
   plan->stats.best_postorder_peak = in.scalar<std::int64_t>();
   plan->stats.planned_io_volume = in.scalar<std::int64_t>();
-  plan->stats.planned_parallel_peak = in.scalar<std::int64_t>();
   plan->stats.plan_seconds = in.scalar<double>();
   in.expect_end();
 

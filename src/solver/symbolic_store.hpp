@@ -20,7 +20,8 @@
 // eviction schedule) against the tree and the budget. So a stale,
 // truncated, foreign or corrupted file can never smuggle malformed state
 // into a solver (tests/mutation drives the loader with mutated files).
-// Version 2 holds assembly trees with the chain merge; an older file is
+// Version 3 holds assembly trees with the chain merge and plan options
+// reduced to the traversal policy and the budget; an older file is
 // rejected, and its pattern rebuilt. Files are written to a temp name and
 // renamed, so a crash mid-write never leaves a half file behind.
 #pragma once

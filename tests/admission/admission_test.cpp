@@ -15,8 +15,8 @@
 //   * the factor is bit-identical across policies (admission only reorders
 //     the schedule; the numerics are schedule-exact);
 //   * TREEMEM_ADMISSION parses strictly — the retired `reservation`
-//     spelling included — and reaches both the plan-phase co-search and
-//     the factorize-phase executor via solver_options_from_env().
+//     spelling included — and reaches the factorize-phase executor via
+//     solver_options_from_env().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,10 +313,10 @@ TEST(AdmissionCorpus, FactorsBitIdenticalAcrossPolicies) {
 }
 
 // ---------------------------------------------------------------------------
-// Solver facade: co-search, admission threading, env knob.
+// Solver facade: admission threading, env knob.
 // ---------------------------------------------------------------------------
 
-TEST(AdmissionSolver, CoSearchAndLookaheadEndToEnd) {
+TEST(AdmissionSolver, LookaheadThroughTheFacadeIsBitIdentical) {
   const SparsePattern pattern = symmetrize(gen::grid2d(14, 14));
   const SymmetricMatrix matrix = make_spd_matrix(pattern, 2011);
 
@@ -324,7 +324,7 @@ TEST(AdmissionSolver, CoSearchAndLookaheadEndToEnd) {
   Solver reference;
   reference.analyze(pattern).plan();
   FactorizeOptions serial;
-  serial.engine = FactorizeEngine::kSerial;
+  serial.workers = 1;
   reference.factorize(matrix, serial);
   const std::vector<double> reference_values = reference.factor().values;
 
@@ -334,20 +334,11 @@ TEST(AdmissionSolver, CoSearchAndLookaheadEndToEnd) {
 
   PlanOptions plan;
   plan.memory_budget = tight_budget(tree);
-  plan.admission = AdmissionPolicy::kLookahead;
-  plan.co_search_workers = 4;
   solver.plan(plan);
-  const SolverStats planned = solver.stats();
-  EXPECT_NE(planned.strategy.find("cosearch"), std::string::npos);
-  EXPECT_GT(planned.planned_parallel_peak, 0);
-  EXPECT_LE(planned.planned_parallel_peak, plan.memory_budget);
-  EXPECT_GE(planned.planned_parallel_peak, planned.planned_peak_entries);
 
   FactorizeOptions factorize;
-  factorize.engine = FactorizeEngine::kParallel;
   factorize.workers = 4;
   factorize.admission = AdmissionPolicy::kLookahead;
-  factorize.allow_serial_fallback = false;  // a stall must surface
   solver.factorize(matrix, factorize);
   const SolverStats stats = solver.stats();
   EXPECT_EQ(stats.engine, "parallel");
@@ -358,12 +349,11 @@ TEST(AdmissionSolver, CoSearchAndLookaheadEndToEnd) {
   EXPECT_EQ(solver.factor().values, reference_values);
 }
 
-TEST(AdmissionSolver, EnvKnobReachesPlanAndFactorize) {
+TEST(AdmissionSolver, EnvKnobReachesFactorize) {
   const char* saved = std::getenv("TREEMEM_ADMISSION");
   const std::string saved_value = saved ? saved : "";
   ::setenv("TREEMEM_ADMISSION", "lookahead", 1);
   const SolverOptions options = solver_options_from_env();
-  EXPECT_EQ(options.plan.admission, AdmissionPolicy::kLookahead);
   EXPECT_EQ(options.factorize.admission, AdmissionPolicy::kLookahead);
   for (const char* bad : {"eager", "reservation"}) {
     ::setenv("TREEMEM_ADMISSION", bad, 1);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "core/check.hpp"
 #include "core/in_tree.hpp"
@@ -136,10 +138,10 @@ INSTANTIATE_TEST_SUITE_P(Strides, CorpusConsistency, ::testing::Range(0, 5));
 // ---------------------------------------------------------------------------
 
 TEST(EndToEnd, PlannedTraversalFactorsCorrectlyOnEveryOrdering) {
-  // Both engines pinned explicitly, so the outcome cannot depend on the
-  // host's core count (kAuto picks the parallel engine on multi-core
-  // hosts). The SolverStats contract: measured <= modeled <= budget on
-  // every run, and a serial run's modeled peak is the planned one.
+  // Both engines, chosen by the worker count, so the outcome cannot depend
+  // on the host's core count (workers = 0 defers to it). The SolverStats
+  // contract: measured <= modeled <= budget on every run, and a serial
+  // run's modeled peak is the planned one.
   const SparsePattern raw = symmetrize(gen::grid2d(9, 9));
   const SymmetricMatrix a = make_spd_matrix(raw, 77);
   for (const OrderingChoice ordering :
@@ -151,23 +153,22 @@ TEST(EndToEnd, PlannedTraversalFactorsCorrectlyOnEveryOrdering) {
     plan.policy = TraversalPolicy::kMinMem;
     Solver solver;
     solver.analyze(raw, analyze).plan(plan);
-    for (const FactorizeEngine engine :
-         {FactorizeEngine::kSerial, FactorizeEngine::kParallel}) {
+    for (const auto& [workers, engine] :
+         {std::pair{1, "serial"}, std::pair{4, "parallel"}}) {
       FactorizeOptions factorize;
-      factorize.engine = engine;
-      factorize.workers = 4;
+      factorize.workers = workers;
       solver.factorize(a, factorize);
       const SolverStats stats = solver.stats();
       const std::string label =
-          std::string(to_string(ordering)) + "/" + to_string(engine);
+          std::string(to_string(ordering)) + "/w" + std::to_string(workers);
       const SymmetricMatrix permuted = a.permuted(solver.permutation());
       EXPECT_LT(relative_residual(permuted, solver.factor()), 1e-12)
           << label;
-      EXPECT_EQ(stats.engine, to_string(engine)) << label;
+      EXPECT_EQ(stats.engine, engine) << label;
       EXPECT_LE(stats.measured_peak_entries, stats.modeled_peak_entries)
           << label;
       EXPECT_LE(stats.modeled_peak_entries, stats.memory_budget) << label;
-      if (engine == FactorizeEngine::kSerial) {
+      if (workers == 1) {
         EXPECT_EQ(stats.modeled_peak_entries, stats.planned_peak_entries)
             << label;
       }

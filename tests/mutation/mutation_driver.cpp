@@ -203,8 +203,7 @@ std::string check_symbolic(const SolverSymbolic& symbolic) {
   const AnalyzeOptions& analyze = symbolic.analysis->options;
   const PlanOptions& plan = symbolic.plan->options;
   if (analyze.ordering > OrderingChoice::kNestedDissection ||
-      plan.policy > TraversalPolicy::kMinMem ||
-      plan.admission > AdmissionPolicy::kLookahead) {
+      plan.policy > TraversalPolicy::kMinMem) {
     return "loaded an out-of-range option";
   }
   const SymmetricMatrix matrix =
@@ -213,15 +212,14 @@ std::string check_symbolic(const SolverSymbolic& symbolic) {
   for (std::size_t i = 0; i < rhs.size(); ++i) {
     rhs[i] = 1.0 + static_cast<double>(i % 7);
   }
-  for (const FactorizeEngine engine :
-       {FactorizeEngine::kSerial, FactorizeEngine::kParallel}) {
-    if (engine == FactorizeEngine::kParallel && symbolic.plan->out_of_core) {
-      continue;  // out-of-core plans run on the serial engine only
+  // One worker runs the serial engine, two the threaded one.
+  for (const int workers : {1, 2}) {
+    if (workers > 1 && symbolic.plan->out_of_core) {
+      continue;  // both widths run the out-of-core engine there
     }
     Solver solver;
     FactorizeOptions options;
-    options.engine = engine;
-    options.workers = 2;
+    options.workers = workers;
     std::vector<double> x;
     try {
       solver.adopt(symbolic).factorize(matrix, options);
@@ -231,12 +229,11 @@ std::string check_symbolic(const SolverSymbolic& symbolic) {
     }
     const SolverStats stats = solver.stats();
     if (!(relative_residual(matrix, x, rhs) <= 1e-10)) {
-      return std::string("wrong solution (") + to_string(engine) + ")";
+      return "wrong solution (" + stats.engine + ")";
     }
     if (stats.measured_peak_entries > stats.modeled_peak_entries ||
         stats.modeled_peak_entries > stats.memory_budget) {
-      return std::string("memory above model or budget (") +
-             to_string(engine) + ")";
+      return "memory above model or budget (" + stats.engine + ")";
     }
   }
   return "";

@@ -329,7 +329,6 @@ TEST(Metrics, SolverPoolExportsExactMetricSet) {
       "treemem_solver_measured_peak_entries gauge",
       "treemem_solver_modeled_peak_entries gauge",
       "treemem_solver_planned_peak_entries gauge",
-      "treemem_solver_planned_parallel_peak gauge",
       "treemem_solver_in_core_optimum gauge",
       "treemem_solver_best_postorder_peak gauge",
       "treemem_solver_planned_io_volume gauge",

@@ -10,9 +10,9 @@
 //   * clear() zeroed the entry count but kept hits_/misses_ cumulative,
 //     so post-clear hit rates mixed epochs — clear() now starts a fresh
 //     epoch;
-//   * aggregate_solver_stats dropped planned_peak_entries and
-//     planned_parallel_peak (pool reports showed planned peak 0 while
-//     admission charged real plans) — both now aggregate by max.
+//   * aggregate_solver_stats dropped planned_peak_entries and the other
+//     planned peaks (pool reports showed planned peak 0 while admission
+//     charged real plans) — they now aggregate by max.
 //
 // The churn suite runs under TSan in CI (this binary is in the TSan
 // target list): rotating lookups above the entry cap race against
@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <future>
 #include <string>
 #include <thread>
@@ -204,18 +205,30 @@ TEST(SymbolicCacheStats, ClearResetsCountersWithEntries) {
 TEST(SolverPoolStats, AggregateCarriesPlannedPeaks) {
   SolverStats a;
   a.planned_peak_entries = 120;
-  a.planned_parallel_peak = 90;
+  a.in_core_optimum = 90;
   a.modeled_peak_entries = 100;
   SolverStats b;
   b.planned_peak_entries = 200;
-  b.planned_parallel_peak = 40;
+  b.in_core_optimum = 40;
   b.modeled_peak_entries = 80;
 
   const SolverStats total = aggregate_solver_stats({a, b});
-  // Pre-fix: both planned peaks silently aggregated to 0.
+  // Pre-fix: the planned peaks silently aggregated to 0.
   EXPECT_EQ(total.planned_peak_entries, 200);
-  EXPECT_EQ(total.planned_parallel_peak, 90);
+  EXPECT_EQ(total.in_core_optimum, 90);
   EXPECT_EQ(total.modeled_peak_entries, 100);
+}
+
+TEST(SolverPoolStats, AggregateCountersDoNotOverflowInt) {
+  // A long-running pool's totals pass INT_MAX: at about 2,260 right-hand
+  // sides per second that takes 11 days. The sum must stay exact.
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  SolverStats a;
+  a.rhs_solved = kIntMax;
+  a.factorizations = kIntMax;
+  const SolverStats total = aggregate_solver_stats({a, a});
+  EXPECT_EQ(total.rhs_solved, 2 * kIntMax);
+  EXPECT_EQ(total.factorizations, 2 * kIntMax);
 }
 
 TEST(SolverPoolStats, PoolAggregateReportsRealPlannedPeak) {
@@ -448,15 +461,15 @@ void write_bytes(const std::filesystem::path& path, const std::string& bytes) {
 }
 
 TEST_F(SymbolicStoreTest, HugeArrayLengthIsATypedError) {
-  // Header, options, fingerprint and the pattern's two dimensions (49
+  // Header, options, fingerprint and the pattern's two dimensions (43
   // bytes), then a first array length of 2^61 elements — 2^64 bytes,
   // which wraps a naive `count * sizeof(T)` bounds check to 0 — and 16
-  // bytes of payload: 73 bytes in all.
-  std::string bytes = valid_state_bytes(dir_).substr(0, 49);
+  // bytes of payload: 67 bytes in all.
+  std::string bytes = valid_state_bytes(dir_).substr(0, 43);
   const std::uint64_t count = std::uint64_t{1} << 61;
   bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
   bytes.append(16, '\0');
-  ASSERT_EQ(bytes.size(), 73u);
+  ASSERT_EQ(bytes.size(), 67u);
   const std::filesystem::path path = dir_ / "pattern-huge.tmsym";
   write_bytes(path, bytes);
   EXPECT_THROW(read_symbolic_file(path.string()), Error);
@@ -466,21 +479,31 @@ TEST_F(SymbolicStoreTest, HugeArrayLengthIsATypedError) {
             1u);
 }
 
-TEST_F(SymbolicStoreTest, VersionOneFileIsRebuilt) {
-  // Version-1 files hold trees built before the chain merge: loading
-  // rejects them, so the pattern is rebuilt under the current rule.
-  std::string bytes = valid_state_bytes(dir_);
-  const std::uint32_t version = 1;
+/// Stamps `version` on a valid state file and expects the load to reject
+/// it, so the pattern is rebuilt cold.
+void expect_rebuilt_at_version(const std::filesystem::path& dir,
+                               std::uint32_t version) {
+  std::string bytes = valid_state_bytes(dir);
   bytes.replace(8, sizeof(version), reinterpret_cast<const char*>(&version),
                 sizeof(version));
-  write_bytes(dir_ / "pattern-v1.tmsym", bytes);
+  write_bytes(dir / "pattern-old.tmsym", bytes);
 
   SymbolicCache restarted;
   const SymbolicStoreReport report =
-      load_symbolic_state(restarted, dir_.string());
+      load_symbolic_state(restarted, dir.string());
   EXPECT_EQ(report.saved, 0u);
   EXPECT_EQ(report.skipped_invalid, 1u);
   EXPECT_FALSE(restarted.lookup(symmetrize(gen::grid2d(6, 6))).hit);
+}
+
+TEST_F(SymbolicStoreTest, VersionOneFileIsRebuilt) {
+  // Version-1 files hold trees built before the chain merge.
+  expect_rebuilt_at_version(dir_, 1);
+}
+
+TEST_F(SymbolicStoreTest, VersionTwoFileIsRebuilt) {
+  // Version-2 files carry plan options and stats that no longer exist.
+  expect_rebuilt_at_version(dir_, 2);
 }
 
 TEST_F(SymbolicStoreTest, MissingDirectoryIsAColdStart) {
@@ -693,8 +716,11 @@ TEST(SolverPool, JobsRunSerialWithoutLeasing) {
   const SparsePattern pattern = symmetrize(gen::grid2d(10, 10));
   SolverPoolOptions options;
   options.workers = 4;
-  // A gate this low would make every panel of a kAuto job request a
-  // lease; the demotion must still keep the job on its own thread.
+  // Four workers per job and a gate this low would make every panel
+  // request a lease; the demotion must still keep the job on its own
+  // thread.
+  options.solver.factorize.workers = 4;
+  options.solver.factorize.kernel.workers = 4;
   options.solver.factorize.kernel.min_parallel_volume = 0;
   SolverPool pool(options);
   WorkerPool& shared = WorkerPool::instance();

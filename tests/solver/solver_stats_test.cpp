@@ -10,11 +10,10 @@
 //
 // A second test pins the lease totals: with a private worker pool the
 // per-run SolverStats lease deltas equal the pool's own counter deltas on
-// serial, one-worker and four-worker runs alike.
+// one-worker (serial) and four-worker (parallel) runs alike.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/minmem.hpp"
@@ -34,9 +33,8 @@ AnalyzeOptions nd_options() {
   return options;
 }
 
-FactorizeOptions engine_options(FactorizeEngine engine, int workers) {
+FactorizeOptions workers_options(int workers) {
   FactorizeOptions options;
-  options.engine = engine;
   options.workers = workers;
   return options;
 }
@@ -57,7 +55,6 @@ void expect_plan_section_eq(const SolverStats& a, const SolverStats& b) {
   EXPECT_EQ(a.in_core_optimum, b.in_core_optimum);
   EXPECT_EQ(a.best_postorder_peak, b.best_postorder_peak);
   EXPECT_EQ(a.planned_io_volume, b.planned_io_volume);
-  EXPECT_EQ(a.planned_parallel_peak, b.planned_parallel_peak);
   EXPECT_EQ(a.plan_seconds, b.plan_seconds);
 }
 
@@ -138,13 +135,12 @@ TEST(SolverStatsView, PinsEveryFieldAcrossThePhaseSequence) {
   EXPECT_EQ(planned.in_core_optimum, optimum);
   EXPECT_EQ(planned.best_postorder_peak, postorder_peak);
   EXPECT_EQ(planned.planned_io_volume, 0);
-  EXPECT_EQ(planned.planned_parallel_peak, 0);
   EXPECT_GT(planned.plan_seconds, 0.0);
   expect_run_section_empty(planned);
   expect_totals_eq(planned, SolverStats{});
 
   // factorize, serial engine.
-  solver.factorize(matrix, engine_options(FactorizeEngine::kSerial, 1));
+  solver.factorize(matrix, workers_options(1));
   const SolverStats serial = solver.stats();
   expect_analyze_section_eq(serial, analyzed);
   expect_plan_section_eq(serial, planned);
@@ -177,7 +173,7 @@ TEST(SolverStatsView, PinsEveryFieldAcrossThePhaseSequence) {
 
   // factorize, parallel engine: the run section is replaced, the totals
   // grow.
-  solver.factorize(matrix, engine_options(FactorizeEngine::kParallel, 2));
+  solver.factorize(matrix, workers_options(2));
   const SolverStats parallel = solver.stats();
   expect_analyze_section_eq(parallel, analyzed);
   expect_plan_section_eq(parallel, planned);
@@ -213,13 +209,12 @@ TEST(SolverStatsView, PinsEveryFieldAcrossThePhaseSequence) {
   EXPECT_EQ(replanned.in_core_optimum, optimum);
   EXPECT_EQ(replanned.best_postorder_peak, postorder_peak);
   EXPECT_GT(replanned.planned_io_volume, 0);
-  EXPECT_EQ(replanned.planned_parallel_peak, 0);
   EXPECT_GT(replanned.plan_seconds, 0.0);
   expect_run_section_eq(replanned, parallel);
   expect_totals_eq(replanned, parallel);
 
   // factorize, out-of-core engine.
-  solver.factorize(matrix, engine_options(FactorizeEngine::kAuto, 4));
+  solver.factorize(matrix, workers_options(4));
   const SolverStats spilled = solver.stats();
   expect_analyze_section_eq(spilled, analyzed);
   expect_plan_section_eq(spilled, replanned);
@@ -246,7 +241,7 @@ TEST(SolverStatsView, PinsEveryFieldAcrossThePhaseSequence) {
   const SparsePattern other = symmetrize(gen::grid2d(6, 6));
   Solver tenant;
   tenant.analyze(other).plan().factorize(make_spd_matrix(other, 7),
-                                         engine_options(FactorizeEngine::kSerial, 1));
+                                         workers_options(1));
   tenant.solve(std::vector<double>(36, 1.0));
   const SolverStats before_adopt = tenant.stats();
   ASSERT_EQ(before_adopt.factorizations, 1);
@@ -289,11 +284,8 @@ TEST(SolverStatsView, LeaseTotalsMatchThePoolOnEveryEngine) {
   Solver solver;
   solver.analyze(pattern, nd_options()).plan();
 
-  for (const auto& [engine, workers] :
-       {std::pair{FactorizeEngine::kSerial, 1},
-        std::pair{FactorizeEngine::kParallel, 1},
-        std::pair{FactorizeEngine::kParallel, 4}}) {
-    FactorizeOptions options = engine_options(engine, workers);
+  for (const int workers : {1, 4}) {
+    FactorizeOptions options = workers_options(workers);
     options.kernel.workers = 4;
     options.kernel.min_parallel_volume = 0;
     options.kernel.pool = &pool;

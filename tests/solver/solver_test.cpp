@@ -17,12 +17,15 @@
 //     ordering;
 //   * out-of-core plans (budget below the in-core optimum) execute through
 //     the facade and still reproduce the in-core factor bit for bit;
+//   * the engine follows from the worker count and the plan, and a greedy
+//     stall falls back to the serial engine, reported in stall_fallback;
 //   * solver_options_from_env applies TREEMEM_ORDERING / TREEMEM_TRAVERSAL
 //     / TREEMEM_BUDGET / TREEMEM_WORKERS / TREEMEM_ADMISSION strictly;
 //   * tenants sharing one cached analysis refactor concurrently, each
 //     bit-identical to a solo serial run (runs under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <latch>
 #include <string>
@@ -31,6 +34,7 @@
 
 #include "core/postorder.hpp"
 #include "multifrontal/numeric.hpp"
+#include "parallel/worker_pool.hpp"
 #include "solver/solver.hpp"
 #include "solver/symbolic_cache.hpp"
 #include "sparse/generators.hpp"
@@ -138,9 +142,7 @@ TEST(SolverStatsLedger, MeasuredWithinModeledWithinBudgetOnParallelRuns) {
       plan.memory_budget = all_files + 4 * tree.max_mem_req();
       solver.plan(plan);
 
-      FactorizeOptions factorize = workers_options(4);
-      factorize.engine = FactorizeEngine::kParallel;
-      solver.factorize(matrix, factorize);
+      solver.factorize(matrix, workers_options(4));
       const SolverStats& stats = solver.stats();
       EXPECT_EQ(stats.engine, "parallel");
       EXPECT_FALSE(stats.stall_fallback);
@@ -357,13 +359,8 @@ TEST(SolverOutOfCore, TightBudgetPlansSpillsAndReproducesTheFactor) {
   EXPECT_GT(solver.stats().planned_io_volume, 0);
   EXPECT_FALSE(solver.planned_io_schedule().writes.empty());
 
-  // The parallel engine refuses an out-of-core plan explicitly...
-  FactorizeOptions parallel;
-  parallel.engine = FactorizeEngine::kParallel;
-  EXPECT_THROW(solver.factorize(matrix, parallel), Error);
-
-  // ...while kAuto routes to the serial spilling engine, which stays
-  // within budget and reproduces the in-core factor bit for bit.
+  // Four workers still run the serial spilling engine, which stays within
+  // budget and reproduces the in-core factor bit for bit.
   solver.factorize(matrix, workers_options(4));
   EXPECT_EQ(solver.stats().engine, "out-of-core");
   EXPECT_LE(solver.stats().measured_peak_entries,
@@ -378,10 +375,85 @@ TEST(SolverOutOfCore, TightBudgetPlansSpillsAndReproducesTheFactor) {
   const std::vector<double> x =
       solver.solve(std::vector<double>(static_cast<std::size_t>(pattern.cols()), 1.0));
   EXPECT_EQ(x.size(), static_cast<std::size_t>(pattern.cols()));
+}
 
-  // Disallowing out-of-core turns the same budget into a clean error.
-  plan.allow_out_of_core = false;
-  EXPECT_THROW(solver.plan(plan), Error);
+// ---------------------------------------------------------------------------
+// The engine: derived from the worker count and the plan
+// ---------------------------------------------------------------------------
+
+TEST(SolverEngine, FollowsWorkersAndPlan) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(16, 16));
+  const SymmetricMatrix matrix = make_spd_matrix(pattern, 23);
+  Solver solver;
+  solver.analyze(pattern,
+                 analyze_options(OrderingChoice::kNestedDissection, 1));
+  const Tree& tree = solver.assembly().tree;
+  solver.plan();
+  const Weight optimum = solver.stats().in_core_optimum;
+  const Weight floor =
+      std::max(tree.max_mem_req(), tree.file_size(tree.root()));
+  ASSERT_LT(floor, optimum);
+  PlanOptions in_core;
+  PlanOptions out_of_core;
+  out_of_core.memory_budget = (floor + optimum) / 2;
+
+  struct Row {
+    int workers;
+    const PlanOptions* plan;
+    const char* engine;
+  };
+  for (const Row& row : {Row{1, &in_core, "serial"},
+                         Row{4, &in_core, "parallel"},
+                         Row{1, &out_of_core, "out-of-core"},
+                         Row{4, &out_of_core, "out-of-core"}}) {
+    solver.plan(*row.plan).factorize(matrix, workers_options(row.workers));
+    const SolverStats stats = solver.stats();
+    EXPECT_EQ(stats.engine, row.engine) << "w=" << row.workers;
+    EXPECT_FALSE(stats.stall_fallback) << "w=" << row.workers;
+  }
+}
+
+TEST(SolverEngine, GreedyStallFallsBackToTheSerialEngine) {
+  // A private one-worker pool whose worker is held busy leaves the
+  // executor's anchor as the only lane, so the two-worker greedy schedule
+  // is one fixed sequence of decisions. At the MinMem budget it stalls on
+  // this grid.
+  const SparsePattern pattern = symmetrize(gen::grid2d(10, 10));
+  const SymmetricMatrix matrix = make_spd_matrix(pattern, 5);
+  Solver solver;
+  solver.analyze(pattern).plan();
+  PlanOptions tight;
+  tight.memory_budget = solver.stats().in_core_optimum;
+  solver.plan(tight);
+
+  Solver reference;
+  reference.analyze(pattern).plan(tight).factorize(matrix,
+                                                    workers_options(1));
+
+  WorkerPool pool(1);
+  WorkerLease held = pool.try_lease(1);
+  ASSERT_EQ(held.size(), 1u);
+  FactorizeOptions options = workers_options(2);
+  options.kernel.pool = &pool;
+  solver.factorize(matrix, options);
+  const SolverStats stalled = solver.stats();
+  EXPECT_TRUE(stalled.stall_fallback);
+  EXPECT_EQ(stalled.engine, "serial");
+  EXPECT_EQ(stalled.workers, 1);
+  EXPECT_LE(stalled.measured_peak_entries, stalled.modeled_peak_entries);
+  EXPECT_LE(stalled.modeled_peak_entries, stalled.memory_budget);
+  EXPECT_EQ(solver.factor().values, reference.factor().values);
+
+  // Lookahead admission on the same lane never stalls: the budget covers
+  // the planned traversal, its witness.
+  options.admission = AdmissionPolicy::kLookahead;
+  solver.factorize(matrix, options);
+  const SolverStats lookahead = solver.stats();
+  EXPECT_FALSE(lookahead.stall_fallback);
+  EXPECT_EQ(lookahead.engine, "parallel");
+  EXPECT_LE(lookahead.measured_peak_entries, lookahead.modeled_peak_entries);
+  EXPECT_LE(lookahead.modeled_peak_entries, lookahead.memory_budget);
+  EXPECT_EQ(solver.factor().values, reference.factor().values);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +505,6 @@ TEST(SolverOptionsEnv, AppliesAllKnobsStrictly) {
   EXPECT_EQ(options.plan.policy, TraversalPolicy::kMinMem);
   EXPECT_EQ(options.plan.memory_budget, 123456);
   EXPECT_EQ(options.factorize.workers, 8);
-  EXPECT_EQ(options.plan.admission, AdmissionPolicy::kLookahead);
   EXPECT_EQ(options.factorize.admission, AdmissionPolicy::kLookahead);
   ::unsetenv("TREEMEM_ADMISSION");
 
@@ -466,7 +537,6 @@ TEST(SolverOptionsEnv, AppliesAllKnobsStrictly) {
   Solver insulated;
   insulated.analyze(pattern).plan();
   FactorizeOptions parallel;
-  parallel.engine = FactorizeEngine::kParallel;
   parallel.workers = 2;
   insulated.factorize(make_spd_matrix(pattern, 3), parallel);
   EXPECT_EQ(insulated.stats().engine, "parallel");
@@ -515,7 +585,7 @@ TEST(SolverConcurrency, TenantsRefactorOneCachedAnalysisBitExactly) {
   std::vector<SymmetricMatrix> matrices;
   std::vector<std::vector<double>> solo;
   FactorizeOptions serial;
-  serial.engine = FactorizeEngine::kSerial;
+  serial.workers = 1;
   for (int t = 0; t < kTenants; ++t) {
     matrices.push_back(make_spd_matrix(pattern, 300 + t));
     Solver reference;
