@@ -27,13 +27,11 @@ Two classes of metric, two rules:
     runners, so the baseline-relative check is a warning only; the hard
     gate is the absolute floor of 1.0 — if the symbolic cache makes solves
     *slower* than a cold analyze, that is a real regression on any
-    machine. The repeat-values scenario skips the entire numeric
-    factorization on a hit, so its cached/refactorize ratio carries a
-    higher absolute floor of 1.5; the warm-restart throughput ratio only
-    warns (its hard contract is the miss count); the root-front
-    elastic/held ratio likewise only warns (its hard contract is the grant
-    count). The scaling sweep's timings are reported for the record and
-    not compared; only a missing sweep instance fails. The
+    machine. The warm-restart throughput ratio only warns (its hard
+    contract is the miss count); the root-front elastic/held ratio
+    likewise only warns (its hard contract is the grant count). The
+    scaling sweep's timings are reported for the record and not
+    compared; only a missing sweep instance fails. The
     tracing-overhead ratio is wall-clock too, but min-of-5 interleaved
     measurement makes it stable enough to carry the
     observability contract as a hard ceiling: a traced factorize costing
@@ -50,7 +48,6 @@ import sys
 SPEEDUP_TOLERANCE = 0.98   # deterministic, slack for tie-break changes only
 NOISY_TOLERANCE = 0.80     # wall-clock metrics: >20% drop warns (no fail)
 SERVICE_RATIO_FLOOR = 1.0  # cached slower than cold fails on any machine
-REPEAT_RATIO_FLOOR = 1.5   # factor-cache hits skip factorize entirely
 ROOT_RATIO_WARN = 1.0       # elastic slower than held: warn (single core)
 TRACING_OVERHEAD_CEILING = 1.05  # traced/untraced factorize, min-of-5
 
@@ -152,27 +149,6 @@ def main():
               "not failing" % (warm_ratio, NOISY_TOLERANCE * base_warm_ratio,
                                base_warm_ratio))
 
-    # Repeat values: a hit skips the whole factorization, so the ratio must
-    # clear 1.5 on any machine, and the cache must actually be hitting.
-    repeat = round2.get("repeat_values", {})
-    base_repeat = base_round2.get("repeat_values", {})
-    if repeat.get("factor_hits", 0) <= 0:
-        fail(failures, "repeat values: zero numeric-factor cache hits on a "
-             "trace that repeats every (pattern, values) pair")
-    repeat_ratio = repeat.get("cached_over_refactor", 0.0)
-    if repeat_ratio < REPEAT_RATIO_FLOOR:
-        fail(failures, "repeat values: cached/refactorize ratio %.4f below "
-             "%.2f — the factor cache is not paying for itself"
-             % (repeat_ratio, REPEAT_RATIO_FLOOR))
-    base_repeat_ratio = base_repeat.get("cached_over_refactor", 0.0)
-    if (base_repeat_ratio > 0
-            and repeat_ratio < NOISY_TOLERANCE * base_repeat_ratio):
-        print("warning: repeat-values cached/refactorize ratio %.4f below "
-              "%.4f (80%% of baseline %.4f) — wall-clock noise on a shared "
-              "runner, or a real slowdown worth a look; not failing"
-              % (repeat_ratio, NOISY_TOLERANCE * base_repeat_ratio,
-                 base_repeat_ratio))
-
     # Worker-pool microbench: every counter is self-checking against the
     # report's own pool_size/rounds — no baseline needed, no machine
     # dependence. threads_spawned == pool_size IS the zero-births-on-the-
@@ -248,11 +224,11 @@ def main():
         sys.exit(1)
     print("bench regression check clean: %d instances, "
           "lookahead stalls %d, cached/cold %.2f "
-          "(baseline %.2f), warm misses %s, repeat-values ratio %.2f, "
+          "(baseline %.2f), warm misses %s, "
           "pool births %s, root-front grants %s/%s, "
           "tracing overhead %.3fx (%s events)"
           % (len(seen), totals.get("lookahead_stalls", 0), ratio, base_ratio,
-             warm.get("warm_misses"), repeat_ratio,
+             warm.get("warm_misses"),
              pool.get("threads_spawned"),
              root.get("leases_granted"), root.get("lease_attempts"),
              overhead, tracing.get("events_retained")))

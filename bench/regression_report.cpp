@@ -15,11 +15,9 @@
 //     mixed-traffic trace — wall-clock, hence noisy: the checker only
 //     flags drops past 20% of baseline;
 //   * the round-two service scenarios: symbolic-cache churn through an
-//     eviction cap (single worker, so hit/miss/eviction counts are exact),
-//     a warm restart from a persisted state dir (the warm run must report
-//     zero symbolic misses), and a repeat-values trace through the
-//     numeric-factor cache (cached/refactorize solves-per-sec must clear
-//     the 1.5x floor);
+//     eviction cap (single worker, so hit/miss/eviction counts are exact)
+//     and a warm restart from a persisted state dir (the warm run must
+//     report zero symbolic misses);
 //   * the worker-pool microbench: a private 4-worker pool serves 64
 //     lease/run rounds — its threads_spawned/leases_granted/leases_denied/
 //     workers_leased counters are exact (gated exactly); the per-round
@@ -84,7 +82,6 @@ std::string num(double v) {
 struct ServiceRun {
   double solves_per_sec = 0.0;
   SymbolicCache::Stats cache;
-  NumericCache::Stats factors;
 };
 
 ServiceRun run_service(const ServiceTrace& trace,
@@ -115,7 +112,6 @@ ServiceRun run_service(const ServiceTrace& trace,
   run.solves_per_sec =
       seconds > 0.0 ? static_cast<double>(rhs_columns) / seconds : 0.0;
   run.cache = pool.cache_stats();
-  run.factors = pool.factor_cache_stats();
   if (!save_dir.empty()) {
     save_symbolic_state(pool.cache(), save_dir);
   }
@@ -256,39 +252,12 @@ int run() {
           : 0.0;
   json << "    \"warm_restart\": {\"cold_misses\": " << first_boot.cache.misses
        << ", \"warm_misses\": " << warm_boot.cache.misses
-       << ", \"warm_over_cold\": " << num(warm_ratio) << "},\n";
+       << ", \"warm_over_cold\": " << num(warm_ratio) << "}\n";
   std::cout << "warm restart: cold_misses=" << first_boot.cache.misses
             << " warm_misses=" << warm_boot.cache.misses
             << " warm/cold=" << num(warm_ratio) << "\n";
 
-  // Repeat values: pin every request of a pattern to one value seed so the
-  // trace repeats (pattern, values) pairs, then compare refactorize-every-
-  // time against the numeric-factor cache. Wall-clock, but skipping the
-  // whole numeric factorization must clear the 1.5x floor on any machine.
-  ServiceTrace repeat_trace = trace;
-  for (ServiceRequest& request : repeat_trace.requests) {
-    request.value_seed =
-        static_cast<std::uint64_t>(request.pattern_id + 1) * 17u;
-  }
-  SolverPoolOptions refactor_options;
-  refactor_options.workers = 2;
-  SolverPoolOptions factor_cache_options = refactor_options;
-  factor_cache_options.factor_cache_entries = 8;
-  const ServiceRun refactor = run_service(repeat_trace, refactor_options);
-  const ServiceRun factor_cached =
-      run_service(repeat_trace, factor_cache_options);
-  const double repeat_ratio =
-      refactor.solves_per_sec > 0.0
-          ? factor_cached.solves_per_sec / refactor.solves_per_sec
-          : 0.0;
-  json << "    \"repeat_values\": {\"refactor_solves_per_sec\": "
-       << num(refactor.solves_per_sec) << ", \"cached_solves_per_sec\": "
-       << num(factor_cached.solves_per_sec) << ", \"cached_over_refactor\": "
-       << num(repeat_ratio) << ", \"factor_hits\": "
-       << factor_cached.factors.hits << "}\n";
   json << "  },\n";
-  std::cout << "repeat values: factor_hits=" << factor_cached.factors.hits
-            << " cached/refactor=" << num(repeat_ratio) << "\n";
 
   // --- Worker-pool microbench --------------------------------------------
   // A private pool keeps the counters machine-independent: 64 lease/run

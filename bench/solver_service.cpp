@@ -14,15 +14,14 @@
 //   churn-evict    — the symbolic cache capped below the pattern count, so
 //                    LRU eviction churns while correctness holds;
 //   warm-restart   — symbolic state persisted to a state dir by one pool
-//                    and loaded by a fresh one (zero symbolic misses);
-//   repeat-refactor / repeat-cached — the trace with every request's value
-//                    seed pinned per pattern, served without and with the
-//                    numeric-factor cache (hits skip factorize entirely).
+//                    and loaded by a fresh one (zero symbolic misses).
 //
-// Reported per scenario: solves/sec (rhs columns / wall), p50/p99 request
-// latency, cache hits/misses/evictions, factor-cache hits and the
-// pool-aggregated SolverStats — plus the headline cached-vs-cold and
-// repeat-values speedups. Scale knobs:
+// Reported per scenario: solves/sec (rhs columns / wall), p50/p99 service
+// time (SolveOutcome::seconds, not solve_latency(): the whole trace is
+// submitted at once, so a request's queue wait is its place in the burst,
+// not a property of the service), cache hits/misses/evictions and the
+// pool-aggregated SolverStats — plus the headline cached-vs-cold speedup.
+// Scale knobs:
 //   TREEMEM_SCALE — multiplies the base grid edge and the request count
 //   TREEMEM_OUT   — CSV output directory (solver_service.csv)
 #include <algorithm>
@@ -54,8 +53,6 @@ struct ScenarioResult {
   long long cache_hits = 0;
   long long cache_misses = 0;
   long long cache_evictions = 0;
-  long long factor_hits = 0;
-  long long factor_misses = 0;
   SolverStats totals;
 };
 
@@ -110,9 +107,6 @@ ScenarioResult run_scenario(const std::string& name, const ServiceTrace& trace,
   result.cache_hits = cache.hits;
   result.cache_misses = cache.misses;
   result.cache_evictions = static_cast<long long>(cache.evictions);
-  const NumericCache::Stats factors = pool.factor_cache_stats();
-  result.factor_hits = factors.hits;
-  result.factor_misses = factors.misses;
   result.totals = pool.aggregated_stats();
   if (!save_dir.empty()) {
     save_symbolic_state(pool.cache(), save_dir);
@@ -172,33 +166,15 @@ int main() {
   const ScenarioResult warm = run_scenario("warm-restart", trace,
                                            cached_options, state_dir);
 
-  // Repeat values: pin every request of a pattern to one value seed, then
-  // serve without and with the numeric-factor cache.
-  ServiceTrace repeat_trace = trace;
-  for (ServiceRequest& request : repeat_trace.requests) {
-    request.value_seed =
-        static_cast<std::uint64_t>(request.pattern_id + 1) * 17u;
-  }
-  const ScenarioResult repeat_refactor =
-      run_scenario("repeat-refactor", repeat_trace, cached_options);
-  SolverPoolOptions factor_options = cached_options;
-  factor_options.factor_cache_entries =
-      static_cast<std::size_t>(traffic.patterns) * 2;
-  const ScenarioResult repeat_cached =
-      run_scenario("repeat-cached", repeat_trace, factor_options);
-
-  const ScenarioResult* scenarios[] = {&cold,       &cached, &churn,
-                                       &first_boot, &warm,   &repeat_refactor,
-                                       &repeat_cached};
+  const ScenarioResult* scenarios[] = {&cold, &cached, &churn, &first_boot,
+                                       &warm};
   TextTable table({"scenario", "solves/sec", "p50 ms", "p99 ms", "hits",
-                   "misses", "evict", "f.hits", "analyze s", "factorize s",
-                   "solve s"});
+                   "misses", "evict", "analyze s", "factorize s", "solve s"});
   for (const ScenarioResult* r : scenarios) {
     table.add_row({r->name, fixed3(r->solves_per_sec), fixed3(r->p50_ms),
                    fixed3(r->p99_ms), std::to_string(r->cache_hits),
                    std::to_string(r->cache_misses),
                    std::to_string(r->cache_evictions),
-                   std::to_string(r->factor_hits),
                    fixed3(r->totals.analyze_seconds),
                    fixed3(r->totals.factorize_seconds),
                    fixed3(r->totals.solve_seconds)});
@@ -208,12 +184,6 @@ int main() {
                              ? cached.solves_per_sec / cold.solves_per_sec
                              : 0.0;
   std::cout << "cached vs cold speedup: " << fixed3(speedup) << "x\n";
-  const double repeat_speedup =
-      repeat_refactor.solves_per_sec > 0.0
-          ? repeat_cached.solves_per_sec / repeat_refactor.solves_per_sec
-          : 0.0;
-  std::cout << "repeat-values cached vs refactorize speedup: "
-            << fixed3(repeat_speedup) << "x\n";
   std::cout << "warm restart symbolic misses: " << warm.cache_misses
             << " (cold boot paid " << first_boot.cache_misses << ")\n";
 
@@ -221,9 +191,8 @@ int main() {
                 {"scenario", "patterns", "requests", "rhs_columns", "workers",
                  "wall_seconds", "solves_per_sec", "p50_ms", "p99_ms",
                  "cache_hits", "cache_misses", "cache_evictions",
-                 "factor_hits", "factor_misses", "factorizations",
-                 "rhs_solved", "analyze_seconds", "factorize_seconds",
-                 "solve_seconds"});
+                 "factorizations", "rhs_solved", "analyze_seconds",
+                 "factorize_seconds", "solve_seconds"});
   for (const ScenarioResult* r : scenarios) {
     csv.write_row(
         {r->name, CsvWriter::cell(static_cast<long long>(traffic.patterns)),
@@ -233,7 +202,6 @@ int main() {
          CsvWriter::cell(r->p50_ms), CsvWriter::cell(r->p99_ms),
          CsvWriter::cell(r->cache_hits), CsvWriter::cell(r->cache_misses),
          CsvWriter::cell(r->cache_evictions),
-         CsvWriter::cell(r->factor_hits), CsvWriter::cell(r->factor_misses),
          CsvWriter::cell(static_cast<long long>(r->totals.factorizations)),
          CsvWriter::cell(static_cast<long long>(r->totals.rhs_solved)),
          CsvWriter::cell(r->totals.analyze_seconds),

@@ -12,6 +12,7 @@
 //                     [--relax R] [--memory M]
 //                     [--traversal auto|postorder|liu|minmem]
 //                     [--admission greedy|lookahead] [--workers W]
+//                         (--admission and --workers: solve only)
 //                     [--rhs K] [--seed S] [--synthetic] [--csv stats.csv]
 //                     [--trace out.json]
 //       The full pipeline: analyze -> plan -> factorize -> solve with K
@@ -26,8 +27,7 @@
 //
 //   treemem_cli serve <trace.txt> [solve flags] [--pool-workers W]
 //                     [--repeat R] [--cache-entries N] [--cache-bytes B]
-//                     [--factor-cache N] [--state-dir DIR]
-//                     [--csv stats.csv] [--trace out.json]
+//                     [--state-dir DIR] [--csv stats.csv] [--trace out.json]
 //                     [--metrics-out FILE]
 //       Solver-as-a-service replay: each trace line is
 //           <matrix.mtx> <value-seed> <num-rhs>
@@ -35,17 +35,17 @@
 //       own values, anything else seeds synthetic SPD values on the file's
 //       pattern). Requests stream through a SolverPool sharing one
 //       SymbolicCache, so repeated patterns skip analyze+plan; --repeat
-//       replays the whole trace R times. Prints solves/sec and latency
-//       percentiles. --cache-entries/--cache-bytes cap the symbolic cache
-//       (LRU eviction; 0 = unbounded), --factor-cache N keeps up to N
-//       numeric factors resident so repeated (pattern, values) requests
-//       skip factorize, and --state-dir DIR
-//       persists the symbolic cache across runs: state is loaded before
-//       the replay (a warm restart — 0 symbolic misses on a repeated
-//       trace) and saved after. --metrics-out FILE writes the service's
-//       Prometheus-style metrics exposition (solve-latency histogram,
-//       cache and lease counters) after the replay; --trace records the
-//       timeline like `solve`.
+//       replays the whole trace R times. Every job runs the serial engine
+//       on one pool worker, so the solve-only --admission and --workers
+//       are rejected here. Prints solves/sec and latency percentiles
+//       (submit to result, queue wait included). --cache-entries/
+//       --cache-bytes cap the symbolic cache (LRU eviction; 0 =
+//       unbounded), and --state-dir DIR persists the symbolic cache
+//       across runs: state is loaded before the replay (a warm restart —
+//       0 symbolic misses on a repeated trace) and saved after.
+//       --metrics-out FILE writes the service's Prometheus-style metrics
+//       exposition (solve-latency histogram, cache and lease counters)
+//       after the replay; --trace records the timeline like `solve`.
 //
 //   treemem_cli tree <tree.txt> [--memory M]
 //       The same MinMemory analysis for a task tree in the treemem text
@@ -83,14 +83,15 @@ int usage() {
          " [--relax R] [--memory M]\n"
       << "  treemem_cli solve <matrix.mtx> [--order mindeg|nd|rcm|natural]"
          " [--relax R] [--memory M]\n"
-      << "                    [--traversal auto|postorder|liu|minmem]"
-         " [--admission greedy|lookahead] [--workers W]\n"
+      << "                    [--traversal auto|postorder|liu|minmem]\n"
+      << "                    [--admission greedy|lookahead] [--workers W]"
+         "  (solve only)\n"
       << "                    [--rhs K] [--seed S] [--synthetic]"
          " [--csv stats.csv] [--trace out.json]\n"
-      << "  treemem_cli serve <trace.txt> [solve flags] [--pool-workers W]"
-         " [--repeat R]\n"
-      << "                    [--cache-entries N] [--cache-bytes B]"
-         " [--factor-cache N] [--state-dir DIR] [--csv stats.csv]\n"
+      << "  treemem_cli serve <trace.txt> [solve flags but --admission/"
+         "--workers] [--pool-workers W]\n"
+      << "                    [--repeat R] [--cache-entries N]"
+         " [--cache-bytes B] [--state-dir DIR] [--csv stats.csv]\n"
       << "                    [--trace out.json] [--metrics-out FILE]\n"
       << "      trace line: <matrix.mtx> <value-seed> <num-rhs>"
          " (seed 0 = the file's own values)\n"
@@ -153,6 +154,7 @@ struct CliOptions {
   std::string traversal_name = "auto";
   std::string admission_name = "greedy";
   int workers = 0;
+  bool solve_only_flags = false;  ///< --admission or --workers was given
   int rhs = 1;
   std::uint64_t seed = 2011;
   bool synthetic = false;
@@ -160,7 +162,6 @@ struct CliOptions {
   int repeat = 1;
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
-  std::size_t factor_cache = 0;
   std::string state_dir;
   std::string csv_path;
   std::string trace_path;    ///< Chrome trace JSON out (empty = env/off)
@@ -378,7 +379,7 @@ std::vector<TraceLine> read_trace(const std::string& path) {
 
 int run_serve(const std::string& trace_path, const CliOptions& cli) {
   const auto options = solver_options_of(cli);
-  if (!options || cli.repeat < 1) {
+  if (!options || cli.repeat < 1 || cli.solve_only_flags) {
     return usage();
   }
   obs::TraceSession trace(cli.trace_path);
@@ -405,7 +406,6 @@ int run_serve(const std::string& trace_path, const CliOptions& cli) {
   pool_options.solver = *options;
   pool_options.cache_entries = cli.cache_entries;
   pool_options.cache_bytes = cli.cache_bytes;
-  pool_options.factor_cache_entries = cli.factor_cache;
   SolverPool pool(pool_options);
 
   // Warm restart: seed the symbolic cache from a previous run's state
@@ -446,11 +446,8 @@ int run_serve(const std::string& trace_path, const CliOptions& cli) {
   }
 
   long long rhs_columns = 0;
-  long long factor_hits = 0;
   for (std::future<SolveOutcome>& future : futures) {
-    SolveOutcome outcome = future.get();
-    rhs_columns += static_cast<long long>(outcome.solutions.size());
-    factor_hits += outcome.factor_hit ? 1 : 0;
+    rhs_columns += static_cast<long long>(future.get().solutions.size());
   }
   const double wall_seconds = wall.elapsed_s();
 
@@ -492,16 +489,6 @@ int run_serve(const std::string& trace_path, const CliOptions& cli) {
                                        " patterns, " +
                                        std::to_string(cache.evictions) +
                                        " evicted)"});
-  const NumericCache::Stats factors = pool.factor_cache_stats();
-  if (cli.factor_cache > 0) {
-    table.add_row({"factor cache", std::to_string(factors.hits) + " hits / " +
-                                       std::to_string(factors.misses) +
-                                       " misses (" +
-                                       std::to_string(factors.entries) +
-                                       " resident, " +
-                                       std::to_string(factors.evictions) +
-                                       " evicted)"});
-  }
   table.add_row({"factorizations", std::to_string(totals.factorizations)});
   table.add_row({"rhs solved", std::to_string(totals.rhs_solved)});
   std::cout << table.to_string();
@@ -512,8 +499,7 @@ int run_serve(const std::string& trace_path, const CliOptions& cli) {
                    "wall_seconds", "solves_per_sec", "p50_ms", "p99_ms",
                    "p999_ms", "latency_samples",
                    "cache_hits", "cache_misses", "cache_patterns",
-                   "cache_evictions", "factor_hits", "factor_misses",
-                   "factor_evictions", "factorizations", "rhs_solved"});
+                   "cache_evictions", "factorizations", "rhs_solved"});
     csv.write_row({trace_path,
                    CsvWriter::cell(static_cast<long long>(futures.size())),
                    CsvWriter::cell(rhs_columns),
@@ -527,9 +513,6 @@ int run_serve(const std::string& trace_path, const CliOptions& cli) {
                    CsvWriter::cell(cache.hits), CsvWriter::cell(cache.misses),
                    CsvWriter::cell(static_cast<long long>(cache.entries)),
                    CsvWriter::cell(cache.evictions),
-                   CsvWriter::cell(factors.hits),
-                   CsvWriter::cell(factors.misses),
-                   CsvWriter::cell(factors.evictions),
                    CsvWriter::cell(static_cast<long long>(
                        totals.factorizations)),
                    CsvWriter::cell(static_cast<long long>(totals.rhs_solved))});
@@ -596,9 +579,11 @@ int main(int argc, char** argv) {
         cli.traversal_name = argv[++i];
       } else if (std::strcmp(argv[i], "--admission") == 0 && i + 1 < argc) {
         cli.admission_name = argv[++i];
+        cli.solve_only_flags = true;
       } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
         cli.workers = static_cast<int>(
             parse_int_strict(argv[++i], 0, 1024, "--workers"));
+        cli.solve_only_flags = true;
       } else if (std::strcmp(argv[i], "--rhs") == 0 && i + 1 < argc) {
         cli.rhs =
             static_cast<int>(parse_int_strict(argv[++i], 1, 4096, "--rhs"));
@@ -621,9 +606,6 @@ int main(int argc, char** argv) {
         cli.cache_bytes = static_cast<std::size_t>(parse_int_strict(
             argv[++i], 0, std::numeric_limits<long long>::max() / 2,
             "--cache-bytes"));
-      } else if (std::strcmp(argv[i], "--factor-cache") == 0 && i + 1 < argc) {
-        cli.factor_cache = static_cast<std::size_t>(
-            parse_int_strict(argv[++i], 0, 1 << 30, "--factor-cache"));
       } else if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
         cli.state_dir = argv[++i];
       } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {

@@ -333,7 +333,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   // Every engine ends here: record the run, count it and its leases.
   auto commit = [&](CholeskyFactor factor, FactorizeStats run,
                     const KernelLeaseStats& leases) -> Solver& {
-    factor_ = std::make_shared<const CholeskyFactor>(std::move(factor));
+    factor_ = std::move(factor);
     phase_ = Phase::kFactorized;
     run.factorize_seconds = timer.elapsed_s();
     last_run_ = std::move(run);
@@ -500,37 +500,6 @@ const IoSchedule& Solver::planned_io_schedule() const {
 const CholeskyFactor& Solver::factor() const {
   require_phase(Phase::kFactorized, "factor", "factorize()");
   return *factor_;
-}
-
-std::shared_ptr<const CholeskyFactor> Solver::shared_factor() const {
-  require_phase(Phase::kFactorized, "shared_factor", "factorize()");
-  return factor_;
-}
-
-Solver& Solver::adopt_factor(std::shared_ptr<const CholeskyFactor> factor) {
-  require_phase(Phase::kPlanned, "adopt_factor", "plan() (or adopt())");
-  TM_CHECK(factor != nullptr,
-           "Solver::adopt_factor: factor must be non-null (export it from a "
-           "factorized solver via shared_factor())");
-  // The panels' layout is the front structure's: a factor computed on
-  // any other one (another pattern, ordering or amalgamation) would be
-  // read through the wrong rows. A rebuilt but equal structure is fine.
-  const FrontStructure& fronts = *analysis_->assembly.fronts;
-  TM_CHECK(factor->fronts != nullptr &&
-               (factor->fronts.get() == &fronts || *factor->fronts == fronts),
-           "Solver::adopt_factor: the factor was computed on a different "
-           "front structure than the adopted analysis");
-  TM_CHECK(factor->values.size() ==
-               static_cast<std::size_t>(fronts.panel_entries()),
-           "Solver::adopt_factor: factor values do not fill its panels");
-  factor_ = std::move(factor);
-  phase_ = Phase::kFactorized;
-  // Reporting: no numeric work ran — engine "cached", zero time/flops.
-  // factorizations is deliberately NOT incremented; it counts factors
-  // actually computed, which is what the repeat-values bench compares.
-  last_run_ = {};
-  last_run_.engine = "cached";
-  return *this;
 }
 
 }  // namespace treemem

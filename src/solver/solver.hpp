@@ -183,10 +183,10 @@ struct PlanStats {
   double plan_seconds = 0.0;
 };
 
-/// What the latest factorize() (or adopt_factor()) reports. analyze()
-/// and adopt() clear it; plan() keeps it.
+/// What the latest factorize() reports. analyze() and adopt() clear it;
+/// plan() keeps it.
 struct FactorizeStats {
-  std::string engine;  ///< "serial" | "parallel" | "out-of-core" | "cached"
+  std::string engine;  ///< "serial" | "parallel" | "out-of-core"
   std::string admission;             ///< admission policy of parallel runs
   int workers = 0;
   long long flops = 0;
@@ -360,23 +360,6 @@ class Solver {
   /// The factor of P A Pᵀ (permuted ordering). Valid after factorize().
   const CholeskyFactor& factor() const;
 
-  // -- Shared numeric state (the factor cache's handle) ---------------------
-  /// The immutable factor backing this solver, shareable the same way the
-  /// symbolic state is: the NumericCache stores this handle per (pattern,
-  /// values) key and other solvers adopt_factor() it. Valid after
-  /// factorize().
-  std::shared_ptr<const CholeskyFactor> shared_factor() const;
-  /// Installs a factor computed elsewhere for this solver's symbolic
-  /// state, jumping straight to the factorized phase — solve() may be
-  /// called immediately, skipping factorize() entirely (the numeric-cache
-  /// fast path). Requires plan() (or adopt()); the factor must belong to
-  /// the adopted pattern — the cache guarantees that by keying on the
-  /// (pattern, values) fingerprints and verifying the defining values —
-  /// and must have been computed on an equal front structure (its panels'
-  /// layout), else treemem::Error. Reports engine "cached" and does not
-  /// count a factorization.
-  Solver& adopt_factor(std::shared_ptr<const CholeskyFactor> factor);
-
  private:
   enum class Phase { kCreated, kAnalyzed, kPlanned, kFactorized };
 
@@ -426,10 +409,9 @@ class Solver {
   mutable std::optional<TraversalResult> liu_cache_;
   mutable std::optional<MinMemResult> minmem_cache_;
 
-  // factorize() products. Behind shared_ptr<const> so the numeric-factor
-  // cache (solver/numeric_cache.hpp) can keep a factor alive after this
-  // solver moves on — same sharing contract as the symbolic state.
-  std::shared_ptr<const CholeskyFactor> factor_;
+  // The latest factorize() product, owned here alone: nothing else holds
+  // a handle to it, and analyze(), plan() and adopt() drop it.
+  std::optional<CholeskyFactor> factor_;
 
   FactorizeStats last_run_;
   mutable Totals totals_;

@@ -28,7 +28,6 @@ SolverPool::SolverPool(SolverPoolOptions options)
                                   options_.solver.plan,
                                   options_.cache_entries,
                                   options_.cache_bytes}),
-      factor_cache_(NumericCacheOptions{options_.factor_cache_entries}),
       accountant_(options_.memory_budget) {
   TM_CHECK(options_.workers >= 0,
            "SolverPool: workers must be >= 0 (0 = default)");
@@ -47,7 +46,7 @@ SolverPool::SolverPool(SolverPoolOptions options)
     threads_.emplace_back([this, id] { worker_loop(id); });
   }
   // Every line of the service's exposition comes from state the pool
-  // already keeps: the latency histogram, both cache Stats, and the
+  // already keeps: the latency histogram, the symbolic cache Stats, and the
   // aggregated SolverStats rendered field-by-field from the same table
   // that drives aggregate_solver_stats. Removed in the destructor before
   // anything the lambda reads is torn down.
@@ -66,17 +65,6 @@ SolverPool::SolverPool(SolverPoolOptions options)
                               static_cast<double>(sym.entries));
     text += obs::format_gauge("treemem_symbolic_cache_resident_bytes", "",
                               static_cast<double>(sym.resident_bytes));
-    const NumericCache::Stats num = factor_cache_stats();
-    text += obs::format_counter("treemem_factor_cache_hits_total", "",
-                                num.hits);
-    text += obs::format_counter("treemem_factor_cache_misses_total", "",
-                                num.misses);
-    text += obs::format_counter("treemem_factor_cache_evictions_total", "",
-                                num.evictions);
-    text += obs::format_gauge("treemem_factor_cache_entries", "",
-                              static_cast<double>(num.entries));
-    text += obs::format_gauge("treemem_factor_cache_resident_charge", "",
-                              static_cast<double>(num.resident_charge));
     const SolverStats total = aggregated_stats();
     obs::for_each_stat_field([&](const char* name, obs::StatMerge merge,
                                  auto member) {
@@ -143,6 +131,9 @@ void SolverPool::worker_loop(int id) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         worker_stats_[static_cast<std::size_t>(id)] = solver.stats();
       }
+      // Observed before the future becomes ready, so a caller that has
+      // every outcome in hand also sees every observation.
+      solve_latency_.observe(job.submitted.elapsed_s());
       job.promise.set_value(std::move(outcome));
     } catch (...) {
       {
@@ -162,19 +153,7 @@ Weight SolverPool::admission_charge(Weight planned_peak) const {
 
 void SolverPool::acquire_memory(Weight charge) {
   std::unique_lock<std::mutex> lock(memory_mutex_);
-  memory_cv_.wait(lock, [&] {
-    // Under pressure, drop cached factors before waiting: they hold real
-    // charge and can always be recomputed, so a job never queues behind
-    // memory that is merely a cache.
-    while (!accountant_.try_acquire(charge)) {
-      const Weight freed = factor_cache_.evict_lru();
-      if (freed == 0) {
-        return false;  // nothing evictable left — wait for a release
-      }
-      accountant_.adjust(-freed);
-    }
-    return true;
-  });
+  memory_cv_.wait(lock, [&] { return accountant_.try_acquire(charge); });
 }
 
 void SolverPool::release_memory(Weight charge) {
@@ -185,18 +164,6 @@ void SolverPool::release_memory(Weight charge) {
     accountant_.adjust(-charge);
   }
   memory_cv_.notify_all();
-}
-
-bool SolverPool::try_acquire_for_cache(Weight charge) {
-  std::lock_guard<std::mutex> lock(memory_mutex_);
-  while (!accountant_.try_acquire(charge)) {
-    const Weight freed = factor_cache_.evict_lru();
-    if (freed == 0) {
-      return false;  // caching this factor would starve real jobs
-    }
-    accountant_.adjust(-freed);
-  }
-  return true;
 }
 
 SolveOutcome SolverPool::run_job(Solver& solver, SolveRequest& request) {
@@ -218,23 +185,6 @@ SolveOutcome SolverPool::run_job(Solver& solver, SolveRequest& request) {
     solver.adopt(scratch.symbolic());
   }
 
-  // Numeric fast path: pattern AND values seen before — adopt the cached
-  // factor and go straight to solves. No admission gate: the resident
-  // factor is already charged, and no new memory is allocated.
-  const std::uint64_t pattern_key =
-      factor_cache_.enabled() ? pattern_fingerprint(pattern) : 0;
-  if (factor_cache_.enabled()) {
-    if (std::shared_ptr<const CholeskyFactor> cached =
-            factor_cache_.lookup(pattern_key, request.matrix.values())) {
-      solver.adopt_factor(std::move(cached));
-      outcome.factor_hit = true;
-      outcome.solutions = solver.solve(request.rhs);
-      outcome.seconds = timer.elapsed_s();
-      solve_latency_.observe(outcome.seconds);
-      return outcome;
-    }
-  }
-
   // Request-level parallelism is the pool's: each job runs the serial
   // engine on one worker whose kernel leases no WorkerPool threads on top
   // of the pool's own (see the header).
@@ -253,34 +203,7 @@ SolveOutcome SolverPool::run_job(Solver& solver, SolveRequest& request) {
   }
   release_memory(charge);
 
-  // Cache the fresh factor for future (pattern, values) repeats, charged
-  // like any resident memory. Non-blocking: when even evicting every
-  // older cached factor cannot make room, skip caching rather than
-  // stalling the job (its result is already computed).
-  if (factor_cache_.enabled()) {
-    std::shared_ptr<const CholeskyFactor> factor = solver.shared_factor();
-    const Weight residency = admission_charge(
-        static_cast<Weight>(factor->values.size()));
-    if (try_acquire_for_cache(residency)) {
-      const bool inserted = factor_cache_.insert(
-          pattern_key, request.matrix.values(), std::move(factor), residency);
-      // insert() may itself have evicted (max_entries); and a racing
-      // duplicate insert returns false — either way, hand the freed
-      // charge back to the accountant.
-      Weight freed = factor_cache_.take_freed_charge();
-      if (!inserted) {
-        freed += residency;
-      }
-      // Unconditional, even when nothing was freed: a job that waited in
-      // acquire_memory() between try_acquire_for_cache() and insert() found
-      // nothing evictable and went to sleep, and the factor just inserted
-      // is evictable now — without this wakeup that job can sleep forever.
-      release_memory(freed);
-    }
-  }
-
   outcome.seconds = timer.elapsed_s();
-  solve_latency_.observe(outcome.seconds);
   return outcome;
 }
 

@@ -12,7 +12,9 @@
 // Memory admission: the pool gates in-flight factorizations on a shared
 // MemoryAccountant. Each job charges its plan's modeled Eq. 1 peak
 // against the pool budget before factorizing and releases it after its
-// solves finish; jobs that do not fit wait. A single job larger than the
+// solves finish; jobs that do not fit wait. Those peaks are all the
+// accountant holds: no factor outlives its job, and a repeated (pattern,
+// values) request is factorized again. A single job larger than the
 // whole budget is admitted alone (clamped charge) so it serializes
 // instead of deadlocking. With the default infinite budget the gate is
 // free.
@@ -24,14 +26,9 @@
 // bit-identical either way. The `workers` and `kernel.workers` of
 // SolverPoolOptions::solver.factorize are therefore overridden.
 //
-// Numeric-factor cache: with `factor_cache_entries > 0` the pool also
-// caches the CholeskyFactor keyed by (pattern fingerprint, value
-// fingerprint). A request repeating both pattern AND values skips
-// factorize entirely and goes straight to triangular solves
-// (SolveOutcome::factor_hit). Resident factors are charged against the
-// same MemoryAccountant as in-flight jobs (charge = factor nnz, the
-// Eq. 1 currency), and admission under pressure evicts cached factors
-// first — they are the only memory the service can always recompute.
+// Latency: solve_latency() times each job from submit() to its ready
+// outcome, so queue and admission waits count; SolveOutcome::seconds is
+// the service time alone.
 //
 // The `use_cache = false` mode re-runs the full symbolic phase for every
 // request — the cold-analyze baseline bench/solver_service.cpp compares
@@ -49,10 +46,10 @@
 
 #include "obs/metrics.hpp"
 #include "parallel/schedule_core.hpp"
-#include "solver/numeric_cache.hpp"
 #include "solver/solver.hpp"
 #include "solver/symbolic_cache.hpp"
 #include "sparse/matrix.hpp"
+#include "support/timer.hpp"
 
 namespace treemem {
 
@@ -75,8 +72,6 @@ struct SolverPoolOptions {
   /// symbolic state a service under pattern churn keeps resident.
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
-  /// Resident-factor cap of the numeric cache; 0 (default) disables it.
-  std::size_t factor_cache_entries = 0;
 };
 
 /// One unit of service: factorize `matrix`, then solve every column of
@@ -88,9 +83,8 @@ struct SolveRequest {
 
 struct SolveOutcome {
   std::vector<std::vector<double>> solutions;  ///< one per rhs column
-  bool cache_hit = false;   ///< symbolic state came from the cache
-  bool factor_hit = false;  ///< numeric factor came from the cache too
-  double seconds = 0.0;     ///< service time (symbolic+factorize+solves)
+  bool cache_hit = false;  ///< symbolic state came from the cache
+  double seconds = 0.0;    ///< service time (symbolic+factorize+solves)
 };
 
 /// Sum of per-solver cumulative counters (factorizations, rhs_solved, the
@@ -117,9 +111,6 @@ class SolverPool {
   int workers() const { return static_cast<int>(threads_.size()); }
   SymbolicCache& cache() { return cache_; }
   SymbolicCache::Stats cache_stats() const { return cache_.stats(); }
-  NumericCache::Stats factor_cache_stats() const {
-    return factor_cache_.stats();
-  }
 
   /// Stats snapshot of each worker's Solver as of its last completed job
   /// (index = worker id). Race-free regardless of in-flight work.
@@ -127,30 +118,27 @@ class SolverPool {
   /// aggregate_solver_stats(solver_stats()).
   SolverStats aggregated_stats() const;
 
-  /// End-to-end service-time distribution (one observation per completed
-  /// job, cache hits included — they are the latencies tenants see).
+  /// End-to-end latency distribution: one observation per completed job,
+  /// from submit() to its ready outcome, queue and admission wait included
+  /// — the latency tenants see.
   const obs::Histogram& solve_latency() const { return solve_latency_; }
 
  private:
   struct Job {
     SolveRequest request;
     std::promise<SolveOutcome> promise;
+    Timer submitted;  ///< started in submit(); read for solve_latency()
   };
 
   void worker_loop(int id);
   SolveOutcome run_job(Solver& solver, SolveRequest& request);
   Weight admission_charge(Weight planned_peak) const;
-  /// Blocks until `charge` fits the accountant, evicting cached factors
-  /// under pressure (they free real charge and are always recomputable).
+  /// Blocks until `charge` fits the accountant.
   void acquire_memory(Weight charge);
   void release_memory(Weight charge);
-  /// Non-blocking: room for a factor's cache residency, made by evicting
-  /// older cached factors if needed. False = don't cache this one.
-  bool try_acquire_for_cache(Weight charge);
 
   SolverPoolOptions options_;
   SymbolicCache cache_;
-  NumericCache factor_cache_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
@@ -164,9 +152,8 @@ class SolverPool {
   mutable std::mutex stats_mutex_;
   std::vector<SolverStats> worker_stats_;
 
-  /// Observed in run_job at both exits (factor-cache fast path and the
-  /// full pipeline); the exporter renders it as
-  /// `treemem_solve_latency_seconds`.
+  /// Observed in worker_loop as each job completes; the exporter renders it
+  /// as `treemem_solve_latency_seconds`.
   obs::Histogram solve_latency_{obs::Histogram::exponential_bounds(1e-6,
                                                                    10.0)};
   std::uint64_t metrics_token_ = 0;  ///< exporter registration handle

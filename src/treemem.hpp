@@ -56,7 +56,6 @@
 // paper-reproduction benches. The service layer on top shares symbolic
 // state across tenants (symbolic_cache) and serves concurrent requests
 // from a worker pool (solver_pool).
-#include "solver/numeric_cache.hpp"
 #include "solver/solver.hpp"
 #include "solver/solver_pool.hpp"
 #include "solver/symbolic_cache.hpp"

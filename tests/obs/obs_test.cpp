@@ -280,7 +280,6 @@ TEST(Metrics, SolverPoolExportsExactMetricSet) {
 
   SolverPoolOptions options;
   options.workers = 2;
-  options.factor_cache_entries = 2;
   // The pool demotes every job to one serial worker whose kernel never
   // leases, so the job stays off the process WorkerPool — whose
   // lazily-registered exporter would otherwise blur the diff below.
@@ -312,11 +311,6 @@ TEST(Metrics, SolverPoolExportsExactMetricSet) {
       "treemem_symbolic_cache_evictions_total counter",
       "treemem_symbolic_cache_entries gauge",
       "treemem_symbolic_cache_resident_bytes gauge",
-      "treemem_factor_cache_hits_total counter",
-      "treemem_factor_cache_misses_total counter",
-      "treemem_factor_cache_evictions_total counter",
-      "treemem_factor_cache_entries gauge",
-      "treemem_factor_cache_resident_charge gauge",
       "treemem_solver_analyze_seconds gauge",
       "treemem_solver_plan_seconds gauge",
       "treemem_solver_factorize_seconds gauge",

@@ -1,7 +1,7 @@
 // Service layer round two: LRU/size-capped eviction in SymbolicCache,
-// symbolic persistence (warm restarts), the numeric-factor cache, and the
-// pool's demotion of every job to one non-leasing serial worker — plus the
-// three cache-stats bugfix regressions this suite pins:
+// symbolic persistence (warm restarts), refactorization of repeated
+// values, and the pool's demotion of every job to one non-leasing serial
+// worker — plus the three cache-stats bugfix regressions this suite pins:
 //
 //   * lookup() counted a retry after a FAILED build as a hit (the entry
 //     existed, so hits_ incremented and hit=true came back while the
@@ -24,7 +24,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +32,6 @@
 
 #include "parallel/worker_pool.hpp"
 #include "perf/traffic.hpp"
-#include "solver/numeric_cache.hpp"
 #include "solver/solver.hpp"
 #include "solver/solver_pool.hpp"
 #include "solver/symbolic_cache.hpp"
@@ -514,114 +512,6 @@ TEST_F(SymbolicStoreTest, MissingDirectoryIsAColdStart) {
   EXPECT_EQ(report.skipped_invalid, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Numeric-factor cache
-// ---------------------------------------------------------------------------
-
-TEST(NumericCache, ValueFingerprintIsBitwise) {
-  const std::vector<double> plus_zero = {0.0, 1.0};
-  const std::vector<double> minus_zero = {-0.0, 1.0};
-  EXPECT_NE(value_fingerprint(plus_zero), value_fingerprint(minus_zero));
-  EXPECT_EQ(value_fingerprint(plus_zero), value_fingerprint(plus_zero));
-}
-
-TEST(NumericCache, LookupVerifiesValuesAndLruEvicts) {
-  const SparsePattern pattern = symmetrize(gen::grid2d(5, 5));
-  const auto factor_of = [&](std::uint64_t seed) {
-    Solver solver;
-    solver.analyze(pattern).plan().factorize(make_spd_matrix(pattern, seed));
-    return solver.shared_factor();
-  };
-  const std::uint64_t pkey = pattern_fingerprint(pattern);
-  const std::vector<double> v1 = make_spd_matrix(pattern, 1).values();
-  const std::vector<double> v2 = make_spd_matrix(pattern, 2).values();
-  const std::vector<double> v3 = make_spd_matrix(pattern, 3).values();
-
-  NumericCache cache(NumericCacheOptions{2});
-  EXPECT_TRUE(cache.insert(pkey, v1, factor_of(1), 10));
-  EXPECT_TRUE(cache.insert(pkey, v2, factor_of(2), 10));
-  EXPECT_FALSE(cache.insert(pkey, v2, factor_of(2), 10));  // duplicate
-  EXPECT_NE(cache.lookup(pkey, v1), nullptr);
-  EXPECT_EQ(cache.lookup(pkey, v3), nullptr);  // values unseen
-  EXPECT_TRUE(cache.insert(pkey, v3, factor_of(3), 10));  // evicts LRU (v2)
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.take_freed_charge(), 10);
-  EXPECT_EQ(cache.lookup(pkey, v2), nullptr);
-  EXPECT_NE(cache.lookup(pkey, v1), nullptr);
-  EXPECT_NE(cache.lookup(pkey, v3), nullptr);
-}
-
-TEST(NumericCache, DisabledCacheNeverStores) {
-  const SparsePattern pattern = symmetrize(gen::grid2d(4, 4));
-  Solver solver;
-  solver.analyze(pattern).plan().factorize(make_spd_matrix(pattern, 1));
-  NumericCache cache;  // max_entries = 0: disabled
-  EXPECT_FALSE(cache.insert(pattern_fingerprint(pattern),
-                            make_spd_matrix(pattern, 1).values(),
-                            solver.shared_factor(), 5));
-  EXPECT_EQ(cache.lookup(pattern_fingerprint(pattern),
-                         make_spd_matrix(pattern, 1).values()),
-            nullptr);
-}
-
-TEST(Solver, AdoptFactorSolvesWithoutFactorize) {
-  const SparsePattern pattern = symmetrize(gen::grid2d(7, 7));
-  const SymmetricMatrix matrix = make_spd_matrix(pattern, 9);
-  SymbolicCache cache;
-
-  Solver producer;
-  producer.adopt(cache.lookup(pattern).symbolic);
-  producer.factorize(matrix);
-
-  Solver consumer;
-  consumer.adopt(cache.lookup(pattern).symbolic);
-  EXPECT_THROW(consumer.adopt_factor(nullptr), Error);
-  consumer.adopt_factor(producer.shared_factor());
-  EXPECT_TRUE(consumer.factorized());
-  EXPECT_EQ(consumer.stats().engine, "cached");
-  EXPECT_EQ(consumer.stats().factorizations, 0);  // nothing computed here
-
-  const std::vector<double> rhs = seeded_rhs(pattern.cols(), 4);
-  EXPECT_EQ(consumer.solve(rhs), producer.solve(rhs));
-}
-
-TEST(Solver, AdoptFactorRejectsAnotherFrontStructure) {
-  const SparsePattern pattern = symmetrize(gen::grid2d(7, 7));
-  const SymmetricMatrix matrix = make_spd_matrix(pattern, 9);
-  Solver producer;
-  producer.analyze(pattern).plan().factorize(matrix);
-
-  // Same pattern and options, analyzed apart: an equal structure, whose
-  // panels the factor fits.
-  Solver twin;
-  twin.analyze(pattern).plan();
-  ASSERT_NE(twin.assembly().fronts, producer.assembly().fronts);
-  twin.adopt_factor(producer.shared_factor());
-  const std::vector<double> rhs = seeded_rhs(pattern.cols(), 4);
-  EXPECT_EQ(twin.solve(rhs), producer.solve(rhs));
-
-  // Same order n, other fronts: another ordering, another amalgamation.
-  AnalyzeOptions other_order;
-  other_order.ordering = OrderingChoice::kRcm;
-  Solver reordered;
-  reordered.analyze(pattern, other_order).plan();
-  EXPECT_THROW(reordered.adopt_factor(producer.shared_factor()), Error);
-
-  AnalyzeOptions other_relax;
-  other_relax.relax = 0;
-  Solver unrelaxed;
-  unrelaxed.analyze(pattern, other_relax).plan();
-  EXPECT_THROW(unrelaxed.adopt_factor(producer.shared_factor()), Error);
-  EXPECT_FALSE(unrelaxed.factorized());
-
-  // Panels of the right total size over other rows: still rejected.
-  auto moved = std::make_shared<FrontStructure>(*producer.assembly().fronts);
-  std::swap(moved->member_cols.front(), moved->member_cols.back());
-  auto misfit = std::make_shared<CholeskyFactor>(producer.factor());
-  misfit->fronts = moved;
-  EXPECT_THROW(twin.adopt_factor(misfit), Error);
-}
-
 TEST(SymbolicCacheEviction, FrontStructureChargesFrontRowsNotTheFill) {
   // A band of half-width 12: every front row is charged once per front,
   // not once per entry of L.
@@ -653,59 +543,25 @@ TEST(SymbolicCacheEviction, FrontStructureChargesFrontRowsNotTheFill) {
             static_cast<std::size_t>(fronts.factor_nnz) * sizeof(Index) / 2);
 }
 
-TEST(SolverPool, RepeatedValuesHitFactorCacheBitExactly) {
+TEST(SolverPool, RepeatedValuesRefactorizeBitIdentically) {
+  // No factor outlives its job: the same (pattern, values) request is
+  // factorized every time it is served, to the same bits.
   const SparsePattern pattern = symmetrize(gen::grid2d(8, 8));
   SolverPoolOptions options;
   options.workers = 2;
-  options.factor_cache_entries = 4;
   SolverPool pool(options);
 
-  const auto request_of = [&](std::uint64_t value_seed) {
-    SolveRequest request;
-    request.matrix = make_spd_matrix(pattern, value_seed);
-    request.rhs = {seeded_rhs(pattern.cols(), value_seed + 100)};
-    return request;
+  const auto request = [&] {
+    SolveRequest r;
+    r.matrix = make_spd_matrix(pattern, 1);
+    r.rhs = {seeded_rhs(pattern.cols(), 101)};
+    return r;
   };
-
-  const SolveOutcome cold = pool.solve(request_of(1));
-  EXPECT_FALSE(cold.factor_hit);
-  const SolveOutcome warm = pool.solve(request_of(1));
-  EXPECT_TRUE(warm.factor_hit);
-  EXPECT_EQ(warm.solutions, cold.solutions);  // bit-exact fast path
-  // Different values on the same pattern do NOT hit.
-  EXPECT_FALSE(pool.solve(request_of(2)).factor_hit);
-
-  // Only the two distinct value sets were ever factorized.
-  EXPECT_EQ(pool.aggregated_stats().factorizations, 2);
-  EXPECT_EQ(pool.factor_cache_stats().hits, 1);
-  EXPECT_EQ(pool.factor_cache_stats().entries, 2u);
-}
-
-TEST(SolverPool, FactorCacheRespectsMemoryBudget) {
-  const SparsePattern pattern = symmetrize(gen::grid2d(8, 8));
-  Solver probe;
-  probe.analyze(pattern).plan();
-  const Weight peak = probe.stats().planned_peak_entries;
-
-  SolverPoolOptions options;
-  options.workers = 2;
-  options.factor_cache_entries = 16;
-  options.memory_budget = peak + peak / 2;  // tight: residency competes
-  SolverPool pool(options);
-
-  // Many distinct value sets: every job must still complete even though
-  // cached factors occupy (and get evicted from) the same budget.
-  std::vector<std::future<SolveOutcome>> futures;
-  for (int r = 0; r < 10; ++r) {
-    SolveRequest request;
-    request.matrix = make_spd_matrix(pattern, static_cast<std::uint64_t>(r));
-    request.rhs = {seeded_rhs(pattern.cols(), static_cast<std::uint64_t>(r))};
-    futures.push_back(pool.submit(std::move(request)));
+  const SolveOutcome first = pool.solve(request());
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    EXPECT_EQ(pool.solve(request()).solutions, first.solutions);
   }
-  for (std::future<SolveOutcome>& future : futures) {
-    EXPECT_EQ(future.get().solutions.size(), 1u);
-  }
-  EXPECT_EQ(pool.aggregated_stats().factorizations, 10);
+  EXPECT_EQ(pool.aggregated_stats().factorizations, 3);
 }
 
 // ---------------------------------------------------------------------------

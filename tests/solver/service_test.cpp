@@ -19,12 +19,15 @@
 //     the full request volume accounted, job errors propagate through the
 //     future without killing the worker, and a budget-gated pool still
 //     completes every request;
+//   * solve_latency() times a job from submit(), so queue wait counts,
+//     while SolveOutcome::seconds stays the service time;
 //   * adopt() preserves cumulative counters (a pooled solver's lifetime
 //     totals survive pattern switches) while analyze() resets them.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -320,6 +323,38 @@ TEST(SolverPool, BudgetGateStillCompletesEveryRequest) {
     EXPECT_EQ(future.get().solutions.size(), 1u);
   }
   EXPECT_EQ(pool.aggregated_stats().factorizations, 12);
+}
+
+TEST(SolverPool, SolveLatencyIncludesQueueWait) {
+  // One worker, six requests queued at once: every request after the first
+  // waits in the queue for the ones ahead of it, and that wait is latency
+  // a tenant sees but no job's service time contains.
+  const SparsePattern pattern = symmetrize(gen::grid2d(24, 24));
+  SolverPoolOptions options;
+  options.workers = 1;
+  SolverPool pool(options);
+  SolveRequest warmup;
+  warmup.matrix = make_spd_matrix(pattern, 1);
+  pool.solve(std::move(warmup));  // the timed jobs all hit the cache
+  const double warmup_latency = pool.solve_latency().sum();
+
+  std::vector<SolveRequest> requests(6);
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    requests[r].matrix = make_spd_matrix(pattern, 10 + r);
+    requests[r].rhs = {seeded_rhs(pattern.cols(), r)};
+  }
+  std::vector<std::future<SolveOutcome>> futures;
+  for (SolveRequest& request : requests) {
+    futures.push_back(pool.submit(std::move(request)));
+  }
+  std::vector<double> service;
+  for (std::future<SolveOutcome>& future : futures) {
+    service.push_back(future.get().seconds);
+  }
+  EXPECT_EQ(pool.solve_latency().count(), 7);
+  EXPECT_GE(pool.solve_latency().sum() - warmup_latency,
+            std::accumulate(service.begin(), service.end(), 0.0) +
+                service.front());
 }
 
 TEST(SolverPool, JobErrorsPropagateWithoutKillingWorkers) {

@@ -2,7 +2,7 @@
 //
 // Every field of the snapshot is pinned after each step of
 // analyze → plan → factorize (serial, parallel, out-of-core) → solve →
-// adopt → adopt_factor → analyze: which section a step rebuilds, which it
+// adopt → analyze: which section a step rebuilds, which it
 // leaves alone, and which totals it keeps. The snapshot has three
 // sections with one source each — the analysis, the plan and the latest
 // factorization — plus the totals (factorizations, leases, solves), which
@@ -252,17 +252,6 @@ TEST(SolverStatsView, PinsEveryFieldAcrossThePhaseSequence) {
   expect_plan_section_eq(adopted, replanned);
   expect_run_section_empty(adopted);
   expect_totals_eq(adopted, before_adopt);
-
-  // adopt_factor: a cached factor is a run with no numeric work; it does
-  // not count as a factorization.
-  tenant.adopt_factor(solver.shared_factor());
-  const SolverStats cached = tenant.stats();
-  expect_analyze_section_eq(cached, analyzed);
-  expect_plan_section_eq(cached, replanned);
-  SolverStats cached_run;
-  cached_run.engine = "cached";
-  expect_run_section_eq(cached, cached_run);
-  expect_totals_eq(cached, before_adopt);
 
   // analyze again: everything but the analyze section starts over.
   solver.analyze(pattern, nd_options());
