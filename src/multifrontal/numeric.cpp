@@ -26,10 +26,12 @@ Weight LiveEntryMeter::lower(Weight delta) {
 
 FrontalEngine::FrontalEngine(const SymmetricMatrix& matrix,
                              const AssemblyTree& assembly,
-                             const KernelConfig& kernel)
+                             const KernelConfig& kernel,
+                             NumericWorkspace* storage)
     : matrix_(&matrix),
       assembly_(&assembly),
       fronts_(assembly.fronts.get()),
+      storage_(storage != nullptr ? storage : &own_storage_),
       kernel_(make_front_kernel(kernel)) {
   const Index n = matrix.size();
   const std::size_t nodes = static_cast<std::size_t>(assembly.tree.size());
@@ -40,17 +42,44 @@ FrontalEngine::FrontalEngine(const SymmetricMatrix& matrix,
            "assembly tree carries no front structure (build it with "
            "build_assembly_tree, not amalgamate)");
 
+  // Borrow the panel buffer. Its old entries stay: every panel entry is
+  // written before a complete run returns its factor. Growing past the
+  // capacity drops the old contents first, so the reallocation copies
+  // nothing.
   factor_.fronts = assembly.fronts;
-  factor_.values.resize(static_cast<std::size_t>(fronts_->panel_entries()));
+  factor_.values = std::move(storage_->panels_);
+  const auto entries = static_cast<std::size_t>(fronts_->panel_entries());
+  if (factor_.values.capacity() < entries) {
+    factor_.values.clear();
+  }
+  factor_.values.resize(entries);
   blocks_.resize(nodes);
   transient_at_start_.assign(nodes, 0);
   live_after_.assign(nodes, 0);
 }
 
-FrontWorkspace FrontalEngine::make_workspace() const {
+FrontalEngine::~FrontalEngine() {
+  if (!factor_.values.empty()) {
+    storage_->panels_ = std::move(factor_.values);
+  }
+}
+
+FrontWorkspace FrontalEngine::acquire_workspace() {
+  std::vector<FrontWorkspace>& lanes = storage_->lanes_;
   FrontWorkspace ws;
-  ws.front_pos.assign(static_cast<std::size_t>(matrix_->size()), -1);
+  if (!lanes.empty()) {
+    ws = std::move(lanes.back());
+    lanes.pop_back();
+  }
+  const auto n = static_cast<std::size_t>(matrix_->size());
+  if (ws.front_pos.size() != n) {
+    ws.front_pos.assign(n, -1);
+  }
   return ws;
+}
+
+void FrontalEngine::release_workspace(FrontWorkspace ws) {
+  storage_->lanes_.push_back(std::move(ws));
 }
 
 std::vector<double> FrontalEngine::estimated_front_flops() const {
@@ -184,18 +213,20 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
 MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
                                          const AssemblyTree& assembly,
                                          const Traversal& bottom_up_order,
-                                         const KernelConfig& kernel) {
+                                         const KernelConfig& kernel,
+                                         NumericWorkspace* storage) {
   // Throws unless the order runs every node once, children before parents.
   in_tree_traversal_peak(assembly.tree, bottom_up_order);
 
-  FrontalEngine engine(matrix, assembly, kernel);
-  FrontWorkspace ws = engine.make_workspace();
+  FrontalEngine engine(matrix, assembly, kernel, storage);
+  FrontWorkspace ws = engine.acquire_workspace();
   MultifrontalResult result;
   result.live_after_step.reserve(bottom_up_order.size());
   for (const NodeId s : bottom_up_order) {
     engine.process_front(s, ws);
     result.live_after_step.push_back(engine.live_entries());
   }
+  engine.release_workspace(std::move(ws));
 
   // Root contribution blocks are empty (mu = 1 for etree roots), so all
   // live memory must have drained; anything left indicates a bug.

@@ -51,6 +51,13 @@
 // nearly the same contribution block. Both facts are asserted in the
 // tests.
 //
+// Storage: the factor's panel buffer and the per-lane front workspaces
+// live in a NumericWorkspace that a run borrows (NumericWorkspace below).
+// A Solver keeps one for its whole lifetime, so a refactorization writes
+// into pages that are already resident; the entry points called without
+// one build a fresh workspace that lives for that run only. Contribution
+// blocks are still allocated per front.
+//
 // Scope: double-precision Cholesky of symmetric positive definite matrices;
 // fronts are dense full squares; contribution blocks live until the parent
 // assembles them (any valid bottom-up traversal, not just postorders).
@@ -59,6 +66,7 @@
 #include <atomic>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/traversal.hpp"
@@ -81,6 +89,11 @@ namespace treemem {
 /// diagonal first, stored contiguously (FrontStructure::panel_column). The
 /// panels store the relaxed fronts' explicit zeros too, so values.size()
 /// is fronts->panel_entries() ≥ fronts->factor_nnz.
+///
+/// The factor owns `values`. When the run borrowed a NumericWorkspace, the
+/// buffer is that workspace's panel storage: it stays with the factor for
+/// the factor's lifetime, and NumericWorkspace::reclaim hands it back when
+/// the factor is dropped.
 struct CholeskyFactor {
   std::shared_ptr<const FrontStructure> fronts;
   std::vector<double> values;
@@ -109,10 +122,14 @@ class LiveEntryMeter {
   std::atomic<Weight> peak_{0};
 };
 
-/// Per-thread scratch for one front elimination. Obtain via
-/// FrontalEngine::make_workspace(); a workspace may be reused for any
-/// number of sequential process_front calls but never shared between two
-/// concurrent ones.
+/// One lane's scratch for front eliminations. Obtain it from
+/// FrontalEngine::acquire_workspace() and give it back with
+/// release_workspace(); a workspace may serve any number of sequential
+/// process_front calls but never two concurrent ones. Between calls that
+/// returned normally front_pos is all -1, so the lane can outlive the
+/// engine: it is kept in a NumericWorkspace and serves the next run, whose
+/// engine re-fits front_pos when the order n changed. A process_front that
+/// throws leaves front_pos dirty, and its lane is discarded.
 class FrontWorkspace {
  public:
   FrontWorkspace() = default;
@@ -121,9 +138,37 @@ class FrontWorkspace {
   friend class FrontalEngine;
   std::vector<Index> front_pos;  ///< global row → front row, -1 outside
   /// Dense front, column-major, uninitialized beyond the lower triangle
-  /// process_front zeroes (nothing reads the upper one).
+  /// process_front zeroes (nothing reads the upper one). It only grows, so
+  /// a retained lane holds the largest front it ever ran.
   std::unique_ptr<double[]> front;
   std::size_t front_capacity = 0;  ///< entries allocated in `front`
+};
+
+/// The numeric storage that outlives one factorization run: the factor
+/// panel buffer and the lanes' front workspaces. An engine borrows it for
+/// one run; the owner (a Solver, for its whole lifetime) keeps it between
+/// runs, so the next run of the same structure allocates and faults in no
+/// panel or front memory.
+///
+/// Ownership over time:
+///   * the panel buffer moves into the engine's factor when a run starts
+///     and leaves with the factor a successful run returns; reclaim() takes
+///     it back when that factor is dropped. A run that throws or stalls
+///     gives it back when its engine is destroyed.
+///   * a lane is checked out for the run and checked back in after it,
+///     unless a process_front on it threw.
+/// Reused panels are not cleared: a complete run writes every panel entry.
+/// The storage keeps the largest size it has served (it never shrinks).
+/// One run at a time: an engine's checkouts are not synchronized.
+class NumericWorkspace {
+ public:
+  /// Takes back the panel buffer of a factor that is being dropped.
+  void reclaim(CholeskyFactor factor) { panels_ = std::move(factor.values); }
+
+ private:
+  friend class FrontalEngine;
+  std::vector<double> panels_;
+  std::vector<FrontWorkspace> lanes_;
 };
 
 /// The reentrant numeric core of the multifrontal factorization: one
@@ -141,10 +186,24 @@ class FrontalEngine {
   /// Validates that `assembly` matches `matrix` and carries its front
   /// structure (build_assembly_tree output; amalgamate() output is rejected
   /// with treemem::Error). `kernel` configures the dense front kernel.
+  /// The run borrows `storage`, which must outlive the engine; nullptr
+  /// gives the engine a fresh workspace of its own.
   FrontalEngine(const SymmetricMatrix& matrix, const AssemblyTree& assembly,
-                const KernelConfig& kernel = {});
+                const KernelConfig& kernel = {},
+                NumericWorkspace* storage = nullptr);
+  /// Gives the panel buffer back to the storage unless take_factor() moved
+  /// it into a factor.
+  ~FrontalEngine();
+  FrontalEngine(const FrontalEngine&) = delete;
+  FrontalEngine& operator=(const FrontalEngine&) = delete;
 
-  FrontWorkspace make_workspace() const;
+  /// A lane for process_front: one the storage retained, re-fitted to this
+  /// matrix's order, or a fresh one. Not thread-safe: drivers check lanes
+  /// out and in from one thread, outside the concurrent fronts.
+  FrontWorkspace acquire_workspace();
+  /// Returns a lane to the storage for later runs. Only for a lane whose
+  /// process_front calls all returned normally.
+  void release_workspace(FrontWorkspace ws);
 
   /// Executes supernode s end to end: allocate the front, assemble the
   /// original entries of the member columns, extend-add (and release) the
@@ -184,14 +243,16 @@ class FrontalEngine {
   }
 
   /// The factor (valid once every supernode was processed). take_factor
-  /// moves it out and leaves the engine empty.
+  /// moves it out, panel buffer included, and leaves the engine empty.
   const CholeskyFactor& factor() const { return factor_; }
-  CholeskyFactor take_factor() { return std::move(factor_); }
+  CholeskyFactor take_factor() { return std::exchange(factor_, {}); }
 
  private:
   const SymmetricMatrix* matrix_;
   const AssemblyTree* assembly_;
   const FrontStructure* fronts_;  ///< assembly_->fronts, read only
+  NumericWorkspace own_storage_;  ///< used when no storage was lent
+  NumericWorkspace* storage_;     ///< the lent storage or own_storage_
   std::unique_ptr<const FrontKernel> kernel_;
   CholeskyFactor factor_;
   /// Live contribution block per completed supernode: dense, column-major
@@ -228,12 +289,14 @@ struct MultifrontalResult {
 /// `bottom_up_order` is an in-tree traversal of assembly.tree (children
 /// before parents) — e.g. reverse_traversal(minmem_optimal(tree).order).
 /// Throws if the order is invalid or the matrix does not match the tree.
-/// `kernel` configures the dense front kernel. For the threaded
+/// `kernel` configures the dense front kernel. The run borrows `storage`
+/// (nullptr = a fresh workspace for this run only). For the threaded
 /// counterpart see factor_parallel in multifrontal/numeric_parallel.hpp.
 MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
                                          const AssemblyTree& assembly,
                                          const Traversal& bottom_up_order,
-                                         const KernelConfig& kernel = {});
+                                         const KernelConfig& kernel = {},
+                                         NumericWorkspace* storage = nullptr);
 
 /// Frobenius norm of A − L·Lᵀ divided by the norm of A — the correctness
 /// metric for factorization tests.

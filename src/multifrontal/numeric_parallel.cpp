@@ -12,17 +12,26 @@ namespace treemem {
 
 namespace {
 
-/// A small pool of front workspaces, one in flight per worker. A task
-/// checks one out for all the fronts it runs; the pool mutex is negligible
-/// next to the dense kernels it brackets.
+/// The run's front workspaces, one in flight per worker, checked out of
+/// the engine's storage up front and checked back in when the pool goes
+/// out of scope, on success, stall and throw alike. A task checks one out
+/// for all the fronts it runs; the pool mutex is negligible next to the
+/// dense kernels it brackets.
 class WorkspacePool {
  public:
-  WorkspacePool(const FrontalEngine& engine, int workers) {
+  WorkspacePool(FrontalEngine& engine, int workers) : engine_(engine) {
     free_.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
-      free_.push_back(engine.make_workspace());
+      free_.push_back(engine.acquire_workspace());
     }
   }
+  ~WorkspacePool() {
+    for (FrontWorkspace& ws : free_) {
+      engine_.release_workspace(std::move(ws));
+    }
+  }
+  WorkspacePool(const WorkspacePool&) = delete;
+  WorkspacePool& operator=(const WorkspacePool&) = delete;
 
   FrontWorkspace acquire() {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -39,6 +48,7 @@ class WorkspacePool {
   }
 
  private:
+  FrontalEngine& engine_;
   std::mutex mutex_;
   std::vector<FrontWorkspace> free_;
 };
@@ -47,9 +57,10 @@ class WorkspacePool {
 
 ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
                                      const AssemblyTree& assembly,
-                                     const ParallelFactorOptions& options) {
+                                     const ParallelFactorOptions& options,
+                                     NumericWorkspace* storage) {
   TM_CHECK(options.workers >= 1, "factor_parallel: need at least one worker");
-  FrontalEngine engine(matrix, assembly, options.kernel);
+  FrontalEngine engine(matrix, assembly, options.kernel, storage);
   WorkspacePool pool(engine, options.workers);
 
   // The executor schedules the contracted task tree: cheap subtrees run
@@ -84,14 +95,11 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
 
   const ParallelScheduleResult run = execute_task_tree(
       tasks.tree, exec_options, tasks.durations, [&](NodeId task) {
+        // A throwing front leaves its lane's front_pos dirty, so that lane
+        // is dropped; the executor starts no task after a throw.
         FrontWorkspace ws = pool.acquire();
-        try {
-          for (const NodeId s : tasks.fronts_of(task)) {
-            engine.process_front(s, ws);
-          }
-        } catch (...) {
-          pool.release(std::move(ws));  // keep the checkout exception-safe
-          throw;
+        for (const NodeId s : tasks.fronts_of(task)) {
+          engine.process_front(s, ws);
         }
         pool.release(std::move(ws));
       });
@@ -106,7 +114,10 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
   result.tasks = tasks.size();
   result.lease_stats = engine.kernel_lease_stats();
   if (!run.feasible) {
-    return result;  // factor left empty: the run did not complete
+    // Factor left empty: the run did not complete. The engine and the pool
+    // give the panels and lanes back to the storage as they go out of
+    // scope, for the caller's serial fallback.
+    return result;
   }
 
   TM_ASSERT(engine.live_entries() == 0,

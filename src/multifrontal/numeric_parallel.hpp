@@ -107,9 +107,14 @@ struct ParallelFactorResult {
 /// the matrix is not positive definite or does not match the tree; the
 /// error surfaces through the executor's exception-propagation contract
 /// (workers drain and join, then the first error is rethrown).
+///
+/// The run borrows `storage` (nullptr = a fresh workspace for this run
+/// only): the panel buffer and one lane per worker. An infeasible run
+/// gives both back, so a serial fallback on the same storage reuses them.
 ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
                                      const AssemblyTree& assembly,
-                                     const ParallelFactorOptions& options = {});
+                                     const ParallelFactorOptions& options = {},
+                                     NumericWorkspace* storage = nullptr);
 
 /// Convenience overload matching the "matrix, tree, budget, workers" call
 /// shape of the bench and tests.

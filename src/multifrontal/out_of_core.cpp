@@ -1,6 +1,7 @@
 #include "multifrontal/out_of_core.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/check.hpp"
 
@@ -8,7 +9,8 @@ namespace treemem {
 
 OutOfCoreRunResult multifrontal_cholesky_out_of_core(
     const SymmetricMatrix& matrix, const AssemblyTree& assembly,
-    const IoSchedule& schedule, Weight budget_entries, const DiskModel& disk) {
+    const IoSchedule& schedule, Weight budget_entries, const DiskModel& disk,
+    NumericWorkspace* storage) {
   const Tree& tree = assembly.tree;
   TM_CHECK(assembly.columns == matrix.size(), "matrix/assembly size mismatch");
 
@@ -28,8 +30,8 @@ OutOfCoreRunResult multifrontal_cholesky_out_of_core(
   // a block the plan writes leaves the in-core pool right after it is
   // produced and re-enters it just before its parent's front is allocated —
   // matching the checker, where the read-back precedes MemReq(i).
-  FrontalEngine engine(matrix, assembly, {.workers = 1});
-  FrontWorkspace ws = engine.make_workspace();
+  FrontalEngine engine(matrix, assembly, {.workers = 1}, storage);
+  FrontWorkspace ws = engine.acquire_workspace();
   auto block_entries = [&fronts = *assembly.fronts](NodeId s) {
     const auto rows = static_cast<Weight>(fronts.update_rows(s).size());
     return rows * rows;
@@ -58,6 +60,8 @@ OutOfCoreRunResult multifrontal_cholesky_out_of_core(
       result.estimated_io_s += disk.transfer_s(block_entries(s));
     }
   }
+
+  engine.release_workspace(std::move(ws));
 
   TM_ASSERT(engine.live_entries() == 0 && disk_entries == 0,
             "out-of-core run leaked " << engine.live_entries() << " entries");

@@ -40,10 +40,11 @@ struct OutOfCoreRunResult {
 /// against `budget_entries` of in-core memory. Throws if the schedule is
 /// structurally invalid; TM_ASSERTs that the measured in-core peak respects
 /// the budget (guaranteed when the plan was feasible for the same tree,
-/// since real fronts never exceed the model's padded fronts).
+/// since real fronts never exceed the model's padded fronts). The run
+/// borrows `storage` (nullptr = a fresh workspace for this run only).
 OutOfCoreRunResult multifrontal_cholesky_out_of_core(
     const SymmetricMatrix& matrix, const AssemblyTree& assembly,
     const IoSchedule& schedule, Weight budget_entries,
-    const DiskModel& disk = {});
+    const DiskModel& disk = {}, NumericWorkspace* storage = nullptr);
 
 }  // namespace treemem

@@ -143,7 +143,7 @@ Solver& Solver::analyze(const SparsePattern& pattern,
   postorder_cache_.reset();
   liu_cache_.reset();
   minmem_cache_.reset();
-  factor_.reset();
+  drop_factor();
   phase_ = Phase::kAnalyzed;
   last_run_ = {};
   totals_ = {};
@@ -241,7 +241,7 @@ Solver& Solver::plan(const PlanOptions& options) {
                        .plan_seconds = timer.elapsed_s()};
 
   plan_ = std::move(plan_state);
-  factor_.reset();
+  drop_factor();
   phase_ = Phase::kPlanned;
   return *this;
 }
@@ -264,7 +264,7 @@ Solver& Solver::adopt(SolverSymbolic symbolic) {
   postorder_cache_.reset();
   liu_cache_.reset();
   minmem_cache_.reset();
-  factor_.reset();
+  drop_factor();
   phase_ = Phase::kPlanned;
   // The analyze and plan sections now read the adopted state; the totals
   // stay, so a pooled solver accumulates lifetime totals.
@@ -276,6 +276,14 @@ Solver& Solver::adopt(SolverSymbolic symbolic) {
 // Phase 3: factorize
 // ---------------------------------------------------------------------------
 
+void Solver::drop_factor() {
+  if (factor_) {
+    workspace_.reclaim(std::move(*factor_));
+    factor_.reset();
+    phase_ = Phase::kPlanned;
+  }
+}
+
 Solver& Solver::factorize(const SymmetricMatrix& matrix) {
   return factorize(matrix, options_.factorize);
 }
@@ -283,6 +291,9 @@ Solver& Solver::factorize(const SymmetricMatrix& matrix) {
 Solver& Solver::factorize(const SymmetricMatrix& matrix,
                           const FactorizeOptions& options) {
   require_phase(Phase::kPlanned, "factorize", "plan()");
+  // The old factor's panels become the new run's, so only one factor's
+  // panels are ever held, and a run that throws leaves the solver planned.
+  drop_factor();
   TM_CHECK(matrix.pattern().col_ptr() == analysis_->pattern.col_ptr() &&
                matrix.pattern().row_idx() == analysis_->pattern.row_idx(),
            "Solver::factorize: matrix pattern differs from the analyzed "
@@ -297,6 +308,7 @@ Solver& Solver::factorize(std::vector<double> values) {
 Solver& Solver::factorize(std::vector<double> values,
                           const FactorizeOptions& options) {
   require_phase(Phase::kPlanned, "factorize", "plan()");
+  drop_factor();
   TM_CHECK(values.size() == static_cast<std::size_t>(analysis_->pattern.nnz()),
            "Solver::factorize: " << values.size()
                                  << " values for a pattern with "
@@ -348,7 +360,8 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   // peak is the modeled one.
   if (plan_->out_of_core) {
     OutOfCoreRunResult run = multifrontal_cholesky_out_of_core(
-        permuted, analysis_->assembly, plan_->io_schedule, budget);
+        permuted, analysis_->assembly, plan_->io_schedule, budget, {},
+        &workspace_);
     return commit(std::move(run.factor),
                   {.engine = "out-of-core",
                    .admission = {},
@@ -372,7 +385,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
         .kernel = options.kernel,
         .lease_idle_workers = options.lease_idle_workers};
     ParallelFactorResult run =
-        factor_parallel(permuted, analysis_->assembly, parallel);
+        factor_parallel(permuted, analysis_->assembly, parallel, &workspace_);
     if (run.feasible) {
       return commit(std::move(run.factor),
                     {.engine = "parallel",
@@ -387,12 +400,14 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
     }
     // Greedy stall under a tight budget: the planned serial traversal is
     // guaranteed feasible, and the serial engine produces the identical
-    // factor bit for bit.
+    // factor bit for bit, in the storage the stalled run gave back.
     stall_fallback = true;
   }
 
-  MultifrontalResult run = multifrontal_cholesky(
-      permuted, analysis_->assembly, plan_->bottom_up_order, options.kernel);
+  MultifrontalResult run =
+      multifrontal_cholesky(permuted, analysis_->assembly,
+                            plan_->bottom_up_order, options.kernel,
+                            &workspace_);
   return commit(std::move(run.factor),
                 {.engine = "serial",
                  .admission = {},

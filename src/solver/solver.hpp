@@ -316,6 +316,22 @@ class Solver {
   /// called any number of times with different value sets; the symbolic
   /// state and the plan are reused, and each run's factor is bit-identical
   /// to a fresh end-to-end run on the same values.
+  ///
+  /// Failure contract: the previous factor is dropped when the call
+  /// starts, so a factorize() that throws (values not SPD, a pattern or
+  /// size mismatch, bad options) leaves the solver planned: factorized()
+  /// is false and solve() throws "call factorize() first" until a
+  /// factorize() succeeds.
+  ///
+  /// Retained memory: the solver owns one NumericWorkspace for its whole
+  /// lifetime (multifrontal/numeric.hpp). The dropped factor's panels and
+  /// the engine's front workspaces (one per lane) are kept and reused by
+  /// the next run, so a refactorization of the same structure allocates
+  /// no panel or front memory and factor().values keeps its address.
+  /// analyze(), plan() and adopt() drop the factor but keep the storage,
+  /// which stays at the largest size any run needed; between runs the
+  /// solver holds one factor's panels, plus the largest front of each
+  /// lane and an order-n row map per lane.
   Solver& factorize(const SymmetricMatrix& matrix);
   Solver& factorize(const SymmetricMatrix& matrix,
                     const FactorizeOptions& options);
@@ -365,6 +381,9 @@ class Solver {
 
   void require_phase(Phase at_least, const char* verb,
                      const char* prerequisite) const;
+  /// Hands the factor's panels to workspace_ and drops the factor; a
+  /// factorized solver becomes planned.
+  void drop_factor();
   SymmetricMatrix permute_values(const std::vector<double>& values) const;
   Solver& factorize_permuted(const SymmetricMatrix& permuted,
                              const FactorizeOptions& options);
@@ -410,8 +429,11 @@ class Solver {
   mutable std::optional<MinMemResult> minmem_cache_;
 
   // The latest factorize() product, owned here alone: nothing else holds
-  // a handle to it, and analyze(), plan() and adopt() drop it.
+  // a handle to it, and analyze(), plan(), adopt() and the next
+  // factorize() drop it, handing its panels to workspace_.
   std::optional<CholeskyFactor> factor_;
+  // Panel and front storage every engine run borrows (see factorize()).
+  NumericWorkspace workspace_;
 
   FactorizeStats last_run_;
   mutable Totals totals_;

@@ -23,7 +23,9 @@
 //   * a non-SPD matrix surfaces a clean Error through the executor's
 //     exception-propagation contract — also when the failing pivot lies in
 //     a leaf front inside a subtree task — and an undersized budget
-//     reports infeasible instead of hanging.
+//     reports infeasible instead of hanging;
+//   * a run that stalls gives the borrowed panel buffer back to its
+//     NumericWorkspace, where the next run finds it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,6 +40,7 @@
 #include "multifrontal/numeric_parallel.hpp"
 #include "multifrontal/task_tree.hpp"
 #include "parallel/executor.hpp"
+#include "parallel/worker_pool.hpp"
 #include "perf/corpus.hpp"
 #include "sparse/generators.hpp"
 #include "support/prng.hpp"
@@ -289,6 +292,42 @@ TEST(NumericParallelFailure, UndersizedBudgetReportsInfeasible) {
   EXPECT_FALSE(run.feasible);
   EXPECT_TRUE(run.factor.values.empty());
   EXPECT_TRUE(run.completion_order.empty());
+}
+
+TEST(NumericParallelFailure, StalledRunGivesThePanelsBack) {
+  // A private one-worker pool whose worker is held leaves the executor's
+  // anchor as the only lane, so the two-worker greedy schedule is one
+  // fixed sequence of decisions; at the MinMem peak it stalls here.
+  const NumericInstance inst = make_instance(
+      gen::grid2d(10, 10), 5, OrderingKind::kMinDegree, /*relax=*/1);
+  const MinMemResult minmem = in_tree_minmem_optimal(inst.assembly.tree);
+  WorkerPool pool(1);
+  WorkerLease held = pool.try_lease(1);
+  ASSERT_EQ(held.size(), 1u);
+  ParallelFactorOptions options;
+  options.workers = 2;
+  options.memory_budget = minmem.peak;
+  options.serial_witness = minmem.order;
+  options.kernel.pool = &pool;
+
+  NumericWorkspace storage;
+  MultifrontalResult first = multifrontal_cholesky(
+      inst.matrix, inst.assembly, minmem.order, {}, &storage);
+  const std::vector<double> reference = first.factor.values;
+  const double* const panels = first.factor.values.data();
+  storage.reclaim(std::move(first.factor));
+
+  const ParallelFactorResult stalled =
+      factor_parallel(inst.matrix, inst.assembly, options, &storage);
+  ASSERT_FALSE(stalled.feasible);
+  // Had the stalled run freed the panels, this buffer of the same size
+  // could take their place.
+  const std::vector<double> decoy(reference.size(), 0.0);
+  const MultifrontalResult again = multifrontal_cholesky(
+      inst.matrix, inst.assembly, minmem.order, {}, &storage);
+  EXPECT_EQ(again.factor.values.data(), panels);
+  EXPECT_EQ(again.factor.values, reference);
+  EXPECT_NE(decoy.data(), panels);
 }
 
 TEST(NumericParallelFailure, RejectsBadArguments) {

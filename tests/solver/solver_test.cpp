@@ -19,6 +19,11 @@
 //     the facade and still reproduce the in-core factor bit for bit;
 //   * the engine follows from the worker count and the plan, and a greedy
 //     stall falls back to the serial engine, reported in stall_fallback;
+//   * the numeric storage persists: on every engine a refactorization
+//     writes into the previous factor's panel buffer, never leaks its
+//     values (bit-identical to a fresh Solver, also after an adopt() of a
+//     pattern of another order and back), and a throwing factorize()
+//     leaves the solver planned with no factor;
 //   * solver_options_from_env applies TREEMEM_ORDERING / TREEMEM_TRAVERSAL
 //     / TREEMEM_BUDGET / TREEMEM_WORKERS / TREEMEM_ADMISSION strictly;
 //   * tenants sharing one cached analysis refactor concurrently, each
@@ -446,14 +451,160 @@ TEST(SolverEngine, GreedyStallFallsBackToTheSerialEngine) {
 
   // Lookahead admission on the same lane never stalls: the budget covers
   // the planned traversal, its witness.
+  // The stalled run gave its panels back to the fallback; the next run
+  // reuses them too.
+  const double* const panels = solver.factor().values.data();
   options.admission = AdmissionPolicy::kLookahead;
   solver.factorize(matrix, options);
+  EXPECT_EQ(solver.factor().values.data(), panels);
   const SolverStats lookahead = solver.stats();
   EXPECT_FALSE(lookahead.stall_fallback);
   EXPECT_EQ(lookahead.engine, "parallel");
   EXPECT_LE(lookahead.measured_peak_entries, lookahead.modeled_peak_entries);
   EXPECT_LE(lookahead.modeled_peak_entries, lookahead.memory_budget);
   EXPECT_EQ(solver.factor().values, reference.factor().values);
+}
+
+// ---------------------------------------------------------------------------
+// Numeric storage kept across refactorizations
+// ---------------------------------------------------------------------------
+
+/// One factorize() engine: the worker count and whether the plan spills.
+struct EngineCase {
+  const char* engine;
+  int workers;
+  bool out_of_core;
+};
+
+constexpr EngineCase kEngineCases[] = {{"serial", 1, false},
+                                       {"parallel", 2, false},
+                                       {"parallel", 4, false},
+                                       {"out-of-core", 1, true}};
+
+/// `pattern` analyzed under nested dissection and planned for `engine`: an
+/// out-of-core plan gets a budget halfway between the structural floor
+/// and the in-core optimum.
+Solver planned_for(const SparsePattern& pattern, const EngineCase& engine) {
+  Solver solver;
+  solver.analyze(pattern,
+                 analyze_options(OrderingChoice::kNestedDissection, 1));
+  solver.plan();
+  if (engine.out_of_core) {
+    const Tree& tree = solver.assembly().tree;
+    PlanOptions plan;
+    plan.memory_budget =
+        (std::max(tree.max_mem_req(), tree.file_size(tree.root())) +
+         solver.stats().in_core_optimum) /
+        2;
+    solver.plan(plan);
+  }
+  return solver;
+}
+
+/// The factor a fresh Solver computes for `matrix` on `engine`.
+std::vector<double> fresh_factor(const SymmetricMatrix& matrix,
+                                 const EngineCase& engine) {
+  Solver fresh = planned_for(matrix.pattern(), engine);
+  fresh.factorize(matrix, workers_options(engine.workers));
+  EXPECT_EQ(fresh.stats().engine, engine.engine);
+  return fresh.factor().values;
+}
+
+SymmetricMatrix negated(const SymmetricMatrix& spd) {
+  std::vector<double> values = spd.values();
+  for (double& v : values) {
+    v = -v;
+  }
+  return SymmetricMatrix(spd.pattern(), std::move(values));
+}
+
+TEST(SolverStorage, RefactorIsBitIdenticalToAFreshSolverAcrossPatterns) {
+  // Two orders: the second adopt() hands the retained lanes a pattern of
+  // another n, and the third hands them the first one back.
+  const SparsePattern p = symmetrize(gen::grid2d(16, 16));
+  const SparsePattern q = symmetrize(gen::grid2d(13, 13));
+  const SymmetricMatrix a = make_spd_matrix(p, 31);
+  const SymmetricMatrix b = make_spd_matrix(p, 32);
+  const SymmetricMatrix c = make_spd_matrix(q, 33);
+  for (const EngineCase& engine : kEngineCases) {
+    SCOPED_TRACE(std::string(engine.engine) + " w=" +
+                 std::to_string(engine.workers));
+    const FactorizeOptions options = workers_options(engine.workers);
+    Solver solver = planned_for(p, engine);
+    const SolverSymbolic own = solver.symbolic();
+
+    solver.factorize(a, options).factorize(b, options);
+    EXPECT_EQ(solver.stats().engine, engine.engine);
+    EXPECT_EQ(solver.factor().values, fresh_factor(b, engine));
+
+    solver.adopt(planned_for(q, engine).symbolic()).factorize(c, options);
+    EXPECT_EQ(solver.stats().engine, engine.engine);
+    EXPECT_EQ(solver.factor().values, fresh_factor(c, engine));
+
+    solver.adopt(own).factorize(a, options);
+    EXPECT_EQ(solver.factor().values, fresh_factor(a, engine));
+  }
+}
+
+TEST(SolverStorage, ThrowingFactorizeLeavesTheSolverPlanned) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(16, 16));
+  const SymmetricMatrix a = make_spd_matrix(pattern, 41);
+  const SymmetricMatrix b = make_spd_matrix(pattern, 42);
+  const std::vector<double> rhs(static_cast<std::size_t>(pattern.cols()),
+                                1.0);
+  for (const EngineCase& engine : kEngineCases) {
+    SCOPED_TRACE(std::string(engine.engine) + " w=" +
+                 std::to_string(engine.workers));
+    const FactorizeOptions options = workers_options(engine.workers);
+    Solver solver = planned_for(pattern, engine);
+    solver.factorize(a, options);
+    ASSERT_TRUE(solver.factorized());
+
+    // Not SPD: the first pivot fails, mid-run on a parallel engine.
+    EXPECT_THROW(solver.factorize(negated(a), options), Error);
+    EXPECT_FALSE(solver.factorized());
+    EXPECT_TRUE(solver.planned());
+    EXPECT_THROW(solver.factor(), Error);
+    try {
+      solver.solve(rhs);
+      ADD_FAILURE() << "solve() after a throwing factorize() must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("call factorize() first"),
+                std::string::npos)
+          << e.what();
+    }
+
+    // A rejected input drops the factor as well.
+    solver.factorize(a, options);
+    EXPECT_THROW(solver.factorize(std::vector<double>(3, 1.0), options),
+                 Error);
+    EXPECT_FALSE(solver.factorized());
+
+    solver.factorize(b, options);
+    EXPECT_EQ(solver.factor().values, fresh_factor(b, engine));
+  }
+}
+
+TEST(SolverStorage, RefactorWritesIntoThePreviousFactorsPanels) {
+  // The address stands in for "no new pages": a refactorization that
+  // allocated its panels while the old factor was still held would get a
+  // different buffer.
+  const SparsePattern pattern = symmetrize(gen::grid2d(16, 16));
+  const SymmetricMatrix a = make_spd_matrix(pattern, 51);
+  const SymmetricMatrix b = make_spd_matrix(pattern, 52);
+  for (const EngineCase& engine : kEngineCases) {
+    SCOPED_TRACE(std::string(engine.engine) + " w=" +
+                 std::to_string(engine.workers));
+    const FactorizeOptions options = workers_options(engine.workers);
+    Solver solver = planned_for(pattern, engine);
+    solver.factorize(a, options);
+    const double* const panels = solver.factor().values.data();
+    solver.factorize(b, options);
+    EXPECT_EQ(solver.factor().values.data(), panels);
+    // adopt() drops the factor but keeps the storage.
+    solver.adopt(solver.symbolic()).factorize(a, options);
+    EXPECT_EQ(solver.factor().values.data(), panels);
+  }
 }
 
 // ---------------------------------------------------------------------------
