@@ -145,6 +145,7 @@ struct PinnedOrdering {
   Index leaf_size;
   std::uint64_t nd;
   std::uint64_t rcm;  ///< 0: not pinned for this case
+  std::uint64_t md;   ///< 0: not pinned for this case
 };
 
 // The orderings are part of every analysis, so a change to them moves every
@@ -152,24 +153,36 @@ struct PinnedOrdering {
 // implementation must reproduce them. Together the cases reach every branch
 // of the dissection: median-level separators, disconnected subsets (the
 // holes), shallow connected subsets that fall back to minimum degree (the
-// block-tridiagonal with leaf size 4), and several RCM components.
+// block-tridiagonal with leaf size 4), and several RCM components. The
+// random pattern merges about 900 supervariables in minimum degree, and
+// the two large grids are big enough for nested dissection to fork frames.
 std::vector<PinnedOrdering> pinned_orderings() {
   Prng holes(7);
   Prng coupling(7);
+  Prng edges(99);
   const SparsePattern blocktri = gen::block_tridiagonal(32, 8, 0.25, coupling);
   const SparsePattern holey = gen::grid2d_with_holes(40, 40, 0.2, holes);
+  const SparsePattern random =
+      symmetrize(gen::random_symmetric(5000, 4.0, edges));
   return {
       {"grid2d 48x48", gen::grid2d(48, 48), 64, 0x777f0327cf25da23ULL,
-       0x57ab3f6de63d7073ULL},
+       0x57ab3f6de63d7073ULL, 0xf834c3c74dcaf2edULL},
       {"grid3d-27pt 10^3", gen::grid3d(10, 10, 10, true), 64,
-       0xd4fd5dc2ac44bac9ULL, 0x480501c2b6dee765ULL},
+       0xd4fd5dc2ac44bac9ULL, 0x480501c2b6dee765ULL, 0xa20c63aad1ec3049ULL},
       {"block_tridiagonal 32x8", blocktri, 64, 0x40c41076f7622883ULL,
-       0x4bad93d5f217b965ULL},
+       0x4bad93d5f217b965ULL, 0xc181227f77494783ULL},
       {"grid2d_with_holes 40x40", holey, 64, 0x661e32b954b7be47ULL,
-       0x6bd0361783fed975ULL},
+       0x6bd0361783fed975ULL, 0xc313849d87af5dbbULL},
       {"block_tridiagonal 32x8, leaf 4", blocktri, 4, 0x0bf7691d2fcf5a7bULL,
+       0, 0},
+      {"grid2d_with_holes 40x40, leaf 4", holey, 4, 0xa01f32882279a7cdULL, 0,
        0},
-      {"grid2d_with_holes 40x40, leaf 4", holey, 4, 0xa01f32882279a7cdULL, 0},
+      {"random_symmetric 5000", random, 64, 0x2e754d7f7a6711e3ULL, 0,
+       0x41a080ddc4804355ULL},
+      {"grid2d 192x192", gen::grid2d(192, 192), 64, 0xcdfa569737d13dcdULL, 0,
+       0},
+      {"grid3d-27pt 20^3", gen::grid3d(20, 20, 20, true), 64,
+       0x80f74b81dad92681ULL, 0, 0},
   };
 }
 
@@ -180,6 +193,9 @@ TEST(Orderings, PinnedPermutations) {
     EXPECT_EQ(digest(nested_dissection_order(c.pattern, options)), c.nd);
     if (c.rcm != 0) {
       EXPECT_EQ(digest(rcm_order(c.pattern)), c.rcm);
+    }
+    if (c.md != 0) {
+      EXPECT_EQ(digest(min_degree_order(c.pattern)), c.md);
     }
   }
 }
