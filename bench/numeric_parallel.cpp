@@ -135,7 +135,7 @@ int run(const std::string& trace_path) {
     solver.factorize(values, serial_options);
     const double serial_seconds = solver.stats().factorize_seconds;
     const long long serial_flops = solver.stats().flops;
-    const std::vector<double> serial_factor = solver.factor().values;
+    const PanelBuffer serial_factor = solver.factor().values;
 
     // The threaded engine's w = 1 modeled peak anchors the capped runs
     // (kernel-independent: the model sees only the assembly-tree weights).

@@ -42,10 +42,10 @@ FrontalEngine::FrontalEngine(const SymmetricMatrix& matrix,
            "assembly tree carries no front structure (build it with "
            "build_assembly_tree, not amalgamate)");
 
-  // Borrow the panel buffer. Its old entries stay: every panel entry is
-  // written before a complete run returns its factor. Growing past the
-  // capacity drops the old contents first, so the reallocation copies
-  // nothing.
+  // Borrow the panel buffer. Its old entries stay and new ones are left
+  // unwritten (PanelBuffer): every panel entry is written before a complete
+  // run returns its factor. Growing past the capacity drops the old
+  // contents first, so the reallocation copies nothing.
   factor_.fronts = assembly.fronts;
   factor_.values = std::move(storage_->panels_);
   const auto entries = static_cast<std::size_t>(fronts_->panel_entries());

@@ -66,6 +66,7 @@
 #include <atomic>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -82,6 +83,33 @@ namespace treemem {
 // (so the Matrix Market reader can produce real-valued matrices); the
 // include above keeps every existing consumer of this header working.
 
+/// An allocator whose value construction default-initializes: resizing a
+/// vector of doubles leaves the new entries unwritten, so a fresh buffer
+/// costs no fill pass (and no page faults until the entries are written).
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// The factor's panel storage: every entry is written by the run that
+/// produces the factor, so growing it writes nothing.
+using PanelBuffer = std::vector<double, DefaultInitAllocator<double>>;
+
 /// The supernodal Cholesky factor L: the front structure it was computed
 /// on, shared with the analysis, and one dense panel per supernode. Panel s
 /// starts at values[fronts->value_ptr[s]] and holds η columns over the
@@ -96,7 +124,7 @@ namespace treemem {
 /// the factor is dropped.
 struct CholeskyFactor {
   std::shared_ptr<const FrontStructure> fronts;
-  std::vector<double> values;
+  PanelBuffer values;
 
   /// Order n of the factored matrix.
   Index size() const { return static_cast<Index>(fronts->member_cols.size()); }
@@ -157,7 +185,8 @@ class FrontWorkspace {
 ///     gives it back when its engine is destroyed.
 ///   * a lane is checked out for the run and checked back in after it,
 ///     unless a process_front on it threw.
-/// Reused panels are not cleared: a complete run writes every panel entry.
+/// Panels are never cleared, fresh or reused: a complete run writes every
+/// panel entry.
 /// The storage keeps the largest size it has served (it never shrinks).
 /// One run at a time: an engine's checkouts are not synchronized.
 class NumericWorkspace {
@@ -167,7 +196,7 @@ class NumericWorkspace {
 
  private:
   friend class FrontalEngine;
-  std::vector<double> panels_;
+  PanelBuffer panels_;
   std::vector<FrontWorkspace> lanes_;
 };
 

@@ -1,8 +1,14 @@
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <optional>
 
+#include "order/min_degree_workspace.hpp"
 #include "order/ordering.hpp"
+#include "parallel/worker_pool.hpp"
+#include "support/parallel_for.hpp"
 
 namespace treemem {
 
@@ -43,6 +49,7 @@ class VisitMarks {
     }
   }
   void mark(Index v) { stamp_[static_cast<std::size_t>(v)] = epoch_; }
+  void unmark(Index v) { stamp_[static_cast<std::size_t>(v)] = 0; }
   bool marked(Index v) const {
     return stamp_[static_cast<std::size_t>(v)] == epoch_;
   }
@@ -175,143 +182,267 @@ std::vector<Index> rcm_order(const SparsePattern& a) {
   return order;
 }
 
-std::vector<Index> nested_dissection_order(
-    const SparsePattern& a, const NestedDissectionOptions& options) {
-  TM_CHECK(a.is_square(), "nested_dissection_order: pattern must be square");
-  TM_CHECK(options.leaf_size >= 1, "nested_dissection_order: bad leaf size");
-  const Index n = a.cols();
-  std::vector<Index> perm;
-  perm.reserve(static_cast<std::size_t>(n));
+namespace {
 
-  // Explicit recursion: each frame owns a vertex subset. Separator vertices
-  // are emitted after both halves, giving elimination order part,part,sep.
-  struct Frame {
-    std::vector<Index> vertices;
-    std::vector<Index> separator;  // emitted when the frame finishes
-    bool expanded = false;
-  };
-  std::vector<Frame> stack;
+/// One frame of the dissection: a vertex subset and the range of perm it
+/// fills, [offset, offset + vertices.size()).
+struct Frame {
+  std::vector<Index> vertices;
+  std::size_t offset = 0;
+};
 
-  // Seed one frame per connected component-ish region: just one frame with
-  // all vertices; BFS inside handles disconnection.
-  {
-    Frame top;
-    top.vertices.resize(static_cast<std::size_t>(n));
-    std::iota(top.vertices.begin(), top.vertices.end(), Index{0});
-    stack.push_back(std::move(top));
+/// One participant's scratch: each frame touches only its own vertices,
+/// so a participant reuses it across all the frames it runs.
+struct DissectionScratch {
+  explicit DissectionScratch(Index n)
+      : in_frame(n), bfs(n), local_of(static_cast<std::size_t>(n), -1) {}
+
+  VisitMarks in_frame;  // the current frame's subset (the BFS region)
+  LevelBfs bfs;
+  std::vector<Index> local_of;  // leaf-local ids, -1 outside the leaf
+  MinDegreeWorkspace leaf;
+};
+
+/// The recursion of nested dissection over one pattern. A frame's output
+/// range follows from its subset sizes alone: the `above` half fills the
+/// front of the range, the `below` half the next |below| slots and the
+/// separator the end. So frames are independent, may run in any order on
+/// any thread, and the permutation does not depend on either.
+class Dissection {
+ public:
+  Dissection(const SparsePattern& a, Index leaf_size, std::vector<Index>& perm)
+      : a_(a), leaf_size_(leaf_size), perm_(perm) {}
+
+  /// Orders `frame` and its whole subtree.
+  void order_subtree(Frame frame, DissectionScratch& scratch) const {
+    std::vector<Frame> stack;
+    stack.push_back(std::move(frame));
+    while (!stack.empty()) {
+      Frame top = std::move(stack.back());
+      stack.pop_back();
+      split(std::move(top), scratch, stack);
+    }
   }
 
-  // Scratch shared by all frames; each frame touches only its own vertices.
-  VisitMarks in_frame(n);  // the current frame's subset (the BFS region)
-  const auto in_region = [&](Index v) { return in_frame.marked(v); };
-  LevelBfs bfs(n);
-  std::vector<Index> local_of(static_cast<std::size_t>(n), -1);
-
-  // Appends `vertices` in the minimum-degree order of their induced
-  // subgraph (the leaf ordering, for quality).
-  const auto append_min_degree = [&](const std::vector<Index>& vertices) {
-    for (std::size_t k = 0; k < vertices.size(); ++k) {
-      local_of[static_cast<std::size_t>(vertices[k])] = static_cast<Index>(k);
+  /// Orders a leaf frame, or writes the frame's separator and appends its
+  /// halves to `children`.
+  ///
+  /// A disconnected frame peels off the component of its first vertex as
+  /// the `below` half, with the rest as the `above` half and no separator.
+  /// The rest's components are components of the frame, so peeling them
+  /// one after another from the same frame, each taking the end of what
+  /// is left of the range, gives the frames that splitting the `above`
+  /// halves one at a time would, in one pass over the frame.
+  void split(Frame frame, DissectionScratch& scratch,
+             std::vector<Frame>& children) const {
+    std::vector<Index>& vertices = frame.vertices;
+    if (vertices.empty()) {
+      return;
     }
-    std::vector<std::pair<Index, Index>> entries;
+    VisitMarks& rest = scratch.in_frame;  // the BFS region: not peeled off
+    rest.clear();
     for (const Index v : vertices) {
-      const Index lv = local_of[static_cast<std::size_t>(v)];
-      entries.emplace_back(lv, lv);
-      for (const Index w : a.column(v)) {
-        const Index lw = local_of[static_cast<std::size_t>(w)];
-        if (lw >= 0) {
-          entries.emplace_back(lw, lv);
-        }
+      rest.mark(v);
+    }
+    std::size_t rest_size = vertices.size();  // fills [offset, +rest_size)
+    std::size_t first = 0;  // no vertex of the rest precedes vertices[first]
+    LevelBfs& bfs = scratch.bfs;
+    while (true) {
+      if (static_cast<Index>(rest_size) <= leaf_size_) {
+        order_rest(frame, scratch);
+        return;
       }
-    }
-    for (const Index v : vertices) {
-      local_of[static_cast<std::size_t>(v)] = -1;
-    }
-    const auto size = static_cast<Index>(vertices.size());
-    const SparsePattern sub =
-        SparsePattern::from_coo(size, size, std::move(entries));
-    for (const Index lk : min_degree_order(sub)) {
-      perm.push_back(vertices[static_cast<std::size_t>(lk)]);
-    }
-  };
-
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.expanded) {
-      // Children done; emit the separator (min-degree order within it would
-      // need a quotient graph — natural order is standard for level-set ND).
-      perm.insert(perm.end(), frame.separator.begin(), frame.separator.end());
-      stack.pop_back();
-      continue;
-    }
-    frame.expanded = true;
-
-    if (frame.vertices.empty()) {
-      stack.pop_back();
-      continue;
-    }
-    if (static_cast<Index>(frame.vertices.size()) <= options.leaf_size) {
-      const std::vector<Index> vertices = std::move(frame.vertices);
-      stack.pop_back();
-      append_min_degree(vertices);
-      continue;
+      // Find a separator: BFS level structure from a pseudo-peripheral
+      // vertex of the (largest piece of the) subset, cut at the median
+      // level.
+      while (!rest.marked(vertices[first])) {
+        ++first;
+      }
+      bfs.pseudo_peripheral(a_, vertices[first],
+                            [&](Index v) { return rest.marked(v); });
+      const std::vector<Index>& reached = bfs.vertices();
+      if (reached.size() == rest_size) {
+        break;
+      }
+      rest_size -= reached.size();
+      for (const Index v : reached) {
+        rest.unmark(v);
+      }
+      children.push_back({reached, frame.offset + rest_size});
     }
 
-    // Find a separator: BFS level structure from a pseudo-peripheral vertex
-    // of the (largest piece of the) subset, cut at the median level.
-    in_frame.clear();
-    for (const Index v : frame.vertices) {
-      in_frame.mark(v);
-    }
-    bfs.pseudo_peripheral(a, frame.vertices.front(), in_region);
     const std::vector<Index>& reached = bfs.vertices();
     const std::vector<std::size_t>& level_ptr = bfs.level_ptr();
     const std::size_t levels = bfs.levels();
-
-    std::vector<Index> separator;
-    std::vector<Index> below;
-    std::vector<Index> above;
-    if (reached.size() < frame.vertices.size()) {
-      // Disconnected subset: peel the reached piece off as "below", the
-      // rest as "above", no separator.
-      below = reached;
-      for (const Index v : frame.vertices) {
-        if (!bfs.reached(v)) {
-          above.push_back(v);
-        }
-      }
-    } else if (levels <= 2) {
+    if (levels <= 2) {
       // Connected but shallow: fall back to min-degree on the whole subset
       // by shrinking the leaf threshold locally.
-      const std::vector<Index> vertices = std::move(frame.vertices);
-      stack.pop_back();
-      append_min_degree(vertices);
-      continue;
-    } else {
-      // Median level becomes the separator.
-      std::size_t mid = 1;
-      const std::size_t half = reached.size() / 2;
-      while (mid + 1 < levels && level_ptr[mid + 1] < half) {
-        ++mid;
-      }
-      const auto level_begin = [&](std::size_t l) {
-        return reached.begin() + static_cast<std::ptrdiff_t>(level_ptr[l]);
-      };
-      below.assign(reached.begin(), level_begin(mid));
-      separator.assign(level_begin(mid), level_begin(mid + 1));
-      above.assign(level_begin(mid + 1), reached.end());
+      order_rest(frame, scratch);
+      return;
     }
-
-    frame.separator = std::move(separator);
-    // Push halves; they complete before the separator is emitted.
-    Frame lo;
-    lo.vertices = std::move(below);
-    Frame hi;
-    hi.vertices = std::move(above);
-    stack.push_back(std::move(lo));
-    stack.push_back(std::move(hi));
+    // Median level becomes the separator (natural order within it: a
+    // min-degree order there would need a quotient graph).
+    std::size_t mid = 1;
+    const std::size_t half = reached.size() / 2;
+    while (mid + 1 < levels && level_ptr[mid + 1] < half) {
+      ++mid;
+    }
+    const auto level_begin = [&](std::size_t l) {
+      return reached.begin() + static_cast<std::ptrdiff_t>(level_ptr[l]);
+    };
+    Frame below{{reached.begin(), level_begin(mid)}, 0};
+    Frame above{{level_begin(mid + 1), reached.end()}, frame.offset};
+    below.offset = frame.offset + above.vertices.size();
+    // Elimination order above, below, separator.
+    std::copy(level_begin(mid), level_begin(mid + 1),
+              perm_.begin() + static_cast<std::ptrdiff_t>(
+                                  below.offset + below.vertices.size()));
+    children.push_back(std::move(below));
+    children.push_back(std::move(above));
   }
 
+ private:
+  /// Writes the vertices of `frame` not peeled off (the marked ones), in
+  /// the minimum-degree order of their induced subgraph (the leaf
+  /// ordering, for quality), at the front of the frame's range.
+  void order_rest(Frame& frame, DissectionScratch& scratch) const {
+    std::vector<Index>& vertices = frame.vertices;
+    std::erase_if(vertices,
+                  [&](Index v) { return !scratch.in_frame.marked(v); });
+    std::vector<Index>& local_of = scratch.local_of;
+    for (std::size_t k = 0; k < vertices.size(); ++k) {
+      local_of[static_cast<std::size_t>(vertices[k])] = static_cast<Index>(k);
+    }
+    Index* const out = perm_.data() + frame.offset;
+    scratch.leaf.order(
+        static_cast<Index>(vertices.size()),
+        [&](Index k, const auto& add) {
+          const Index v = vertices[static_cast<std::size_t>(k)];
+          for (const Index w : a_.column(v)) {
+            const Index lw = local_of[static_cast<std::size_t>(w)];
+            if (lw >= 0 && w != v) {
+              add(lw);
+            }
+          }
+        },
+        out);
+    for (const Index v : vertices) {
+      local_of[static_cast<std::size_t>(v)] = -1;
+    }
+    for (std::size_t k = 0; k < vertices.size(); ++k) {
+      out[k] = vertices[static_cast<std::size_t>(out[k])];
+    }
+  }
+
+  const SparsePattern& a_;
+  Index leaf_size_;
+  std::vector<Index>& perm_;
+};
+
+/// Frames of at most this many vertices run with their whole subtree on
+/// the participant that takes them; larger ones are split and their halves
+/// shared. Measured on the 384² grid at w = 4 (4-core AVX2 Xeon).
+constexpr std::size_t kInlineFrame = 1024;
+
+/// Runs the dissection on `width` participants sharing a queue of frames,
+/// largest first. A participant splits a frame above kInlineFrame and
+/// queues its halves, or orders a smaller one's whole subtree. While the
+/// queue is empty but a split is under way, idle participants wait for its
+/// halves; when both are empty and none is, every frame has been taken.
+void dissect_in_parallel(const Dissection& dissection, Frame root, Index n,
+                         unsigned width) {
+  struct Shared {
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::vector<Frame> queue;  // a max-heap on the frame size
+    int splitting = 0;
+    bool failed = false;
+  } shared;
+  const auto smaller = [](const Frame& x, const Frame& y) {
+    return x.vertices.size() < y.vertices.size();
+  };
+  shared.queue.push_back(std::move(root));
+
+  parallel_for(
+      width,
+      [&](std::size_t) {
+        std::optional<DissectionScratch> scratch;
+        std::vector<Frame> children;
+        while (true) {
+          Frame frame;
+          {
+            std::unique_lock<std::mutex> lock(shared.mutex);
+            shared.changed.wait(lock, [&] {
+              return shared.failed || !shared.queue.empty() ||
+                     shared.splitting == 0;
+            });
+            if (shared.failed || shared.queue.empty()) {
+              return;
+            }
+            std::pop_heap(shared.queue.begin(), shared.queue.end(), smaller);
+            frame = std::move(shared.queue.back());
+            shared.queue.pop_back();
+            if (frame.vertices.size() > kInlineFrame) {
+              ++shared.splitting;
+            }
+          }
+          try {
+            if (!scratch) {
+              scratch.emplace(n);
+            }
+            if (frame.vertices.size() <= kInlineFrame) {
+              dissection.order_subtree(std::move(frame), *scratch);
+              continue;
+            }
+            children.clear();
+            dissection.split(std::move(frame), *scratch, children);
+          } catch (...) {
+            {
+              std::lock_guard<std::mutex> lock(shared.mutex);
+              shared.failed = true;
+            }
+            shared.changed.notify_all();
+            throw;
+          }
+          {
+            std::lock_guard<std::mutex> lock(shared.mutex);
+            for (Frame& child : children) {
+              shared.queue.push_back(std::move(child));
+              std::push_heap(shared.queue.begin(), shared.queue.end(),
+                             smaller);
+            }
+            --shared.splitting;
+          }
+          shared.changed.notify_all();
+        }
+      },
+      width);
+}
+
+}  // namespace
+
+std::vector<Index> nested_dissection_order(
+    const SparsePattern& a, const NestedDissectionOptions& options,
+    unsigned workers) {
+  TM_CHECK(a.is_square(), "nested_dissection_order: pattern must be square");
+  TM_CHECK(a.is_symmetric(),
+           "nested_dissection_order: pattern must be symmetric");
+  TM_CHECK(options.leaf_size >= 1, "nested_dissection_order: bad leaf size");
+  const Index n = a.cols();
+  std::vector<Index> perm(static_cast<std::size_t>(n));
+  const Dissection dissection(a, options.leaf_size, perm);
+  Frame root;
+  root.vertices.resize(static_cast<std::size_t>(n));
+  std::iota(root.vertices.begin(), root.vertices.end(), Index{0});
+
+  const unsigned width =
+      workers == 0 ? WorkerPool::instance().size() : workers;
+  if (width <= 1 || root.vertices.size() <= kInlineFrame) {
+    DissectionScratch scratch(n);
+    dissection.order_subtree(std::move(root), scratch);
+  } else {
+    dissect_in_parallel(dissection, std::move(root), n, width);
+  }
   check_permutation(perm, n);
   return perm;
 }

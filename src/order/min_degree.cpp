@@ -3,362 +3,384 @@
 // The quotient graph represents the partially eliminated matrix implicitly:
 // eliminated pivots become *elements* whose variable lists stand for the
 // cliques their elimination created. Each surviving (super)variable i keeps
-//   * adj_var[i]  — adjacent supervariables via original entries,
-//   * adj_elem[i] — adjacent elements,
-// and the fill neighbourhood of i is adj_var[i] ∪ ⋃_{e∈adj_elem[i]} vars(e).
+// its adjacent elements and its adjacent supervariables via original
+// entries, and the fill neighbourhood of i is its variables ∪ ⋃ vars(e)
+// over its elements e.
 //
 // Per pivot p: form the new element L_p, absorb the elements adjacent to p,
-// prune covered variable-variable edges, update degrees (either AMD's
-// approximate external degree, computed with the one-pass |L_e \ L_p|
-// trick, or the exact degree for validation), and merge indistinguishable
-// supervariables found by adjacency hashing. Ties break toward the smaller
-// vertex id, making the ordering deterministic.
+// prune covered variable-variable edges, update AMD's approximate external
+// degrees (computed with the one-pass |L_e \ L_p| trick), and merge
+// indistinguishable supervariables found by adjacency hashing. Ties break
+// toward the smaller vertex id, making the ordering deterministic. The
+// storage is one flat index array (min_degree_workspace.hpp).
+#include "order/min_degree_workspace.hpp"
+
 #include <algorithm>
-#include <queue>
+#include <functional>
+#include <limits>
 
 #include "order/ordering.hpp"
 
 namespace treemem {
+
 namespace {
 using Weight = std::int64_t;
 }  // namespace
-}  // namespace treemem
 
-namespace treemem {
+void MinDegreeWorkspace::begin(Index n) {
+  n_ = n;
+  const auto size = static_cast<std::size_t>(n);
+  iw_.clear();
+  if (pe_.size() < size) {
+    pe_.resize(size);
+    len_.resize(size);
+    elen_.resize(size);
+    nv_.resize(size);
+    degree_.resize(size);
+    state_.resize(size);
+    next_member_.resize(size);
+    last_member_.resize(size);
+    mark_.resize(size, 0);
+    external_.resize(size);
+    external_mark_.resize(size, 0);
+  }
+}
 
-namespace {
+Index MinDegreeWorkspace::next_stamp() {
+  if (stamp_ == std::numeric_limits<Index>::max()) {
+    // Stale stamps could alias the wrapped epoch: clear them.
+    std::fill(mark_.begin(), mark_.end(), 0);
+    std::fill(external_mark_.begin(), external_mark_.end(), 0);
+    stamp_ = 0;
+  }
+  return ++stamp_;
+}
 
-class MinDegreeSolver {
- public:
-  MinDegreeSolver(const SparsePattern& a, const MinDegreeOptions& options)
-      : n_(a.cols()), options_(options) {
-    adj_var_.resize(static_cast<std::size_t>(n_));
-    adj_elem_.resize(static_cast<std::size_t>(n_));
-    elem_vars_.resize(static_cast<std::size_t>(n_));
-    weight_.assign(static_cast<std::size_t>(n_), 1);
-    degree_.assign(static_cast<std::size_t>(n_), 0);
-    state_.assign(static_cast<std::size_t>(n_), State::kAlive);
-    members_.resize(static_cast<std::size_t>(n_));
-    mark_.assign(static_cast<std::size_t>(n_), 0);
-    scratch_weight_.assign(static_cast<std::size_t>(n_), -1);
+void MinDegreeWorkspace::run(Index* perm) {
+  // Elbow room of at least n slots: the live lists never outgrow the
+  // original adjacency, so after a compaction any L_p (≤ n entries) fits.
+  const auto used = static_cast<std::int64_t>(iw_.size());
+  iw_.resize(static_cast<std::size_t>(used + used / 5 + n_ + 1));
+  pfree_ = used;
+  heap_.clear();
+  for (Index v = 0; v < n_; ++v) {
+    const auto k = static_cast<std::size_t>(v);
+    elen_[k] = 0;
+    nv_[k] = 1;
+    degree_[k] = len_[k];
+    state_[k] = State::kAlive;
+    next_member_[k] = -1;
+    last_member_[k] = v;
+    heap_.emplace_back(len_[k], v);
+  }
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
 
-    for (Index j = 0; j < n_; ++j) {
-      members_[static_cast<std::size_t>(j)] = {j};
-      auto& adj = adj_var_[static_cast<std::size_t>(j)];
-      for (const Index r : a.column(j)) {
-        if (r != j) {
-          adj.push_back(r);
-        }
+  perm_ = perm;
+  emitted_ = 0;
+  Index eliminated = 0;
+  while (eliminated < n_) {
+    const Index p = pop_min_degree();
+    eliminate(p);
+    eliminated += nv_[static_cast<std::size_t>(p)];
+  }
+  perm_ = nullptr;
+}
+
+Index MinDegreeWorkspace::pop_min_degree() {
+  // Lazy deletion: an entry is current iff its vertex is alive with that
+  // degree, and every alive vertex has its current entry in the heap.
+  while (true) {
+    TM_ASSERT(!heap_.empty(), "min-degree heap exhausted early");
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const auto [deg, v] = heap_.back();
+    heap_.pop_back();
+    const auto k = static_cast<std::size_t>(v);
+    if (state_[k] == State::kAlive && degree_[k] == deg) {
+      return v;
+    }
+  }
+}
+
+void MinDegreeWorkspace::eliminate(Index p) {
+  const auto sp = static_cast<std::size_t>(p);
+  // Emit all original columns merged into supervariable p.
+  for (Index v = p; v != -1; v = next_member_[static_cast<std::size_t>(v)]) {
+    perm_[emitted_++] = v;
+  }
+
+  // L_p is appended at pfree_; make room for its largest possible size.
+  std::int64_t bound = len_[sp] - elen_[sp];
+  for (std::int64_t r = pe_[sp]; r < pe_[sp] + elen_[sp]; ++r) {
+    const auto e = static_cast<std::size_t>(iw_[static_cast<std::size_t>(r)]);
+    if (state_[e] == State::kElement) {
+      bound += len_[e];
+    }
+  }
+  if (pfree_ + std::min<std::int64_t>(bound, n_) >
+      static_cast<std::int64_t>(iw_.size())) {
+    compact();
+  }
+
+  // L_p: the alive variables adjacent to p directly or through an element.
+  const Index in_lp = next_stamp();
+  mark_[sp] = in_lp;
+  const std::int64_t lp_begin = pfree_;
+  Weight lp_weight = 0;
+  const auto visit = [&](Index v) {
+    const auto k = static_cast<std::size_t>(v);
+    if (state_[k] == State::kAlive && mark_[k] != in_lp) {
+      mark_[k] = in_lp;
+      iw_[static_cast<std::size_t>(pfree_++)] = v;
+      lp_weight += nv_[k];
+    }
+  };
+  const std::int64_t p_begin = pe_[sp];
+  const std::int64_t p_elems_end = p_begin + elen_[sp];
+  for (std::int64_t r = p_elems_end; r < p_begin + len_[sp]; ++r) {
+    visit(iw_[static_cast<std::size_t>(r)]);
+  }
+  for (std::int64_t r = p_begin; r < p_elems_end; ++r) {
+    const auto e = static_cast<std::size_t>(iw_[static_cast<std::size_t>(r)]);
+    if (state_[e] == State::kElement) {
+      for (std::int64_t q = pe_[e]; q < pe_[e] + len_[e]; ++q) {
+        visit(iw_[static_cast<std::size_t>(q)]);
       }
-      degree_[static_cast<std::size_t>(j)] =
-          static_cast<Index>(adj.size());
-      heap_.push({degree_[static_cast<std::size_t>(j)], j});
+    }
+  }
+  const std::int64_t lp_end = pfree_;
+
+  // Absorb the elements adjacent to p: their cliques are subsets of L_p.
+  for (std::int64_t r = p_begin; r < p_elems_end; ++r) {
+    const auto e = static_cast<std::size_t>(iw_[static_cast<std::size_t>(r)]);
+    if (state_[e] == State::kElement) {
+      state_[e] = State::kDead;
+      len_[e] = 0;
     }
   }
 
-  std::vector<Index> solve() {
-    std::vector<Index> perm;
-    perm.reserve(static_cast<std::size_t>(n_));
-    Index eliminated = 0;
-    while (eliminated < n_) {
-      const Index p = pop_min_degree();
-      eliminate(p, perm);
-      eliminated += weight_[static_cast<std::size_t>(p)];
-    }
-    check_permutation(perm, n_);
-    return perm;
-  }
+  // p becomes an element.
+  state_[sp] = State::kElement;
+  pe_[sp] = lp_begin;
+  len_[sp] = static_cast<Index>(lp_end - lp_begin);
+  elen_[sp] = 0;
 
- private:
-  enum class State : char { kAlive, kElement, kMerged, kDead };
-
-  Index pop_min_degree() {
-    while (true) {
-      TM_ASSERT(!heap_.empty(), "min-degree heap exhausted early");
-      const auto [deg, v] = heap_.top();
-      heap_.pop();
-      if (state_[static_cast<std::size_t>(v)] == State::kAlive &&
-          degree_[static_cast<std::size_t>(v)] == deg) {
-        return v;
+  // One-pass |L_e \ L_p| computation (Amestoy–Davis–Duff): initialize
+  // w[e] = |L_e| and subtract the weights of members also in L_p.
+  const Index pivot = next_stamp();
+  for (std::int64_t r = lp_begin; r < lp_end; ++r) {
+    const auto i = static_cast<std::size_t>(iw_[static_cast<std::size_t>(r)]);
+    for (std::int64_t q = pe_[i]; q < pe_[i] + elen_[i]; ++q) {
+      const auto e = static_cast<std::size_t>(iw_[static_cast<std::size_t>(q)]);
+      if (state_[e] != State::kElement) {
+        continue;
       }
-    }
-  }
-
-  /// Current fill neighbourhood of p (supervariables, excluding p),
-  /// using the marker array; also purges dead entries from p's lists.
-  std::vector<Index> neighbourhood(Index p) {
-    ++stamp_;
-    mark_[static_cast<std::size_t>(p)] = stamp_;
-    std::vector<Index> out;
-    auto visit = [&](Index v) {
-      if (state_[static_cast<std::size_t>(v)] == State::kAlive &&
-          mark_[static_cast<std::size_t>(v)] != stamp_) {
-        mark_[static_cast<std::size_t>(v)] = stamp_;
-        out.push_back(v);
-      }
-    };
-    for (const Index v : adj_var_[static_cast<std::size_t>(p)]) {
-      visit(v);
-    }
-    for (const Index e : adj_elem_[static_cast<std::size_t>(p)]) {
-      if (state_[static_cast<std::size_t>(e)] == State::kElement) {
-        for (const Index v : elem_vars_[static_cast<std::size_t>(e)]) {
-          visit(v);
-        }
-      }
-    }
-    return out;
-  }
-
-  void eliminate(Index p, std::vector<Index>& perm) {
-    // Emit all original columns merged into supervariable p.
-    for (const Index original : members_[static_cast<std::size_t>(p)]) {
-      perm.push_back(original);
-    }
-
-    std::vector<Index> lp = neighbourhood(p);
-
-    // Absorb the elements adjacent to p: their cliques are subsets of L_p.
-    std::vector<Index> absorbed;
-    for (const Index e : adj_elem_[static_cast<std::size_t>(p)]) {
-      if (state_[static_cast<std::size_t>(e)] == State::kElement) {
-        state_[static_cast<std::size_t>(e)] = State::kDead;
-        absorbed.push_back(e);
-        elem_vars_[static_cast<std::size_t>(e)].clear();
-        elem_vars_[static_cast<std::size_t>(e)].shrink_to_fit();
-      }
-    }
-
-    // p becomes an element.
-    state_[static_cast<std::size_t>(p)] = State::kElement;
-    elem_vars_[static_cast<std::size_t>(p)] = lp;
-    adj_var_[static_cast<std::size_t>(p)].clear();
-    adj_var_[static_cast<std::size_t>(p)].shrink_to_fit();
-    adj_elem_[static_cast<std::size_t>(p)].clear();
-    adj_elem_[static_cast<std::size_t>(p)].shrink_to_fit();
-
-    // Weight of L_p (sum of supervariable sizes), for degree updates.
-    Weight lp_weight = 0;
-    for (const Index i : lp) {
-      lp_weight += weight_[static_cast<std::size_t>(i)];
-    }
-
-    // One-pass |L_e \ L_p| computation (Amestoy–Davis–Duff): initialize
-    // w[e] = |L_e| and subtract the weights of members also in L_p.
-    std::vector<Index> touched_elems;
-    if (options_.approximate_degree) {
-      for (const Index i : lp) {
-        for (const Index e : adj_elem_[static_cast<std::size_t>(i)]) {
-          if (state_[static_cast<std::size_t>(e)] != State::kElement) {
-            continue;
-          }
-          if (scratch_weight_[static_cast<std::size_t>(e)] < 0) {
-            Weight total = 0;
-            for (const Index v : elem_vars_[static_cast<std::size_t>(e)]) {
-              if (state_[static_cast<std::size_t>(v)] == State::kAlive) {
-                total += weight_[static_cast<std::size_t>(v)];
-              }
-            }
-            scratch_weight_[static_cast<std::size_t>(e)] = total;
-            touched_elems.push_back(e);
-          }
-          scratch_weight_[static_cast<std::size_t>(e)] -=
-              weight_[static_cast<std::size_t>(i)];
-        }
-      }
-    }
-
-    // Pass 1: prune the lists of every member of L_p. The stamp marks L_p
-    // membership; keep this pass free of neighbourhood() calls, which would
-    // reuse the same marker array.
-    ++stamp_;
-    for (const Index i : lp) {
-      mark_[static_cast<std::size_t>(i)] = stamp_;  // "in L_p"
-    }
-    for (const Index i : lp) {
-      auto& vars = adj_var_[static_cast<std::size_t>(i)];
-      // Drop dead/merged entries, p itself, and variable edges covered by
-      // the new element (both endpoints in L_p).
-      vars.erase(std::remove_if(vars.begin(), vars.end(),
-                                [&](Index v) {
-                                  return v == p ||
-                                         state_[static_cast<std::size_t>(v)] !=
-                                             State::kAlive ||
-                                         mark_[static_cast<std::size_t>(v)] ==
-                                             stamp_;
-                                }),
-                 vars.end());
-      auto& elems = adj_elem_[static_cast<std::size_t>(i)];
-      elems.erase(std::remove_if(elems.begin(), elems.end(),
-                                 [&](Index e) {
-                                   return state_[static_cast<std::size_t>(e)] !=
-                                          State::kElement;
-                                 }),
-                  elems.end());
-      elems.push_back(p);
-    }
-
-    // Pass 2: recompute degrees.
-    for (const Index i : lp) {
-      auto& vars = adj_var_[static_cast<std::size_t>(i)];
-      auto& elems = adj_elem_[static_cast<std::size_t>(i)];
-      if (options_.approximate_degree) {
-        // d_i ≈ |L_p \ i| + Σ_e |L_e \ L_p| + |alive adj vars|, capped by
-        // both n - eliminated and the exact-fill upper bound d_old + |L_p\i|.
-        Weight d = lp_weight - weight_[static_cast<std::size_t>(i)];
-        for (const Index v : vars) {
-          d += weight_[static_cast<std::size_t>(v)];
-        }
-        for (const Index e : elems) {
-          if (e != p && scratch_weight_[static_cast<std::size_t>(e)] > 0) {
-            d += scratch_weight_[static_cast<std::size_t>(e)];
+      if (external_mark_[e] != pivot) {
+        Weight total = 0;
+        for (std::int64_t t = pe_[e]; t < pe_[e] + len_[e]; ++t) {
+          const auto v =
+              static_cast<std::size_t>(iw_[static_cast<std::size_t>(t)]);
+          if (state_[v] == State::kAlive) {
+            total += nv_[v];
           }
         }
-        const Weight cap = degree_[static_cast<std::size_t>(i)] + lp_weight -
-                           weight_[static_cast<std::size_t>(i)];
-        d = std::min(d, cap);
-        set_degree(i, static_cast<Index>(std::min<Weight>(d, n_)));
-      } else {
-        // Exact degree: weight of the full fill neighbourhood.
-        const std::vector<Index> nb = neighbourhood(i);
-        Weight d = 0;
-        for (const Index v : nb) {
-          d += weight_[static_cast<std::size_t>(v)];
-        }
-        set_degree(i, static_cast<Index>(std::min<Weight>(d, n_)));
+        external_[e] = total;
+        external_mark_[e] = pivot;
+      }
+      external_[e] -= nv_[i];
+    }
+  }
+
+  // Pass 1: prune the list of every member of L_p in place. Its live
+  // elements stay, then p joins them; its variables lose p, the dead and
+  // merged ones, and those covered by the new element (in L_p too).
+  const Index covered = next_stamp();
+  for (std::int64_t r = lp_begin; r < lp_end; ++r) {
+    mark_[static_cast<std::size_t>(iw_[static_cast<std::size_t>(r)])] =
+        covered;
+  }
+  for (std::int64_t r = lp_begin; r < lp_end; ++r) {
+    const auto i = static_cast<std::size_t>(iw_[static_cast<std::size_t>(r)]);
+    Index* const list = iw_.data() + pe_[i];
+    Index elements = 0;
+    for (Index q = 0; q < elen_[i]; ++q) {
+      if (state_[static_cast<std::size_t>(list[q])] == State::kElement) {
+        list[elements++] = list[q];
       }
     }
-
-    for (const Index e : touched_elems) {
-      scratch_weight_[static_cast<std::size_t>(e)] = -1;
+    Index variables = 0;
+    for (Index q = elen_[i]; q < len_[i]; ++q) {
+      const auto v = static_cast<std::size_t>(list[q]);
+      if (state_[v] == State::kAlive && mark_[v] != covered) {
+        list[elements + variables++] = list[q];
+      }
     }
-
-    if (options_.supervariables) {
-      merge_indistinguishable(lp);
-    }
+    TM_ASSERT(elements + variables < len_[i],
+              "min-degree: a variable list grew (is the pattern symmetric?)");
+    list[elements + variables] = list[elements];
+    list[elements] = p;
+    elen_[i] = elements + 1;
+    len_[i] = elements + 1 + variables;
   }
 
-  void set_degree(Index v, Index d) {
-    degree_[static_cast<std::size_t>(v)] = d;
-    heap_.push({d, v});
+  // Pass 2: recompute degrees. d_i ≈ |L_p \ i| + Σ_e |L_e \ L_p| + |alive
+  // adj vars|, capped by both n and the exact-fill upper bound
+  // d_old + |L_p \ i|.
+  for (std::int64_t r = lp_begin; r < lp_end; ++r) {
+    const Index v = iw_[static_cast<std::size_t>(r)];
+    const auto i = static_cast<std::size_t>(v);
+    const Index* const list = iw_.data() + pe_[i];
+    Weight d = lp_weight - nv_[i];
+    for (Index q = elen_[i]; q < len_[i]; ++q) {
+      d += nv_[static_cast<std::size_t>(list[q])];
+    }
+    for (Index q = 0; q < elen_[i]; ++q) {
+      const auto e = static_cast<std::size_t>(list[q]);
+      if (e != sp && external_[e] > 0) {
+        d += external_[e];
+      }
+    }
+    const Weight cap = degree_[i] + lp_weight - nv_[i];
+    d = std::min(d, cap);
+    degree_[i] = static_cast<Index>(std::min<Weight>(d, n_));
+    heap_.emplace_back(degree_[i], v);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
   }
 
-  /// Detects pairs in L_p with identical quotient-graph adjacency (they are
-  /// indistinguishable and will be eliminated together) and merges them.
-  void merge_indistinguishable(const std::vector<Index>& lp) {
-    // Bucket by a cheap adjacency hash.
-    std::vector<std::pair<std::uint64_t, Index>> buckets;
-    buckets.reserve(lp.size());
-    for (const Index i : lp) {
+  merge_indistinguishable(lp_begin, lp_end);
+}
+
+void MinDegreeWorkspace::merge_indistinguishable(std::int64_t lp_begin,
+                                                 std::int64_t lp_end) {
+  // Bucket by a cheap adjacency hash. Equal adjacency implies equal hash,
+  // and pairs are compared in ascending id order within a bucket, so every
+  // class of indistinguishable variables merges into its smallest id.
+  buckets_.clear();
+  for (std::int64_t r = lp_begin; r < lp_end; ++r) {
+    const Index v = iw_[static_cast<std::size_t>(r)];
+    const auto i = static_cast<std::size_t>(v);
+    if (state_[i] != State::kAlive) {
+      continue;
+    }
+    const Index* const list = iw_.data() + pe_[i];
+    std::uint64_t h = 0;
+    for (Index q = elen_[i]; q < len_[i]; ++q) {
+      h += static_cast<std::uint64_t>(list[q]) * 0x9e3779b97f4a7c15ULL;
+    }
+    for (Index q = 0; q < elen_[i]; ++q) {
+      h += static_cast<std::uint64_t>(list[q]) * 0xbf58476d1ce4e5b9ULL;
+    }
+    buckets_.emplace_back(h, v);
+  }
+  std::sort(buckets_.begin(), buckets_.end());
+  for (std::size_t b = 0; b < buckets_.size();) {
+    std::size_t e = b + 1;
+    while (e < buckets_.size() && buckets_[e].first == buckets_[b].first) {
+      ++e;
+    }
+    // Pairwise-compare within a bucket (buckets are tiny in practice).
+    for (std::size_t x = b; x < e; ++x) {
+      const Index i = buckets_[x].second;
       if (state_[static_cast<std::size_t>(i)] != State::kAlive) {
         continue;
       }
-      std::uint64_t h = 0;
-      for (const Index v : adj_var_[static_cast<std::size_t>(i)]) {
-        h += static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ULL;
+      for (std::size_t y = x + 1; y < e; ++y) {
+        const Index j = buckets_[y].second;
+        if (state_[static_cast<std::size_t>(j)] == State::kAlive &&
+            same_adjacency(i, j)) {
+          absorb(i, j);
+        }
       }
-      for (const Index e : adj_elem_[static_cast<std::size_t>(i)]) {
-        h += static_cast<std::uint64_t>(e) * 0xbf58476d1ce4e5b9ULL;
-      }
-      buckets.emplace_back(h, i);
     }
-    std::sort(buckets.begin(), buckets.end());
-    for (std::size_t b = 0; b < buckets.size();) {
-      std::size_t e = b + 1;
-      while (e < buckets.size() && buckets[e].first == buckets[b].first) {
-        ++e;
-      }
-      // Pairwise-compare within a bucket (buckets are tiny in practice).
-      for (std::size_t x = b; x < e; ++x) {
-        const Index i = buckets[x].second;
-        if (state_[static_cast<std::size_t>(i)] != State::kAlive) {
-          continue;
-        }
-        for (std::size_t y = x + 1; y < e; ++y) {
-          const Index j = buckets[y].second;
-          if (state_[static_cast<std::size_t>(j)] != State::kAlive) {
-            continue;
-          }
-          if (same_adjacency(i, j)) {
-            absorb(i, j);
-          }
-        }
-      }
-      b = e;
+    b = e;
+  }
+}
+
+bool MinDegreeWorkspace::same_adjacency(Index i, Index j) {
+  // After pruning, both lists hold distinct live entries only (and neither
+  // holds the other, both being in L_p), so equal sets means equal lengths
+  // and every entry of j's list in i's. Element and variable ids never
+  // coincide, so one mark covers both parts.
+  const auto si = static_cast<std::size_t>(i);
+  const auto sj = static_cast<std::size_t>(j);
+  if (len_[si] != len_[sj] || elen_[si] != elen_[sj]) {
+    return false;
+  }
+  const Index seen = next_stamp();
+  const Index* const list_i = iw_.data() + pe_[si];
+  for (Index q = 0; q < len_[si]; ++q) {
+    mark_[static_cast<std::size_t>(list_i[q])] = seen;
+  }
+  const Index* const list_j = iw_.data() + pe_[sj];
+  for (Index q = 0; q < len_[sj]; ++q) {
+    if (mark_[static_cast<std::size_t>(list_j[q])] != seen) {
+      return false;
     }
   }
+  return true;
+}
 
-  bool same_adjacency(Index i, Index j) {
-    // Compare alive adjacency sets, ignoring the i-j edge itself.
-    auto canon = [&](Index v, Index other) {
-      std::vector<Index> vars;
-      for (const Index w : adj_var_[static_cast<std::size_t>(v)]) {
-        if (w != other && state_[static_cast<std::size_t>(w)] == State::kAlive) {
-          vars.push_back(w);
-        }
-      }
-      std::vector<Index> elems;
-      for (const Index e : adj_elem_[static_cast<std::size_t>(v)]) {
-        if (state_[static_cast<std::size_t>(e)] == State::kElement) {
-          elems.push_back(e);
-        }
-      }
-      std::sort(vars.begin(), vars.end());
-      vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-      std::sort(elems.begin(), elems.end());
-      elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
-      return std::make_pair(std::move(vars), std::move(elems));
-    };
-    return canon(i, j) == canon(j, i);
-  }
+void MinDegreeWorkspace::absorb(Index i, Index j) {
+  const auto si = static_cast<std::size_t>(i);
+  const auto sj = static_cast<std::size_t>(j);
+  state_[sj] = State::kMerged;
+  nv_[si] += nv_[sj];
+  next_member_[static_cast<std::size_t>(last_member_[si])] = j;
+  last_member_[si] = last_member_[sj];
+  len_[sj] = 0;
+  elen_[sj] = 0;
+}
 
-  /// Merges supervariable j into i.
-  void absorb(Index i, Index j) {
-    state_[static_cast<std::size_t>(j)] = State::kMerged;
-    weight_[static_cast<std::size_t>(i)] += weight_[static_cast<std::size_t>(j)];
-    auto& mi = members_[static_cast<std::size_t>(i)];
-    auto& mj = members_[static_cast<std::size_t>(j)];
-    mi.insert(mi.end(), mj.begin(), mj.end());
-    mj.clear();
-    mj.shrink_to_fit();
-    adj_var_[static_cast<std::size_t>(j)].clear();
-    adj_elem_[static_cast<std::size_t>(j)].clear();
-  }
-
-  Index n_;
-  MinDegreeOptions options_;
-  std::vector<std::vector<Index>> adj_var_;
-  std::vector<std::vector<Index>> adj_elem_;
-  std::vector<std::vector<Index>> elem_vars_;
-  std::vector<std::vector<Index>> members_;
-  std::vector<Weight> weight_;
-  std::vector<Index> degree_;
-  std::vector<State> state_;
-  std::vector<Index> mark_;
-  Index stamp_ = 0;
-  std::vector<Weight> scratch_weight_;
-
-  struct HeapEntry {
-    Index degree;
-    Index node;
-    bool operator>(const HeapEntry& other) const {
-      return degree != other.degree ? degree > other.degree
-                                    : node > other.node;
+void MinDegreeWorkspace::compact() {
+  // Tag the first slot of every live segment with its owner (a negative
+  // value, which no list entry is), parking the entry in pe; then one scan
+  // slides the tagged segments down over the dead space.
+  for (Index v = 0; v < n_; ++v) {
+    const auto k = static_cast<std::size_t>(v);
+    if ((state_[k] == State::kAlive || state_[k] == State::kElement) &&
+        len_[k] > 0) {
+      Index& first = iw_[static_cast<std::size_t>(pe_[k])];
+      pe_[k] = first;
+      first = -v - 1;
     }
-  };
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
-};
+  }
+  std::int64_t dst = 0;
+  for (std::int64_t q = 0; q < pfree_;) {
+    const Index tag = iw_[static_cast<std::size_t>(q)];
+    if (tag >= 0) {
+      ++q;
+      continue;
+    }
+    const auto k = static_cast<std::size_t>(-tag - 1);
+    iw_[static_cast<std::size_t>(dst)] = static_cast<Index>(pe_[k]);
+    std::copy(iw_.begin() + q + 1, iw_.begin() + q + len_[k],
+              iw_.begin() + dst + 1);
+    pe_[k] = dst;
+    dst += len_[k];
+    q += len_[k];
+  }
+  pfree_ = dst;
+}
 
-}  // namespace
-
-std::vector<Index> min_degree_order(const SparsePattern& a,
-                                    const MinDegreeOptions& options) {
+std::vector<Index> min_degree_order(const SparsePattern& a) {
   TM_CHECK(a.is_square(), "min_degree_order: pattern must be square");
+  TM_CHECK(a.is_symmetric(), "min_degree_order: pattern must be symmetric");
+  std::vector<Index> perm(static_cast<std::size_t>(a.cols()));
   if (a.cols() == 0) {
-    return {};
+    return perm;
   }
-  MinDegreeSolver solver(a, options);
-  return solver.solve();
+  MinDegreeWorkspace workspace;
+  workspace.order(
+      a.cols(),
+      [&](Index v, const auto& add) {
+        for (const Index w : a.column(v)) {
+          if (w != v) {
+            add(w);
+          }
+        }
+      },
+      perm.data());
+  check_permutation(perm, a.cols());
+  return perm;
 }
 
 }  // namespace treemem

@@ -7,7 +7,8 @@
 //     absorption, supervariable merging and AMD-style approximate external
 //     degrees (an AMD-class code);
 //   * nested_dissection_order — recursive level-set bisection with
-//     minimum-degree leaf ordering (a MeTiS-class morphology);
+//     minimum-degree leaf ordering (a MeTiS-class morphology), its frames
+//     run on the worker pool;
 //   * rcm_order / natural_order / random_order — profile-style baselines.
 //
 // Convention: an ordering `perm` lists original indices in elimination
@@ -31,18 +32,10 @@ std::vector<Index> random_order(Index n, Prng& prng);
 /// `pattern` must be symmetric with full diagonal.
 std::vector<Index> rcm_order(const SparsePattern& pattern);
 
-/// Options for the minimum-degree ordering.
-struct MinDegreeOptions {
-  /// Detect indistinguishable supervariables by adjacency hashing.
-  bool supervariables = true;
-  /// Use AMD's approximate external degree (true) or exact recomputation
-  /// from the quotient graph (false; slower, used for validation).
-  bool approximate_degree = true;
-};
-
-/// Quotient-graph minimum-degree ordering (AMD-class).
-std::vector<Index> min_degree_order(const SparsePattern& pattern,
-                                    const MinDegreeOptions& options = {});
+/// Quotient-graph minimum-degree ordering (AMD-class): approximate
+/// external degrees, element absorption and supervariable merging over one
+/// flat index array. `pattern` must be symmetric.
+std::vector<Index> min_degree_order(const SparsePattern& pattern);
 
 /// Options for nested dissection.
 struct NestedDissectionOptions {
@@ -50,8 +43,20 @@ struct NestedDissectionOptions {
   Index leaf_size = 64;
 };
 
-/// Recursive bisection by BFS level-structure separators.
+/// Recursive bisection by BFS level-structure separators, with
+/// minimum-degree leaves. `pattern` must be symmetric.
+///
+/// Frames run in parallel: each frame owns a fixed range of the
+/// permutation (its `above` half first, then its `below` half, then its
+/// separator), so the halves of a frame are independent. `workers` is the
+/// parallel width, counted the way parallel_for counts it: the calling
+/// thread included, 0 meaning the worker pool's size, and the frames run
+/// on leased pool workers (inline when none is idle). Large frames are
+/// split and their halves shared; frames of a few thousand vertices run
+/// their whole subtree on one participant. The permutation does not depend
+/// on the width or on the schedule: every width returns the serial order.
 std::vector<Index> nested_dissection_order(
-    const SparsePattern& pattern, const NestedDissectionOptions& options = {});
+    const SparsePattern& pattern, const NestedDissectionOptions& options = {},
+    unsigned workers = 0);
 
 }  // namespace treemem

@@ -99,6 +99,8 @@ Solver& Solver::analyze(const SparsePattern& pattern,
   TM_CHECK(pattern.is_symmetric() && pattern.has_full_diagonal(),
            "Solver::analyze: pattern must be symmetric with a full diagonal "
            "(apply symmetrize() first)");
+  TM_CHECK(options_.factorize.workers >= 0,
+           "Solver::analyze: workers must be >= 0 (0 = default)");
   Timer timer;
   obs::TraceSpan phase_span("analyze", "solver", obs::TraceRecorder::kNoLane,
                             "n", static_cast<long long>(pattern.cols()));
@@ -118,7 +120,10 @@ Solver& Solver::analyze(const SparsePattern& pattern,
       perm = min_degree_order(pattern);
       break;
     case OrderingChoice::kNestedDissection:
-      perm = nested_dissection_order(pattern);
+      // At the factorization's worker count (0 is the pool's size, as
+      // there); the permutation does not depend on it.
+      perm = nested_dissection_order(
+          pattern, {}, static_cast<unsigned>(options_.factorize.workers));
       break;
   }
   analysis->pattern = pattern;

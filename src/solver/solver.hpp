@@ -115,7 +115,9 @@ struct PlanOptions {
 /// engine.
 struct FactorizeOptions {
   /// Worker threads; 0 defers to default_thread_count() (which honors
-  /// TREEMEM_THREADS).
+  /// TREEMEM_THREADS). analyze() runs nested dissection at this width too,
+  /// reading it from the Solver's own options; the permutation does not
+  /// depend on it.
   int workers = 0;
   /// Dense front kernel settings (the block_size default is the
   /// measured-fastest 16; see dense/front_kernel.hpp for the bench data).

@@ -179,7 +179,9 @@ SolveOutcome SolverPool::run_job(Solver& solver, SolveRequest& request) {
     // Cold-analyze baseline: redo the full symbolic phase per request.
     // Built in a scratch solver and adopt()ed so the worker solver's
     // cumulative counters survive (analyze() on it would reset them).
-    Solver scratch;
+    SolverOptions serial;
+    serial.factorize.workers = 1;
+    Solver scratch(serial);
     scratch.analyze(pattern, options_.solver.analyze)
         .plan(options_.solver.plan);
     solver.adopt(scratch.symbolic());

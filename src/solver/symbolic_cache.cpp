@@ -155,7 +155,11 @@ SymbolicCache::LookupResult SymbolicCache::lookup(
     recorder.instant(need_build ? "symbolic_miss" : "symbolic_hit", "cache");
   }
   if (need_build) {
-    Solver builder;
+    // Lookups run on a service's request threads, so the build orders on
+    // its own thread too (nested dissection at width 1).
+    SolverOptions serial;
+    serial.factorize.workers = 1;
+    Solver builder(serial);
     builder.analyze(entry->pattern, options_.analyze).plan(options_.plan);
     entry->symbolic = builder.symbolic();
   }

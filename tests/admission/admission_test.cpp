@@ -326,7 +326,7 @@ TEST(AdmissionSolver, LookaheadThroughTheFacadeIsBitIdentical) {
   FactorizeOptions serial;
   serial.workers = 1;
   reference.factorize(matrix, serial);
-  const std::vector<double> reference_values = reference.factor().values;
+  const PanelBuffer reference_values = reference.factor().values;
 
   Solver solver;
   solver.analyze(pattern);

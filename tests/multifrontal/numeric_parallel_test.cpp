@@ -233,7 +233,7 @@ TEST(NumericParallelDeterminism, RepeatedRunsAgreeOnScheduleIndependentOutputs) 
   const NumericInstance inst = make_instance(
       gen::grid2d(10, 10), 23, OrderingKind::kMinDegree, /*relax=*/1);
   const Tree& tree = inst.assembly.tree;
-  std::vector<double> reference_values;
+  PanelBuffer reference_values;
   long long reference_flops = 0;
   for (int run_index = 0; run_index < 3; ++run_index) {
     ParallelFactorOptions options;
@@ -313,7 +313,7 @@ TEST(NumericParallelFailure, StalledRunGivesThePanelsBack) {
   NumericWorkspace storage;
   MultifrontalResult first = multifrontal_cholesky(
       inst.matrix, inst.assembly, minmem.order, {}, &storage);
-  const std::vector<double> reference = first.factor.values;
+  const PanelBuffer reference = first.factor.values;
   const double* const panels = first.factor.values.data();
   storage.reclaim(std::move(first.factor));
 

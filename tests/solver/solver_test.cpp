@@ -100,12 +100,12 @@ TEST_P(SolverReuseSweep, SecondFactorizationMatchesFreshRunBitForBit) {
         Solver reused;
         reused.analyze(pattern, analyze_options(ordering, relax)).plan();
         reused.factorize(first_values, workers_options(workers));
-        const std::vector<double> first_factor = reused.factor().values;
+        const PanelBuffer first_factor = reused.factor().values;
         ASSERT_EQ(reused.stats().factorizations, 1);
 
         // Second value set on the cached symbolic state...
         reused.factorize(second_values, workers_options(workers));
-        const std::vector<double> second_factor = reused.factor().values;
+        const PanelBuffer second_factor = reused.factor().values;
         ASSERT_EQ(reused.stats().factorizations, 2);
 
         // ...must equal a fresh end-to-end run bit for bit.
@@ -193,7 +193,7 @@ TEST(SolverParity, FactorIsTraversalIndependent) {
   Solver solver;
   solver.analyze(pattern, analyze_options(OrderingChoice::kMinDegree, 0));
 
-  std::vector<double> reference;
+  PanelBuffer reference;
   for (const TraversalPolicy policy :
        {TraversalPolicy::kPostorder, TraversalPolicy::kLiu,
         TraversalPolicy::kMinMem}) {
@@ -216,6 +216,24 @@ TEST(SolverParity, FactorIsTraversalIndependent) {
 // ---------------------------------------------------------------------------
 // State machine: wrong-phase calls throw clean errors
 // ---------------------------------------------------------------------------
+
+TEST(SolverParity, AnalysisDoesNotDependOnTheWorkerCount) {
+  // analyze() runs nested dissection at the factorization's worker count;
+  // the permutation and everything built from it must not notice.
+  const SparsePattern pattern = gen::grid2d(160, 160);
+  const AnalyzeOptions options =
+      analyze_options(OrderingChoice::kNestedDissection, 4);
+  SolverOptions serial_options;
+  serial_options.factorize = workers_options(1);
+  SolverOptions wide_options;
+  wide_options.factorize = workers_options(4);
+  Solver serial(serial_options);
+  Solver wide(wide_options);
+  serial.analyze(pattern, options);
+  wide.analyze(pattern, options);
+  EXPECT_EQ(wide.permutation(), serial.permutation());
+  EXPECT_EQ(*wide.assembly().fronts, *serial.assembly().fronts);
+}
 
 TEST(SolverStateMachine, WrongPhaseOrderThrowsCleanErrors) {
   const SparsePattern pattern = symmetrize(gen::grid2d(5, 5));
@@ -502,8 +520,8 @@ Solver planned_for(const SparsePattern& pattern, const EngineCase& engine) {
 }
 
 /// The factor a fresh Solver computes for `matrix` on `engine`.
-std::vector<double> fresh_factor(const SymmetricMatrix& matrix,
-                                 const EngineCase& engine) {
+PanelBuffer fresh_factor(const SymmetricMatrix& matrix,
+                         const EngineCase& engine) {
   Solver fresh = planned_for(matrix.pattern(), engine);
   fresh.factorize(matrix, workers_options(engine.workers));
   EXPECT_EQ(fresh.stats().engine, engine.engine);
@@ -734,7 +752,7 @@ TEST(SolverConcurrency, TenantsRefactorOneCachedAnalysisBitExactly) {
   constexpr int kTenants = 4;
 
   std::vector<SymmetricMatrix> matrices;
-  std::vector<std::vector<double>> solo;
+  std::vector<PanelBuffer> solo;
   FactorizeOptions serial;
   serial.workers = 1;
   for (int t = 0; t < kTenants; ++t) {
@@ -744,7 +762,7 @@ TEST(SolverConcurrency, TenantsRefactorOneCachedAnalysisBitExactly) {
     solo.push_back(reference.factor().values);
   }
 
-  std::vector<std::vector<double>> factors(kTenants);
+  std::vector<PanelBuffer> factors(kTenants);
   std::vector<std::string> errors(kTenants);
   std::latch start(kTenants);
   std::vector<std::thread> tenants;
