@@ -149,9 +149,10 @@ struct PinnedOrdering {
 // of the dissection: median-level separators, disconnected subsets (the
 // holes), shallow connected subsets that fall back to minimum degree (the
 // block-tridiagonal with leaf size 4), and several RCM components. The
-// random pattern merges about 900 supervariables in minimum degree, the
-// two large grids are big enough for nested dissection to fork frames, and
-// the last holey grid falls into hundreds of pieces that it peels off.
+// 5,000-vertex random pattern merges about 900 supervariables in minimum
+// degree, the 60-vertex one needs the approximate degree's exact-fill cap,
+// the two large grids are big enough for nested dissection to fork frames,
+// and the last holey grid falls into hundreds of pieces that it peels off.
 std::vector<PinnedOrdering> pinned_orderings() {
   Prng holes(7);
   Prng coupling(7);
@@ -160,6 +161,9 @@ std::vector<PinnedOrdering> pinned_orderings() {
   const SparsePattern holey = gen::grid2d_with_holes(40, 40, 0.2, holes);
   const SparsePattern random =
       symmetrize(gen::random_symmetric(5000, 4.0, edges));
+  Prng dense(16 * 1000 + 60);
+  const SparsePattern capped =
+      symmetrize(gen::random_symmetric(60, 6.0, dense));
   Prng pieces(3);
   const SparsePattern many_pieces =
       gen::grid2d_with_holes(200, 200, 0.45, pieces);
@@ -178,6 +182,8 @@ std::vector<PinnedOrdering> pinned_orderings() {
        0},
       {"random_symmetric 5000", random, 64, 0x2e754d7f7a6711e3ULL, 0,
        0x41a080ddc4804355ULL},
+      {"random_symmetric 60, degree cap binds", capped, 16,
+       0xcffcc7d9e8671349ULL, 0, 0x42b60fe3d7bb70dbULL},
       {"grid2d 192x192", gen::grid2d(192, 192), 64, 0xcdfa569737d13dcdULL, 0,
        0},
       {"grid3d-27pt 20^3", gen::grid3d(20, 20, 20, true), 64,
