@@ -86,12 +86,9 @@ namespace treemem {
 /// An allocator whose value construction default-initializes: resizing a
 /// vector of doubles leaves the new entries unwritten, so a fresh buffer
 /// costs no fill pass (and no page faults until the entries are written).
+/// (Construction from arguments falls through to std::construct_at.)
 template <class T>
 struct DefaultInitAllocator : std::allocator<T> {
-  template <class U>
-  struct rebind {
-    using other = DefaultInitAllocator<U>;
-  };
   DefaultInitAllocator() = default;
   template <class U>
   DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
@@ -99,10 +96,6 @@ struct DefaultInitAllocator : std::allocator<T> {
   template <class U>
   void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
     ::new (static_cast<void*>(p)) U;
-  }
-  template <class U, class... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 };
 

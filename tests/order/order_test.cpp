@@ -47,9 +47,8 @@ TEST_P(OrderingSweep, AllOrderingsAreValidPermutations) {
   check_permutation(nested_dissection_order(a), a.cols());
 }
 
-// The exact-degree variant this test once compared against is gone (it was
-// a validation path nothing else used); the name stays so the test's
-// history does, and it checks the one remaining ordering against natural.
+// Minimum degree with approximate degrees (its only variant) never fills
+// more than the natural order.
 TEST_P(OrderingSweep, ExactAndApproximateDegreesBothReduceFill) {
   const std::uint64_t seed = GetParam();
   Prng prng(seed * 17);
