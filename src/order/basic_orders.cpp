@@ -341,14 +341,17 @@ class Dissection {
 
 /// Frames of at most this many vertices run with their whole subtree on
 /// the participant that takes them; larger ones are split and their halves
-/// shared. Measured on the 384² grid at w = 4 (4-core AVX2 Xeon).
+/// shared. Chosen from 512–16,384 at w = 4 on the 384² grid, the 27-point
+/// 22³ grid and block_tridiagonal(256, 48) (4-core AVX2 Xeon), where 512
+/// to 2,048 were fastest.
 constexpr std::size_t kInlineFrame = 1024;
 
 /// Runs the dissection on `width` participants sharing a queue of frames,
 /// largest first. A participant splits a frame above kInlineFrame and
 /// queues its halves, or orders a smaller one's whole subtree. While the
 /// queue is empty but a split is under way, idle participants wait for its
-/// halves; when both are empty and none is, every frame has been taken.
+/// halves; once the queue is empty and no split is under way, every frame
+/// has been taken.
 void dissect_in_parallel(const Dissection& dissection, Frame root, Index n,
                          unsigned width) {
   struct Shared {
