@@ -8,7 +8,6 @@
 #include "core/minmem.hpp"
 #include "core/postorder.hpp"
 #include "order/ordering.hpp"
-#include "perf/corpus.hpp"
 #include "sparse/generators.hpp"
 #include "support/prng.hpp"
 #include "symbolic/assembly_tree.hpp"
@@ -134,8 +133,10 @@ void BM_AssemblyTreePipeline(benchmark::State& state) {
   const Index side = static_cast<Index>(state.range(0));
   const SparsePattern a = symmetrize(gen::grid2d(side, side));
   for (auto _ : state) {
+    const SparsePattern permuted = permute_symmetric(
+        a, fill_reducing_order(a, OrderingChoice::kMinDegree));
     benchmark::DoNotOptimize(
-        assembly_tree_for(a, OrderingKind::kMinDegree, 4).size());
+        build_assembly_tree(permuted, {.relax = 4}).tree.size());
   }
 }
 

@@ -66,8 +66,8 @@ int run(const std::string& trace_path) {
   CorpusOptions options = bench::corpus_options();
   // Numeric factorization is dense-kernel heavy; a moderate slice of the
   // corpus keeps the smoke run in seconds while exercising real fronts.
-  // The facade re-runs the same ordering/relax pipeline internally, so
-  // instances match the old hand-stitched build_numeric_instances ones.
+  // build_numeric_instances analyzes through the same Solver::analyze, so
+  // these instances carry its trees.
   // Instances: the corpus slice under both orderings, plus one 2-D grid
   // under nested dissection — thousands of tiny fronts.
   std::vector<std::pair<CorpusMatrix, OrderingChoice>> instances;
@@ -235,7 +235,7 @@ int run(const std::string& trace_path) {
       // (see the header comment); its speedup is in modeled flop time.
       const TaskTree tasks = contract_subtrees(
           tree,
-          FrontalEngine(permuted, solver.assembly()).estimated_front_flops(),
+          estimated_front_flops(*solver.assembly().fronts),
           solver.planned_traversal(), kCappedWorkers);
       const ParallelScheduleResult sim = simulate_parallel_traversal(
           tasks.tree,

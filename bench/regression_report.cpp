@@ -354,7 +354,7 @@ int run() {
     const SparsePattern raw =
         symmetrize(gen::random_symmetric(160, 8.0, prng));
     const NumericInstance root_inst = build_numeric_instance(
-        {"root-front", raw}, OrderingKind::kMinDegree, 8, 9001);
+        {"root-front", raw}, OrderingChoice::kMinDegree, 8, 9001);
     ParallelFactorOptions elastic;
     elastic.workers = 4;
     elastic.kernel.block_size = 8;          // several tiles per root panel

@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
 
   // Build one instance: grid -> min-degree -> assembly tree (relax 4).
   const SparsePattern a = symmetrize(gen::grid2d(side, side));
-  const SparsePattern permuted = permute_symmetric(a, min_degree_order(a));
+  const SparsePattern permuted = permute_symmetric(
+      a, fill_reducing_order(a, OrderingChoice::kMinDegree));
   AssemblyTreeOptions at_options;
   at_options.relax = 4;
   const Tree tree = build_assembly_tree(permuted, at_options).tree;

@@ -31,10 +31,10 @@ void solver_facade_act() {
   // The whole pipeline. Each phase reuses everything before it: analyze
   // once, then factorize/solve as many value sets and right-hand sides as
   // traffic brings.
-  Solver solver(solver_options_from_env());  // honors TREEMEM_* overrides
-  solver.analyze(pattern);                   // ordering + assembly tree
-  solver.plan();                             // traversal + memory budget
-  solver.factorize(a);                       // numeric Cholesky
+  Solver solver;
+  solver.analyze(pattern);  // ordering + assembly tree
+  solver.plan();            // traversal + memory budget
+  solver.factorize(a);      // numeric Cholesky
   const std::vector<double> x = solver.solve(b);
 
   const SolverStats& stats = solver.stats();

@@ -78,61 +78,6 @@ Weight in_tree_traversal_peak(const Tree& tree, const Traversal& order) {
   return peak;
 }
 
-CheckResult check_in_core(const Tree& tree, const Traversal& order,
-                          Weight memory) {
-  CheckResult result;
-  const auto p = static_cast<std::size_t>(tree.size());
-  if (order.size() != p) {
-    result.reason = "traversal size mismatch";
-    return result;
-  }
-
-  std::vector<char> executed(p, 0);
-  std::vector<char> ready(p, 0);
-  ready[static_cast<std::size_t>(tree.root())] = 1;
-  Weight avail = memory - tree.file_size(tree.root());
-  if (avail < 0) {
-    result.reason = "root input file does not fit in memory";
-    result.fail_step = 0;
-    return result;
-  }
-
-  Weight peak = tree.file_size(tree.root());
-  for (std::size_t t = 0; t < p; ++t) {
-    const NodeId u = order[t];
-    if (u < 0 || static_cast<std::size_t>(u) >= p ||
-        executed[static_cast<std::size_t>(u)] ||
-        !ready[static_cast<std::size_t>(u)]) {
-      std::ostringstream oss;
-      oss << "step " << t << ": node " << u << " is not ready";
-      result.reason = oss.str();
-      result.fail_step = static_cast<NodeId>(t);
-      return result;
-    }
-    // MemReq(u) <= avail + f_u  <=>  n_u + children files fit in free space.
-    if (tree.mem_req(u) > avail + tree.file_size(u)) {
-      std::ostringstream oss;
-      oss << "step " << t << ": node " << u << " needs " << tree.mem_req(u)
-          << " but only " << avail + tree.file_size(u) << " available";
-      result.reason = oss.str();
-      result.fail_step = static_cast<NodeId>(t);
-      return result;
-    }
-    peak = std::max(peak, (memory - avail) + tree.work_size(u) +
-                              tree.child_file_sum(u));
-    avail += tree.file_size(u) - tree.child_file_sum(u);
-    executed[static_cast<std::size_t>(u)] = 1;
-    ready[static_cast<std::size_t>(u)] = 0;
-    for (const NodeId c : tree.children(u)) {
-      ready[static_cast<std::size_t>(c)] = 1;
-    }
-  }
-
-  result.feasible = true;
-  result.peak = peak;
-  return result;
-}
-
 CheckResult check_out_of_core(const Tree& tree, const IoSchedule& schedule,
                               Weight memory) {
   CheckResult result;
@@ -231,6 +176,11 @@ CheckResult check_out_of_core(const Tree& tree, const IoSchedule& schedule,
   result.peak = peak;
   result.io_volume = io;
   return result;
+}
+
+CheckResult check_in_core(const Tree& tree, const Traversal& order,
+                          Weight memory) {
+  return check_out_of_core(tree, {order, {}}, memory);
 }
 
 }  // namespace treemem

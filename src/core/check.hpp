@@ -39,14 +39,16 @@ Weight traversal_peak(const Tree& tree, const Traversal& order);
 /// suite asserts this rather than assuming it.
 Weight in_tree_traversal_peak(const Tree& tree, const Traversal& order);
 
-/// Algorithm 1: checks an in-core traversal against memory budget M.
-/// Unlike traversal_peak, structural violations are reported in the result
-/// rather than thrown (this mirrors the paper's FAILURE return).
-CheckResult check_in_core(const Tree& tree, const Traversal& order, Weight memory);
-
 /// Algorithm 2: checks an out-of-core traversal (order + write schedule)
-/// against memory budget M and computes the I/O volume.
+/// against memory budget M and computes the I/O volume. Unlike
+/// traversal_peak, structural violations are reported in the result rather
+/// than thrown (this mirrors the paper's FAILURE return).
 CheckResult check_out_of_core(const Tree& tree, const IoSchedule& schedule,
                               Weight memory);
+
+/// Algorithm 1: checks an in-core traversal against memory budget M — the
+/// out-of-core check of the same order with no writes, so both report the
+/// same reasons and fail_step.
+CheckResult check_in_core(const Tree& tree, const Traversal& order, Weight memory);
 
 }  // namespace treemem

@@ -82,12 +82,12 @@ void FrontalEngine::release_workspace(FrontWorkspace ws) {
   storage_->lanes_.push_back(std::move(ws));
 }
 
-std::vector<double> FrontalEngine::estimated_front_flops() const {
-  std::vector<double> flops(static_cast<std::size_t>(assembly_->tree.size()));
+std::vector<double> estimated_front_flops(const FrontStructure& fronts) {
+  std::vector<double> flops(static_cast<std::size_t>(fronts.supernodes()));
   for (std::size_t s = 0; s < flops.size(); ++s) {
     const auto node = static_cast<NodeId>(s);
-    const double m = static_cast<double>(fronts_->front_size(node));
-    const double eta = static_cast<double>(fronts_->members(node).size());
+    const double m = static_cast<double>(fronts.front_size(node));
+    const double eta = static_cast<double>(fronts.members(node).size());
     // Σ_{k=0..η-1} (m-k)² — the dense partial-Cholesky update volume.
     double cost = 0.0;
     for (double k = 0.0; k < eta; k += 1.0) {
@@ -96,6 +96,10 @@ std::vector<double> FrontalEngine::estimated_front_flops() const {
     flops[s] = std::max(1.0, cost);
   }
   return flops;
+}
+
+std::vector<double> FrontalEngine::estimated_front_flops() const {
+  return treemem::estimated_front_flops(*fronts_);
 }
 
 void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {

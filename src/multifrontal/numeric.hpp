@@ -193,6 +193,11 @@ class NumericWorkspace {
   std::vector<FrontWorkspace> lanes_;
 };
 
+/// Estimated dense-elimination flops per supernode, from the front sizes
+/// alone: Σ_{k<η} (m − k)², at least 1 — the duration and priority proxy
+/// the schedulers use.
+std::vector<double> estimated_front_flops(const FrontStructure& fronts);
+
 /// The reentrant numeric core of the multifrontal factorization: one
 /// instance per factorization run, shared by every worker.
 ///
@@ -235,8 +240,7 @@ class FrontalEngine {
   /// a matrix entry lies outside the front of its column.
   void process_front(NodeId s, FrontWorkspace& ws);
 
-  /// Estimated dense-elimination flops per supernode, from the symbolic
-  /// front sizes — the natural duration/priority proxy for scheduling.
+  /// treemem::estimated_front_flops of this engine's front structure.
   std::vector<double> estimated_front_flops() const;
 
   /// Measured live factor entries right now / at the run's high-water mark

@@ -69,7 +69,7 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
   // priority ranks. Without a planned witness the MinMem optimum stands
   // in, as it does for lookahead admission.
   const TaskTree tasks = contract_subtrees(
-      assembly.tree, engine.estimated_front_flops(),
+      assembly.tree, estimated_front_flops(*assembly.fronts),
       options.serial_witness.empty()
           ? in_tree_minmem_optimal(assembly.tree).order
           : options.serial_witness,

@@ -450,4 +450,36 @@ std::vector<Index> nested_dissection_order(
   return perm;
 }
 
+const char* to_string(OrderingChoice choice) {
+  switch (choice) {
+    case OrderingChoice::kNatural:
+      return "natural";
+    case OrderingChoice::kRcm:
+      return "rcm";
+    case OrderingChoice::kMinDegree:
+      return "mindeg";
+    case OrderingChoice::kNestedDissection:
+      return "nd";
+  }
+  return "?";
+}
+
+std::vector<Index> fill_reducing_order(const SparsePattern& pattern,
+                                       OrderingChoice choice,
+                                       unsigned workers) {
+  switch (choice) {
+    case OrderingChoice::kNatural:
+      return natural_order(pattern.cols());
+    case OrderingChoice::kRcm:
+      return rcm_order(pattern);
+    case OrderingChoice::kMinDegree:
+      return min_degree_order(pattern);
+    case OrderingChoice::kNestedDissection:
+      return nested_dissection_order(pattern, {}, workers);
+  }
+  TM_CHECK(false, "fill_reducing_order: unknown ordering "
+                      << static_cast<int>(choice));
+  return {};
+}
+
 }  // namespace treemem

@@ -11,6 +11,10 @@
 //     run on the worker pool;
 //   * rcm_order / natural_order / random_order — profile-style baselines.
 //
+// fill_reducing_order is the one dispatch over the choices a caller can
+// name (OrderingChoice): the solver's analyze phase, the experiment
+// corpus and the examples all order through it.
+//
 // Convention: an ordering `perm` lists original indices in elimination
 // order — perm[k] is the original column eliminated k-th (Matlab's
 // A(p,p)). Use invert_permutation for old→new maps.
@@ -58,5 +62,25 @@ struct NestedDissectionOptions {
 std::vector<Index> nested_dissection_order(
     const SparsePattern& pattern, const NestedDissectionOptions& options = {},
     unsigned workers = 0);
+
+/// The orderings a caller can choose by name. The values are stored as one
+/// byte in symbolic state files (solver/symbolic_store.hpp), so new
+/// enumerators go at the end.
+enum class OrderingChoice {
+  kNatural,          ///< the pattern as given (already permuted outside)
+  kRcm,
+  kMinDegree,        ///< AMD-class (the paper's `amd` runs)
+  kNestedDissection, ///< MeTiS-class (the paper's MeTiS runs)
+};
+
+/// "natural", "rcm", "mindeg" or "nd".
+const char* to_string(OrderingChoice choice);
+
+/// The permutation `choice` gives `pattern` (symmetric). `workers` is the
+/// parallel width of nested dissection, counted as there (0 = the worker
+/// pool's size); no ordering's permutation depends on it.
+std::vector<Index> fill_reducing_order(const SparsePattern& pattern,
+                                       OrderingChoice choice,
+                                       unsigned workers = 0);
 
 }  // namespace treemem

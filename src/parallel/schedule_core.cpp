@@ -5,7 +5,6 @@
 #include "core/check.hpp"
 #include "core/minmem.hpp"
 #include "core/postorder.hpp"
-#include "support/env.hpp"
 
 namespace treemem {
 
@@ -29,14 +28,6 @@ const char* to_string(AdmissionPolicy policy) {
       return "lookahead";
   }
   return "?";
-}
-
-std::optional<AdmissionPolicy> admission_policy_from_env() {
-  const auto index = env_choice("TREEMEM_ADMISSION", {"greedy", "lookahead"});
-  if (!index) {
-    return std::nullopt;
-  }
-  return static_cast<AdmissionPolicy>(*index);
 }
 
 std::vector<double> default_task_durations(const Tree& tree) {

@@ -29,7 +29,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "core/traversal.hpp"
@@ -64,11 +63,6 @@ enum class AdmissionPolicy {
 };
 
 const char* to_string(AdmissionPolicy policy);
-
-/// Strictly parsed TREEMEM_ADMISSION = greedy | lookahead (support/env.hpp
-/// contract: nullopt when unset/empty, treemem::Error on any other
-/// spelling).
-std::optional<AdmissionPolicy> admission_policy_from_env();
 
 /// One scheduled task instance. The simulator fills modeled times, the
 /// executor measured wall-clock seconds since the start of the run.

@@ -3,22 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "order/ordering.hpp"
+#include "solver/solver.hpp"
 #include "sparse/generators.hpp"
 #include "symbolic/symbolic.hpp"
 #include "tree/generators.hpp"
 
 namespace treemem {
-
-const char* to_string(OrderingKind kind) {
-  switch (kind) {
-    case OrderingKind::kMinDegree:
-      return "mindeg";
-    case OrderingKind::kNestedDissection:
-      return "nd";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -82,41 +72,21 @@ std::vector<CorpusMatrix> build_corpus_matrices(const CorpusOptions& options) {
   return out;
 }
 
-Tree assembly_tree_for(const SparsePattern& symmetric_pattern,
-                       OrderingKind ordering, Index relax) {
-  std::vector<Index> perm;
-  switch (ordering) {
-    case OrderingKind::kMinDegree:
-      perm = min_degree_order(symmetric_pattern);
-      break;
-    case OrderingKind::kNestedDissection:
-      perm = nested_dissection_order(symmetric_pattern);
-      break;
-  }
-  const SparsePattern permuted = permute_symmetric(symmetric_pattern, perm);
-  AssemblyTreeOptions options;
-  options.relax = relax;
-  options.merge_chains = false;  // the paper's relaxed trees
-  return build_assembly_tree(permuted, options).tree;
-}
-
 std::vector<CorpusInstance> build_corpus_instances(const CorpusOptions& options) {
   const std::vector<CorpusMatrix> matrices = build_corpus_matrices(options);
   std::vector<CorpusInstance> out;
   for (const CorpusMatrix& m : matrices) {
-    for (const OrderingKind ordering :
-         {OrderingKind::kMinDegree, OrderingKind::kNestedDissection}) {
+    for (const OrderingChoice ordering :
+         {OrderingChoice::kMinDegree, OrderingChoice::kNestedDissection}) {
       // Orderings are deterministic per matrix; reuse across relax values.
-      std::vector<Index> perm = ordering == OrderingKind::kMinDegree
-                                    ? min_degree_order(m.pattern)
-                                    : nested_dissection_order(m.pattern);
-      const SparsePattern permuted = permute_symmetric(m.pattern, perm);
+      const SparsePattern permuted = permute_symmetric(
+          m.pattern, fill_reducing_order(m.pattern, ordering));
       const std::vector<Index> parent = elimination_tree(permuted);
       const std::vector<Index> counts = column_counts(permuted, parent);
       for (const Index relax : options.relax_values) {
         AssemblyTreeOptions at;
         at.relax = relax;
-        at.merge_chains = false;
+        at.merge_chains = false;  // the paper's relaxed trees
         CorpusInstance inst;
         inst.name = m.name + "/" + to_string(ordering) + "/r" +
                     std::to_string(relax);
@@ -134,25 +104,18 @@ std::vector<CorpusInstance> build_corpus_instances(const CorpusOptions& options)
 }
 
 NumericInstance build_numeric_instance(const CorpusMatrix& source,
-                                       OrderingKind ordering, Index relax,
+                                       OrderingChoice ordering, Index relax,
                                        std::uint64_t seed) {
-  NumericInstance inst;
-  inst.name = source.name + "/" + to_string(ordering) + "/r" +
-              std::to_string(relax);
-  inst.matrix_name = source.name;
-  inst.ordering = ordering;
-  inst.relax = relax;
-
-  const SymmetricMatrix values = make_spd_matrix(source.pattern, seed);
-  const std::vector<Index> perm = ordering == OrderingKind::kMinDegree
-                                      ? min_degree_order(source.pattern)
-                                      : nested_dissection_order(source.pattern);
-  inst.matrix = values.permuted(perm);
-  AssemblyTreeOptions at;
-  at.relax = relax;
-  at.merge_chains = false;
-  inst.assembly = build_assembly_tree(inst.matrix.pattern(), at);
-  return inst;
+  Solver solver;
+  solver.analyze(source.pattern, {.ordering = ordering, .relax = relax});
+  return {.name = source.name + "/" + to_string(ordering) + "/r" +
+                  std::to_string(relax),
+          .matrix_name = source.name,
+          .ordering = ordering,
+          .relax = relax,
+          .matrix = make_spd_matrix(source.pattern, seed)
+                        .permuted(solver.permutation()),
+          .assembly = solver.assembly()};
 }
 
 std::vector<CorpusMatrix> smallest_corpus_matrices(const CorpusOptions& options,
@@ -178,8 +141,8 @@ std::vector<NumericInstance> build_numeric_instances(
   std::vector<NumericInstance> out;
   out.reserve(matrices.size() * 2);
   for (const CorpusMatrix& m : matrices) {
-    for (const OrderingKind ordering :
-         {OrderingKind::kMinDegree, OrderingKind::kNestedDissection}) {
+    for (const OrderingChoice ordering :
+         {OrderingChoice::kMinDegree, OrderingChoice::kNestedDissection}) {
       out.push_back(
           build_numeric_instance(m, ordering, relax, options.seed));
     }

@@ -1,18 +1,25 @@
 // The experiment corpus: synthetic sparse matrices standing in for the
-// paper's 291 University of Florida matrices, and the full
+// paper's 291 University of Florida matrices, and the
 // matrix → ordering → elimination tree → assembly tree pipeline that turns
-// them into traversal-problem instances (Section VI-B; substitution
-// rationale in DESIGN.md §4).
+// them into instances (Section VI-B; substitution rationale in DESIGN.md
+// §4). Two slices:
+//   * the traversal corpus (build_corpus_instances) keeps the paper's
+//     relaxed trees: it builds them with AssemblyTreeOptions::merge_chains
+//     off;
+//   * the numeric corpus (build_numeric_instance[s]) analyzes through
+//     Solver::analyze, so the benches and tests that factor it run exactly
+//     the permutation and front structure the solver builds.
+// Both order through fill_reducing_order (order/ordering.hpp).
 //
 // Everything is seeded and deterministic: corpus(i) is the same instance on
-// every machine and every run. The corpus keeps the paper's relaxed trees:
-// it builds them with AssemblyTreeOptions::merge_chains off.
+// every machine and every run.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "multifrontal/numeric.hpp"
+#include "order/ordering.hpp"
 #include "sparse/pattern.hpp"
 #include "support/prng.hpp"
 #include "symbolic/assembly_tree.hpp"
@@ -26,18 +33,11 @@ struct CorpusMatrix {
   SparsePattern pattern;  ///< symmetrized, full diagonal
 };
 
-enum class OrderingKind {
-  kMinDegree,        ///< AMD-class (the paper's `amd` runs)
-  kNestedDissection, ///< MeTiS-class (the paper's MeTiS runs)
-};
-
-const char* to_string(OrderingKind kind);
-
 /// One traversal-problem instance: a weighted assembly tree plus provenance.
 struct CorpusInstance {
   std::string name;       ///< "<matrix>/<ordering>/r<relax>"
   std::string matrix;
-  OrderingKind ordering;
+  OrderingChoice ordering;
   Index relax = 1;
   Tree tree;
   Index matrix_n = 0;
@@ -67,11 +67,6 @@ std::vector<CorpusMatrix> build_corpus_matrices(const CorpusOptions& options = {
 std::vector<CorpusMatrix> smallest_corpus_matrices(
     const CorpusOptions& options = {}, std::size_t count = 5);
 
-/// Orders a matrix, builds the elimination tree and column counts, and
-/// amalgamates into an assembly tree.
-Tree assembly_tree_for(const SparsePattern& symmetric_pattern,
-                       OrderingKind ordering, Index relax);
-
 /// The full instance set: every matrix × ordering × relax value.
 std::vector<CorpusInstance> build_corpus_instances(
     const CorpusOptions& options = {});
@@ -91,16 +86,18 @@ std::vector<CorpusInstance> build_random_weight_instances(
 struct NumericInstance {
   std::string name;  ///< "<matrix>/<ordering>/r<relax>"
   std::string matrix_name;
-  OrderingKind ordering;
+  OrderingChoice ordering;
   Index relax = 1;
   SymmetricMatrix matrix;  ///< permuted: factor this directly
   AssemblyTree assembly;   ///< built on matrix.pattern()
 };
 
 /// Builds the numeric instance of one corpus matrix under one ordering and
-/// amalgamation level. Deterministic in `seed`.
+/// amalgamation level: Solver::analyze with that ordering and relax gives
+/// the permutation and the (chain-merged) assembly tree. `source.pattern`
+/// must be symmetric with a full diagonal. Deterministic in `seed`.
 NumericInstance build_numeric_instance(const CorpusMatrix& source,
-                                       OrderingKind ordering, Index relax,
+                                       OrderingChoice ordering, Index relax,
                                        std::uint64_t seed);
 
 /// Numeric instances for the `max_matrices` *smallest* corpus matrices (by

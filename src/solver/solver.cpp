@@ -11,25 +11,10 @@
 #include "multifrontal/out_of_core.hpp"
 #include "obs/trace.hpp"
 #include "order/ordering.hpp"
-#include "support/env.hpp"
 #include "support/parallel_for.hpp"
 #include "support/timer.hpp"
 
 namespace treemem {
-
-const char* to_string(OrderingChoice choice) {
-  switch (choice) {
-    case OrderingChoice::kNatural:
-      return "natural";
-    case OrderingChoice::kRcm:
-      return "rcm";
-    case OrderingChoice::kMinDegree:
-      return "mindeg";
-    case OrderingChoice::kNestedDissection:
-      return "nd";
-  }
-  return "?";
-}
 
 const char* to_string(TraversalPolicy policy) {
   switch (policy) {
@@ -43,29 +28,6 @@ const char* to_string(TraversalPolicy policy) {
       return "minmem";
   }
   return "?";
-}
-
-SolverOptions solver_options_from_env(SolverOptions base) {
-  // The enum values are declared in the same order as these spellings, so
-  // the matched index casts straight to the enumerator.
-  if (const auto ordering = env_choice("TREEMEM_ORDERING",
-                                       {"natural", "rcm", "mindeg", "nd"})) {
-    base.analyze.ordering = static_cast<OrderingChoice>(*ordering);
-  }
-  if (const auto policy = env_choice(
-          "TREEMEM_TRAVERSAL", {"auto", "postorder", "liu", "minmem"})) {
-    base.plan.policy = static_cast<TraversalPolicy>(*policy);
-  }
-  if (const auto budget = env_int("TREEMEM_BUDGET", 1, kInfiniteWeight)) {
-    base.plan.memory_budget = static_cast<Weight>(*budget);
-  }
-  if (const auto workers = env_int("TREEMEM_WORKERS", 1, 1024)) {
-    base.factorize.workers = static_cast<int>(*workers);
-  }
-  if (const auto admission = admission_policy_from_env()) {
-    base.factorize.admission = *admission;
-  }
-  return base;
 }
 
 void Solver::require_phase(Phase at_least, const char* verb,
@@ -108,26 +70,12 @@ Solver& Solver::analyze(const SparsePattern& pattern,
   auto analysis = std::make_shared<SolverAnalysis>();
   analysis->options = options;
 
-  std::vector<Index> perm;
-  switch (options.ordering) {
-    case OrderingChoice::kNatural:
-      perm = natural_order(pattern.cols());
-      break;
-    case OrderingChoice::kRcm:
-      perm = rcm_order(pattern);
-      break;
-    case OrderingChoice::kMinDegree:
-      perm = min_degree_order(pattern);
-      break;
-    case OrderingChoice::kNestedDissection:
-      // At the factorization's worker count (0 is the pool's size, as
-      // there); the permutation does not depend on it.
-      perm = nested_dissection_order(
-          pattern, {}, static_cast<unsigned>(options_.factorize.workers));
-      break;
-  }
   analysis->pattern = pattern;
-  analysis->perm = std::move(perm);
+  // At the factorization's worker count (0 is the pool's size, as there);
+  // the permutation does not depend on it.
+  analysis->perm = fill_reducing_order(
+      pattern, options.ordering,
+      static_cast<unsigned>(options_.factorize.workers));
   permute_analysis(*analysis);
   AssemblyTreeOptions tree_options;
   tree_options.relax = options.relax;

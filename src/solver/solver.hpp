@@ -43,10 +43,10 @@
 // cumulative solve counters are atomic).
 //
 // Configuration flows through one aggregate (SolverOptions, one member
-// per phase) with every TREEMEM_* environment override applied by
-// solver_options_from_env() through the strictly-parsed support/env.hpp
-// layer. The low-level entry points the facade wraps stay exported via
-// treemem.hpp for the paper-reproduction benches.
+// per phase); the environment does not reach it (TREEMEM_THREADS and
+// TREEMEM_AFFINITY size and pin the process-wide worker pool). The
+// low-level entry points the facade wraps stay exported via treemem.hpp
+// for the paper-reproduction benches.
 #pragma once
 
 #include <atomic>
@@ -59,23 +59,12 @@
 #include "core/traversal.hpp"
 #include "dense/front_kernel.hpp"
 #include "multifrontal/numeric.hpp"
+#include "order/ordering.hpp"
 #include "parallel/schedule_core.hpp"
 #include "sparse/pattern.hpp"
 #include "symbolic/assembly_tree.hpp"
 
 namespace treemem {
-
-/// Fill-reducing ordering applied in analyze(). kNatural accepts the
-/// pattern as-is — the choice for matrices permuted by an external
-/// ordering (e.g. the perf corpus instances).
-enum class OrderingChoice {
-  kNatural,
-  kRcm,
-  kMinDegree,
-  kNestedDissection,
-};
-
-const char* to_string(OrderingChoice choice);
 
 /// Traversal policy of plan(). kAuto follows the decision procedure the
 /// paper's experiments justify (core/planner.hpp): best postorder when it
@@ -91,6 +80,8 @@ enum class TraversalPolicy {
 const char* to_string(TraversalPolicy policy);
 
 struct AnalyzeOptions {
+  /// Fill-reducing ordering (order/ordering.hpp). kNatural accepts the
+  /// pattern as given, for matrices an external ordering already permuted.
   OrderingChoice ordering = OrderingChoice::kMinDegree;
   /// Relaxed amalgamations per supernode (assembly_tree.hpp; the paper
   /// uses 1, 2, 4 and 16). 0 keeps perfect supernodes: model == machine.
@@ -146,19 +137,6 @@ struct SolverOptions {
   PlanOptions plan;
   FactorizeOptions factorize;
 };
-
-/// `base` with every TREEMEM_* override applied, through the strict
-/// support/env.hpp parsers (malformed values throw):
-///   TREEMEM_ORDERING  = natural | rcm | mindeg | nd
-///   TREEMEM_TRAVERSAL = auto | postorder | liu | minmem
-///   TREEMEM_BUDGET    = <positive entries>        (plan memory budget)
-///   TREEMEM_WORKERS   = <positive thread count>   (tree-level workers)
-///   TREEMEM_ADMISSION = greedy | lookahead      (factorize admission)
-/// (TREEMEM_THREADS keeps steering intra-front workers and the
-/// workers == 0 default — now resolved exactly once, when the process-wide
-/// WorkerPool is constructed; TREEMEM_AFFINITY=1 pins pool workers to
-/// cores, read once at pool construction too.)
-SolverOptions solver_options_from_env(SolverOptions base = {});
 
 /// What analyze() reports. Built once per analysis and stored with it
 /// (SolverAnalysis::stats), so every solver sharing the analysis reports
@@ -277,8 +255,6 @@ struct SolverSymbolic {
 class Solver {
  public:
   /// Phase defaults = `options`; per-phase overloads override per call.
-  /// The default constructor uses compiled-in defaults only — call
-  /// Solver(solver_options_from_env()) to honor the TREEMEM_* overrides.
   Solver() = default;
   explicit Solver(SolverOptions options) : options_(std::move(options)) {}
 

@@ -87,24 +87,4 @@ std::optional<double> env_double(const char* name, double min_value,
   return parsed;
 }
 
-std::optional<std::size_t> env_choice(
-    const char* name, const std::vector<std::string>& choices) {
-  const std::optional<std::string> raw = env_string(name);
-  if (!raw) {
-    return std::nullopt;
-  }
-  for (std::size_t i = 0; i < choices.size(); ++i) {
-    if (*raw == choices[i]) {
-      return i;
-    }
-  }
-  std::string valid;
-  for (const std::string& choice : choices) {
-    valid += valid.empty() ? choice : " | " + choice;
-  }
-  TM_CHECK(false, name << ": unknown value '" << *raw << "' (expected "
-                       << valid << ")");
-  return std::nullopt;  // unreachable
-}
-
 }  // namespace treemem

@@ -1,7 +1,6 @@
 #include "symbolic/symbolic.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 
 namespace treemem {
@@ -79,23 +78,20 @@ std::vector<Index> etree_postorder(const std::vector<Index>& parent) {
   return post;
 }
 
-namespace {
-
-/// Visits every entry of L as visit(i, k), row by row (i ascending), the
-/// diagonal of row i first. Row subtrees: the nonzeros of row i of L are
-/// exactly the nodes on etree paths from each j (A_ij != 0, j < i) up
-/// toward i. Each step of the walk visits a distinct L-entry, so total
-/// work is O(nnz(L)).
-template <typename Visit>
-void for_each_factor_entry(const SparsePattern& a,
-                           const std::vector<Index>& parent, Visit&& visit) {
+std::vector<Index> column_counts(const SparsePattern& a,
+                                 const std::vector<Index>& parent) {
   const Index n = a.cols();
   TM_CHECK(a.is_square() && parent.size() == static_cast<std::size_t>(n),
-           "symbolic: pattern must be square and match the parent array");
+           "column_counts: pattern must be square and match the parent "
+           "array");
+  // Row subtrees: the nonzeros of row i of L are exactly the nodes on
+  // etree paths from each j (A_ij != 0, j < i) up toward i. Each step of
+  // the walk counts a distinct L-entry, so total work is O(nnz(L)).
+  std::vector<Index> counts(static_cast<std::size_t>(n), 0);
   std::vector<Index> mark(static_cast<std::size_t>(n), -1);
   for (Index i = 0; i < n; ++i) {
     mark[static_cast<std::size_t>(i)] = i;
-    visit(i, i);
+    ++counts[static_cast<std::size_t>(i)];  // the diagonal
     for (const Index j : a.column(i)) {
       if (j >= i) {
         break;  // rows are sorted: the rest lie on or below the diagonal
@@ -103,46 +99,13 @@ void for_each_factor_entry(const SparsePattern& a,
       Index k = j;
       while (mark[static_cast<std::size_t>(k)] != i) {
         mark[static_cast<std::size_t>(k)] = i;
-        visit(i, k);  // L(i, k) != 0
+        ++counts[static_cast<std::size_t>(k)];  // L(i, k) != 0
         k = parent[static_cast<std::size_t>(k)];
         TM_ASSERT(k != -1, "row subtree escaped the forest at row " << i);
       }
     }
   }
-}
-
-}  // namespace
-
-std::vector<Index> column_counts(const SparsePattern& a,
-                                 const std::vector<Index>& parent) {
-  std::vector<Index> counts(static_cast<std::size_t>(a.cols()), 0);
-  for_each_factor_entry(a, parent, [&](Index, Index k) {
-    ++counts[static_cast<std::size_t>(k)];
-  });
   return counts;
-}
-
-SparsePattern symbolic_cholesky(const SparsePattern& a) {
-  TM_CHECK(a.is_square(), "symbolic_cholesky: pattern must be square");
-  const Index n = a.cols();
-  const std::vector<Index> parent = elimination_tree(a);
-  const std::vector<Index> counts = column_counts(a, parent);
-  std::vector<std::int64_t> col_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::inclusive_scan(counts.begin(), counts.end(), col_ptr.begin() + 1,
-                      std::plus<>(), std::int64_t{0});
-  // Rows arrive in increasing order, so each column fills up sorted, its
-  // diagonal first.
-  std::vector<Index> row_idx(static_cast<std::size_t>(col_ptr.back()));
-  std::vector<std::int64_t> next(col_ptr.begin(), col_ptr.end() - 1);
-  for_each_factor_entry(a, parent, [&](Index i, Index k) {
-    std::int64_t& slot = next[static_cast<std::size_t>(k)];
-    TM_ASSERT(slot < col_ptr[static_cast<std::size_t>(k) + 1],
-              "symbolic_cholesky: column " << k << " overflows its count");
-    row_idx[static_cast<std::size_t>(slot++)] = i;
-  });
-  TM_ASSERT(std::equal(next.begin(), next.end(), col_ptr.begin() + 1),
-            "symbolic_cholesky: counts exceed the factor's columns");
-  return SparsePattern(n, n, std::move(col_ptr), std::move(row_idx));
 }
 
 std::int64_t factor_nnz(const SparsePattern& a) {

@@ -26,15 +26,6 @@ std::vector<Index> etree_postorder(const std::vector<Index>& parent);
 std::vector<Index> column_counts(const SparsePattern& a,
                                  const std::vector<Index>& parent);
 
-/// Full symbolic factorization: the pattern of L, including the diagonal,
-/// with every column sorted. Row-subtree fill: row i of L is the union of
-/// the etree paths from each j (A_ij != 0, j < i) up to i, so visiting the
-/// rows in increasing order appends each column's rows already sorted into
-/// slots sized by the column counts. O(nnz(L)). The analysis never forms
-/// it (build_assembly_tree builds only the front rows); it is the oracle
-/// the front structure is tested against.
-SparsePattern symbolic_cholesky(const SparsePattern& a);
-
 /// nnz(L) = sum of column counts (includes the diagonal).
 std::int64_t factor_nnz(const SparsePattern& a);
 

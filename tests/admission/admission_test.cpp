@@ -13,14 +13,10 @@
 //   * w = 1 parity: the executor takes exactly the simulator's admission
 //     decisions for each policy (same completion order, same peak);
 //   * the factor is bit-identical across policies (admission only reorders
-//     the schedule; the numerics are schedule-exact);
-//   * TREEMEM_ADMISSION parses strictly — the retired `reservation`
-//     spelling included — and reaches the factorize-phase executor via
-//     solver_options_from_env().
+//     the schedule; the numerics are schedule-exact).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -54,30 +50,6 @@ Weight tight_budget(const Tree& tree) {
 TEST(AdmissionPolicyName, ToString) {
   EXPECT_STREQ(to_string(AdmissionPolicy::kGreedy), "greedy");
   EXPECT_STREQ(to_string(AdmissionPolicy::kLookahead), "lookahead");
-}
-
-TEST(AdmissionPolicyEnv, StrictParse) {
-  const char* saved = std::getenv("TREEMEM_ADMISSION");
-  const std::string saved_value = saved ? saved : "";
-  ::unsetenv("TREEMEM_ADMISSION");
-  EXPECT_FALSE(admission_policy_from_env().has_value());
-  ::setenv("TREEMEM_ADMISSION", "greedy", 1);
-  EXPECT_EQ(admission_policy_from_env(), AdmissionPolicy::kGreedy);
-  ::setenv("TREEMEM_ADMISSION", "lookahead", 1);
-  EXPECT_EQ(admission_policy_from_env(), AdmissionPolicy::kLookahead);
-  // The retired reservation policy is an error, not a silent fallback.
-  ::setenv("TREEMEM_ADMISSION", "reservation", 1);
-  EXPECT_THROW(admission_policy_from_env(), Error);
-  // Malformed values throw instead of silently running greedy.
-  ::setenv("TREEMEM_ADMISSION", "Lookahead", 1);
-  EXPECT_THROW(admission_policy_from_env(), Error);
-  ::setenv("TREEMEM_ADMISSION", "banker", 1);
-  EXPECT_THROW(admission_policy_from_env(), Error);
-  if (saved) {
-    ::setenv("TREEMEM_ADMISSION", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("TREEMEM_ADMISSION");
-  }
 }
 
 TEST(AdmissionWitness, RejectsStructurallyInvalidWitness) {
@@ -347,23 +319,6 @@ TEST(AdmissionSolver, LookaheadThroughTheFacadeIsBitIdentical) {
   EXPECT_LE(stats.measured_peak_entries, stats.modeled_peak_entries);
   EXPECT_LE(stats.modeled_peak_entries, plan.memory_budget);
   EXPECT_EQ(solver.factor().values, reference_values);
-}
-
-TEST(AdmissionSolver, EnvKnobReachesFactorize) {
-  const char* saved = std::getenv("TREEMEM_ADMISSION");
-  const std::string saved_value = saved ? saved : "";
-  ::setenv("TREEMEM_ADMISSION", "lookahead", 1);
-  const SolverOptions options = solver_options_from_env();
-  EXPECT_EQ(options.factorize.admission, AdmissionPolicy::kLookahead);
-  for (const char* bad : {"eager", "reservation"}) {
-    ::setenv("TREEMEM_ADMISSION", bad, 1);
-    EXPECT_THROW(solver_options_from_env(), Error) << bad;
-  }
-  if (saved) {
-    ::setenv("TREEMEM_ADMISSION", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("TREEMEM_ADMISSION");
-  }
 }
 
 }  // namespace

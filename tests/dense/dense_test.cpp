@@ -314,7 +314,7 @@ TEST(FrontKernels, ExtendAddScattersChildBlockExactly) {
 TEST(KernelInEngine, ParallelTiledInsideFactorParallelIsRaceClean) {
   const NumericInstance inst = build_numeric_instance(
       {"dense-tsan", symmetrize(gen::grid2d(9, 9))},
-      OrderingKind::kMinDegree, /*relax=*/2, /*seed=*/29);
+      OrderingChoice::kMinDegree, /*relax=*/2, /*seed=*/29);
   const MultifrontalResult reference = multifrontal_cholesky(
       inst.matrix, inst.assembly,
       reverse_traversal(best_postorder(inst.assembly.tree).order),
@@ -336,7 +336,7 @@ TEST(KernelInEngine, BlockedKernelKeepsSerialDriverBitExact) {
   Prng prng(17);
   const NumericInstance inst = build_numeric_instance(
       {"dense-serial", symmetrize(gen::random_symmetric(64, 3.0, prng))},
-      OrderingKind::kNestedDissection, /*relax=*/1, /*seed=*/31);
+      OrderingChoice::kNestedDissection, /*relax=*/1, /*seed=*/31);
   const Traversal order =
       reverse_traversal(best_postorder(inst.assembly.tree).order);
   const MultifrontalResult scalar =

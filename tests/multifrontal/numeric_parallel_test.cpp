@@ -53,7 +53,7 @@ namespace {
 /// (build_numeric_instance), so this suite tests exactly the path the
 /// bench and perf layers run — no drifting local re-implementation.
 NumericInstance make_instance(const SparsePattern& raw, std::uint64_t seed,
-                              OrderingKind ordering, Index relax) {
+                              OrderingChoice ordering, Index relax) {
   return build_numeric_instance({"test", symmetrize(raw)}, ordering, relax,
                                 seed);
 }
@@ -88,8 +88,8 @@ TEST_P(NumericParallelSweep, MatchesSerialFactorAndReconstructsA) {
   const Index relax_by_seed[] = {0, 1, 4};
   const Index relax = relax_by_seed[seed % 3];
   for (const auto& raw : pattern_family(seed)) {
-    for (const OrderingKind ordering :
-         {OrderingKind::kMinDegree, OrderingKind::kNestedDissection}) {
+    for (const OrderingChoice ordering :
+         {OrderingChoice::kMinDegree, OrderingChoice::kNestedDissection}) {
       const NumericInstance inst = make_instance(raw, seed, ordering, relax);
       const MultifrontalResult serial = serial_factor(inst);
       ASSERT_LT(relative_residual(inst.matrix, serial.factor), 1e-12);
@@ -140,7 +140,7 @@ TEST(NumericParallelMemory, SingleWorkerMatchesEquationOneExactly) {
   for (const std::uint64_t seed : {3ULL, 11ULL, 19ULL}) {
     for (const auto& raw : pattern_family(seed)) {
       const NumericInstance inst =
-          make_instance(raw, seed, OrderingKind::kMinDegree, /*relax=*/0);
+          make_instance(raw, seed, OrderingChoice::kMinDegree, /*relax=*/0);
       const Tree& tree = inst.assembly.tree;
       ParallelFactorOptions options;
       options.workers = 1;
@@ -168,7 +168,7 @@ TEST(NumericParallelMemory, SingleWorkerMatchesEquationOneExactly) {
 
 TEST(NumericParallelMemory, MeasuredPeakWithinModelAndBudget) {
   const NumericInstance inst = make_instance(
-      gen::grid2d(9, 9), 5, OrderingKind::kMinDegree, /*relax=*/4);
+      gen::grid2d(9, 9), 5, OrderingChoice::kMinDegree, /*relax=*/4);
   const Tree& tree = inst.assembly.tree;
   const MultifrontalResult serial = serial_factor(inst);
 
@@ -216,7 +216,7 @@ TEST(NumericParallelMemory, MinimumFeasibleBudgetCompletesWithoutStall) {
   for (const std::uint64_t seed : {2ULL, 7ULL}) {
     for (const auto& raw : pattern_family(seed)) {
       const NumericInstance inst = make_instance(
-          raw, seed, OrderingKind::kNestedDissection, /*relax=*/1);
+          raw, seed, OrderingChoice::kNestedDissection, /*relax=*/1);
       const ParallelFactorResult free_run = factor_parallel(
           inst.matrix, inst.assembly, kInfiniteWeight, 1);
       ASSERT_TRUE(free_run.feasible);
@@ -231,7 +231,7 @@ TEST(NumericParallelMemory, MinimumFeasibleBudgetCompletesWithoutStall) {
 
 TEST(NumericParallelDeterminism, RepeatedRunsAgreeOnScheduleIndependentOutputs) {
   const NumericInstance inst = make_instance(
-      gen::grid2d(10, 10), 23, OrderingKind::kMinDegree, /*relax=*/1);
+      gen::grid2d(10, 10), 23, OrderingChoice::kMinDegree, /*relax=*/1);
   const Tree& tree = inst.assembly.tree;
   PanelBuffer reference_values;
   long long reference_flops = 0;
@@ -285,7 +285,7 @@ TEST(NumericParallelFailure, NonSpdMatrixThrowsCleanly) {
 
 TEST(NumericParallelFailure, UndersizedBudgetReportsInfeasible) {
   const NumericInstance inst = make_instance(
-      gen::grid2d(7, 7), 3, OrderingKind::kMinDegree, /*relax=*/1);
+      gen::grid2d(7, 7), 3, OrderingChoice::kMinDegree, /*relax=*/1);
   const Weight too_small = inst.assembly.tree.max_mem_req() - 1;
   const ParallelFactorResult run =
       factor_parallel(inst.matrix, inst.assembly, too_small, 4);
@@ -299,7 +299,7 @@ TEST(NumericParallelFailure, StalledRunGivesThePanelsBack) {
   // anchor as the only lane, so the two-worker greedy schedule is one
   // fixed sequence of decisions; at the MinMem peak it stalls here.
   const NumericInstance inst = make_instance(
-      gen::grid2d(10, 10), 5, OrderingKind::kMinDegree, /*relax=*/1);
+      gen::grid2d(10, 10), 5, OrderingChoice::kMinDegree, /*relax=*/1);
   const MinMemResult minmem = in_tree_minmem_optimal(inst.assembly.tree);
   WorkerPool pool(1);
   WorkerLease held = pool.try_lease(1);
@@ -332,13 +332,13 @@ TEST(NumericParallelFailure, StalledRunGivesThePanelsBack) {
 
 TEST(NumericParallelFailure, RejectsBadArguments) {
   const NumericInstance inst = make_instance(
-      gen::grid2d(4, 4), 1, OrderingKind::kMinDegree, /*relax=*/1);
+      gen::grid2d(4, 4), 1, OrderingChoice::kMinDegree, /*relax=*/1);
   ParallelFactorOptions options;
   options.workers = 0;
   EXPECT_THROW(factor_parallel(inst.matrix, inst.assembly, options), Error);
   // Mismatched matrix/tree pair.
   const NumericInstance other = make_instance(
-      gen::grid2d(5, 5), 1, OrderingKind::kMinDegree, /*relax=*/1);
+      gen::grid2d(5, 5), 1, OrderingChoice::kMinDegree, /*relax=*/1);
   EXPECT_THROW(
       factor_parallel(inst.matrix, other.assembly, ParallelFactorOptions{}),
       Error);
@@ -442,7 +442,7 @@ TEST(NumericParallelTaskTree, ContractionContractOnCorpusTrees) {
   for (const NumericInstance& inst : corpus()) {
     const Tree& tree = inst.assembly.tree;
     const std::vector<double> flops =
-        FrontalEngine(inst.matrix, inst.assembly).estimated_front_flops();
+        estimated_front_flops(*inst.assembly.fronts);
     const Traversal witnesses[] = {
         reverse_traversal(best_postorder(tree).order),
         in_tree_minmem_optimal(tree).order};
@@ -509,11 +509,11 @@ TEST(NumericParallelFailure, NonSpdPivotInsideSubtreeTaskThrowsCleanly) {
   // as assembled, so a negative diagonal there fails exactly that front —
   // chosen inside a subtree task, i.e. mid-way through a task's run.
   const NumericInstance inst = make_instance(
-      gen::grid2d(16, 16), 41, OrderingKind::kNestedDissection, /*relax=*/1);
+      gen::grid2d(16, 16), 41, OrderingChoice::kNestedDissection, /*relax=*/1);
   const Tree& tree = inst.assembly.tree;
   const Traversal witness = reverse_traversal(best_postorder(tree).order);
   const std::vector<double> flops =
-      FrontalEngine(inst.matrix, inst.assembly).estimated_front_flops();
+      estimated_front_flops(*inst.assembly.fronts);
   for (const int workers : {1, 2, 4}) {
     const TaskTree tasks = contract_subtrees(tree, flops, witness, workers);
     NodeId leaf = kNoNode;

@@ -18,7 +18,6 @@
 #include "sparse/generators.hpp"
 #include "support/prng.hpp"
 #include "symbolic/assembly_tree.hpp"
-#include "symbolic/symbolic.hpp"
 #include "test_util.hpp"
 
 namespace treemem {
@@ -89,7 +88,7 @@ TEST(SupernodalSolve, ResidualOnEveryEngineAndAmalgamation) {
 
 TEST(SupernodalSolve, PanelsPadOnlyRelaxedFronts) {
   const SymmetricMatrix a = nd_matrix(gen::grid2d(12, 12), 9);
-  const std::int64_t fill = symbolic_cholesky(a.pattern()).nnz();
+  const std::int64_t fill = testing::column_merge_factor(a.pattern()).nnz();
   // Fundamental supernodes are dense already: the panels hold L exactly.
   const AssemblyTree perfect = build_assembly_tree(a.pattern(), {0, true});
   EXPECT_EQ(perfect.fronts->factor_nnz, fill);
@@ -144,7 +143,7 @@ TEST(SupernodalSolve, BlockedSolveMatchesPerColumnBitForBit) {
 TEST(SupernodalSolve, EntryInsideARelaxedFrontIsFactoredExactly) {
   const SymmetricMatrix a = nd_matrix(gen::grid2d(8, 8), 12);
   const AssemblyTree assembly = build_assembly_tree(a.pattern(), {16, true});
-  const SparsePattern fill = symbolic_cholesky(a.pattern());
+  const SparsePattern fill = testing::column_merge_factor(a.pattern());
   // A padded slot: front row r of the supernode of column j, r > j, where
   // L(r, j) is structurally zero.
   Index pad_row = -1, pad_col = -1;

@@ -5,9 +5,8 @@
 //     plans);
 //   * the Matrix Market readers (sparse/mm_io.hpp) on valid texts whose
 //     banner or entry lines are mutated;
-//   * the strict TREEMEM_* parsers (support/env.hpp and their consumers,
-//     solver_options_from_env and admission_policy_from_env) on mutated
-//     values.
+//   * the strict TREEMEM_* parsers (support/env.hpp) on mutated values of
+//     the variables the library and the benches read.
 //
 // Every mutant must yield a treemem::Error or a valid result. A loaded
 // symbolic state is valid when a Solver that adopts it factors and solves
@@ -44,7 +43,6 @@
 #include <unistd.h>
 
 #include "multifrontal/numeric.hpp"
-#include "parallel/schedule_core.hpp"
 #include "parallel/worker_pool.hpp"
 #include "solver/solver.hpp"
 #include "solver/symbolic_store.hpp"
@@ -557,18 +555,6 @@ std::string expect_integer(const std::string& text,
   return "";
 }
 
-std::string expect_choice(const std::string& text, std::optional<int> index,
-                          const std::vector<std::string>& choices) {
-  if (!index) {
-    return text.empty() ? "" : "a set value read as unset";
-  }
-  if (*index < 0 || static_cast<std::size_t>(*index) >= choices.size() ||
-      choices[static_cast<std::size_t>(*index)] != text) {
-    return "accepted a value that is not one of the spellings";
-  }
-  return "";
-}
-
 std::vector<EnvCase> env_cases() {
   const long long threads_max = std::numeric_limits<long long>::max() / 2;
   return {
@@ -596,60 +582,6 @@ std::vector<EnvCase> env_cases() {
            return "accepted a value that is not an in-range decimal";
          }
          return "";
-       }},
-      {"TREEMEM_WORKERS",
-       {"1", "4", "1024"},
-       [](const std::string& text) {
-         const SolverOptions options = solver_options_from_env();
-         return expect_integer(
-             text,
-             text.empty() ? std::nullopt
-                          : std::optional<long long>(options.factorize.workers),
-             1, 1024);
-       }},
-      {"TREEMEM_BUDGET",
-       {"1", "100000", "2305843009213693951"},
-       [](const std::string& text) {
-         const SolverOptions options = solver_options_from_env();
-         return expect_integer(
-             text,
-             text.empty()
-                 ? std::nullopt
-                 : std::optional<long long>(options.plan.memory_budget),
-             1, kInfiniteWeight);
-       }},
-      {"TREEMEM_ORDERING",
-       {"natural", "rcm", "mindeg", "nd"},
-       [](const std::string& text) {
-         const SolverOptions options = solver_options_from_env();
-         return expect_choice(
-             text,
-             text.empty() ? std::nullopt
-                          : std::optional<int>(
-                                static_cast<int>(options.analyze.ordering)),
-             {"natural", "rcm", "mindeg", "nd"});
-       }},
-      {"TREEMEM_TRAVERSAL",
-       {"auto", "postorder", "liu", "minmem"},
-       [](const std::string& text) {
-         const SolverOptions options = solver_options_from_env();
-         return expect_choice(
-             text,
-             text.empty()
-                 ? std::nullopt
-                 : std::optional<int>(static_cast<int>(options.plan.policy)),
-             {"auto", "postorder", "liu", "minmem"});
-       }},
-      {"TREEMEM_ADMISSION",
-       {"greedy", "lookahead"},
-       [](const std::string& text) {
-         const std::optional<AdmissionPolicy> policy =
-             admission_policy_from_env();
-         return expect_choice(
-             text,
-             policy ? std::optional<int>(static_cast<int>(*policy))
-                    : std::nullopt,
-             {"greedy", "lookahead"});
        }},
   };
 }
@@ -746,9 +678,7 @@ int main(int argc, char** argv) {
   // the parsers under test see only the mutants.
   treemem::WorkerPool::instance();
   for (const char* name :
-       {"TREEMEM_THREADS", "TREEMEM_AFFINITY", "TREEMEM_SCALE",
-        "TREEMEM_WORKERS", "TREEMEM_BUDGET", "TREEMEM_ORDERING",
-        "TREEMEM_TRAVERSAL", "TREEMEM_ADMISSION"}) {
+       {"TREEMEM_THREADS", "TREEMEM_AFFINITY", "TREEMEM_SCALE"}) {
     ::unsetenv(name);
   }
   int failures = 0;

@@ -218,7 +218,7 @@ TEST_P(LeasePolicySweep, FactorsBitIdenticalToSerialAcrossWorkerCounts) {
   Prng prng(4242);
   const SparsePattern raw = symmetrize(gen::random_symmetric(72, 3.0, prng));
   const NumericInstance inst = build_numeric_instance(
-      {"pool-test", raw}, OrderingKind::kMinDegree, 2, 4242);
+      {"pool-test", raw}, OrderingChoice::kMinDegree, 2, 4242);
   const MultifrontalResult serial = multifrontal_cholesky(
       inst.matrix, inst.assembly,
       reverse_traversal(best_postorder(inst.assembly.tree).order),

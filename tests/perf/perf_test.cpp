@@ -11,6 +11,7 @@
 #include "multifrontal/numeric_parallel.hpp"
 #include "perf/corpus.hpp"
 #include "perf/profile.hpp"
+#include "solver/solver.hpp"
 
 namespace treemem {
 namespace {
@@ -137,6 +138,37 @@ TEST(Corpus, NumericInstancesDriveTheParallelPipeline) {
     EXPECT_EQ(again[i].name, instances[i].name);
     EXPECT_EQ(again[i].assembly.tree.parents(),
               instances[i].assembly.tree.parents());
+  }
+}
+
+TEST(Corpus, NumericInstancesAreTheSolversAnalysis) {
+  // The numeric slice factors exactly what Solver::analyze builds for the
+  // same pattern, ordering and relax: its permutation (seen through the
+  // permuted values) and its chain-merged front structure.
+  const CorpusOptions options;
+  const auto instances = build_numeric_instances(options, 5);
+  const auto matrices = smallest_corpus_matrices(options, 5);
+  ASSERT_EQ(instances.size(), 2 * matrices.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const NumericInstance& inst = instances[i];
+    const CorpusMatrix& source = matrices[i / 2];
+    ASSERT_EQ(inst.matrix_name, source.name);
+    Solver solver;
+    solver.analyze(source.pattern,
+                   {.ordering = inst.ordering, .relax = inst.relax});
+    const SymmetricMatrix expected =
+        make_spd_matrix(source.pattern, options.seed)
+            .permuted(solver.permutation());
+    EXPECT_EQ(inst.matrix.pattern().col_ptr(), expected.pattern().col_ptr())
+        << inst.name;
+    EXPECT_EQ(inst.matrix.pattern().row_idx(), expected.pattern().row_idx())
+        << inst.name;
+    EXPECT_EQ(inst.matrix.values(), expected.values()) << inst.name;
+    EXPECT_EQ(inst.assembly.tree.parents(),
+              solver.assembly().tree.parents())
+        << inst.name;
+    EXPECT_TRUE(*inst.assembly.fronts == *solver.assembly().fronts)
+        << inst.name;
   }
 }
 

@@ -24,14 +24,11 @@
 //     values (bit-identical to a fresh Solver, also after an adopt() of a
 //     pattern of another order and back), and a throwing factorize()
 //     leaves the solver planned with no factor;
-//   * solver_options_from_env applies TREEMEM_ORDERING / TREEMEM_TRAVERSAL
-//     / TREEMEM_BUDGET / TREEMEM_WORKERS / TREEMEM_ADMISSION strictly;
 //   * tenants sharing one cached analysis refactor concurrently, each
 //     bit-identical to a solo serial run (runs under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <latch>
 #include <string>
 #include <thread>
@@ -623,93 +620,6 @@ TEST(SolverStorage, RefactorWritesIntoThePreviousFactorsPanels) {
     solver.adopt(solver.symbolic()).factorize(a, options);
     EXPECT_EQ(solver.factor().values.data(), panels);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Environment overrides through the one strict layer
-// ---------------------------------------------------------------------------
-
-class SolverEnvGuard {
- public:
-  SolverEnvGuard() {
-    for (const char* name : kNames) {
-      if (const char* value = std::getenv(name)) {
-        saved_.emplace_back(name, value);
-      }
-      ::unsetenv(name);
-    }
-  }
-  ~SolverEnvGuard() {
-    for (const char* name : kNames) {
-      ::unsetenv(name);
-    }
-    for (const auto& [name, value] : saved_) {
-      ::setenv(name.c_str(), value.c_str(), 1);
-    }
-  }
-
- private:
-  static constexpr const char* kNames[] = {
-      "TREEMEM_ORDERING", "TREEMEM_TRAVERSAL", "TREEMEM_BUDGET",
-      "TREEMEM_WORKERS", "TREEMEM_ADMISSION"};
-  std::vector<std::pair<std::string, std::string>> saved_;
-};
-
-TEST(SolverOptionsEnv, AppliesAllKnobsStrictly) {
-  SolverEnvGuard guard;
-  // No overrides: compiled-in defaults pass through.
-  const SolverOptions defaults = solver_options_from_env();
-  EXPECT_EQ(defaults.analyze.ordering, OrderingChoice::kMinDegree);
-  EXPECT_EQ(defaults.plan.policy, TraversalPolicy::kAuto);
-  EXPECT_EQ(defaults.plan.memory_budget, kInfiniteWeight);
-  EXPECT_EQ(defaults.factorize.workers, 0);
-
-  ::setenv("TREEMEM_ORDERING", "nd", 1);
-  ::setenv("TREEMEM_TRAVERSAL", "minmem", 1);
-  ::setenv("TREEMEM_BUDGET", "123456", 1);
-  ::setenv("TREEMEM_WORKERS", "8", 1);
-  ::setenv("TREEMEM_ADMISSION", "lookahead", 1);
-  const SolverOptions options = solver_options_from_env();
-  EXPECT_EQ(options.analyze.ordering, OrderingChoice::kNestedDissection);
-  EXPECT_EQ(options.plan.policy, TraversalPolicy::kMinMem);
-  EXPECT_EQ(options.plan.memory_budget, 123456);
-  EXPECT_EQ(options.factorize.workers, 8);
-  EXPECT_EQ(options.factorize.admission, AdmissionPolicy::kLookahead);
-  ::unsetenv("TREEMEM_ADMISSION");
-
-  // Malformed values throw instead of silently reconfiguring the run.
-  ::setenv("TREEMEM_ORDERING", "metis", 1);
-  EXPECT_THROW(solver_options_from_env(), Error);
-  ::unsetenv("TREEMEM_ORDERING");
-  ::setenv("TREEMEM_WORKERS", "many", 1);
-  EXPECT_THROW(solver_options_from_env(), Error);
-  ::unsetenv("TREEMEM_WORKERS");
-  ::setenv("TREEMEM_BUDGET", "-5", 1);
-  EXPECT_THROW(solver_options_from_env(), Error);
-  ::unsetenv("TREEMEM_BUDGET");
-
-  // A Solver built from env-derived options uses them end to end.
-  ::setenv("TREEMEM_ORDERING", "natural", 1);
-  const SparsePattern pattern = symmetrize(gen::grid2d(5, 5));
-  Solver solver(solver_options_from_env());
-  solver.analyze(pattern);
-  EXPECT_EQ(solver.stats().ordering, "natural");
-  const std::vector<Index>& perm = solver.permutation();
-  for (Index k = 0; k < pattern.cols(); ++k) {
-    EXPECT_EQ(perm[static_cast<std::size_t>(k)], k);
-  }
-
-  // A Solver NOT built from env-derived options is insulated from the
-  // environment: even a malformed TREEMEM_ADMISSION cannot reach its
-  // factorize path (options flow only through SolverOptions).
-  ::setenv("TREEMEM_ADMISSION", "bogus", 1);
-  Solver insulated;
-  insulated.analyze(pattern).plan();
-  FactorizeOptions parallel;
-  parallel.workers = 2;
-  insulated.factorize(make_spd_matrix(pattern, 3), parallel);
-  EXPECT_EQ(insulated.stats().engine, "parallel");
-  ::unsetenv("TREEMEM_ADMISSION");
 }
 
 // ---------------------------------------------------------------------------

@@ -292,11 +292,6 @@ TEST(EnvLayer, StrictParsersAcceptAndReject) {
     EXPECT_THROW(env_double("TREEMEM_THREADS", 0.0, 100.0), Error)
         << "value: '" << bad << "'";
   }
-  const std::vector<std::string> choices = {"red", "green"};
-  ::setenv("TREEMEM_THREADS", "green", 1);
-  EXPECT_EQ(env_choice("TREEMEM_THREADS", choices).value(), 1u);
-  ::setenv("TREEMEM_THREADS", "blue", 1);
-  EXPECT_THROW(env_choice("TREEMEM_THREADS", choices), Error);
 }
 
 TEST(Check, MessagesCarryContext) {

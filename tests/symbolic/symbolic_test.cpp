@@ -1,6 +1,7 @@
 // Tests for the symbolic factorization substrate: elimination trees,
-// postorder, column counts (validated against the explicit symbolic
-// factor), amalgamation, assembly-tree weights and the front structure.
+// postorder, column counts (validated against dense fill and the
+// column-merge oracle of test_util.hpp), amalgamation, assembly-tree
+// weights and the front structure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "support/prng.hpp"
 #include "symbolic/assembly_tree.hpp"
 #include "symbolic/symbolic.hpp"
+#include "test_util.hpp"
 
 namespace treemem {
 namespace {
@@ -96,7 +98,7 @@ TEST_P(SymbolicSweep, SymbolicCholeskyMatchesDenseFill) {
   for (const Index n : {5, 12, 30}) {
     const SparsePattern a = random_spd_pattern(seed * 71 + n, n, 3.5);
     const auto fill = dense_fill(a);
-    const SparsePattern l = symbolic_cholesky(a);
+    const SparsePattern l = testing::column_merge_factor(a);
     for (Index j = 0; j < n; ++j) {
       for (Index i = 0; i < n; ++i) {
         const bool expected =
@@ -138,7 +140,7 @@ TEST(Symbolic, PostorderIsValidAndContiguous) {
 
 TEST(Symbolic, FactorNnzOnGrid) {
   const SparsePattern a = symmetrize(gen::grid2d(8, 8));
-  const SparsePattern l = symbolic_cholesky(a);
+  const SparsePattern l = testing::column_merge_factor(a);
   EXPECT_EQ(factor_nnz(a), l.nnz());
   EXPECT_GE(l.nnz(), a.nnz() / 2);  // at least the lower triangle of A
 }
@@ -248,37 +250,6 @@ TEST(Amalgamation, WeightsFollowPaperFormulas) {
 // Front structure
 // ---------------------------------------------------------------------------
 
-/// Oracle: the pattern of L by column merging, L(:,j) = lower part of
-/// A(:,j) ∪ the union over etree children c of L(:,c) \ {c}.
-SparsePattern column_merge_factor(const SparsePattern& a) {
-  const Index n = a.cols();
-  const std::vector<Index> parent = elimination_tree(a);
-  std::vector<std::vector<Index>> cols(static_cast<std::size_t>(n));
-  for (const Index j : etree_postorder(parent)) {
-    auto& col = cols[static_cast<std::size_t>(j)];
-    for (const Index i : a.column(j)) {
-      if (i >= j) {
-        col.push_back(i);
-      }
-    }
-    for (Index c = 0; c < j; ++c) {
-      if (parent[static_cast<std::size_t>(c)] == j) {
-        const auto& child = cols[static_cast<std::size_t>(c)];
-        col.insert(col.end(), child.begin() + 1, child.end());
-      }
-    }
-    std::sort(col.begin(), col.end());
-    col.erase(std::unique(col.begin(), col.end()), col.end());
-  }
-  std::vector<std::int64_t> col_ptr{0};
-  std::vector<Index> row_idx;
-  for (const auto& col : cols) {
-    row_idx.insert(row_idx.end(), col.begin(), col.end());
-    col_ptr.push_back(static_cast<std::int64_t>(row_idx.size()));
-  }
-  return SparsePattern(n, n, std::move(col_ptr), std::move(row_idx));
-}
-
 enum class Family { kGrid2d, kGrid3d, kRandom, kBlockTri, kHoles };
 enum class Order { kNatural, kMinDegree, kNestedDissection };
 
@@ -320,10 +291,13 @@ TEST_P(FrontStructureSweep, MatchesColumnMergeOracle) {
   const auto [family, order] = GetParam();
   const SparsePattern raw = family_pattern(family);
   const SparsePattern a = permute_symmetric(raw, family_order(order, raw));
-  const SparsePattern oracle = column_merge_factor(a);
-  const SparsePattern fill = symbolic_cholesky(a);
-  ASSERT_EQ(fill.col_ptr(), oracle.col_ptr());
-  ASSERT_EQ(fill.row_idx(), oracle.row_idx());
+  const SparsePattern fill = testing::column_merge_factor(a);
+  const std::vector<Index> counts = column_counts(a, elimination_tree(a));
+  for (Index j = 0; j < a.cols(); ++j) {
+    ASSERT_EQ(counts[static_cast<std::size_t>(j)],
+              static_cast<Index>(fill.column(j).size()))
+        << "column " << j;
+  }
 
   std::vector<Index> rows;
   std::vector<Index> expected;
@@ -350,7 +324,7 @@ TEST_P(FrontStructureSweep, MatchesColumnMergeOracle) {
         // The front rows the engines form, members ++ update_rows, are the
         // sorted union of the member columns.
         for (const Index j : members) {
-          const auto col = oracle.column(j);
+          const auto col = fill.column(j);
           expected.insert(expected.end(), col.begin(), col.end());
         }
         std::sort(expected.begin(), expected.end());
@@ -364,7 +338,7 @@ TEST_P(FrontStructureSweep, MatchesColumnMergeOracle) {
         // ... which is members ++ L(:, top) below the diagonal.
         rows.assign(members.begin(), members.end());
         if (!members.empty()) {
-          const auto top = oracle.column(members.back()).subspan(1);
+          const auto top = fill.column(members.back()).subspan(1);
           rows.insert(rows.end(), top.begin(), top.end());
         }
         ASSERT_EQ(rows, expected) << "node " << s;

@@ -3,14 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <iomanip>
 #include <span>
 #include <thread>
+#include <vector>
 
 #include "parallel/worker_pool.hpp"
+#include "sparse/pattern.hpp"
 #include "support/prng.hpp"
+#include "symbolic/symbolic.hpp"
 #include "tree/generators.hpp"
 #include "tree/tree.hpp"
 
@@ -119,6 +123,38 @@ inline bool wait_for_idle(const WorkerPool& pool) {
     std::this_thread::yield();
   }
   return false;
+}
+
+/// Oracle for the pattern of L of a symmetric pattern with a full diagonal,
+/// independent of the library's row-subtree walk (column_counts): column
+/// merging, L(:,j) = the lower part of A(:,j) ∪ the union over etree
+/// children c of L(:,c) \ {c}. Columns ascending, the diagonal first.
+/// Every etree child precedes its parent, so one ascending pass suffices.
+inline SparsePattern column_merge_factor(const SparsePattern& a) {
+  const Index n = a.cols();
+  const std::vector<Index> parent = elimination_tree(a);
+  std::vector<std::vector<Index>> cols(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) {
+    auto& col = cols[static_cast<std::size_t>(j)];
+    for (const Index i : a.column(j)) {
+      if (i >= j) {
+        col.push_back(i);
+      }
+    }
+    std::sort(col.begin(), col.end());
+    col.erase(std::unique(col.begin(), col.end()), col.end());
+    if (const Index p = parent[static_cast<std::size_t>(j)]; p != -1) {
+      auto& up = cols[static_cast<std::size_t>(p)];
+      up.insert(up.end(), col.begin() + 1, col.end());
+    }
+  }
+  std::vector<std::int64_t> col_ptr{0};
+  std::vector<Index> row_idx;
+  for (const auto& col : cols) {
+    row_idx.insert(row_idx.end(), col.begin(), col.end());
+    col_ptr.push_back(static_cast<std::int64_t>(row_idx.size()));
+  }
+  return SparsePattern(n, n, std::move(col_ptr), std::move(row_idx));
 }
 
 }  // namespace treemem::testing
