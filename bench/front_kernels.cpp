@@ -106,6 +106,11 @@ __attribute__((target("avx2"))) double multiply_subtract_avx2(
     long long iters) {
   return multiply_subtract_loop<Vec4>(iters);
 }
+using Vec8 = double __attribute__((vector_size(64)));
+__attribute__((target("avx512f"))) double multiply_subtract_avx512(
+    long long iters) {
+  return multiply_subtract_loop<Vec8>(iters);
+}
 #endif
 
 /// The single-core ceiling for tile-kernel instantiation `isa`, GFLOP/s:
@@ -114,11 +119,17 @@ double multiply_subtract_ceiling(const std::string& isa) {
   double lanes = 2.0;
   double (*loop)(long long) = &multiply_subtract_baseline;
 #if defined(__x86_64__)
-  if (isa == "avx2") {
+  if (isa == "avx512") {
+    lanes = 8.0;
+    loop = &multiply_subtract_avx512;
+  } else if (isa == "avx2") {
     lanes = 4.0;
     loop = &multiply_subtract_avx2;
   }
 #endif
+  // An instantiation without its own loop would read against SSE2's.
+  TM_CHECK(lanes > 2.0 || isa == "baseline",
+           "no multiply-subtract ceiling loop for tile kernel " << isa);
   double best = 1e30;
   volatile double sink = 0.0;
   for (int rep = 0; rep < 3; ++rep) {

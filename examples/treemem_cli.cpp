@@ -168,11 +168,16 @@ struct CliOptions {
   std::string metrics_out;   ///< serve: metrics exposition file (empty = off)
 };
 
+/// The ordering whose to_string is `name`, so the spellings live in one
+/// place (order/basic_orders.cpp).
 std::optional<OrderingChoice> ordering_of(const std::string& name) {
-  if (name == "mindeg") return OrderingChoice::kMinDegree;
-  if (name == "nd") return OrderingChoice::kNestedDissection;
-  if (name == "rcm") return OrderingChoice::kRcm;
-  if (name == "natural") return OrderingChoice::kNatural;
+  for (const OrderingChoice choice :
+       {OrderingChoice::kNatural, OrderingChoice::kRcm,
+        OrderingChoice::kMinDegree, OrderingChoice::kNestedDissection}) {
+    if (name == to_string(choice)) {
+      return choice;
+    }
+  }
   return std::nullopt;
 }
 

@@ -10,22 +10,24 @@
 // `block_size` columns are factored, then the trailing columns receive all
 // panel updates in one pass. Every update — the panel's own and the
 // trailing block's — runs one register-tiled microkernel
-// (dense/tile_kernel.hpp): a tile of 12 rows × 4 columns (AVX2) is loaded
-// into registers once per panel, receives every pivot of the panel and is
-// stored once. When a panel's trailing update clears the volume gate, it is
-// split into column tiles run on workers *leased* from the persistent pool
-// (parallel/worker_pool.hpp): the panel claims whatever workers are idle
-// right now — typically the tree-level executor's, near the root where its
-// frontier has collapsed — and returns them at panel end. The lease never
+// (dense/tile_kernel.hpp): a tile of 24 rows × 4 columns (AVX-512; 12 with
+// AVX2) is loaded into registers once per panel, receives every pivot of
+// the panel and is stored once. When a panel's trailing update clears the
+// volume gate, it is split into column tiles run on workers *leased* from
+// the persistent pool (parallel/worker_pool.hpp): the panel claims
+// whatever workers are idle right now — typically the tree-level
+// executor's, near the root where its frontier has collapsed — and returns
+// them at panel end. The lease never
 // blocks and never spawns a thread; when nobody is idle the panel runs
 // inline and the denial is counted (lease_stats / SolverStats::
 // lease_denied). Below the gate, or with `workers == 1`, the update runs
 // inline on the calling thread.
 //
-// ISA dispatch: the microkernel is compiled twice, for AVX2 (through a
-// target attribute, whatever the build's -march) and for the build's
-// baseline ISA; the first use picks AVX2 when __builtin_cpu_supports
-// reports it. No option chooses: both instantiations give the same bits.
+// ISA dispatch: AVX-512, AVX2 or baseline, picked at runtime. The
+// microkernel is compiled for AVX-512 and AVX2 (through target attributes,
+// whatever the build's -march) and for the build's baseline ISA; the first
+// use picks the widest one __builtin_cpu_supports reports. No option
+// chooses: every instantiation gives the same bits.
 //
 // Exactness contract: whatever the block size, worker count, lease outcome
 // or instantiation, every entry (r, c) receives its pivot updates in
@@ -61,10 +63,11 @@ struct TileKernel;
 struct KernelConfig {
   /// Panel width and trailing-update tile width (clamped to >= 1). Default
   /// 16. bench/front_kernels swept 8, 16, 32, 48 and 96 with the register-
-  /// tiled kernel on a 4-core AVX2 Xeon (medians of 3 sweeps, 64–1024-row
-  /// fronts, inline): no width wins consistently — the best one per front
-  /// beats 16 by at most 1.19×, against a 16% median run-to-run spread per
-  /// cell — since a tile keeps its rows in registers for a whole panel at
+  /// tiled kernel's AVX-512 instantiation on a 4-core Xeon (medians of 3
+  /// sweeps, 64–1024-row fronts, inline): no width wins consistently — the
+  /// best one per front beats 16 by at most 1.23×, against a 29% median
+  /// run-to-run spread per cell; the AVX2 instantiation read 1.19× against
+  /// 16% — since a tile keeps its rows in registers for a whole panel at
   /// any width. Rerun the sweep (front_kernels.csv) on a new machine and
   /// set this per run via SolverOptions::factorize.kernel.
   std::size_t block_size = 16;

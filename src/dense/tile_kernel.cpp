@@ -4,7 +4,11 @@
 #include <cstring>
 #include <vector>
 
-// Bit-identity across instantiations, tile shapes and the scalar edges
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+// Bit-identity across instantiations, tile shapes and the row edges
 // needs every update to round its product before the subtraction: this
 // file must be compiled with -ffp-contract=off (CMakeLists.txt sets it
 // for treemem_dense), or an FMA-capable build fuses some of them.
@@ -22,16 +26,20 @@ namespace treemem {
 namespace {
 
 /// The register tile: kTileVectors vectors down each of kTileColumns
-/// columns (3×4 = 12 accumulators: 12 rows × 4 columns with AVX2). Its
-/// pivots' multipliers are packed kPivotChunk at a time; a longer panel
-/// makes one register pass per chunk, still in ascending k.
+/// columns (3×4 = 12 accumulators: 12 rows × 4 columns with AVX2, 24 with
+/// AVX-512). AVX-512's 32 registers would hold a 4-vector tile too, but
+/// bench/front_kernels measured it slower on fronts of up to 512 rows and
+/// only 3–4% faster at 1024. Its pivots' multipliers are packed
+/// kPivotChunk at a time; a longer panel makes one register pass per
+/// chunk, still in ascending k.
 constexpr std::size_t kTileVectors = 3;
 constexpr std::size_t kPivotChunk = 64;
 
 /// GCC/Clang vector extensions: the x86-64 baseline's SSE2 width (also
-/// NEON's) and AVX2's.
+/// NEON's), AVX2's and AVX-512's.
 using Vec2 = double __attribute__((vector_size(16)));
 using Vec4 = double __attribute__((vector_size(32)));
+using Vec8 = double __attribute__((vector_size(64)));
 
 template <class Vec>
 constexpr std::size_t kLanes = sizeof(Vec) / sizeof(double);
@@ -78,41 +86,6 @@ template <class Vec, std::size_t kVectors, bool kSkipZeros>
   }
 }
 
-/// One column of a partial block: rows [r_begin, r_end) of `col` receive
-/// the packed pivots (`mult` strided by kTileColumns) in ascending k, with
-/// the same skip and rounding as a tile, a vector of rows at a time and
-/// the last rows one by one.
-template <class Vec>
-[[gnu::always_inline]] inline void apply_rows(double* col, const double* a,
-                                              std::size_t m,
-                                              const double* mult,
-                                              std::size_t count,
-                                              std::size_t r_begin,
-                                              std::size_t r_end) {
-  constexpr std::size_t kLane = kLanes<Vec>;
-  for (std::size_t k = 0; k < count; ++k) {
-    const double l = mult[k * kTileColumns];
-    if (l == 0.0) {
-      continue;
-    }
-    const double* const ak = a + k * m;
-    std::size_t r = r_begin;
-    for (; r + kLane <= r_end; r += kLane) {
-      Vec x, y;
-      std::memcpy(&x, col + r, sizeof(Vec));
-      std::memcpy(&y, ak + r, sizeof(Vec));
-      x = x - y * l;
-      std::memcpy(col + r, &x, sizeof(Vec));
-    }
-    TM_UNROLL for (std::size_t t = 1; t < kLane; ++t) {
-      if (r < r_end) {
-        col[r] = col[r] - ak[r] * l;
-        ++r;
-      }
-    }
-  }
-}
-
 /// One row of a full column block, across its first kCols columns (a
 /// triangle row holds fewer than kTileColumns): the entries stay in
 /// registers while the pivots stream by in ascending k, with the skip.
@@ -133,6 +106,88 @@ template <std::size_t kCols>
     }
   }
   TM_UNROLL for (std::size_t j = 0; j < kCols; ++j) { c[j * m] = acc[j]; }
+}
+
+#if defined(__x86_64__)
+/// apply_tile's one-vector tile over the first kCols columns, with its
+/// loads and stores masked to the first `rows` (< 8) rows: the lanes
+/// outside them are neither read nor written. Every live lane performs
+/// the same two rounded operations per pivot as a full tile, with the
+/// skip.
+template <std::size_t kCols>
+__attribute__((target("avx512f"))) void apply_masked_tile(
+    double* c, const double* a, std::size_t m, const double* mult,
+    std::size_t count, std::size_t rows) {
+  const __mmask8 mask = static_cast<__mmask8>((1u << rows) - 1);
+  Vec8 acc[kCols];
+  TM_UNROLL for (std::size_t j = 0; j < kCols; ++j) {
+    acc[j] = _mm512_maskz_loadu_pd(mask, c + j * m);
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    const Vec8 ak = _mm512_maskz_loadu_pd(mask, a + k * m);
+    TM_UNROLL for (std::size_t j = 0; j < kCols; ++j) {
+      const double l = mult[k * kTileColumns + j];
+      if (l != 0.0) {
+        acc[j] = acc[j] - ak * l;
+      }
+    }
+  }
+  TM_UNROLL for (std::size_t j = 0; j < kCols; ++j) {
+    _mm512_mask_storeu_pd(c + j * m, mask, acc[j]);
+  }
+}
+#endif
+
+/// The last `rows` rows (fewer than a vector's lanes) of a block's first
+/// kCols columns: one masked tile with AVX-512, row by row otherwise.
+template <class Vec, std::size_t kCols>
+[[gnu::always_inline]] inline void apply_tail(double* c, const double* a,
+                                              std::size_t m,
+                                              const double* mult,
+                                              std::size_t count,
+                                              std::size_t rows) {
+#if defined(__x86_64__)
+  if constexpr (kLanes<Vec> == 8) {
+    if (rows > 0) {
+      apply_masked_tile<kCols>(c, a, m, mult, count, rows);
+    }
+    return;
+  }
+#endif
+  for (std::size_t r = 0; r < rows; ++r) {
+    apply_row<kCols>(c + r, a + r, m, mult, count);
+  }
+}
+
+/// One column of a partial block: rows [r_begin, r_end) of `col` receive
+/// the packed pivots (`mult` strided by kTileColumns) in ascending k, with
+/// the same skip and rounding as a tile, a vector of rows at a time, then
+/// the rows that fill no vector.
+template <class Vec>
+[[gnu::always_inline]] inline void apply_rows(double* col, const double* a,
+                                              std::size_t m,
+                                              const double* mult,
+                                              std::size_t count,
+                                              std::size_t r_begin,
+                                              std::size_t r_end) {
+  constexpr std::size_t kLane = kLanes<Vec>;
+  const std::size_t r_tail = r_end - (r_end - r_begin) % kLane;
+  for (std::size_t k = 0; k < count; ++k) {
+    const double l = mult[k * kTileColumns];
+    if (l == 0.0) {
+      continue;
+    }
+    const double* const ak = a + k * m;
+    for (std::size_t r = r_begin; r < r_tail; r += kLane) {
+      Vec x, y;
+      std::memcpy(&x, col + r, sizeof(Vec));
+      std::memcpy(&y, ak + r, sizeof(Vec));
+      x = x - y * l;
+      std::memcpy(col + r, &x, sizeof(Vec));
+    }
+  }
+  apply_tail<Vec, 1>(col + r_tail, a + r_tail, m, mult, count,
+                     r_end - r_tail);
 }
 
 /// The full rows of a column block starting at column c0 — rows from
@@ -158,10 +213,10 @@ template <class Vec, bool kSkipZeros>
 
 /// TileKernel::update for one vector width. Per block of kTileColumns
 /// columns and chunk of pivots: pack the multipliers, then run the block's
-/// triangle (its first kTileColumns − 1 rows) and its last rows that fill
-/// no tile row by row, and every other row in register tiles. A partial
-/// block (fewer than kTileColumns columns, the range's last) runs column
-/// by column.
+/// triangle (its first kTileColumns − 1 rows) row by row, every full row
+/// in register tiles and the last rows that fill no vector through
+/// apply_tail. A partial block (fewer than kTileColumns columns, the
+/// range's last) runs column by column.
 template <class Vec>
 [[gnu::always_inline]] inline long long update_columns(
     double* front, std::size_t m, std::size_t k0, std::size_t nb,
@@ -201,9 +256,7 @@ template <class Vec>
                                                             count, c0)
                                   : apply_tiles<Vec, true>(c, a, m, mult,
                                                            count, c0);
-      for (std::size_t rr = r; rr < m; ++rr) {
-        apply_row<kTileColumns>(c + rr, a + rr, m, mult, count);
-      }
+      apply_tail<Vec, kTileColumns>(c + r, a + r, m, mult, count, m - r);
     }
   }
   return flops;
@@ -216,12 +269,18 @@ long long update_baseline(double* front, std::size_t m, std::size_t k0,
 }
 
 #if defined(__x86_64__)
-// Compiled for AVX2 whatever the build's -march; only called once
-// __builtin_cpu_supports has vouched for the CPU.
+// Compiled for AVX2 and AVX-512 whatever the build's -march; each is only
+// called once __builtin_cpu_supports has vouched for the CPU.
 __attribute__((target("avx2"))) long long update_avx2(
     double* front, std::size_t m, std::size_t k0, std::size_t nb,
     std::size_t c_begin, std::size_t c_end) {
   return update_columns<Vec4>(front, m, k0, nb, c_begin, c_end);
+}
+
+__attribute__((target("avx512f"))) long long update_avx512(
+    double* front, std::size_t m, std::size_t k0, std::size_t nb,
+    std::size_t c_begin, std::size_t c_end) {
+  return update_columns<Vec8>(front, m, k0, nb, c_begin, c_end);
 }
 #endif
 
@@ -232,6 +291,9 @@ std::span<const TileKernel> supported_tile_kernels() {
     std::vector<TileKernel> list;
 #if defined(__x86_64__)
     __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) {
+      list.push_back({"avx512", &update_avx512});
+    }
     if (__builtin_cpu_supports("avx2")) {
       list.push_back({"avx2", &update_avx2});
     }

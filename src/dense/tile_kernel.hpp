@@ -3,12 +3,13 @@
 //
 // One register-tiled template computes every right-looking update of the
 // front kernel, the panel's and the trailing block's. It is compiled once
-// per ISA: an AVX2 instantiation (built with a target attribute, so the
-// library itself needs no -mavx2) and the baseline instantiation every
-// host of the build's ISA can run. The best one the CPU supports is chosen
-// once, at first use. There is no option that picks another: the list
-// below exists so tests can check every instantiation this host can run
-// against the scalar oracle.
+// per ISA — AVX-512, AVX2 or baseline, picked at runtime: the AVX-512 and
+// AVX2 instantiations are built with target attributes, so the library
+// itself needs no -mavx512f or -mavx2, and the baseline instantiation runs
+// on every host of the build's ISA. The widest one the CPU supports is
+// chosen once, at first use. There is no option that picks another: the
+// list below exists so tests can check every instantiation this host can
+// run against the scalar oracle.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +23,7 @@ inline constexpr std::size_t kTileColumns = 4;
 
 /// One compiled instantiation of the register-tiled update.
 struct TileKernel {
-  /// "avx2" or "baseline".
+  /// "avx512", "avx2" or "baseline".
   const char* name;
   /// Applies panel pivots [k0, k0+nb) to columns [c_begin, c_end) of the
   /// column-major m×m front: every entry (r, c), r ≥ c, receives

@@ -17,18 +17,19 @@
 //     tiles nested under the executor's worker threads — with the volume
 //     gate forced to zero so TSan sees the threaded path even on small
 //     fronts (this binary is in CI's TSan job);
-//   * every tile-kernel instantiation this CPU supports (AVX2, baseline)
-//     matches, bit for bit and flop for flop, a longhand right-looking
-//     Cholesky whose products are rounded before each subtraction, on
-//     fronts with planted ±0.0 multipliers. Built with FMA allowed
-//     (-march=x86-64-v3, a CI job), this fails if contraction ever reaches
-//     the kernel.
+//   * every tile-kernel instantiation this CPU supports (AVX-512, AVX2,
+//     baseline) matches, bit for bit and flop for flop, a longhand
+//     right-looking Cholesky whose products are rounded before each
+//     subtraction, on fronts with planted ±0.0 multipliers. Built with FMA
+//     allowed (-march=x86-64-v3, a CI job), this fails if contraction ever
+//     reaches the kernel.
 //
 // "Bit-identical" here means bits: testing::bitwise_equal tells −0.0 from
 // +0.0, which EXPECT_EQ on the vectors does not.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/postorder.hpp"
@@ -150,23 +151,42 @@ long long longhand_partial_cholesky(std::vector<double>& a, std::size_t m,
 }
 
 TEST(TileKernels, SupportedListMatchesTheCpu) {
-  const auto kernels = supported_tile_kernels();
-  ASSERT_FALSE(kernels.empty());
-  EXPECT_STREQ(kernels.back().name, "baseline");
+  // Fastest first, each instantiation present only where the CPU runs it.
+  std::vector<std::string> expected;
 #if defined(__x86_64__)
-  EXPECT_STREQ(kernels.front().name,
-               __builtin_cpu_supports("avx2") ? "avx2" : "baseline");
+  if (__builtin_cpu_supports("avx512f")) {
+    expected.push_back("avx512");
+  }
+  if (__builtin_cpu_supports("avx2")) {
+    expected.push_back("avx2");
+  }
 #endif
+  expected.push_back("baseline");
+  std::vector<std::string> names;
+  for (const TileKernel& kernel : supported_tile_kernels()) {
+    names.push_back(kernel.name);
+  }
+  EXPECT_EQ(names, expected);
 }
 
 TEST(TileKernels, EveryInstantiationMatchesTheLonghandOracleBitwise) {
-  // m = 37, 100, 149: none a multiple of a tile's rows (12 with AVX2, 6
-  // baseline) or of its vector width, so every scalar edge runs. Block
-  // sizes 65 and 128 exceed the 64 multipliers a tile packs per pass.
-  for (const std::size_t m : {37u, 100u, 149u}) {
-    for (const double zero_fraction : {0.0, 0.2}) {
-      const std::vector<double> original =
-          make_front_with_zero_multipliers(m, zero_fraction);
+  // m = 37, 100, 149: none a multiple of a tile's rows (24 with AVX-512,
+  // 12 with AVX2, 6 baseline) or of its vector width, so every scalar or
+  // masked edge runs. m = 64–71 leave, at block size 16 (column blocks
+  // starting on a multiple of 4), every tail length 0–7 of an 8-lane
+  // vector below a block's full tiles, most of them after a partial
+  // 24-row tile. Block sizes 65 and 128 exceed the 64 multipliers a tile
+  // packs per pass. The planted fronts' last row is all zeros, which would
+  // hide an edge that drops the front's last row; the unplanted front
+  // fills it.
+  for (const std::size_t m :
+       {37u, 64u, 65u, 66u, 67u, 68u, 69u, 70u, 71u, 100u, 149u}) {
+    const std::vector<double> fronts[] = {
+        make_dense_spd_front(m, m, 0.0),
+        make_front_with_zero_multipliers(m, 0.0),
+        make_front_with_zero_multipliers(m, 0.2)};
+    for (std::size_t f = 0; f < std::size(fronts); ++f) {
+      const std::vector<double>& original = fronts[f];
       for (const std::size_t eta : {std::size_t{1}, m / 2, m}) {
         std::vector<double> expected = original;
         const long long expected_flops =
@@ -175,7 +195,7 @@ TEST(TileKernels, EveryInstantiationMatchesTheLonghandOracleBitwise) {
         std::vector<double> oracle = original;
         EXPECT_EQ(factor_with(kReference, oracle, m, eta), expected_flops);
         EXPECT_TRUE(testing::bitwise_equal(oracle, expected))
-            << "oracle m=" << m << " eta=" << eta;
+            << "oracle m=" << m << " eta=" << eta << " front=" << f;
         for (const TileKernel& tile_kernel : supported_tile_kernels()) {
           for (const std::size_t nb : {1u, 3u, 16u, 64u, 65u, 128u}) {
             for (const unsigned workers : {1u, 4u}) {
@@ -187,8 +207,7 @@ TEST(TileKernels, EveryInstantiationMatchesTheLonghandOracleBitwise) {
                   << " nb=" << nb << " w=" << workers;
               EXPECT_TRUE(testing::bitwise_equal(front, expected))
                   << tile_kernel.name << " m=" << m << " eta=" << eta
-                  << " nb=" << nb << " w=" << workers
-                  << " zeros=" << zero_fraction;
+                  << " nb=" << nb << " w=" << workers << " front=" << f;
             }
           }
         }
