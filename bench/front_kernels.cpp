@@ -7,9 +7,9 @@
 // front kernel across block sizes, once with every trailing update inline
 // on one thread and once with every panel's trailing update on leased
 // column tiles, at both a full Cholesky (η = m) and the representative
-// partial front (η = m/2). Every cell is checked bit-identical to the
-// reference, so a kernel regression cannot hide behind a fast wrong
-// answer.
+// partial front (η = m/2). Every cell, at every front size, is the median
+// of 3 timed runs, and is checked bit-identical to the reference, so a
+// kernel regression cannot hide behind a fast wrong answer.
 //
 // Each cell is also read against a ceiling measured in this binary: one
 // core's multiply-then-subtract throughput at the vector width of the
@@ -192,7 +192,6 @@ int run() {
       make_front_kernel(cells.front().config)
           ->partial_factor(reference.data(), m, eta, nullptr);
 
-      const int reps = m >= 512 ? 1 : 3;
       double scalar_gflops = 1e-12;
       double best_inline = 0.0, best_leased = 0.0;
       std::size_t best_inline_nb = 0, best_leased_nb = 0;
@@ -204,8 +203,7 @@ int run() {
             [&] {
               work = original;
               flops = kernel->partial_factor(work.data(), m, eta, nullptr);
-            },
-            reps);
+            });
         // Every setting preserves the reference's per-entry update order
         // exactly; anything else is a kernel bug.
         TM_CHECK(std::memcmp(work.data(), reference.data(),

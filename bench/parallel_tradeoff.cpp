@@ -92,7 +92,7 @@ int run() {
     }
     const double iters_per_unit =
         target_serial_seconds * iters_per_second / std::max(total_units, 1.0);
-    const TaskBody payload = [&](NodeId node) {
+    const TaskBody payload = [&](NodeId node, int) {
       burn(static_cast<std::uint64_t>(
           durations[static_cast<std::size_t>(node)] * iters_per_unit));
     };

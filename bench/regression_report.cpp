@@ -368,15 +368,20 @@ int run() {
     long long granted = 0;
     for (int rep = 0; rep < 3; ++rep) {
       wait_idle();
+      // The pool is the one lease record: the elastic run's leases are its
+      // stats delta (every lease is taken inside a task body, and the
+      // executor returns only after its last body).
+      const WorkerPoolStats before = root_pool.stats();
       const ParallelFactorResult e =
           factor_parallel(root_inst.matrix, root_inst.assembly, elastic);
+      const WorkerPoolStats after = root_pool.stats();
       wait_idle();
       const ParallelFactorResult h =
           factor_parallel(root_inst.matrix, root_inst.assembly, held);
       if (e.factor_seconds < elastic_s) {
         elastic_s = e.factor_seconds;
-        attempts = e.lease_stats.leases_granted + e.lease_stats.leases_denied;
-        granted = e.lease_stats.leases_granted;
+        granted = after.leases_granted - before.leases_granted;
+        attempts = granted + after.leases_denied - before.leases_denied;
       }
       held_s = std::min(held_s, h.factor_seconds);
     }
@@ -394,9 +399,12 @@ int run() {
   json << "  },\n";
 
   // --- Tracing overhead --------------------------------------------------
-  // The observability contract: instrumentation may sit on the per-panel
+  // The observability contract: instrumentation may sit on the per-front
   // and per-lease hot paths permanently because a traced run costs at most
-  // 5% over an untraced one. Largest corpus instance, w = 4, min-of-5
+  // 5% over an untraced one. A traced run records one span per front
+  // (process_front) and per executor task, the admission and memory
+  // track, and the pool's lease grant/deny instants; the dense kernel
+  // records nothing of its own. Largest corpus instance, w = 4, min-of-5
   // interleaved (traced and untraced reps alternate so machine load hits
   // both equally); the checker hard-fails past the ceiling. The recorder's
   // retained/dropped counts prove tracing actually captured the run, and

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "dense/tile_kernel.hpp"
-#include "obs/trace.hpp"
 #include "parallel/worker_pool.hpp"
 #include "support/check.hpp"
 
@@ -34,19 +33,8 @@ long long FrontKernel::partial_factor(double* front, std::size_t m,
   long long flops = 0;
   for (std::size_t k0 = 0; k0 < eta; k0 += block_size_) {
     const std::size_t width = std::min(block_size_, eta - k0);
-    {
-      obs::TraceSpan span("panel", "dense", obs::TraceRecorder::kNoLane,
-                          "k0", static_cast<long long>(k0), "width",
-                          static_cast<long long>(width));
-      flops += factor_panel(front, m, k0, width, member_columns);
-    }
+    flops += factor_panel(front, m, k0, width, member_columns);
     if (k0 + width < m) {
-      // The lease grant/deny instants (from the pool) land inside this
-      // span, tying an inline panel to its denial.
-      obs::TraceSpan span("trailing_update", "dense",
-                          obs::TraceRecorder::kNoLane, "k0",
-                          static_cast<long long>(k0), "cols",
-                          static_cast<long long>(m - k0 - width));
       flops += trailing_update(front, m, k0, width);
     }
   }
@@ -123,13 +111,7 @@ long long FrontKernel::trailing_update(double* front, std::size_t m,
   // panel inline via the same run() contract, never blocking.
   const unsigned max_helpers =
       std::min<unsigned>(workers_ - 1, static_cast<unsigned>(tiles - 1));
-  WorkerLease lease = pool_->try_lease(max_helpers);
-  if (lease.empty()) {
-    leases_denied_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    leases_granted_.fetch_add(1, std::memory_order_relaxed);
-  }
-  lease.run(tiles, tile_body);
+  pool_->try_lease(max_helpers).run(tiles, tile_body);
   long long flops = 0;
   for (const long long f : tile_flops) {
     flops += f;
@@ -154,13 +136,6 @@ void FrontKernel::extend_add(double* front, std::size_t m,
       colf[fr] += cb_values[cc * cm + cr];
     }
   }
-}
-
-KernelLeaseStats FrontKernel::lease_stats() const {
-  KernelLeaseStats stats;
-  stats.leases_granted = leases_granted_.load(std::memory_order_relaxed);
-  stats.leases_denied = leases_denied_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 std::unique_ptr<const FrontKernel> make_front_kernel(

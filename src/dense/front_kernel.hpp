@@ -17,11 +17,13 @@
 // the persistent pool (parallel/worker_pool.hpp): the panel claims
 // whatever workers are idle right now — typically the tree-level
 // executor's, near the root where its frontier has collapsed — and returns
-// them at panel end. The lease never
-// blocks and never spawns a thread; when nobody is idle the panel runs
-// inline and the denial is counted (lease_stats / SolverStats::
-// lease_denied). Below the gate, or with `workers == 1`, the update runs
-// inline on the calling thread.
+// them at panel end. The lease never blocks and never spawns a thread;
+// when nobody is idle the panel runs inline. The pool is the one lease
+// record: it counts every grant and denial (WorkerPool::stats(), exported
+// as treemem_pool_leases_*_total) and traces each as an instant. The
+// kernel keeps no tally and records no trace event of its own; the
+// caller's per-front span covers it. Below the gate, or with
+// `workers == 1`, the update runs inline on the calling thread.
 //
 // ISA dispatch: AVX-512, AVX2 or baseline, picked at runtime. The
 // microkernel is compiled for AVX-512 and AVX2 (through target attributes,
@@ -47,7 +49,6 @@
 // settings.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 
@@ -79,9 +80,9 @@ struct KernelConfig {
   /// panel requests a lease; below it the update runs inline. Leasing
   /// costs a mutex claim + condvar wake (~µs), so the gate sits at 2^19
   /// pairs (~1 Mflop). A lease that finds zero idle workers runs the panel
-  /// inline (never blocks) and counts lease_denied in lease_stats() /
-  /// SolverStats. 0 forces a lease request on every panel (tests/TSan
-  /// coverage of the leased path on small fronts).
+  /// inline (never blocks); the pool counts the denial in
+  /// WorkerPool::stats().leases_denied. 0 forces a lease request on every
+  /// panel (tests/TSan coverage of the leased path on small fronts).
   std::size_t min_parallel_volume = 1u << 19;
   /// Worker source for the leases; nullptr = the process-wide
   /// WorkerPool::instance(). Tests and benches pass private pools for
@@ -89,19 +90,9 @@ struct KernelConfig {
   WorkerPool* pool = nullptr;
 };
 
-/// Per-kernel lease observability: how often trailing updates that cleared
-/// the volume gate actually got pool workers, and how often they found
-/// none idle and ran inline. One kernel instance serves one factorization
-/// (FrontalEngine owns it), so these counters are per-run.
-struct KernelLeaseStats {
-  long long leases_granted = 0;
-  long long leases_denied = 0;
-};
-
 /// The dense front kernel. Instances are thread-safe: one kernel is shared
 /// by every worker of a parallel factorization, and all numeric state
-/// lives in the caller's front buffer (the kernel keeps only atomic lease
-/// tallies).
+/// lives in the caller's front buffer.
 ///
 /// The front is a dense column-major m×m buffer (leading dimension m); only
 /// the lower triangle is read or written.
@@ -130,9 +121,6 @@ class FrontKernel {
                   const Index* cb_rows, std::size_t cm,
                   const double* cb_values) const;
 
-  /// Lease grant/denial tallies of this kernel instance.
-  KernelLeaseStats lease_stats() const;
-
  private:
   /// Factors panel columns [k0, k0+nb), kTileColumns at a time: a block
   /// receives the panel pivots left of it, then per pivot k ascending the
@@ -151,10 +139,6 @@ class FrontKernel {
   WorkerPool* pool_;  ///< nullptr when workers_ == 1 (never leases)
   unsigned workers_;
   std::size_t min_parallel_volume_;
-  // Tallies, not synchronization: mutable because trailing_update is
-  // const (the kernel is numerically stateless and stays shareable).
-  mutable std::atomic<long long> leases_granted_{0};
-  mutable std::atomic<long long> leases_denied_{0};
 };
 
 /// Builds the configured kernel. It may be shared across threads and

@@ -64,22 +64,17 @@ FrontalEngine::~FrontalEngine() {
   }
 }
 
-FrontWorkspace FrontalEngine::acquire_workspace() {
+void FrontalEngine::reserve_lanes(std::size_t count) {
   std::vector<FrontWorkspace>& lanes = storage_->lanes_;
-  FrontWorkspace ws;
-  if (!lanes.empty()) {
-    ws = std::move(lanes.back());
-    lanes.pop_back();
+  if (lanes.size() < count) {
+    lanes.resize(count);
   }
   const auto n = static_cast<std::size_t>(matrix_->size());
-  if (ws.front_pos.size() != n) {
-    ws.front_pos.assign(n, -1);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (lanes[i].front_pos.size() != n) {
+      lanes[i].front_pos.assign(n, -1);
+    }
   }
-  return ws;
-}
-
-void FrontalEngine::release_workspace(FrontWorkspace ws) {
-  storage_->lanes_.push_back(std::move(ws));
 }
 
 std::vector<double> estimated_front_flops(const FrontStructure& fronts) {
@@ -102,21 +97,36 @@ std::vector<double> FrontalEngine::estimated_front_flops() const {
   return treemem::estimated_front_flops(*fronts_);
 }
 
-void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
+void FrontalEngine::process_front(NodeId s, std::size_t lane) {
   const Tree& tree = assembly_->tree;
   TM_CHECK(s >= 0 && s < tree.size(), "process_front: bad supernode " << s);
-  TM_CHECK(ws.front_pos.size() == static_cast<std::size_t>(matrix_->size()),
-           "process_front: workspace not made by this engine");
+  TM_CHECK(lane < storage_->lanes_.size() &&
+               storage_->lanes_[lane].front_pos.size() ==
+                   static_cast<std::size_t>(matrix_->size()),
+           "process_front: lane " << lane << " not reserved by this engine");
+  FrontWorkspace& ws = storage_->lanes_[lane];
   const auto cols = fronts_->members(s);
   const auto rows = fronts_->rows(s);
   const std::size_t m = rows.size();
   const std::size_t eta = cols.size();
-  // On the emitting thread's own track: the executor separately records
-  // this front on its worker lane, so serial runs still get front spans.
+  // The one trace record of a front (the kernel records none), on the
+  // emitting thread's own track: the executor separately records its task
+  // on its worker lane, so serial runs still get front spans.
   obs::TraceSpan trace_front("process_front", "mf",
                              obs::TraceRecorder::kNoLane, "node",
                              static_cast<long long>(s), "m",
                              static_cast<long long>(m));
+  // front_pos is cleared on every exit, a throwing one included, so the
+  // lane stays clean for the next front and the next run.
+  struct ClearFrontRows {
+    std::vector<Index>& front_pos;
+    std::span<const Index> front_rows;
+    ~ClearFrontRows() {
+      for (const Index r : front_rows) {
+        front_pos[static_cast<std::size_t>(r)] = -1;
+      }
+    }
+  } clear_front_rows{ws.front_pos, rows};
   for (std::size_t k = 0; k < m; ++k) {
     ws.front_pos[static_cast<std::size_t>(rows[k])] = static_cast<Index>(k);
   }
@@ -208,10 +218,6 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   }
   live_after_[static_cast<std::size_t>(s)] =
       meter_.lower(static_cast<Weight>(m * m - cbm * cbm));
-
-  for (const Index r : rows) {
-    ws.front_pos[static_cast<std::size_t>(r)] = -1;
-  }
 }
 
 MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
@@ -223,14 +229,13 @@ MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
   in_tree_traversal_peak(assembly.tree, bottom_up_order);
 
   FrontalEngine engine(matrix, assembly, kernel, storage);
-  FrontWorkspace ws = engine.acquire_workspace();
+  engine.reserve_lanes(1);
   MultifrontalResult result;
   result.live_after_step.reserve(bottom_up_order.size());
   for (const NodeId s : bottom_up_order) {
-    engine.process_front(s, ws);
+    engine.process_front(s, 0);
     result.live_after_step.push_back(engine.live_entries());
   }
-  engine.release_workspace(std::move(ws));
 
   // Root contribution blocks are empty (mu = 1 for etree roots), so all
   // live memory must have drained; anything left indicates a bug.
@@ -238,7 +243,6 @@ MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
             "contribution blocks leaked: " << engine.live_entries());
   result.peak_live_entries = engine.peak_live_entries();
   result.flops = engine.flops();
-  result.lease_stats = engine.kernel_lease_stats();
   result.factor = engine.take_factor();
   return result;
 }

@@ -143,14 +143,12 @@ class LiveEntryMeter {
   std::atomic<Weight> peak_{0};
 };
 
-/// One lane's scratch for front eliminations. Obtain it from
-/// FrontalEngine::acquire_workspace() and give it back with
-/// release_workspace(); a workspace may serve any number of sequential
-/// process_front calls but never two concurrent ones. Between calls that
-/// returned normally front_pos is all -1, so the lane can outlive the
-/// engine: it is kept in a NumericWorkspace and serves the next run, whose
-/// engine re-fits front_pos when the order n changed. A process_front that
-/// throws leaves front_pos dirty, and its lane is discarded.
+/// One lane's scratch for front eliminations, kept in a NumericWorkspace
+/// and fitted by FrontalEngine::reserve_lanes(). A lane may serve any
+/// number of sequential process_front calls but never two concurrent ones.
+/// process_front leaves front_pos all -1 on every exit, normal or
+/// throwing, so the lane outlives the engine and serves the next run,
+/// whose engine re-fits front_pos when the order n changed.
 class FrontWorkspace {
  public:
   FrontWorkspace() = default;
@@ -176,12 +174,13 @@ class FrontWorkspace {
 ///     and leaves with the factor a successful run returns; reclaim() takes
 ///     it back when that factor is dropped. A run that throws or stalls
 ///     gives it back when its engine is destroyed.
-///   * a lane is checked out for the run and checked back in after it,
-///     unless a process_front on it threw.
+///   * the lanes never leave: the engine runs its fronts on them in place,
+///     and every lane is clean after every run, whether it returned, threw
+///     or stalled.
 /// Panels are never cleared, fresh or reused: a complete run writes every
 /// panel entry.
 /// The storage keeps the largest size it has served (it never shrinks).
-/// One run at a time: an engine's checkouts are not synchronized.
+/// One run at a time: an engine's borrowing is not synchronized.
 class NumericWorkspace {
  public:
   /// Takes back the panel buffer of a factor that is being dropped.
@@ -202,10 +201,10 @@ std::vector<double> estimated_front_flops(const FrontStructure& fronts);
 /// instance per factorization run, shared by every worker.
 ///
 /// Thread-safety contract: process_front(s) may run concurrently with
-/// process_front(t) for s ≠ t, provided each call owns its workspace and
-/// every child of s completed (with a happens-before edge) before s
-/// starts — exactly what the serial driver and the executor's precedence
-/// guarantee. Contribution-block slots are written once by the owning
+/// process_front(t) for s ≠ t, provided the two calls run on distinct
+/// lanes and every child of s completed (with a happens-before edge)
+/// before s starts — exactly what the serial driver and the executor's
+/// precedence and lane numbering guarantee. Contribution-block slots are written once by the owning
 /// supernode and consumed once by its parent; factor panels are disjoint
 /// per supernode; flop and live-entry counters are atomic.
 class FrontalEngine {
@@ -224,21 +223,20 @@ class FrontalEngine {
   FrontalEngine(const FrontalEngine&) = delete;
   FrontalEngine& operator=(const FrontalEngine&) = delete;
 
-  /// A lane for process_front: one the storage retained, re-fitted to this
-  /// matrix's order, or a fresh one. Not thread-safe: drivers check lanes
-  /// out and in from one thread, outside the concurrent fronts.
-  FrontWorkspace acquire_workspace();
-  /// Returns a lane to the storage for later runs. Only for a lane whose
-  /// process_front calls all returned normally.
-  void release_workspace(FrontWorkspace ws);
+  /// Fits lanes [0, count) of the storage for process_front: the ones it
+  /// retained, re-fitted to this matrix's order, and fresh ones beyond
+  /// them. Not thread-safe: a driver calls it before its fronts run.
+  void reserve_lanes(std::size_t count);
 
-  /// Executes supernode s end to end: allocate the front, assemble the
-  /// original entries of the member columns, extend-add (and release) the
-  /// children's contribution blocks, dense partial Cholesky of the leading
-  /// η pivots, copy the factor panel out and store the contribution block.
-  /// Throws treemem::Error if a pivot is not positive (matrix not SPD) or
-  /// a matrix entry lies outside the front of its column.
-  void process_front(NodeId s, FrontWorkspace& ws);
+  /// Executes supernode s end to end on lane `lane` (< the reserved
+  /// count): allocate the front, assemble the original entries of the
+  /// member columns, extend-add (and release) the children's contribution
+  /// blocks, dense partial Cholesky of the leading η pivots, copy the
+  /// factor panel out and store the contribution block. Throws
+  /// treemem::Error if a pivot is not positive (matrix not SPD) or a
+  /// matrix entry lies outside the front of its column; the lane is left
+  /// clean either way. This call is the one trace record per front.
+  void process_front(NodeId s, std::size_t lane);
 
   /// treemem::estimated_front_flops of this engine's front structure.
   std::vector<double> estimated_front_flops() const;
@@ -261,12 +259,6 @@ class FrontalEngine {
 
   /// Total floating-point operations of the dense eliminations so far.
   long long flops() const { return flops_.load(std::memory_order_relaxed); }
-
-  /// The kernel's lease grant/denial tallies for this engine's run (all
-  /// zeros when no trailing update cleared the volume gate).
-  KernelLeaseStats kernel_lease_stats() const {
-    return kernel_->lease_stats();
-  }
 
   /// The factor (valid once every supernode was processed). take_factor
   /// moves it out, panel buffer included, and leaves the engine empty.
@@ -303,9 +295,6 @@ struct MultifrontalResult {
   std::vector<Weight> live_after_step;
   /// Total floating-point operations of the dense eliminations.
   long long flops = 0;
-  /// Intra-front lease tallies of the run's kernel (a serial run still
-  /// leases pool workers for its large trailing updates).
-  KernelLeaseStats lease_stats;
 };
 
 /// Factors `matrix` (already permuted!) with the multifrontal method,

@@ -1,7 +1,6 @@
 #include "multifrontal/numeric_parallel.hpp"
 
-#include <mutex>
-#include <utility>
+#include <algorithm>
 #include <vector>
 
 #include "core/in_tree.hpp"
@@ -10,58 +9,12 @@
 
 namespace treemem {
 
-namespace {
-
-/// The run's front workspaces, one in flight per worker, checked out of
-/// the engine's storage up front and checked back in when the pool goes
-/// out of scope, on success, stall and throw alike. A task checks one out
-/// for all the fronts it runs; the pool mutex is negligible next to the
-/// dense kernels it brackets.
-class WorkspacePool {
- public:
-  WorkspacePool(FrontalEngine& engine, int workers) : engine_(engine) {
-    free_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      free_.push_back(engine.acquire_workspace());
-    }
-  }
-  ~WorkspacePool() {
-    for (FrontWorkspace& ws : free_) {
-      engine_.release_workspace(std::move(ws));
-    }
-  }
-  WorkspacePool(const WorkspacePool&) = delete;
-  WorkspacePool& operator=(const WorkspacePool&) = delete;
-
-  FrontWorkspace acquire() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    TM_ASSERT(!free_.empty(), "workspace pool exhausted: more concurrent "
-                              "fronts than workers");
-    FrontWorkspace ws = std::move(free_.back());
-    free_.pop_back();
-    return ws;
-  }
-
-  void release(FrontWorkspace ws) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(std::move(ws));
-  }
-
- private:
-  FrontalEngine& engine_;
-  std::mutex mutex_;
-  std::vector<FrontWorkspace> free_;
-};
-
-}  // namespace
-
 ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
                                      const AssemblyTree& assembly,
                                      const ParallelFactorOptions& options,
                                      NumericWorkspace* storage) {
   TM_CHECK(options.workers >= 1, "factor_parallel: need at least one worker");
   FrontalEngine engine(matrix, assembly, options.kernel, storage);
-  WorkspacePool pool(engine, options.workers);
 
   // The executor schedules the contracted task tree: cheap subtrees run
   // whole, in witness order, as one task each (multifrontal/task_tree.hpp).
@@ -74,6 +27,11 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
           ? in_tree_minmem_optimal(assembly.tree).order
           : options.serial_witness,
       options.workers);
+  // One front workspace per executor lane: the executor numbers its lanes
+  // [0, min(workers, tasks)) and never runs two bodies on one lane at once.
+  engine.reserve_lanes(std::min<std::size_t>(
+      static_cast<std::size_t>(options.workers),
+      static_cast<std::size_t>(tasks.size())));
 
   ExecutorOptions exec_options;
   exec_options.schedule = {.workers = options.workers,
@@ -94,14 +52,10 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
   }
 
   const ParallelScheduleResult run = execute_task_tree(
-      tasks.tree, exec_options, tasks.durations, [&](NodeId task) {
-        // A throwing front leaves its lane's front_pos dirty, so that lane
-        // is dropped; the executor starts no task after a throw.
-        FrontWorkspace ws = pool.acquire();
+      tasks.tree, exec_options, tasks.durations, [&](NodeId task, int lane) {
         for (const NodeId s : tasks.fronts_of(task)) {
-          engine.process_front(s, ws);
+          engine.process_front(s, static_cast<std::size_t>(lane));
         }
-        pool.release(std::move(ws));
       });
 
   ParallelFactorResult result;
@@ -112,11 +66,10 @@ ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
   result.factor_seconds = run.makespan;
   result.speedup = run.speedup;
   result.tasks = tasks.size();
-  result.lease_stats = engine.kernel_lease_stats();
   if (!run.feasible) {
-    // Factor left empty: the run did not complete. The engine and the pool
-    // give the panels and lanes back to the storage as they go out of
-    // scope, for the caller's serial fallback.
+    // Factor left empty: the run did not complete. The engine gives the
+    // panels back to the storage as it goes out of scope, and the lanes
+    // never left it, for the caller's serial fallback.
     return result;
   }
 

@@ -8,12 +8,14 @@
 // with more than one front whose summed estimated flops are at most
 // total / (2·w) is one task, provided the serial witness runs it
 // contiguously. A subtree task runs its fronts through process_front on
-// one lane and one workspace, in witness order. The fronts above the
+// the front workspace of the executor lane that runs it, in witness order;
+// the executor numbers its lanes, so the workspaces need no lock of their
+// own. The fronts above the
 // cutoff, where the large separators sit, stay one task each, and their
 // trailing updates lease the pool workers the tree level leaves idle (see
 // dense/front_kernel.hpp). On a 2-D nested-dissection grid this turns tens
-// of thousands of tiny fronts, each paying a scheduler round trip and a
-// workspace checkout, into a few dozen tasks.
+// of thousands of tiny fronts, each paying a scheduler round trip, into a
+// few dozen tasks.
 //
 // Memory. This is the paper's model applied to a subtree: a subtree task's
 // output file is its root's f_i and its MemReq is the Eq. 1 peak of the
@@ -92,8 +94,6 @@ struct ParallelFactorResult {
   NodeId tasks = 0;
   /// Supernodes in completion order — a valid bottom-up traversal.
   Traversal completion_order;
-  /// Intra-front lease tallies of the run's kernel.
-  KernelLeaseStats lease_stats;
   /// Measured occupancy at each front's allocation instant / right after
   /// each front's release, in completion order. On w = 1 these are the
   /// serial stepwise memory profiles (and live_after_step.back() == 0).
@@ -109,8 +109,9 @@ struct ParallelFactorResult {
 /// (workers drain and join, then the first error is rethrown).
 ///
 /// The run borrows `storage` (nullptr = a fresh workspace for this run
-/// only): the panel buffer and one lane per worker. An infeasible run
-/// gives both back, so a serial fallback on the same storage reuses them.
+/// only): the panel buffer and one lane per executor lane. A run that
+/// stalls or throws gives both back, so a serial fallback on the same
+/// storage reuses them.
 ParallelFactorResult factor_parallel(const SymmetricMatrix& matrix,
                                      const AssemblyTree& assembly,
                                      const ParallelFactorOptions& options = {},

@@ -1,7 +1,6 @@
 #include "multifrontal/out_of_core.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/check.hpp"
 
@@ -31,7 +30,7 @@ OutOfCoreRunResult multifrontal_cholesky_out_of_core(
   // produced and re-enters it just before its parent's front is allocated —
   // matching the checker, where the read-back precedes MemReq(i).
   FrontalEngine engine(matrix, assembly, {.workers = 1}, storage);
-  FrontWorkspace ws = engine.acquire_workspace();
+  engine.reserve_lanes(1);
   auto block_entries = [&fronts = *assembly.fronts](NodeId s) {
     const auto rows = static_cast<Weight>(fronts.update_rows(s).size());
     return rows * rows;
@@ -50,7 +49,7 @@ OutOfCoreRunResult multifrontal_cholesky_out_of_core(
         result.estimated_io_s += disk.transfer_s(block_entries(c));
       }
     }
-    engine.process_front(s, ws);
+    engine.process_front(s, 0);
     result.peak_live_entries = std::max(
         result.peak_live_entries, engine.transient_at_start(s) - disk_entries);
     if (spilled[static_cast<std::size_t>(s)]) {
@@ -60,8 +59,6 @@ OutOfCoreRunResult multifrontal_cholesky_out_of_core(
       result.estimated_io_s += disk.transfer_s(block_entries(s));
     }
   }
-
-  engine.release_workspace(std::move(ws));
 
   TM_ASSERT(engine.live_entries() == 0 && disk_entries == 0,
             "out-of-core run leaked " << engine.live_entries() << " entries");

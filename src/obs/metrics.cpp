@@ -129,39 +129,6 @@ MetricsRegistry& MetricsRegistry::instance() {
   return registry;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  OwnedMetric& metric = metrics_[{name, labels}];
-  TM_CHECK(!metric.gauge && !metric.histogram,
-           "metric already registered with a different type: " << name);
-  if (!metric.counter) metric.counter = std::make_unique<Counter>();
-  return *metric.counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name,
-                              const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  OwnedMetric& metric = metrics_[{name, labels}];
-  TM_CHECK(!metric.counter && !metric.histogram,
-           "metric already registered with a different type: " << name);
-  if (!metric.gauge) metric.gauge = std::make_unique<Gauge>();
-  return *metric.gauge;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds,
-                                      const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  OwnedMetric& metric = metrics_[{name, labels}];
-  TM_CHECK(!metric.counter && !metric.gauge,
-           "metric already registered with a different type: " << name);
-  if (!metric.histogram) {
-    metric.histogram = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return *metric.histogram;
-}
-
 std::uint64_t MetricsRegistry::add_exporter(Exporter exporter) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t token = next_token_++;
@@ -179,36 +146,16 @@ std::string MetricsRegistry::dump() const {
   // Copy the exporter list out so a long-running exporter cannot hold the
   // registry lock (exporters may touch subsystem locks of their own).
   std::vector<Exporter> exporters;
-  std::string owned;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [key, metric] : metrics_) {
-      if (metric.counter) {
-        owned += format_counter(key.first, key.second,
-                                metric.counter->value());
-      } else if (metric.gauge) {
-        owned += format_gauge(key.first, key.second, metric.gauge->value());
-      } else if (metric.histogram) {
-        owned += format_histogram(key.first, key.second, *metric.histogram);
-      }
-    }
     exporters.reserve(exporters_.size());
     for (const auto& [token, exporter] : exporters_) {
       exporters.push_back(exporter);
     }
   }
-  std::string text = std::move(owned);
+  std::string text;
   for (const Exporter& exporter : exporters) text += exporter();
   return text;
-}
-
-void MetricsRegistry::reset_values() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [key, metric] : metrics_) {
-    if (metric.counter) metric.counter->reset();
-    if (metric.gauge) metric.gauge->reset();
-    if (metric.histogram) metric.histogram->reset();
-  }
 }
 
 std::string dump_metrics() { return MetricsRegistry::instance().dump(); }

@@ -1,65 +1,35 @@
-// MetricsRegistry — one process-wide namespace of counters, gauges and
-// fixed-bucket histograms, with Prometheus-style text exposition.
+// MetricsRegistry — one process-wide, Prometheus-style text exposition
+// of the stats each subsystem already keeps, plus the fixed-bucket
+// Histogram those subsystems record latencies in.
 //
-// The repo accumulated one ad-hoc stats struct per subsystem
-// (SolverStats, WorkerPool counters, two cache Stats); each is still the
-// source of truth for its subsystem, but a service needs them in one
-// scrapeable place. The registry holds named metrics for code that wants
-// a shared counter, and **exporters** — callbacks that render an existing
-// stats struct into exposition lines at dump time — for subsystems that
-// already keep their own atomics (register into, rather than replace).
+// Each subsystem's own stats stay the one source of truth (SolverStats,
+// WorkerPool::stats(), the symbolic cache Stats); the registry owns no
+// metric of its own. A subsystem registers an **exporter** — a callback
+// that renders its stats into exposition lines at dump time — and removes
+// it before it dies.
 //
-// Hot-path cost: Counter::add and Histogram::observe are one relaxed
-// fetch_add (observe adds a branchless upper_bound over ≤ a few dozen
-// bucket bounds); Gauge::set is one relaxed store. Registration
-// (find-or-create by name+labels) takes a mutex and is meant for startup,
-// not per-event — cache the returned reference, which stays valid for the
-// registry's lifetime.
+// Hot-path cost: Histogram::observe is a binary search over ≤ a few dozen
+// bucket bounds and two relaxed atomic adds (bucket and sum). Exporters
+// run only at dump time.
 //
-// Exposition: `dump()` renders owned metrics sorted by name, then every
-// exporter in registration order, in the Prometheus text format
-// (`name{labels} value`, histograms as cumulative `_bucket{le="…"}` lines
-// plus `_sum`/`_count`). Metric naming scheme used across the repo:
-// `treemem_<subsystem>_<what>[_<unit>][_total]` — e.g.
-// `treemem_solve_latency_seconds`, `treemem_symbolic_cache_hits_total`,
-// `treemem_pool_leases_denied_total`.
+// Exposition: `dump()` renders every exporter in registration order, in
+// the Prometheus text format (`name{labels} value`, histograms as
+// cumulative `_bucket{le="…"}` lines plus `_sum`/`_count`). Metric naming
+// scheme used across the repo: `treemem_<subsystem>_<what>[_<unit>]
+// [_total]` — e.g. `treemem_solve_latency_seconds`,
+// `treemem_symbolic_cache_hits_total`, `treemem_pool_leases_denied_total`.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace treemem::obs {
-
-class Counter {
- public:
-  void add(long long delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void set(long long value) {
-    value_.store(value, std::memory_order_relaxed);
-  }
-  long long value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<long long> value_{0};
-};
-
-class Gauge {
- public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
 
 /// Fixed-bucket histogram for non-negative observations (latencies,
 /// sizes). Buckets are defined by ascending finite upper bounds plus an
@@ -108,16 +78,6 @@ class MetricsRegistry {
   /// The process-wide registry (what dump_metrics() renders).
   static MetricsRegistry& instance();
 
-  /// Find-or-create; the reference stays valid for the registry's
-  /// lifetime. `labels` is the exposition label set without braces, e.g.
-  /// `cache="symbolic"` (empty = no labels). Re-registering an existing
-  /// name+labels returns the same object; a histogram re-registered with
-  /// different bounds keeps the original bounds.
-  Counter& counter(const std::string& name, const std::string& labels = "");
-  Gauge& gauge(const std::string& name, const std::string& labels = "");
-  Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                       const std::string& labels = "");
-
   /// Exporters render subsystem-owned stats at dump time; they return
   /// ready-made exposition lines (use the format_* helpers). Remove
   /// before the subsystem dies — the token identifies the registration.
@@ -125,23 +85,11 @@ class MetricsRegistry {
   std::uint64_t add_exporter(Exporter exporter);
   void remove_exporter(std::uint64_t token);
 
-  /// The full text exposition: owned metrics sorted by name, then
-  /// exporters in registration order.
+  /// The full text exposition: exporters in registration order.
   std::string dump() const;
 
-  /// Zeroes every owned metric's value (identities and exporters
-  /// survive; references stay valid). Test isolation, not production.
-  void reset_values();
-
  private:
-  struct OwnedMetric {
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-
   mutable std::mutex mutex_;
-  std::map<std::pair<std::string, std::string>, OwnedMetric> metrics_;
   std::vector<std::pair<std::uint64_t, Exporter>> exporters_;
   std::uint64_t next_token_ = 1;
 };
@@ -149,7 +97,7 @@ class MetricsRegistry {
 /// The process registry's text exposition (the `--metrics-out` payload).
 std::string dump_metrics();
 
-// Exposition formatting helpers (shared by the registry and exporters).
+// Exposition formatting helpers for exporters.
 std::string format_counter(const std::string& name,
                            const std::string& labels, long long value);
 /// A cumulative non-integral total (e.g. seconds spent).

@@ -25,9 +25,9 @@
 namespace treemem::obs {
 
 enum class StatMerge {
-  /// Cumulative totals since analyze() (solve time, counts, lease
-  /// tallies): add across workers and never fall between resets, so they
-  /// are the only rows exported as counters.
+  /// Cumulative totals since analyze() (solve time, counts): add across
+  /// workers and never fall between resets, so they are the only rows
+  /// exported as counters.
   kTotal,
   kSum,  ///< latest-run values that add across workers: times, flops
   kMax   ///< peaks: high-water marks are a max across workers
@@ -46,8 +46,6 @@ void for_each_stat_field(Fn&& fn) {
   fn("factorizations", StatMerge::kTotal, &S::factorizations);
   fn("rhs_solved", StatMerge::kTotal, &S::rhs_solved);
   fn("flops", StatMerge::kSum, &S::flops);
-  fn("leases_granted", StatMerge::kTotal, &S::leases_granted);
-  fn("lease_denied", StatMerge::kTotal, &S::lease_denied);
   fn("measured_peak_entries", StatMerge::kMax, &S::measured_peak_entries);
   fn("modeled_peak_entries", StatMerge::kMax, &S::modeled_peak_entries);
   fn("planned_peak_entries", StatMerge::kMax, &S::planned_peak_entries);

@@ -10,9 +10,18 @@
 // chrome://tracing and Perfetto load directly — executor worker lanes as
 // tracks, fronts as spans, the memory accountant as a counter track.
 //
+// Each fact has one record. The instrumented layers: the solver phases
+// (analyze/plan/factorize/solve spans), the symbolic cache (hit/miss/
+// evict instants), the executor (a task span per worker lane, admission/
+// defer/stall instants, the memory counter track),
+// FrontalEngine::process_front (the one span per front, on the emitting
+// thread's track) and the worker pool (stint spans, lease grant/deny
+// instants — the pool is also the one lease counter). The dense kernel
+// records nothing: its panels run inside their front's span.
+//
 // Cost model. Recording is **off by default**; the disabled emit path is
 // one relaxed atomic load and an early return, so instrumentation can sit
-// on hot paths (per-panel, per-lease) permanently. When enabled, an emit
+// on hot paths (per-front, per-lease) permanently. When enabled, an emit
 // is two uncontended atomics plus a struct store into the calling
 // thread's own buffer — no locks, no allocation, no cross-thread traffic.
 // Buffers are fixed-capacity and **drop oldest** on overflow (the tail of

@@ -73,8 +73,10 @@ ParallelScheduleResult execute_task_tree(const Tree& tree,
   Traversal completion_order;
   completion_order.reserve(p);
   double total_busy = 0.0;
-  // Gantt worker ids for recruited stints: 1..target-1, reused as stints
-  // end and new ones are recruited (the anchor is always id 0).
+  // Worker ids for recruited stints: 1..target-1, reused as stints end and
+  // new ones are recruited (the anchor is always id 0). A stint holds its
+  // id until it ends, so concurrent bodies see distinct ids: the gantt's
+  // worker, the trace lane and the TaskBody's lane are this one number.
   std::vector<int> free_ids;
   free_ids.reserve(static_cast<std::size_t>(target > 0 ? target - 1 : 0));
   for (int id = target - 1; id >= 1; --id) {
@@ -176,7 +178,7 @@ ParallelScheduleResult execute_task_tree(const Tree& tree,
       bool threw = false;
       try {
         if (body) {
-          body(node);
+          body(node, worker_id);
         }
       } catch (...) {
         if (recorder.enabled()) {

@@ -24,7 +24,8 @@
 // parallel numeric multifrontal engine (factor_parallel in
 // multifrontal/numeric_parallel.hpp hands it a contracted task tree whose
 // tasks run FrontalEngine::process_front for one front or for a whole
-// subtree, so the executor schedules actual frontal-matrix kernels);
+// subtree, so the executor schedules actual frontal-matrix kernels, each
+// on the front workspace of the lane that runs it);
 // bench/parallel_tradeoff passes a calibrated arithmetic burner
 // so measured speedups reflect core throughput. Without a payload, tasks
 // complete instantly and only the scheduling machinery is exercised.
@@ -53,12 +54,17 @@ namespace treemem {
 
 class WorkerPool;
 
-/// Per-task payload, invoked on a worker thread. Must be thread-safe across
-/// distinct nodes (two bodies never run concurrently for the same node; a
-/// node's body runs strictly after all its children's bodies returned).
-/// Exceptions thrown by a body abort the run and are rethrown to the caller
-/// after all workers joined.
-using TaskBody = std::function<void(NodeId)>;
+/// Per-task payload, invoked on a worker thread with the task and the lane
+/// that runs it. Must be thread-safe across distinct nodes (two bodies
+/// never run concurrently for the same node; a node's body runs strictly
+/// after all its children's bodies returned). The lane is the executor's
+/// worker id, in [0, min(workers, tasks)): the calling thread is lane 0
+/// and every recruited stint holds a lane no running stint holds, so two
+/// bodies that overlap in time never share one. A caller may therefore
+/// index per-lane scratch by it without locking. Exceptions thrown by a
+/// body abort the run and are rethrown to the caller after all workers
+/// joined.
+using TaskBody = std::function<void(NodeId node, int lane)>;
 
 /// What a task's lane span names in a trace: the supernode it stands for
 /// and the number of fronts it runs (a caller that runs a whole subtree as

@@ -53,6 +53,9 @@ class WorkerPool;
 /// Deterministic pool counters (cumulative since pool construction).
 /// threads_spawned is exactly size() forever — the "no thread births on
 /// the hot path" contract, gated exactly in bench/check_regression.py.
+/// These are the one lease record: nothing else counts leases, so a run's
+/// leases are the delta of its pool's stats() across the run (the process
+/// pool exports them as treemem_pool_leases_{granted,denied}_total).
 struct WorkerPoolStats {
   long long threads_spawned = 0;   ///< == size(); never grows afterwards
   long long leases_granted = 0;    ///< try_lease() calls that got >= 1 worker

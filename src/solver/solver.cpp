@@ -295,16 +295,13 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   obs::TraceSpan phase_span("factorize", "solver", obs::TraceRecorder::kNoLane,
                             "workers", workers);
   const Weight budget = plan_->stats.memory_budget;
-  // Every engine ends here: record the run, count it and its leases.
-  auto commit = [&](CholeskyFactor factor, FactorizeStats run,
-                    const KernelLeaseStats& leases) -> Solver& {
+  // Every engine ends here: record the run and count it.
+  auto commit = [&](CholeskyFactor factor, FactorizeStats run) -> Solver& {
     factor_ = std::move(factor);
     phase_ = Phase::kFactorized;
     run.factorize_seconds = timer.elapsed_s();
     last_run_ = std::move(run);
     ++totals_.factorizations;
-    totals_.leases.leases_granted += leases.leases_granted;
-    totals_.leases.leases_denied += leases.leases_denied;
     return *this;
   };
 
@@ -321,8 +318,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
                    .workers = 1,
                    .flops = run.flops,
                    .measured_peak_entries = run.peak_live_entries,
-                   .modeled_peak_entries = plan_->stats.planned_peak_entries},
-                  {});
+                   .modeled_peak_entries = plan_->stats.planned_peak_entries});
   }
 
   bool stall_fallback = false;
@@ -348,8 +344,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
                      .measured_peak_entries = run.measured_peak_entries,
                      .modeled_peak_entries = run.modeled_peak_entries,
                      .parallel_speedup = run.speedup,
-                     .parallel_tasks = run.tasks},
-                    run.lease_stats);
+                     .parallel_tasks = run.tasks});
     }
     // Greedy stall under a tight budget: the planned serial traversal is
     // guaranteed feasible, and the serial engine produces the identical
@@ -368,8 +363,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
                  .flops = run.flops,
                  .measured_peak_entries = run.peak_live_entries,
                  .modeled_peak_entries = plan_->stats.planned_peak_entries,
-                 .stall_fallback = stall_fallback},
-                run.lease_stats);
+                 .stall_fallback = stall_fallback});
 }
 
 // ---------------------------------------------------------------------------
@@ -435,8 +429,6 @@ SolverStats Solver::stats() const {
   }
   static_cast<FactorizeStats&>(snapshot) = last_run_;
   snapshot.factorizations = totals_.factorizations;
-  snapshot.leases_granted = totals_.leases.leases_granted;
-  snapshot.lease_denied = totals_.leases.leases_denied;
   snapshot.rhs_solved = totals_.rhs.load(std::memory_order_relaxed);
   snapshot.solve_seconds =
       static_cast<double>(

@@ -195,13 +195,6 @@ struct FactorizeStats {
 /// plus the totals below, which count since analyze() and survive adopt().
 struct SolverStats : AnalyzeStats, PlanStats, FactorizeStats {
   long long factorizations = 0;
-  /// Trailing-update panels that cleared the volume gate and leased pool
-  /// workers / found none idle and ran inline, over every engine's runs.
-  /// Makes the volume gate's cost observable — a high denial rate means
-  /// the tree level never leaves workers idle and intra-front parallelism
-  /// is not paying.
-  long long leases_granted = 0;
-  long long lease_denied = 0;
   long long rhs_solved = 0;
   double solve_seconds = 0.0;
 };
@@ -284,8 +277,8 @@ class Solver {
   /// analyze+plan+factorize run with the same options. Invalidates any
   /// previous factor and its run report; the analyze/plan reports are the
   /// adopted state's own. Unlike analyze(), the totals (factorizations,
-  /// lease tallies, rhs_solved, solve_seconds) are kept — a pooled solver
-  /// keeps its lifetime totals as it serves different patterns.
+  /// rhs_solved, solve_seconds) are kept — a pooled solver keeps its
+  /// lifetime totals as it serves different patterns.
   Solver& adopt(SolverSymbolic symbolic);
 
   // -- Phase 3: numeric factorization ---------------------------------------
@@ -374,7 +367,6 @@ class Solver {
   /// thread-safety contract).
   struct Totals {
     long long factorizations = 0;
-    KernelLeaseStats leases;
     std::atomic<long long> rhs{0};
     std::atomic<long long> solve_nanos{0};
 
@@ -382,7 +374,6 @@ class Solver {
     Totals(const Totals& other) { *this = other; }
     Totals& operator=(const Totals& other) {
       factorizations = other.factorizations;
-      leases = other.leases;
       rhs = other.rhs.load();
       solve_nanos = other.solve_nanos.load();
       return *this;

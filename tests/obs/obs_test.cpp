@@ -17,9 +17,10 @@
 //     and every thread's 'B'/'E' events balance like a stack;
 //   * Histogram quantiles follow the documented interpolation exactly
 //     (golden values), and exponential_bounds builds the 1-2-5 ladder;
-//   * the registry round-trips counters/gauges/histograms/exporters
-//     through dump(), and reset_values() zeroes values while keeping
-//     every identity (references stay valid);
+//   * the registry renders exactly its registered exporters, in
+//     registration order, and a removed exporter leaves the dump; a
+//     histogram, counters and a labelled gauge rendered through the
+//     format_* helpers in an exporter come out in exposition form;
 //   * SolverPool's exporter emits the EXACT metric set — the
 //     `--metrics-out` exposition is a scrape contract, so a renamed or
 //     dropped series must fail here, not in a dashboard.
@@ -43,8 +44,6 @@
 namespace treemem {
 namespace {
 
-using obs::Counter;
-using obs::Gauge;
 using obs::Histogram;
 using obs::MetricsRegistry;
 using obs::TraceEvent;
@@ -228,47 +227,60 @@ TEST(Histogram, ExponentialBoundsBuildTheLadder) {
 
 TEST(Metrics, RegistryDumpRoundTrip) {
   MetricsRegistry registry;  // private instance, not the process one
-  Counter& requests = registry.counter("test_requests_total");
-  requests.add(3);
-  Gauge& load = registry.gauge("test_load", "shard=\"a\"");
-  load.set(2.5);
-  Histogram& sizes = registry.histogram("test_sizes", {1.0, 10.0});
+  EXPECT_EQ(registry.dump(), "");
+
+  // A subsystem-owned histogram and tallies, rendered at dump time — the
+  // way SolverPool and WorkerPool export theirs.
+  Histogram sizes({1.0, 10.0});
   sizes.observe(0.5);
   sizes.observe(4.0);
-
-  // Find-or-create returns the same identity.
-  registry.counter("test_requests_total").add(1);
-  EXPECT_EQ(requests.value(), 4);
-
-  const std::uint64_t token =
+  long long requests = 3;
+  const std::uint64_t stats_token = registry.add_exporter([&] {
+    return obs::format_histogram("test_sizes", "", sizes) +
+           obs::format_counter("test_requests_total", "", requests) +
+           obs::format_counter("test_busy_seconds_total", "", 1.25) +
+           obs::format_gauge("test_load", "shard=\"a\"", 2.5);
+  });
+  const std::uint64_t custom_token =
       registry.add_exporter([] { return std::string("custom_line 7\n"); });
+  EXPECT_NE(stats_token, custom_token);
 
-  const std::string dump = registry.dump();
-  EXPECT_NE(dump.find("# TYPE test_requests_total counter\n"
-                      "test_requests_total 4\n"),
-            std::string::npos);
-  EXPECT_NE(dump.find("# TYPE test_load gauge\n"
-                      "test_load{shard=\"a\"} 2.5\n"),
-            std::string::npos);
-  EXPECT_NE(dump.find("test_sizes_bucket{le=\"1\"} 1\n"), std::string::npos);
-  EXPECT_NE(dump.find("test_sizes_bucket{le=\"10\"} 2\n"), std::string::npos);
-  EXPECT_NE(dump.find("test_sizes_bucket{le=\"+Inf\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(dump.find("test_sizes_sum 4.5\n"), std::string::npos);
-  EXPECT_NE(dump.find("test_sizes_count 2\n"), std::string::npos);
-  EXPECT_NE(dump.find("custom_line 7\n"), std::string::npos);
+  // Exporters render in registration order, and read their stats at dump
+  // time, not at registration.
+  requests = 4;
+  EXPECT_EQ(registry.dump(),
+            "# TYPE test_sizes histogram\n"
+            "test_sizes_bucket{le=\"1\"} 1\n"
+            "test_sizes_bucket{le=\"10\"} 2\n"
+            "test_sizes_bucket{le=\"+Inf\"} 2\n"
+            "test_sizes_sum 4.5\n"
+            "test_sizes_count 2\n"
+            "# TYPE test_requests_total counter\n"
+            "test_requests_total 4\n"
+            "# TYPE test_busy_seconds_total counter\n"
+            "test_busy_seconds_total 1.25\n"
+            "# TYPE test_load gauge\n"
+            "test_load{shard=\"a\"} 2.5\n"
+            "custom_line 7\n");
 
-  registry.remove_exporter(token);
-  EXPECT_EQ(registry.dump().find("custom_line"), std::string::npos);
+  // Labels go inside every histogram line, before `le`.
+  EXPECT_EQ(obs::format_histogram("test_sizes", "shard=\"b\"", sizes),
+            "# TYPE test_sizes histogram\n"
+            "test_sizes_bucket{shard=\"b\",le=\"1\"} 1\n"
+            "test_sizes_bucket{shard=\"b\",le=\"10\"} 2\n"
+            "test_sizes_bucket{shard=\"b\",le=\"+Inf\"} 2\n"
+            "test_sizes_sum{shard=\"b\"} 4.5\n"
+            "test_sizes_count{shard=\"b\"} 2\n");
 
-  // reset_values zeroes the numbers but keeps every identity: the cached
-  // references stay valid and usable.
-  registry.reset_values();
-  EXPECT_EQ(requests.value(), 0);
-  EXPECT_DOUBLE_EQ(load.value(), 0.0);
-  EXPECT_EQ(sizes.count(), 0);
-  requests.add(2);
-  EXPECT_EQ(registry.counter("test_requests_total").value(), 2);
+  // Removing one exporter leaves the other; removing a token twice (or
+  // one never issued) is a no-op.
+  registry.remove_exporter(stats_token);
+  EXPECT_EQ(registry.dump(), "custom_line 7\n");
+  registry.remove_exporter(stats_token);
+  registry.remove_exporter(custom_token + 100);
+  EXPECT_EQ(registry.dump(), "custom_line 7\n");
+  registry.remove_exporter(custom_token);
+  EXPECT_EQ(registry.dump(), "");
 }
 
 TEST(Metrics, SolverPoolExportsExactMetricSet) {
@@ -318,8 +330,6 @@ TEST(Metrics, SolverPoolExportsExactMetricSet) {
       "treemem_solver_factorizations counter",
       "treemem_solver_rhs_solved counter",
       "treemem_solver_flops gauge",
-      "treemem_solver_leases_granted counter",
-      "treemem_solver_lease_denied counter",
       "treemem_solver_measured_peak_entries gauge",
       "treemem_solver_modeled_peak_entries gauge",
       "treemem_solver_planned_peak_entries gauge",

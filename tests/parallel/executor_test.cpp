@@ -11,7 +11,9 @@
 //   * schedule-independent outputs (per-task payload results, precedence,
 //     final resident memory) are deterministic even at w > 1;
 //   * infeasible instances — transient larger than M, or a mid-run greedy
-//     stall — fail cleanly instead of hanging.
+//     stall — fail cleanly instead of hanging;
+//   * a body's lane is its gantt worker, lies in [0, min(w, tasks)), and is
+//     never held by two bodies at once (callers index scratch by it).
 // At w > 1 with a tight budget, greedy feasibility depends on the real
 // completion interleaving, so exact simulator parity is only asserted where
 // it is interleaving-invariant: w = 1 (any budget), any w with an unlimited
@@ -22,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "core/postorder.hpp"
 #include "parallel/executor.hpp"
 #include "parallel/parallel_sim.hpp"
+#include "parallel/worker_pool.hpp"
 #include "test_util.hpp"
 #include "tree/generators.hpp"
 
@@ -184,7 +188,7 @@ TEST(Executor, ScheduleIndependentOutputsAreDeterministic) {
     ExecutorOptions options;
     options.schedule.workers = 4;
     const auto result = execute_task_tree(
-        tree, options, default_task_durations(tree), [&](NodeId node) {
+        tree, options, default_task_durations(tree), [&](NodeId node, int) {
           Weight value = tree.file_size(node) + 3 * tree.work_size(node);
           for (const NodeId c : tree.children(node)) {
             value += slots[static_cast<std::size_t>(c)];  // children done
@@ -253,7 +257,7 @@ TEST(Executor, SpinWorkYieldsRealSpeedup) {
   // to a noisy neighbor, so take the best of a few attempts before judging.
   const Tree tree = gen::star(8, 5, 1);
   const std::vector<double> durations = default_task_durations(tree);
-  const TaskBody spin = [&](NodeId node) {
+  const TaskBody spin = [&](NodeId node, int) {
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -285,7 +289,7 @@ TEST(Executor, PayloadExceptionPropagatesWithoutHanging) {
   std::atomic<int> ran{0};
   EXPECT_THROW(
       execute_task_tree(tree, options, default_task_durations(tree),
-                        [&](NodeId node) {
+                        [&](NodeId node, int) {
                           if (node == 5) {
                             throw Error("payload failure");
                           }
@@ -293,6 +297,62 @@ TEST(Executor, PayloadExceptionPropagatesWithoutHanging) {
                         }),
       Error);
   EXPECT_LT(ran.load(), tree.size());  // the run aborted early
+}
+
+TEST(Executor, ConcurrentBodiesGetDistinctLanes) {
+  // The lane a body receives is the executor's worker id: in
+  // [0, min(w, tasks)), the gantt's worker for that task, and never held
+  // by two bodies at once — what lets factor_parallel index its front
+  // workspaces by lane without a lock. Each body sleeps briefly so bodies
+  // overlap; a per-lane occupancy flag catches two bodies sharing a lane
+  // the moment the second one enters. Both crewing modes, on a wide star
+  // (more tasks than workers) and a small one (fewer tasks than workers).
+  WorkerPool pool(4);
+  for (const Tree& tree : {gen::star(11, 1, 1), gen::star(2, 1, 1)}) {
+    const auto p = static_cast<std::size_t>(tree.size());
+    for (const int workers : {2, 4}) {
+      for (const bool elastic : {true, false}) {
+        ASSERT_TRUE(testing::wait_for_idle(pool));
+        const int lanes = std::min(workers, static_cast<int>(p));
+        std::vector<std::atomic<bool>> occupied(
+            static_cast<std::size_t>(workers));
+        std::vector<int> lane_of(p, -1);
+        std::atomic<int> shared{0};
+        std::atomic<int> out_of_range{0};
+        ExecutorOptions options;
+        options.schedule.workers = workers;
+        options.lease_idle_workers = elastic;
+        options.pool = &pool;
+        const ParallelScheduleResult run = execute_task_tree(
+            tree, options, default_task_durations(tree),
+            [&](NodeId node, int lane) {
+              lane_of[static_cast<std::size_t>(node)] = lane;
+              if (lane < 0 || lane >= lanes) {
+                out_of_range.fetch_add(1);
+                return;
+              }
+              std::atomic<bool>& flag =
+                  occupied[static_cast<std::size_t>(lane)];
+              if (flag.exchange(true)) {
+                shared.fetch_add(1);
+              }
+              std::this_thread::sleep_for(std::chrono::milliseconds(2));
+              flag.store(false);
+            });
+        const std::string where = "p=" + std::to_string(p) +
+                                  " w=" + std::to_string(workers) +
+                                  " elastic=" + std::to_string(elastic);
+        ASSERT_TRUE(run.feasible) << where;
+        EXPECT_EQ(out_of_range.load(), 0) << where;
+        EXPECT_EQ(shared.load(), 0) << where;
+        for (const TaskInterval& task : run.gantt) {
+          EXPECT_EQ(lane_of[static_cast<std::size_t>(task.node)], task.worker)
+              << where << " node " << task.node;
+        }
+        check_executor_run(tree, run, lanes);
+      }
+    }
+  }
 }
 
 TEST(Executor, RejectsBadArguments) {

@@ -57,7 +57,7 @@ TEST(ScheduleScaling, ExecutorRunsAMillionEmptyTasksOnFourWorkers) {
   ExecutorOptions options;
   options.schedule.workers = 4;
   const ParallelScheduleResult run = execute_task_tree(
-      tree, options, default_task_durations(tree), [](NodeId) {});
+      tree, options, default_task_durations(tree), [](NodeId, int) {});
   ASSERT_TRUE(run.feasible);
   EXPECT_EQ(run.completion_order.size(),
             static_cast<std::size_t>(tree.size()));

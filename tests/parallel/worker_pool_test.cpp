@@ -151,7 +151,7 @@ TEST(WorkerPool, NestedLeaseFromInsideAnExecutorTask) {
   options.pool = &pool;
   std::atomic<long long> tile_hits{0};
   const ParallelScheduleResult run = execute_task_tree(
-      tree, options, std::vector<double>(p, 1.0), [&](NodeId) {
+      tree, options, std::vector<double>(p, 1.0), [&](NodeId, int) {
         pool.try_lease(2).run(16, [&](std::size_t) {
           tile_hits.fetch_add(1);
         });
