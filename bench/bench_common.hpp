@@ -40,9 +40,16 @@ inline CorpusOptions corpus_options() {
   return options;
 }
 
-/// Median wall-clock seconds of `reps` runs of `fn`.
+/// Fastest, median and slowest wall-clock seconds of a set of runs.
+struct TimeSpread {
+  double min_s = 0.0;
+  double median_s = 0.0;
+  double max_s = 0.0;
+};
+
+/// The spread of `reps` timed runs of `fn`.
 template <typename Fn>
-double median_time_s(Fn&& fn, int reps = 3) {
+TimeSpread time_spread_s(Fn&& fn, int reps = 3) {
   std::vector<double> times;
   times.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
@@ -51,7 +58,13 @@ double median_time_s(Fn&& fn, int reps = 3) {
     times.push_back(timer.elapsed_s());
   }
   std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  return {times.front(), times[times.size() / 2], times.back()};
+}
+
+/// Median wall-clock seconds of `reps` runs of `fn`.
+template <typename Fn>
+double median_time_s(Fn&& fn, int reps = 3) {
+  return time_spread_s(fn, reps).median_s;
 }
 
 inline void print_header(const std::string& title) {

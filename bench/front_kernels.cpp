@@ -9,7 +9,10 @@
 // column tiles, at both a full Cholesky (η = m) and the representative
 // partial front (η = m/2). Every cell, at every front size, is the median
 // of 3 timed runs, and is checked bit-identical to the reference, so a
-// kernel regression cannot hide behind a fast wrong answer.
+// kernel regression cannot hide behind a fast wrong answer. The CSV keeps
+// each cell's fastest and slowest run too, and the table prints the best
+// inline cell's (max − min)/median, so a reading is judged against its
+// own noise.
 //
 // Each cell is also read against a ceiling measured in this binary: one
 // core's multiply-then-subtract throughput at the vector width of the
@@ -164,9 +167,11 @@ int run() {
 
   CsvWriter csv(bench::output_dir() + "/front_kernels.csv",
                 {"dispatch", "isa", "block_size", "workers", "m", "eta",
-                 "seconds", "gflops", "fraction_of_ceiling"});
+                 "seconds", "seconds_min", "seconds_max", "gflops",
+                 "fraction_of_ceiling"});
   TextTable table({"m", "eta", "scalar GF/s", "best inline GF/s (nb)",
-                   "inline/ceiling", "best leased GF/s (nb)",
+                   "inline/ceiling", "inline spread",
+                   "best leased GF/s (nb)",
                    "leased/(w*ceiling)", "inline speedup", "leased/inline"});
 
   const unsigned workers = default_thread_count();
@@ -194,16 +199,17 @@ int run() {
 
       double scalar_gflops = 1e-12;
       double best_inline = 0.0, best_leased = 0.0;
+      double best_inline_spread = 0.0;  ///< (max − min)/median of its runs
       std::size_t best_inline_nb = 0, best_leased_nb = 0;
       for (const Cell& cell : cells) {
         const auto kernel = make_front_kernel(cell.config);
         std::vector<double> work;
         long long flops = 0;
-        const double seconds = bench::median_time_s(
-            [&] {
-              work = original;
-              flops = kernel->partial_factor(work.data(), m, eta, nullptr);
-            });
+        const bench::TimeSpread time = bench::time_spread_s([&] {
+          work = original;
+          flops = kernel->partial_factor(work.data(), m, eta, nullptr);
+        });
+        const double seconds = time.median_s;
         // Every setting preserves the reference's per-entry update order
         // exactly; anything else is a kernel bug.
         TM_CHECK(std::memcmp(work.data(), reference.data(),
@@ -218,6 +224,8 @@ int run() {
           scalar_gflops = gflops;
         } else if (dispatch == "inline" && gflops > best_inline) {
           best_inline = gflops;
+          best_inline_spread =
+              (time.max_s - time.min_s) / std::max(seconds, 1e-12);
           best_inline_nb = cell.config.block_size;
         } else if (dispatch == "leased" && gflops > best_leased) {
           best_leased = gflops;
@@ -230,7 +238,8 @@ int run() {
              CsvWriter::cell(static_cast<long long>(threads)),
              CsvWriter::cell(static_cast<long long>(m)),
              CsvWriter::cell(static_cast<long long>(eta)),
-             CsvWriter::cell(seconds), CsvWriter::cell(gflops),
+             CsvWriter::cell(seconds), CsvWriter::cell(time.min_s),
+             CsvWriter::cell(time.max_s), CsvWriter::cell(gflops),
              CsvWriter::cell(gflops / (ceiling * threads))});
       }
       table.add_row({std::to_string(m), std::to_string(eta),
@@ -238,6 +247,7 @@ int run() {
                      fmt(best_inline) + " (" +
                          std::to_string(best_inline_nb) + ")",
                      fmt(best_inline / ceiling),
+                     fmt(100.0 * best_inline_spread, 1) + "%",
                      fmt(best_leased) + " (" +
                          std::to_string(best_leased_nb) + ")",
                      fmt(best_leased / (ceiling * workers)),

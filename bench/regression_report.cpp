@@ -19,9 +19,9 @@
 //     and a warm restart from a persisted state dir (the warm run must
 //     report zero symbolic misses);
 //   * the worker-pool microbench: a private 4-worker pool serves 64
-//     lease/run rounds — its threads_spawned/leases_granted/leases_denied/
-//     workers_leased counters are exact (gated exactly); the per-round
-//     wall-clock is reported for the record;
+//     WorkerPool::run rounds — its threads_spawned/leases_granted/
+//     leases_denied/workers_leased counters are exact (gated exactly); the
+//     per-round wall-clock is reported for the record;
 //   * the tree x front scaling sweep: factor_parallel with the defaults
 //     (leased kernel tiles + elastic crewing) at w in {1, 2, 4} on the two
 //     largest corpus instances, min-of-3 (reported, not gated: the
@@ -260,12 +260,12 @@ int run() {
   json << "  },\n";
 
   // --- Worker-pool microbench --------------------------------------------
-  // A private pool keeps the counters machine-independent: 64 lease/run
+  // A private pool keeps the counters machine-independent: 64 claim/run
   // rounds against a 4-worker pool spawn exactly 4 threads, ever. The spin
   // between rounds waits for the previous crew to park so every round's
-  // try_lease finds the full pool — that makes leases_granted/
-  // leases_denied exact, and the checker gates the counters exactly. The
-  // per-round wall-clock is reported for the record.
+  // run() claims the 3 helpers it asks for — that makes leases_granted/
+  // leases_denied/workers_leased exact, and the checker gates the counters
+  // exactly. The per-round wall-clock is reported for the record.
   {
     constexpr unsigned kPoolSize = 4;
     constexpr int kRounds = 64;
@@ -281,7 +281,7 @@ int run() {
       while (microbench_pool.idle_workers() != kPoolSize) {
         std::this_thread::yield();
       }
-      microbench_pool.try_lease(kPoolSize - 1).run(kTiles, tiny_body);
+      microbench_pool.run(kPoolSize - 1, kTiles, tiny_body);
     }
     const double leased_us = leased_wall.elapsed_s() * 1e6 / kRounds;
     const WorkerPoolStats pool_stats = microbench_pool.stats();

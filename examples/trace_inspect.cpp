@@ -11,7 +11,10 @@
 // longest tasks (the spans that bound the makespan; the paper's root-front
 // bottleneck shows up here immediately). A task is one front or a whole
 // subtree run on one lane: its span names the supernode it stands for (the
-// subtree root) and the number of fronts it ran.
+// subtree root) and the number of fronts it ran. A last line counts the
+// worker pool's lease_grant/lease_deny instants — one per trailing-update
+// panel that asked for helpers — and the mean number of workers a grant
+// got, the width the parallel panels actually ran at.
 //
 // The parser is deliberately narrow: it reads the obs exporter's own
 // format (one `{…}` event object per line inside `traceEvents`), not
@@ -77,6 +80,13 @@ struct LaneUsage {
   long long fronts = 0;
 };
 
+/// The pool's lease instants: grants, denials and Σ workers granted.
+struct LeaseTally {
+  long long grants = 0;
+  long long denials = 0;
+  long long workers = 0;
+};
+
 std::string fmt(double v, int precision = 2) {
   std::ostringstream oss;
   oss << std::fixed << std::setprecision(precision) << v;
@@ -93,6 +103,7 @@ int run(const std::string& path, std::size_t top_n) {
   std::map<int, std::vector<TaskSpan>> open;  // lane -> span stack
   std::vector<TaskSpan> tasks;
   std::map<int, LaneUsage> lanes;
+  LeaseTally leases;
   double first_ts = 0.0, last_ts = 0.0;
   bool any_ts = false;
 
@@ -110,7 +121,18 @@ int run(const std::string& path, std::size_t top_n) {
     if (!any_ts || *ts > last_ts) last_ts = *ts;
     any_ts = true;
 
-    if (string_field(line, "name") != std::optional<std::string>("front") ||
+    const std::optional<std::string> name = string_field(line, "name");
+    if (*ph == "i" && name == "lease_grant") {
+      ++leases.grants;
+      leases.workers +=
+          static_cast<long long>(number_field(line, "granted").value_or(0.0));
+      continue;
+    }
+    if (*ph == "i" && name == "lease_deny") {
+      ++leases.denials;
+      continue;
+    }
+    if (name != std::optional<std::string>("front") ||
         number_field(line, "pid") != std::optional<double>(1.0)) {
       continue;
     }
@@ -137,10 +159,18 @@ int run(const std::string& path, std::size_t top_n) {
   // A truncated trace (ring overflow) can open spans it never closes;
   // they are simply not counted — the retained tail is still exact.
 
+  const std::string lease_line =
+      "leases: " + std::to_string(leases.grants) + " granted, " +
+      std::to_string(leases.denials) + " denied, mean granted width " +
+      (leases.grants > 0 ? fmt(static_cast<double>(leases.workers) /
+                               static_cast<double>(leases.grants))
+                         : std::string("-")) +
+      "\n";
   if (tasks.empty()) {
     std::cout << "no `front` spans in " << path
               << " — was the run traced with workers >= 1 and the parallel "
-                 "engine?\n";
+                 "engine?\n"
+              << lease_line;
     return 0;
   }
 
@@ -185,6 +215,7 @@ int run(const std::string& path, std::size_t top_n) {
                          fmt((span.start_us - first_ts) / 1e3, 3)});
   }
   std::cout << task_table.to_string();
+  std::cout << "\n" << lease_line;
   return 0;
 }
 

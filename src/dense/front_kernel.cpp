@@ -106,12 +106,12 @@ long long FrontKernel::trailing_update(double* front, std::size_t m,
     tile_flops[t] = tile_kernel_->update(front, m, k0, nb, c0, c1);
   };
   // The calling thread is always one participant, so a width-w update
-  // needs w-1 leased helpers; tiles-1 caps the useful lease size. An empty
-  // lease (nobody idle right now — the tree level is using them) runs the
-  // panel inline via the same run() contract, never blocking.
+  // needs w-1 helpers; tiles-1 caps the useful claim. When nobody is idle
+  // right now (the tree level is using them) run() executes the panel
+  // inline under the same contract, never blocking.
   const unsigned max_helpers =
       std::min<unsigned>(workers_ - 1, static_cast<unsigned>(tiles - 1));
-  pool_->try_lease(max_helpers).run(tiles, tile_body);
+  pool_->run(max_helpers, tiles, tile_body);
   long long flops = 0;
   for (const long long f : tile_flops) {
     flops += f;

@@ -14,10 +14,10 @@
 // AVX2) is loaded into registers once per panel, receives every pivot of
 // the panel and is stored once. When a panel's trailing update clears the
 // volume gate, it is split into column tiles run on workers *leased* from
-// the persistent pool (parallel/worker_pool.hpp): the panel claims
-// whatever workers are idle right now — typically the tree-level
-// executor's, near the root where its frontier has collapsed — and returns
-// them at panel end. The lease never blocks and never spawns a thread;
+// the persistent pool (parallel/worker_pool.hpp): one WorkerPool::run call
+// per panel claims whatever workers are idle right now — typically the
+// tree-level executor's, near the root where its frontier has collapsed —
+// and returns them at panel end. The lease never blocks and never spawns a thread;
 // when nobody is idle the panel runs inline. The pool is the one lease
 // record: it counts every grant and denial (WorkerPool::stats(), exported
 // as treemem_pool_leases_*_total) and traces each as an instant. The

@@ -15,26 +15,23 @@
 // on per-slot condvars. Nobody ever spawns a thread afterwards — the
 // steady-state hot path performs zero std::thread constructions, a
 // property CI pins with the deterministic `threads_spawned` counter.
-// Capacity moves between the levels by **leasing**:
+// Capacity moves between the levels by claiming idle workers:
 //
 //   * the tree-level executor recruits workers for whole-task stints via
 //     try_dispatch() (and, under ExecutorOptions::lease_idle_workers,
 //     returns them to the pool whenever the schedule has no ready front);
-//   * a front whose trailing update clears the volume gate leases k idle
-//     workers via try_lease() for the duration of one panel and returns
-//     them at panel end (WorkerLease is RAII — returning is automatic).
+//   * a front whose trailing update clears the volume gate borrows up to k
+//     idle workers via run() for the duration of one panel; they return
+//     to the pool as the panel's loop drains.
 //
-// Leasing is strictly non-blocking: try_lease()/try_dispatch() claim only
+// Claiming is strictly non-blocking: run()/try_dispatch() claim only
 // workers that are idle *right now* and may come back empty-handed, in
-// which case the caller runs inline on its own thread. A panel can
-// therefore never deadlock waiting for capacity the tree level holds, and
-// vice versa — the calling thread is always its own guaranteed worker.
+// which case run() executes the loop inline on the calling thread. A panel
+// can therefore never deadlock waiting for capacity the tree level holds,
+// and vice versa — the calling thread is always its own guaranteed worker.
 //
-// Affinity: TREEMEM_AFFINITY=1 pins worker i to cpu (i mod ncpu) via
-// pthread_setaffinity_np at thread start (Linux only; elsewhere the knob
-// parses but is a no-op). Off by default — pinning helps dedicated boxes
-// and hurts oversubscribed CI runners. Parsed strictly through
-// support/env.hpp: a malformed value throws at pool construction.
+// Placement is left to the operating system; pin a deployment from the
+// outside (e.g. `taskset`).
 #pragma once
 
 #include <atomic>
@@ -48,8 +45,6 @@
 
 namespace treemem {
 
-class WorkerPool;
-
 /// Deterministic pool counters (cumulative since pool construction).
 /// threads_spawned is exactly size() forever — the "no thread births on
 /// the hot path" contract, gated exactly in bench/check_regression.py.
@@ -58,54 +53,15 @@ class WorkerPool;
 /// pool exports them as treemem_pool_leases_{granted,denied}_total).
 struct WorkerPoolStats {
   long long threads_spawned = 0;   ///< == size(); never grows afterwards
-  long long leases_granted = 0;    ///< try_lease() calls that got >= 1 worker
-  long long leases_denied = 0;     ///< try_lease() calls that found none idle
-  long long workers_leased = 0;    ///< Σ workers handed out across leases
+  long long leases_granted = 0;    ///< run() calls that claimed >= 1 worker
+  long long leases_denied = 0;     ///< run() calls that found none idle
+  long long workers_leased = 0;    ///< Σ workers claimed across run() calls
   long long workers_dispatched = 0;///< Σ workers claimed by try_dispatch()
-};
-
-/// RAII handle over k >= 0 leased workers. Move-only; destroying (or
-/// run()-ing) the lease returns the workers to the pool. A lease is
-/// single-shot: run() consumes the workers.
-class WorkerLease {
- public:
-  WorkerLease() = default;
-  WorkerLease(WorkerLease&& other) noexcept;
-  WorkerLease& operator=(WorkerLease&& other) noexcept;
-  WorkerLease(const WorkerLease&) = delete;
-  WorkerLease& operator=(const WorkerLease&) = delete;
-  /// Returns any still-reserved workers to the pool.
-  ~WorkerLease();
-
-  /// Leased workers (0 for an empty lease). The effective parallel width
-  /// of run() is size() + 1: the calling thread always participates.
-  std::size_t size() const { return slots_.size(); }
-  bool empty() const { return slots_.empty(); }
-
-  /// parallel_for over [0, count) on the leased workers *plus the calling
-  /// thread*, with dynamic (atomic counter) index scheduling. Same
-  /// contract as support/parallel_for: every index executes exactly once
-  /// even if bodies throw, and the first exception is rethrown after all
-  /// participants drained. An empty lease degrades to the inline loop on
-  /// the calling thread (same contract). Consumes the lease: the workers
-  /// return to the pool as they finish, and size() is 0 afterwards.
-  void run(std::size_t count, const std::function<void(std::size_t)>& body);
-
-  /// Returns the workers without running anything (idempotent).
-  void release();
-
- private:
-  friend class WorkerPool;
-  WorkerLease(WorkerPool* pool, std::vector<unsigned> slots);
-
-  WorkerPool* pool_ = nullptr;
-  std::vector<unsigned> slots_;  ///< reserved slot indices
 };
 
 class WorkerPool {
  public:
-  /// Spawns exactly `size` persistent workers (clamped to >= 1). Reads
-  /// TREEMEM_AFFINITY once, here — never on a lease path.
+  /// Spawns exactly `size` persistent workers (clamped to >= 1).
   explicit WorkerPool(unsigned size);
 
   /// The process-wide pool. Sized once, at first use, from
@@ -120,14 +76,17 @@ class WorkerPool {
   /// Workers currently parked (momentary; for observability/tests).
   unsigned idle_workers() const;
 
-  /// True when TREEMEM_AFFINITY=1 resolved at construction (the pinning
-  /// itself is Linux-only).
-  bool affinity() const { return affinity_; }
-
-  /// Claims up to max_workers idle workers, never blocking: returns an
-  /// empty lease (and counts leases_denied) when none are idle. The
-  /// intra-front path: the caller runs the panel inline on an empty lease.
-  WorkerLease try_lease(unsigned max_workers);
+  /// parallel_for over [0, count) on up to `max_helpers` idle workers
+  /// *plus the calling thread*, with dynamic (atomic counter) index
+  /// scheduling. The workers are claimed and armed under one lock and
+  /// return to the pool as they finish. Never blocks waiting for capacity:
+  /// when none is idle (counted as leases_denied) or max_helpers is 0, the
+  /// loop runs inline on the calling thread. Same contract as
+  /// support/parallel_for either way: every index executes exactly once
+  /// even if bodies throw, and the first exception is rethrown after all
+  /// participants drained. The intra-front path: one call per panel.
+  void run(unsigned max_helpers, std::size_t count,
+           const std::function<void(std::size_t)>& body);
 
   /// Claims up to max_workers idle workers and hands each one `job` to run
   /// once, asynchronously; each worker returns itself to the pool when the
@@ -141,50 +100,37 @@ class WorkerPool {
 
   WorkerPoolStats stats() const;
 
-  /// Stops and joins all workers. Throws treemem::Error if any worker is
-  /// still leased or running — tearing down under an active lease is a
-  /// caller bug (the clean-error contract pinned by
-  /// tests/parallel/worker_pool_test.cpp). Idempotent once it succeeds.
-  void shutdown();
-
-  /// Waits for every outstanding lease/dispatch to drain, then stops and
-  /// joins. Never throws — but it *waits*, so release leases before
-  /// destroying their pool (RAII makes that the natural order).
+  /// The one teardown: waits for every outstanding run()/dispatch to
+  /// drain, then stops and joins. Never throws — but it *waits*, so a
+  /// dispatched job must return before its pool is destroyed.
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
  private:
-  friend class WorkerLease;
-
-  enum class SlotState { kIdle, kReserved, kRunning };
-
-  /// One parked worker. The job is a one-shot handoff cell: the owner (a
-  /// lease or try_dispatch) stores it and signals; the worker runs it and
+  /// One parked worker. The job is a one-shot handoff cell: the claimer
+  /// (run or try_dispatch) stores it and signals; the worker runs it and
   /// re-idles itself.
   struct Slot {
     std::thread thread;
     std::condition_variable cv;
-    SlotState state = SlotState::kIdle;
     std::function<void()> job;
   };
 
   void worker_main(unsigned slot_index);
   /// Under mutex_: moves `slot` back to the idle stack.
   void park_locked(unsigned slot_index);
-  /// Returns reserved-but-unused slots (lease release / destructor path).
-  void release_reserved(const std::vector<unsigned>& slots);
-  /// Arms `slot` with `job` and wakes it. Caller holds mutex_; the slot
-  /// must be kReserved (lease) or freshly claimed (dispatch).
-  void arm_locked(unsigned slot_index, std::function<void()> job);
+  /// Claims up to max_workers idle slots and arms each with `job`. Caller
+  /// holds mutex_; returns the number claimed.
+  unsigned claim_locked(unsigned max_workers,
+                        const std::function<void()>& job);
 
   mutable std::mutex mutex_;
   std::condition_variable all_idle_cv_;  ///< destructor's drain signal
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<unsigned> idle_;  ///< stack of idle slot indices
   bool stopping_ = false;
-  bool affinity_ = false;
 
   // Counters are written under mutex_ but read lock-free by stats().
   std::atomic<long long> threads_spawned_{0};

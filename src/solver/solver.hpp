@@ -43,10 +43,9 @@
 // cumulative solve counters are atomic).
 //
 // Configuration flows through one aggregate (SolverOptions, one member
-// per phase); the environment does not reach it (TREEMEM_THREADS and
-// TREEMEM_AFFINITY size and pin the process-wide worker pool). The
-// low-level entry points the facade wraps stay exported via treemem.hpp
-// for the paper-reproduction benches.
+// per phase); the environment does not reach it (TREEMEM_THREADS sizes
+// the process-wide worker pool). The low-level entry points the facade
+// wraps stay exported via treemem.hpp for the paper-reproduction benches.
 #pragma once
 
 #include <atomic>

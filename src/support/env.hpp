@@ -1,14 +1,14 @@
 // The one strictly-parsed TREEMEM_* environment layer.
 //
 // Every runtime knob of the library reads its override through this file:
-// TREEMEM_THREADS (support/parallel_for.hpp), TREEMEM_AFFINITY
-// (parallel/worker_pool.hpp), TREEMEM_TRACE (obs/trace.hpp), and the bench
-// harness's TREEMEM_SCALE / TREEMEM_OUT (bench/bench_common.hpp); the
-// solver's options are set in code only. Parsing is strict with *errors*:
-// a malformed value throws treemem::Error naming the variable and the
-// offending text, so a typo surfaces at startup instead of silently
-// running the experiment with a different configuration. An unset or
-// empty variable is simply "no override" (std::nullopt).
+// TREEMEM_THREADS (support/parallel_for.hpp), TREEMEM_TRACE
+// (obs/trace.hpp), and the bench harness's TREEMEM_SCALE / TREEMEM_OUT
+// (bench/bench_common.hpp); the solver's options are set in code only.
+// Parsing is strict with *errors*: a malformed value throws treemem::Error
+// naming the variable and the offending text, so a typo surfaces at
+// startup instead of silently running the experiment with a different
+// configuration. An unset or empty variable is simply "no override"
+// (std::nullopt).
 #pragma once
 
 #include <optional>

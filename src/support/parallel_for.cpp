@@ -1,7 +1,6 @@
 #include "support/parallel_for.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
 #include <thread>
 
@@ -27,40 +26,15 @@ unsigned default_thread_count() {
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   unsigned num_threads) {
-  if (count == 0) {
-    return;
-  }
   // The pool resolved TREEMEM_THREADS once at construction; num_threads==0
   // defers to that size instead of re-reading the environment per call.
-  unsigned width = num_threads;
-  if (width == 0) {
-    width = WorkerPool::instance().size();
-  }
-  if (width > count) {
-    width = static_cast<unsigned>(count);
-  }
-  if (width <= 1) {
-    // Inline path: every index executes exactly once on the calling thread
-    // and the first exception is rethrown at the end.
-    std::exception_ptr inline_error;
-    for (std::size_t i = 0; i < count; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        if (!inline_error) {
-          inline_error = std::current_exception();
-        }
-      }
-    }
-    if (inline_error) {
-      std::rethrow_exception(inline_error);
-    }
-    return;
-  }
-  // Lease (never spawn, never block): the calling thread participates, so
-  // width w needs w-1 helpers. An empty lease — nobody idle — degrades to
-  // the inline loop inside run(), same contract.
-  WorkerPool::instance().try_lease(width - 1).run(count, body);
+  WorkerPool& pool = WorkerPool::instance();
+  const std::size_t width =
+      std::min<std::size_t>(num_threads == 0 ? pool.size() : num_threads,
+                            count);
+  // The calling thread participates, so width w needs w-1 helpers; a
+  // width of 1 (or nobody idle) runs the loop inline inside run().
+  pool.run(width > 1 ? static_cast<unsigned>(width - 1) : 0, count, body);
 }
 
 }  // namespace treemem

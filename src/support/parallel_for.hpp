@@ -3,12 +3,12 @@
 // parallel_for keeps its original contract — body(i) for every i in
 // [0, count), every index exactly once even if bodies throw, first
 // exception rethrown after all participants drained, no execution-order
-// guarantee — but no longer creates threads: it leases idle workers from
-// the process-wide WorkerPool (parallel/worker_pool.hpp), runs the loop
-// with the calling thread participating, and returns the workers when the
-// loop ends. When no worker is idle (or num_threads <= 1) the loop runs
-// inline on the calling thread, same contract — parallel_for never blocks
-// waiting for capacity.
+// guarantee — but creates no threads: it resolves the width and makes one
+// WorkerPool::run call (parallel/worker_pool.hpp), which borrows up to
+// width-1 idle workers of the process-wide pool for the loop, with the
+// calling thread participating. When no worker is idle (or the width is
+// <= 1) the loop runs inline on the calling thread, same contract —
+// parallel_for never blocks waiting for capacity.
 //
 // The environment is resolved exactly once, when the pool is constructed,
 // and the steady state performs zero thread births.
@@ -28,8 +28,8 @@ namespace treemem {
 /// size. If the width resolves to <= 1 — or no pool worker is idle — the
 /// loop runs inline on the calling thread. Both paths share one contract:
 /// every index executes exactly once even if some bodies throw, and the
-/// first exception is rethrown at the end (after all leased workers
-/// drained, in the leased case).
+/// first exception is rethrown at the end (after all borrowed workers
+/// drained).
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                   unsigned num_threads = 0);
 

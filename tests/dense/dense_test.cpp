@@ -217,9 +217,9 @@ TEST(TileKernels, EveryInstantiationMatchesTheLonghandOracleBitwise) {
 }
 
 TEST(ParallelTiledKernel, CurrentImplementationIsBitIdentical) {
-  // A private pool controls the lease outcome: first with every worker
-  // idle at the start (the first panel's lease is granted), then with
-  // every worker held elsewhere (every lease is denied and the panels run
+  // A private pool controls the claim outcome: first with every worker
+  // idle at the start (the first panel's claim is granted), then with
+  // every worker held elsewhere (every claim is denied and the panels run
   // inline). Either way the factor is the reference's.
   const std::size_t m = 128;
   const std::vector<double> original = make_dense_spd_front(m, 11);
@@ -229,13 +229,13 @@ TEST(ParallelTiledKernel, CurrentImplementationIsBitIdentical) {
   for (const bool held : {false, true}) {
     for (const std::size_t nb : {4u, 16u, 48u}) {
       ASSERT_TRUE(testing::wait_for_idle(pool));
-      WorkerLease holder = held ? pool.try_lease(3) : WorkerLease{};
+      testing::HoldWorkers holder(pool, held ? 3 : 0);
       KernelConfig config = config_of(nb, 4);
       config.pool = &pool;
       const auto kernel = make_front_kernel(config);
       std::vector<double> tiled = original;
       // The pool is the one lease record: the kernel's leases are the
-      // delta across the factorization (the holder's own grant is before).
+      // delta across the factorization.
       const WorkerPoolStats before = pool.stats();
       const long long flops =
           kernel->partial_factor(tiled.data(), m, m / 2, nullptr);

@@ -302,8 +302,8 @@ TEST(NumericParallelFailure, StalledRunGivesThePanelsBack) {
       gen::grid2d(10, 10), 5, OrderingChoice::kMinDegree, /*relax=*/1);
   const MinMemResult minmem = in_tree_minmem_optimal(inst.assembly.tree);
   WorkerPool pool(1);
-  WorkerLease held = pool.try_lease(1);
-  ASSERT_EQ(held.size(), 1u);
+  testing::HoldWorkers held(pool, 1);
+  ASSERT_EQ(held.count(), 1u);
   ParallelFactorOptions options;
   options.workers = 2;
   options.memory_budget = minmem.peak;

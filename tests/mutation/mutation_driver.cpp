@@ -565,11 +565,6 @@ std::vector<EnvCase> env_cases() {
                                              threads_max),
                                1, threads_max);
        }},
-      {"TREEMEM_AFFINITY",
-       {"0", "1"},
-       [](const std::string& text) {
-         return expect_integer(text, env_int("TREEMEM_AFFINITY", 0, 1), 0, 1);
-       }},
       {"TREEMEM_SCALE",
        {"1.0", "0.5", "4", "1e2", ".25"},
        [](const std::string& text) -> std::string {
@@ -632,7 +627,7 @@ int run_env_mutants(std::uint64_t seed, int mutants) {
   Prng prng(seed);
   const std::vector<EnvCase> cases = env_cases();
   // Each variable is unset between mutants; main() already unset them
-  // all, after the worker pool read TREEMEM_THREADS / TREEMEM_AFFINITY.
+  // all, after the worker pool read TREEMEM_THREADS.
   for (const EnvCase& c : cases) {
     for (const std::string& value : c.seeds) {
       ::setenv(c.name, value.c_str(), 1);
@@ -677,8 +672,7 @@ int main(int argc, char** argv) {
   // driver was started with; after that, every TREEMEM_* knob is unset so
   // the parsers under test see only the mutants.
   treemem::WorkerPool::instance();
-  for (const char* name :
-       {"TREEMEM_THREADS", "TREEMEM_AFFINITY", "TREEMEM_SCALE"}) {
+  for (const char* name : {"TREEMEM_THREADS", "TREEMEM_SCALE"}) {
     ::unsetenv(name);
   }
   int failures = 0;

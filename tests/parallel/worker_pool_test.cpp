@@ -1,28 +1,27 @@
 // Contract suite for the persistent worker pool (parallel/worker_pool.hpp)
-// — the substrate both parallelism levels lease from, so this binary runs
+// — the substrate both parallelism levels draw from, so this binary runs
 // under TSan in CI.
 //
 // Pinned properties:
 //   * the pool spawns exactly size() threads at construction and never
-//     again: threads_spawned stays frozen across any number of leases,
+//     again: threads_spawned stays frozen across any number of run()
 //     loops and dispatches (the zero-births-on-the-hot-path contract CI
 //     also gates via bench/check_regression.py);
-//   * try_lease never blocks and never over-grants: concurrent
-//     lease/run/release hammering from 8 threads stays race-free, every
-//     loop index executes exactly once, and a request that finds nobody
-//     idle comes back empty (counted as denied) instead of waiting;
-//   * nested leasing works: a lease taken from inside an executor task —
-//     the production shape, a front leasing trailing-update workers while
-//     the tree level owns the crew — runs to completion;
+//   * run() never blocks and never over-claims: it borrows exactly the
+//     workers idle at the call (counted as one grant), or none (counted
+//     as one denial, the loop inline on the caller) instead of waiting;
+//     concurrent claim/run hammering from 8 threads, mixed with
+//     dispatches, stays race-free and every loop index executes exactly
+//     once;
+//   * nested claims work: run() called from inside an executor task —
+//     the production shape, a front borrowing trailing-update workers
+//     while the tree level owns the crew — runs to completion;
 //   * factor_parallel stays bit-identical to the serial engine at
 //     w ∈ {1, 2, 8} with elastic crewing on and off (leases only move
 //     work between threads, never reassociate it);
-//   * an exception in a leased tile fails only that lease's loop (first
+//   * an exception in a tile fails only that run()'s loop (first
 //     exception rethrown, every index still executed) and the pool remains
-//     fully usable afterwards;
-//   * tearing down a pool with a lease outstanding is a clean
-//     treemem::Error from shutdown(), and release() then makes shutdown
-//     succeed.
+//     fully usable afterwards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -43,6 +42,7 @@
 namespace treemem {
 namespace {
 
+using testing::HoldWorkers;
 using testing::wait_for_idle;
 
 TEST(WorkerPool, SpawnsOnceAndNeverAgain) {
@@ -51,7 +51,7 @@ TEST(WorkerPool, SpawnsOnceAndNeverAgain) {
   EXPECT_EQ(pool.stats().threads_spawned, 3);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> hits{0};
-    pool.try_lease(2).run(16, [&](std::size_t) { hits.fetch_add(1); });
+    pool.run(2, 16, [&](std::size_t) { hits.fetch_add(1); });
     EXPECT_EQ(hits.load(), 16);
   }
   // The frozen counter IS the no-thread-births contract.
@@ -67,8 +67,7 @@ TEST(WorkerPool, SizeIsClampedToAtLeastOne) {
 TEST(WorkerPool, LeaseRunExecutesEveryIndexExactlyOnce) {
   WorkerPool pool(4);
   std::vector<std::atomic<int>> hits(997);
-  pool.try_lease(4).run(hits.size(),
-                        [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.run(4, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
@@ -77,38 +76,58 @@ TEST(WorkerPool, LeaseRunExecutesEveryIndexExactlyOnce) {
 TEST(WorkerPool, EmptyLeaseRunsInlineOnTheCallingThread) {
   WorkerPool pool(2);
   // Hold every worker so the next request must come back empty.
-  WorkerLease all = pool.try_lease(2);
-  ASSERT_EQ(all.size(), 2u);
+  HoldWorkers all(pool, 2);
+  ASSERT_EQ(all.count(), 2u);
   EXPECT_EQ(pool.idle_workers(), 0u);
-
-  WorkerLease empty = pool.try_lease(2);
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(pool.stats().leases_denied, 1);
 
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> seen(8);
-  empty.run(seen.size(),
-            [&](std::size_t i) { seen[i] = std::this_thread::get_id(); });
+  pool.run(2, seen.size(),
+           [&](std::size_t i) { seen[i] = std::this_thread::get_id(); });
+  EXPECT_EQ(pool.stats().leases_denied, 1);
   for (const std::thread::id& id : seen) {
-    EXPECT_EQ(id, caller);  // denied leases must never block, just inline
+    EXPECT_EQ(id, caller);  // denied claims must never block, just inline
   }
 }
 
-TEST(WorkerPool, ReleaseReturnsWorkersWithoutRunning) {
-  WorkerPool pool(2);
-  {
-    WorkerLease lease = pool.try_lease(2);
-    EXPECT_EQ(lease.size(), 2u);
-    EXPECT_EQ(pool.idle_workers(), 0u);
-  }  // RAII release
-  EXPECT_EQ(pool.idle_workers(), 2u);
-  EXPECT_EQ(pool.stats().threads_spawned, 2);
+TEST(WorkerPool, RunClaimsOnlyIdleWorkers) {
+  // With j of 3 workers held elsewhere, run(3, …) borrows exactly the
+  // 3 − j idle ones — one grant, or one denial and the whole loop on the
+  // caller when none is idle.
+  WorkerPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (unsigned j = 0; j <= 3; ++j) {
+    ASSERT_TRUE(wait_for_idle(pool));
+    HoldWorkers held(pool, j);
+    ASSERT_EQ(held.count(), j);
+    const WorkerPoolStats before = pool.stats();
+    std::vector<std::atomic<int>> hits(64);
+    std::vector<std::thread::id> seen(hits.size());
+    pool.run(3, hits.size(), [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      seen[i] = std::this_thread::get_id();
+    });
+    const WorkerPoolStats after = pool.stats();
+    EXPECT_EQ(after.workers_leased - before.workers_leased,
+              static_cast<long long>(3 - j))
+        << "j=" << j;
+    EXPECT_EQ(after.leases_granted - before.leases_granted, j < 3 ? 1 : 0)
+        << "j=" << j;
+    EXPECT_EQ(after.leases_denied - before.leases_denied, j == 3 ? 1 : 0)
+        << "j=" << j;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "j=" << j << " i=" << i;
+      if (j == 3) {
+        EXPECT_EQ(seen[i], caller) << "i=" << i;
+      }
+    }
+  }
 }
 
 TEST(WorkerPool, ConcurrentLeaseReturnRacesAreClean) {
-  // The satellite's race scenario: 8 external threads hammer one pool with
-  // overlapping lease/run/release cycles. TSan must see no races; the
-  // index counts prove no loop lost or duplicated work.
+  // 8 external threads hammer one pool with overlapping claim/run cycles
+  // and dispatches. TSan must see no races; the index counts prove no loop
+  // lost or duplicated work.
   WorkerPool pool(8);
   constexpr int kThreads = 8;
   constexpr int kRounds = 40;
@@ -120,12 +139,11 @@ TEST(WorkerPool, ConcurrentLeaseReturnRacesAreClean) {
     drivers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         if ((t + round) % 3 == 0) {
-          // Mix in lease-and-release-without-running.
-          WorkerLease idle_lease = pool.try_lease(2);
-          idle_lease.release();
+          // Mix in dispatches racing the claims for the same idle workers.
+          pool.try_dispatch(2, [] {});
         }
-        pool.try_lease(static_cast<unsigned>(1 + (t + round) % 4))
-            .run(kIndices, [&](std::size_t) { hits[t].fetch_add(1); });
+        pool.run(static_cast<unsigned>(1 + (t + round) % 4), kIndices,
+                 [&](std::size_t) { hits[t].fetch_add(1); });
       }
     });
   }
@@ -141,7 +159,7 @@ TEST(WorkerPool, ConcurrentLeaseReturnRacesAreClean) {
 
 TEST(WorkerPool, NestedLeaseFromInsideAnExecutorTask) {
   // The production shape: the tree-level executor recruits its crew from
-  // the pool, and a task body (a front) leases more workers for its tiles
+  // the pool, and a task body (a front) borrows more workers for its tiles
   // from the same pool, mid-run. Must complete and count every tile.
   WorkerPool pool(4);
   const Tree tree = gen::complete_kary(3, 3, 2, 1);  // 13 fronts, arity 3
@@ -152,9 +170,7 @@ TEST(WorkerPool, NestedLeaseFromInsideAnExecutorTask) {
   std::atomic<long long> tile_hits{0};
   const ParallelScheduleResult run = execute_task_tree(
       tree, options, std::vector<double>(p, 1.0), [&](NodeId, int) {
-        pool.try_lease(2).run(16, [&](std::size_t) {
-          tile_hits.fetch_add(1);
-        });
+        pool.run(2, 16, [&](std::size_t) { tile_hits.fetch_add(1); });
       });
   EXPECT_TRUE(run.feasible);
   EXPECT_EQ(tile_hits.load(), static_cast<long long>(p) * 16);
@@ -165,34 +181,23 @@ TEST(WorkerPool, NestedLeaseFromInsideAnExecutorTask) {
 TEST(WorkerPool, ExceptionInLeasedTileFailsOnlyThatLoop) {
   WorkerPool pool(4);
   std::vector<std::atomic<int>> hits(64);
-  EXPECT_THROW(
-      pool.try_lease(3).run(hits.size(),
-                            [&](std::size_t i) {
-                              hits[i].fetch_add(1);
-                              if (i == 7) {
-                                throw Error("tile 7 failed");
-                              }
-                            }),
-      Error);
+  EXPECT_THROW(pool.run(3, hits.size(),
+                        [&](std::size_t i) {
+                          hits[i].fetch_add(1);
+                          if (i == 7) {
+                            throw Error("tile 7 failed");
+                          }
+                        }),
+               Error);
   // The contract: every index still executed exactly once.
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
-  // ...and the failure did not poison the pool: the next lease works.
+  // ...and the failure did not poison the pool: the next run works.
   std::atomic<int> ok{0};
-  pool.try_lease(3).run(32, [&](std::size_t) { ok.fetch_add(1); });
+  pool.run(3, 32, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 32);
   EXPECT_TRUE(wait_for_idle(pool));
-}
-
-TEST(WorkerPool, ShutdownWithLeaseOutstandingIsACleanError) {
-  WorkerPool pool(2);
-  WorkerLease lease = pool.try_lease(1);
-  ASSERT_EQ(lease.size(), 1u);
-  EXPECT_THROW(pool.shutdown(), Error);  // teardown under a live lease
-  lease.release();
-  EXPECT_NO_THROW(pool.shutdown());  // clean once the lease is back
-  EXPECT_NO_THROW(pool.shutdown());  // idempotent
 }
 
 TEST(WorkerPool, DispatchRunsJobOnceAndSelfReturns) {

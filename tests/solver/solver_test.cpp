@@ -43,6 +43,7 @@
 #include "support/prng.hpp"
 #include "symbolic/assembly_tree.hpp"
 #include "order/ordering.hpp"
+#include "test_util.hpp"
 
 namespace treemem {
 namespace {
@@ -451,8 +452,8 @@ TEST(SolverEngine, GreedyStallFallsBackToTheSerialEngine) {
                                                     workers_options(1));
 
   WorkerPool pool(1);
-  WorkerLease held = pool.try_lease(1);
-  ASSERT_EQ(held.size(), 1u);
+  testing::HoldWorkers held(pool, 1);
+  ASSERT_EQ(held.count(), 1u);
   FactorizeOptions options = workers_options(2);
   options.kernel.pool = &pool;
   solver.factorize(matrix, options);

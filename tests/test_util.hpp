@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <condition_variable>
 #include <cstdint>
 #include <iomanip>
+#include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
@@ -111,8 +113,8 @@ inline ::testing::AssertionResult bitwise_equal(
   return ::testing::AssertionSuccess();
 }
 
-/// Bounded wait until every worker of `pool` has parked again: a lease's
-/// run() returns once every index executed, but the leased workers re-park
+/// Bounded wait until every worker of `pool` has parked again: run()
+/// returns once every index executed, but the borrowed workers re-park
 /// asynchronously after that, so an immediate idle_workers() read races
 /// them. False after ~a million yields (a worker that never returns).
 inline bool wait_for_idle(const WorkerPool& pool) {
@@ -124,6 +126,49 @@ inline bool wait_for_idle(const WorkerPool& pool) {
   }
   return false;
 }
+
+/// Occupies up to `k` idle workers of `pool` with try_dispatch jobs that
+/// wait until this object is destroyed, so the code under test finds only
+/// the rest idle. The destructor releases the jobs and waits for the pool
+/// to park again, so destroy it when nothing else runs on the pool.
+class HoldWorkers {
+ public:
+  HoldWorkers(WorkerPool& pool, unsigned k) : pool_(pool) {
+    held_ = pool_.try_dispatch(k, [this] {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [&] { return released_; });
+      if (--running_ == 0) {
+        cv_.notify_all();
+      }
+    });
+    std::lock_guard<std::mutex> lock(mutex_);
+    running_ += held_;
+  }
+
+  ~HoldWorkers() {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      released_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return running_ == 0; });
+    }
+    EXPECT_TRUE(wait_for_idle(pool_));
+  }
+
+  HoldWorkers(const HoldWorkers&) = delete;
+  HoldWorkers& operator=(const HoldWorkers&) = delete;
+
+  /// Workers actually held (fewer than k when fewer were idle).
+  unsigned count() const { return held_; }
+
+ private:
+  WorkerPool& pool_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool released_ = false;
+  unsigned running_ = 0;  ///< held jobs that have not returned yet
+  unsigned held_ = 0;
+};
 
 /// Oracle for the pattern of L of a symmetric pattern with a full diagonal,
 /// independent of the library's row-subtree walk (column_counts): column
